@@ -94,8 +94,9 @@ OracleTable::keyOf(uint64_t a_bits, uint64_t b_bits) const
     Key k{ta, tb};
     // Commutative canonical order — except both-NaN fp pairs, whose
     // products are not bit-commutative (the unit propagates the first
-    // operand's payload); those keep exact operand order, mirroring
-    // MemoTable::commutableBits.
+    // operand's payload); those keep exact operand order. The rule
+    // is restated here rather than shared with commutableBits()
+    // (core/op.hh), so the oracle stays independent of the table.
     bool swap_ok = isCommutative(op) &&
                    !(op == Operation::FpMul && fpIsNaNBits(a_bits) &&
                      fpIsNaNBits(b_bits));

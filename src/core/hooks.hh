@@ -8,7 +8,8 @@
  * that it stays free of any observability dependency; the concrete
  * observer (the sampled ring-buffer obs::EventTracer) lives in
  * src/obs. With no observer attached the cost is a single predictable
- * null-pointer test per lookup/update.
+ * null-pointer test per event on lookup/update, and one per block on
+ * MemoTable::probeBlock.
  */
 
 #ifndef MEMO_CORE_HOOKS_HH

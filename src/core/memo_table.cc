@@ -1,8 +1,10 @@
 #include "memo_table.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "arith/fp.hh"
 #include "arith/hash.hh"
@@ -15,12 +17,37 @@ MemoTable::MemoTable(Operation operation, const MemoConfig &config)
     : op(operation), cfg(config)
 {
     assert(cfg.validate().empty());
+    unsigned index_bits = 0;
     if (!cfg.infinite) {
-        indexBits = log2Exact(cfg.sets());
+        index_bits = log2Exact(cfg.sets());
         entries.resize(cfg.entries);
-    } else {
-        indexBits = 0;
     }
+    // The mantissa-only design covers the operations whose result
+    // exponent is a simple function of the operand exponents:
+    // multiply/divide (sum/difference) and square root (halving, with
+    // the exponent's parity folded into the tag since sqrt(m) and
+    // sqrt(2m) have different mantissas).
+    bool mantissa_op = op == Operation::FpMul ||
+                       op == Operation::FpDiv || op == Operation::FpSqrt;
+    mode_ = Mode{
+        .op = op,
+        .hash = index_bits == 0              ? IndexHash::None
+                : op == Operation::IntMul    ? IndexHash::Int
+                : isUnary(op)                ? IndexHash::FpUnary
+                : cfg.hashScheme == HashScheme::Additive ? IndexHash::FpSum
+                                                         : IndexHash::FpXor,
+        .indexBits = index_bits,
+        .ways = cfg.ways,
+        .filterTrivial = cfg.trivialMode != TrivialMode::CacheAll,
+        .bypassTrivial = cfg.trivialMode == TrivialMode::NonTrivialOnly,
+        .extTrivial = cfg.extendedTrivial,
+        .mantissa = cfg.tagMode == TagMode::MantissaOnly && mantissa_op,
+        .unary = isUnary(op),
+        .lru = cfg.replacement == Replacement::Lru,
+        .random = cfg.replacement == Replacement::Random,
+        .parity = cfg.parityProtected,
+        .infinite = cfg.infinite,
+    };
 }
 
 void
@@ -71,6 +98,17 @@ MemoTable::phaseNextBoundary() const
     uint64_t fault =
         phase_boundary_fault.load(std::memory_order_relaxed) ? 1 : 0;
     return phase_->flushedThrough + phase_->window() + fault;
+}
+
+uint64_t
+MemoTable::phaseSegment()
+{
+    if (accessStamp() == phaseNextBoundary())
+        phaseFlush();
+    // The close needs exact equality: a stamp already past the
+    // boundary (only after toggling the injected fault) wraps the
+    // room to "no further close", as it would one access at a time.
+    return phaseNextBoundary() - accessStamp();
 }
 
 void
@@ -171,62 +209,6 @@ MemoTable::checkTrivial(uint64_t a_bits, uint64_t b_bits,
 }
 
 bool
-MemoTable::mantissaMode() const
-{
-    // The mantissa-only design covers the operations whose result
-    // exponent is a simple function of the operand exponents:
-    // multiply/divide (sum/difference) and square root (halving, with
-    // the exponent's parity folded into the tag since sqrt(m) and
-    // sqrt(2m) have different mantissas).
-    return cfg.tagMode == TagMode::MantissaOnly &&
-           (op == Operation::FpMul || op == Operation::FpDiv ||
-            op == Operation::FpSqrt);
-}
-
-bool
-MemoTable::taggable(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (!mantissaMode())
-        return true;
-    // Mantissa tags collide across numbers with equal fractions (that is
-    // the point), but zero/subnormal/inf/NaN have no meaningful mantissa
-    // identity; those accesses bypass the mantissa-mode table.
-    return fpIsNormal(fpFromBits(a_bits)) &&
-           (isUnary(op) || fpIsNormal(fpFromBits(b_bits)));
-}
-
-uint64_t
-MemoTable::makeTag(uint64_t operand_bits) const
-{
-    if (!mantissaMode())
-        return operand_bits;
-    uint64_t frac = operand_bits & ((uint64_t{1} << fpMantissaBits) - 1);
-    if (op == Operation::FpSqrt) {
-        // Fold the exponent's parity into the tag: the result
-        // mantissa depends on it.
-        int e = static_cast<int>((operand_bits >> fpMantissaBits) &
-                                 0x7ff) -
-                fpExponentBias;
-        frac |= static_cast<uint64_t>(e & 1) << fpMantissaBits;
-    }
-    return frac;
-}
-
-uint64_t
-MemoTable::indexOf(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (indexBits == 0)
-        return 0;
-    if (op == Operation::IntMul)
-        return indexInt(a_bits, b_bits, indexBits);
-    if (isUnary(op))
-        return indexFpUnary(a_bits, indexBits);
-    if (cfg.hashScheme == HashScheme::Additive)
-        return indexFpSum(a_bits, b_bits, indexBits);
-    return indexFp(a_bits, b_bits, indexBits);
-}
-
-bool
 MemoTable::reconstruct(uint64_t a_bits, uint64_t b_bits, uint64_t frac,
                        int delta, uint64_t &result) const
 {
@@ -290,553 +272,339 @@ MemoTable::derivePayload(uint64_t a_bits, uint64_t b_bits,
            check == result_bits;
 }
 
-bool
-MemoTable::commutableBits(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (!isCommutative(op))
-        return false;
-    if (op == Operation::FpMul && fpIsNaNBits(a_bits) &&
-        fpIsNaNBits(b_bits))
-        return false;
-    return true;
-}
+// The access step. lookup() runs locate + account, update() runs
+// locate + install, and probeBlock() loops over all three, so every
+// piece of per-access semantics below is written once. The steps are
+// forced inline so that probeBlock()'s loop keeps the mode and the
+// counters in registers.
 
-MemoTable::Entry *
-MemoTable::findEntry(uint64_t index, uint64_t tag_a, uint64_t tag_b,
-                     bool allow_swap)
+[[gnu::always_inline]] inline MemoTable::Access
+MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
 {
-    Entry *set = &entries[index * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; w++) {
-        Entry &e = set[w];
-        if (!e.valid)
-            continue;
-        if (e.tagA == tag_a && e.tagB == tag_b)
-            return &e;
-        // Commutative units compare the operands in both orders
-        // (section 2.2).
-        if (allow_swap && e.tagA == tag_b && e.tagB == tag_a)
-            return &e;
+    Access x{};
+    x.a = a;
+    x.b = b;
+    switch (m.hash) {
+      case IndexHash::None:
+        x.index = 0;
+        break;
+      case IndexHash::Int:
+        x.index = indexInt(a, b, m.indexBits);
+        break;
+      case IndexHash::FpUnary:
+        x.index = indexFpUnary(a, m.indexBits);
+        break;
+      case IndexHash::FpSum:
+        x.index = indexFpSum(a, b, m.indexBits);
+        break;
+      case IndexHash::FpXor:
+        x.index = indexFp(a, b, m.indexBits);
+        break;
     }
-    return nullptr;
+
+    // Branch-free trivial pre-filter: a few integer compares decide
+    // whether the operands can possibly be trivial (a zero / one /
+    // extended-set constant is involved). Only those rare candidates
+    // take the full detector, which remains the single source of
+    // truth. NaN/inf operands need no test here: the detectors
+    // classify them non-trivial anyway.
+    if (m.filterTrivial) {
+        constexpr uint64_t one = 0x3ff0000000000000ULL;
+        constexpr uint64_t neg_one = 0xbff0000000000000ULL;
+        bool rare = false;
+        switch (m.op) {
+          case Operation::IntMul:
+            rare = (a == 0) | (b == 0) | (a == 1) | (b == 1);
+            if (m.extTrivial)
+                rare |= (a == ~uint64_t{0}) | (b == ~uint64_t{0});
+            break;
+          case Operation::FpMul:
+            rare = ((a << 1) == 0) | ((b << 1) == 0) | (a == one) |
+                   (b == one);
+            if (m.extTrivial)
+                rare |= (a == neg_one) | (b == neg_one);
+            break;
+          case Operation::FpDiv:
+            // b == ±0 / NaN / inf are non-trivial; a == b (the ext
+            // DivBySelf test) compares equal as doubles iff the bits
+            // match, zeros and NaNs having been ruled out by the
+            // detector itself.
+            rare = ((a << 1) == 0) | (b == one);
+            if (m.extTrivial)
+                rare |= (b == neg_one) | (a == b);
+            break;
+          case Operation::FpSqrt:
+            rare = m.extTrivial & (((a << 1) == 0) | (a == one));
+            break;
+          default:
+            break;
+        }
+        // A local out-parameter, not &x.trivialResult: once x's
+        // address escapes, x lives in memory instead of registers.
+        uint64_t trivial_result = 0;
+        if (rare && checkTrivial(a, b, trivial_result)) {
+            x.kind = Access::Trivial;
+            x.trivialResult = trivial_result;
+            return x;
+        }
+    }
+
+    // Mantissa tags collide across numbers with equal fractions (that
+    // is the point), but zero/subnormal/inf/NaN have no meaningful
+    // mantissa identity; those accesses bypass the mantissa-mode table.
+    if (m.mantissa && !(fpIsNormal(fpFromBits(a)) &&
+                        (m.unary || fpIsNormal(fpFromBits(b))))) {
+        x.kind = Access::Untaggable;
+        return x;
+    }
+    x.kind = Access::Tagged;
+
+    // Tags: the operand bits, or in mantissa mode the fraction — for
+    // sqrt with the exponent's parity folded in, since the result
+    // mantissa depends on it.
+    auto tag = [&](uint64_t bits) {
+        if (!m.mantissa)
+            return bits;
+        uint64_t frac = bits & ((uint64_t{1} << fpMantissaBits) - 1);
+        if (m.op == Operation::FpSqrt) {
+            int e = static_cast<int>((bits >> fpMantissaBits) & 0x7ff) -
+                    fpExponentBias;
+            frac |= static_cast<uint64_t>(e & 1) << fpMantissaBits;
+        }
+        return frac;
+    };
+    x.tagA = tag(a);
+    x.tagB = m.unary ? 0 : tag(b);
+    bool swap_ok = commutableBits(m.op, a, b);
+
+    if (m.infinite) {
+        if (swap_ok && x.tagB < x.tagA)
+            std::swap(x.tagA, x.tagB);
+        auto it = infTable.find(InfKey{x.tagA, x.tagB});
+        if (it != infTable.end())
+            x.inf = &it->second;
+        return x;
+    }
+
+    // Way match. Commutative units compare the operands in both
+    // orders (section 2.2).
+    x.set = &entries[x.index * m.ways];
+    for (unsigned w = 0; w < m.ways; w++) {
+        Entry &e = x.set[w];
+        if (e.valid && ((e.tagA == x.tagA && e.tagB == x.tagB) ||
+                        (swap_ok && e.tagA == x.tagB && e.tagB == x.tagA))) {
+            x.match = &e;
+            break;
+        }
+    }
+    return x;
 }
 
-MemoTable::Entry &
-MemoTable::victimEntry(uint64_t index)
+template <bool Hooked>
+[[gnu::always_inline]] inline bool
+MemoTable::account(const Mode &m, Access &x, Tally &c, uint64_t &result)
 {
-    Entry *set = &entries[index * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; w++) {
+    MemoStats &s = c.stats;
+    if (x.kind == Access::Trivial) {
+        if (m.bypassTrivial) {
+            // Filtered before the table; not a lookup.
+            s.trivialBypassed++;
+            emit<Hooked>(TableEventKind::TrivialBypass, x.index, c);
+            return false;
+        }
+        // Integrated: the detector inside the table supplies the result.
+        s.lookups++;
+        s.trivialHits++;
+        emit<Hooked>(TableEventKind::TrivialHit, x.index, c);
+        result = x.trivialResult;
+        return true;
+    }
+
+    s.lookups++;
+    if (x.inf) {
+        result = x.inf->value;
+        if (!m.mantissa || reconstruct(x.a, x.b, x.inf->value,
+                                       x.inf->delta, result)) {
+            s.hits++;
+            emit<Hooked>(TableEventKind::Hit, x.index, c);
+            return true;
+        }
+    } else if (Entry *e = x.match) {
+        if (m.parity &&
+            entryParity(e->tagA, e->tagB, e->value) != e->parity) {
+            // Soft error detected: drop the entry, take the miss.
+            e->valid = false;
+            x.match = nullptr;
+            s.parityMisses++;
+            s.misses++;
+            emit<Hooked>(TableEventKind::ParityAbort, x.index, c);
+            return false;
+        }
+        result = e->value;
+        if (!m.mantissa ||
+            reconstruct(x.a, x.b, e->value, e->delta, result)) {
+            if (m.lru)
+                e->tick = ++c.tick;
+            s.hits++;
+            emit<Hooked>(TableEventKind::Hit, x.index, c);
+            return true;
+        }
+    }
+    // Untaggable, absent, or a mantissa entry whose result exponent
+    // is unrepresentable for these operands.
+    s.misses++;
+    emit<Hooked>(TableEventKind::Miss, x.index, c);
+    return false;
+}
+
+inline MemoTable::Entry &
+MemoTable::victimEntry(const Mode &m, Entry *set)
+{
+    for (unsigned w = 0; w < m.ways; w++) {
         if (!set[w].valid)
             return set[w];
     }
-    switch (cfg.replacement) {
-      case Replacement::Lru:
-      case Replacement::Fifo: {
-        Entry *victim = &set[0];
-        for (unsigned w = 1; w < cfg.ways; w++) {
-            if (set[w].tick < victim->tick)
-                victim = &set[w];
-        }
-        return *victim;
-      }
-      case Replacement::Random:
-      default:
+    if (m.random) {
         // xorshift64 keeps runs deterministic.
         rng ^= rng << 13;
         rng ^= rng >> 7;
         rng ^= rng << 17;
-        return set[rng % cfg.ways];
+        return set[rng % m.ways];
     }
+    // LRU and FIFO: the lowest tick (only LRU refreshes it on hits).
+    Entry *victim = &set[0];
+    for (unsigned w = 1; w < m.ways; w++) {
+        if (set[w].tick < victim->tick)
+            victim = &set[w];
+    }
+    return *victim;
+}
+
+template <bool Hooked>
+[[gnu::always_inline]] inline void
+MemoTable::install(const Mode &m, const Access &x, uint64_t result_bits,
+                   Tally &c)
+{
+    uint64_t value = result_bits;
+    int8_t delta = 0;
+    if (m.mantissa) {
+        uint64_t frac = 0;
+        if (!derivePayload(x.a, x.b, result_bits, frac, delta))
+            return;
+        value = frac;
+    }
+
+    if (m.infinite) {
+        if (x.inf) {
+            *x.inf = InfValue{value, delta};
+            return;
+        }
+        infTable.emplace(InfKey{x.tagA, x.tagB}, InfValue{value, delta});
+        c.stats.insertions++;
+        emit<Hooked>(TableEventKind::Insert, x.index, c);
+        return;
+    }
+
+    if (Entry *e = x.match) {
+        // Already present (a mantissa entry that failed to
+        // reconstruct, or refreshed by a racing unit); rewrite.
+        e->value = value;
+        e->delta = delta;
+        e->parity = entryParity(e->tagA, e->tagB, value);
+        if (m.lru)
+            e->tick = ++c.tick;
+        return;
+    }
+    Entry &victim = victimEntry(m, x.set);
+    if (victim.valid) {
+        c.stats.evictions++;
+        emit<Hooked>(TableEventKind::Evict, x.index, c);
+    }
+    victim.valid = true;
+    victim.tagA = x.tagA;
+    victim.tagB = x.tagB;
+    victim.value = value;
+    victim.delta = delta;
+    victim.parity = entryParity(x.tagA, x.tagB, value);
+    victim.tick = ++c.tick;
+    c.stats.insertions++;
+    emit<Hooked>(TableEventKind::Insert, x.index, c);
 }
 
 std::optional<uint64_t>
 MemoTable::lookup(uint64_t a_bits, uint64_t b_bits)
 {
-    // Lazy window close at access start (core/phase.hh): the
-    // previous access — including the update() a miss triggers — is
-    // fully accounted before its window's row is cut, matching the
-    // batched path's boundary placement bit for bit.
-    if (phase_ && accessStamp() == phaseNextBoundary())
-        phaseFlush();
-
-    uint64_t trivial_result;
-    if (cfg.trivialMode != TrivialMode::CacheAll &&
-        checkTrivial(a_bits, b_bits, trivial_result)) {
-        if (cfg.trivialMode == TrivialMode::NonTrivialOnly) {
-            stats_.trivialBypassed++;
-            if (hooks_)
-                emitEvent(TableEventKind::TrivialBypass,
-                          indexOf(a_bits, b_bits));
-            return std::nullopt;
-        }
-        // Integrated: the detector inside the table supplies the result.
-        stats_.lookups++;
-        stats_.trivialHits++;
-        if (hooks_)
-            emitEvent(TableEventKind::TrivialHit,
-                      indexOf(a_bits, b_bits));
-        return trivial_result;
-    }
-
-    stats_.lookups++;
-    if (!taggable(a_bits, b_bits)) {
-        stats_.misses++;
-        if (hooks_)
-            emitEvent(TableEventKind::Miss, indexOf(a_bits, b_bits));
-        return std::nullopt;
-    }
-
-    uint64_t tag_a = makeTag(a_bits);
-    uint64_t tag_b = isUnary(op) ? 0 : makeTag(b_bits);
-    bool swap_ok = commutableBits(a_bits, b_bits);
-
-    if (cfg.infinite) {
-        InfKey key{tag_a, tag_b};
-        if (swap_ok && key.b < key.a)
-            std::swap(key.a, key.b);
-        auto it = infTable.find(key);
-        if (it != infTable.end()) {
-            uint64_t result = it->second.value;
-            if (mantissaMode() &&
-                !reconstruct(a_bits, b_bits, it->second.value,
-                             it->second.delta, result)) {
-                stats_.misses++;
-                emitEvent(TableEventKind::Miss, 0);
-                return std::nullopt;
-            }
-            stats_.hits++;
-            emitEvent(TableEventKind::Hit, 0);
-            return result;
-        }
-        stats_.misses++;
-        emitEvent(TableEventKind::Miss, 0);
-        return std::nullopt;
-    }
-
-    uint64_t index = indexOf(a_bits, b_bits);
-    if (Entry *e = findEntry(index, tag_a, tag_b, swap_ok)) {
-        if (cfg.parityProtected &&
-            entryParity(e->tagA, e->tagB, e->value) != e->parity) {
-            // Soft error detected: drop the entry, take the miss.
-            e->valid = false;
-            stats_.parityMisses++;
-            stats_.misses++;
-            emitEvent(TableEventKind::ParityAbort, index);
-            return std::nullopt;
-        }
-        uint64_t result = e->value;
-        if (mantissaMode() &&
-            !reconstruct(a_bits, b_bits, e->value, e->delta, result)) {
-            stats_.misses++;
-            emitEvent(TableEventKind::Miss, index);
-            return std::nullopt;
-        }
-        if (cfg.replacement == Replacement::Lru)
-            e->tick = ++tick;
-        stats_.hits++;
-        emitEvent(TableEventKind::Hit, index);
+    // Lazy window close at access start (core/phase.hh): the previous
+    // access, including the update() a miss triggers, is fully
+    // accounted before its window's row is cut.
+    if (phase_)
+        phaseSegment();
+    Tally c{stats_, tick, 0};
+    Access x = locate(mode_, a_bits, b_bits);
+    uint64_t result = 0;
+    if (account<true>(mode_, x, c, result))
         return result;
-    }
-    stats_.misses++;
-    emitEvent(TableEventKind::Miss, index);
     return std::nullopt;
 }
 
 void
 MemoTable::update(uint64_t a_bits, uint64_t b_bits, uint64_t result_bits)
 {
-    uint64_t trivial_result;
-    if (cfg.trivialMode != TrivialMode::CacheAll &&
-        checkTrivial(a_bits, b_bits, trivial_result)) {
+    // Trivial and untaggable operations are never installed.
+    Access x = locate(mode_, a_bits, b_bits);
+    if (x.kind != Access::Tagged)
         return;
-    }
-    if (!taggable(a_bits, b_bits))
-        return;
+    Tally c{stats_, tick, 0};
+    install<true>(mode_, x, result_bits, c);
+}
 
-    uint64_t value = result_bits;
-    int8_t delta = 0;
-    if (mantissaMode()) {
-        uint64_t frac;
-        if (!derivePayload(a_bits, b_bits, result_bits, frac, delta))
-            return;
-        value = frac;
-    }
+template <bool Hooked>
+void
+MemoTable::probeLoop(const uint64_t *a_bits, const uint64_t *b_bits,
+                     const uint64_t *result_bits, size_t n)
+{
+    // The mode, counters and clock live in registers for the whole
+    // block; fold() writes them back at window closes and at the end.
+    const Mode m = mode_;
+    MemoStats counts;
+    uint64_t t = tick;
+    Tally c{counts, t, accessStamp()};
+    auto fold = [&] {
+        stats_.merge(counts);
+        counts = MemoStats{};
+        tick = t;
+        c.stampBase = accessStamp();
+    };
 
-    uint64_t tag_a = makeTag(a_bits);
-    uint64_t tag_b = isUnary(op) ? 0 : makeTag(b_bits);
-    bool swap_ok = commutableBits(a_bits, b_bits);
-
-    if (cfg.infinite) {
-        InfKey key{tag_a, tag_b};
-        if (swap_ok && key.b < key.a)
-            std::swap(key.a, key.b);
-        auto [it, inserted] = infTable.try_emplace(key,
-                                                   InfValue{value, delta});
-        if (inserted) {
-            stats_.insertions++;
-            emitEvent(TableEventKind::Insert, 0);
-        } else {
-            it->second = InfValue{value, delta};
+    size_t i = 0;
+    while (i < n) {
+        // With a phase accumulator attached, the block splits into
+        // segments that end at window boundaries, so the per-access
+        // path below carries no phase bookkeeping.
+        size_t stop = n;
+        if (phase_) {
+            fold();
+            uint64_t room = phaseSegment();
+            stop = i + static_cast<size_t>(
+                           std::min<uint64_t>(room, n - i));
         }
-        return;
+        for (; i < stop; i++) {
+            Access x = locate(m, a_bits[i], b_bits[i]);
+            uint64_t result = 0;
+            if (!account<Hooked>(m, x, c, result) &&
+                x.kind == Access::Tagged)
+                install<Hooked>(m, x, result_bits[i], c);
+        }
     }
-
-    uint64_t index = indexOf(a_bits, b_bits);
-    if (Entry *e = findEntry(index, tag_a, tag_b, swap_ok)) {
-        // Already present (e.g. refreshed by a racing unit); rewrite.
-        e->value = value;
-        e->delta = delta;
-        e->parity = entryParity(e->tagA, e->tagB, value);
-        if (cfg.replacement == Replacement::Lru)
-            e->tick = ++tick;
-        return;
-    }
-    Entry &victim = victimEntry(index);
-    if (victim.valid) {
-        stats_.evictions++;
-        emitEvent(TableEventKind::Evict, index);
-    }
-    victim.valid = true;
-    victim.tagA = tag_a;
-    victim.tagB = tag_b;
-    victim.value = value;
-    victim.delta = delta;
-    victim.parity = entryParity(tag_a, tag_b, value);
-    victim.tick = ++tick;
-    stats_.insertions++;
-    emitEvent(TableEventKind::Insert, index);
+    fold();
 }
 
 void
 MemoTable::probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
                       const uint64_t *result_bits, size_t n)
 {
-    // An attached observer must see the exact per-access event stream;
-    // keep the scalar path, which emits through emitEvent().
-    if (hooks_) {
-        for (size_t i = 0; i < n; i++) {
-            if (!lookup(a_bits[i], b_bits[i]))
-                update(a_bits[i], b_bits[i], result_bits[i]);
-        }
-        return;
-    }
-
-    // Per-table invariants, hoisted out of the access loop. Every
-    // branch below mirrors one path of lookup()/update(); the stat
-    // counters, tick bumps and rng draws happen in the same order as
-    // the scalar pair, so the final table state is bit-identical.
-    const bool filter_trivial = cfg.trivialMode != TrivialMode::CacheAll;
-    const bool bypass_trivial =
-        cfg.trivialMode == TrivialMode::NonTrivialOnly;
-    const bool mant = mantissaMode();
-    const bool unary = isUnary(op);
-    const bool lru = cfg.replacement == Replacement::Lru;
-    const bool random_repl = cfg.replacement == Replacement::Random;
-    const bool parity = cfg.parityProtected;
-    const bool infinite = cfg.infinite;
-    const bool ext = cfg.extendedTrivial;
-
-    // Tag, commutativity and set-index decisions, resolved once; the
-    // scalar helpers re-derive them from the config on every call.
-    const bool commutative = isCommutative(op);
-    const unsigned n_ways = cfg.ways;
-    const unsigned ib = indexBits;
-    const uint64_t ib_mask =
-        ib >= 64 ? ~uint64_t{0} : (uint64_t{1} << ib) - 1;
-    enum { IdxNone, IdxInt, IdxUnary, IdxSum, IdxXor };
-    const int idx_kind =
-        ib == 0             ? IdxNone
-        : op == Operation::IntMul ? IdxInt
-        : unary             ? IdxUnary
-        : cfg.hashScheme == HashScheme::Additive ? IdxSum
-                                                 : IdxXor;
-    Entry *const ents = entries.data();
-
-    // Operation shape for the trivial pre-filter below.
-    const bool qr_int = op == Operation::IntMul;
-    const bool qr_fpmul = op == Operation::FpMul;
-    const bool qr_fpdiv = op == Operation::FpDiv;
-    const bool qr_fpsqrt = op == Operation::FpSqrt;
-    constexpr uint64_t kOneBits = 0x3ff0000000000000ULL;
-    constexpr uint64_t kNegOneBits = 0xbff0000000000000ULL;
-
-    // Counter and tick state lives in registers for the whole block;
-    // one fold-back below keeps the members off the per-access path.
-    uint64_t n_bypassed = 0, n_lookups = 0, n_trivial_hits = 0;
-    uint64_t n_hits = 0, n_misses = 0, n_parity = 0;
-    uint64_t n_insertions = 0, n_evictions = 0;
-    uint64_t t = tick;
-
-    // Phase-window state (core/phase.hh): the running access stamp
-    // and the stamp of the next window close. Every iteration of the
-    // hot loop consumes exactly one access, so the block strip-mines
-    // into segments ending at window boundaries — the per-access path
-    // carries no phase bookkeeping at all, and the close is a cold
-    // per-window step that folds the registers back first so stats_
-    // is current for the row's deltas.
-    const bool phase_on = phase_ != nullptr;
-    const uint64_t phase_w = phase_on ? phase_->window() : 0;
-    uint64_t s = stats_.lookups + stats_.trivialBypassed;
-    uint64_t nb = phase_on ? phaseNextBoundary() : 0;
-
-    size_t i = 0;
-    while (i < n) {
-        size_t stop = n;
-        if (phase_on) {
-            if (s == nb) {
-                tick = t;
-                stats_.trivialBypassed += n_bypassed;
-                stats_.lookups += n_lookups;
-                stats_.trivialHits += n_trivial_hits;
-                stats_.hits += n_hits;
-                stats_.misses += n_misses;
-                stats_.parityMisses += n_parity;
-                stats_.insertions += n_insertions;
-                stats_.evictions += n_evictions;
-                n_bypassed = n_lookups = n_trivial_hits = 0;
-                n_hits = n_misses = n_parity = 0;
-                n_insertions = n_evictions = 0;
-                phaseFlush();
-                nb += phase_w;
-            }
-            // Segment length: to the boundary or the block end, whichever
-            // is nearer. The close uses exact equality, so when s has
-            // already passed nb (only reachable under the injected
-            // boundary fault) the unsigned underflow makes room huge and
-            // the old no-further-close semantics carry over unchanged.
-            uint64_t room = nb - s;
-            uint64_t left = n - i;
-            uint64_t seg = room > left ? left : room;
-            stop = i + static_cast<size_t>(seg);
-            s += seg;
-        }
-        for (; i < stop; i++) {
-            uint64_t a = a_bits[i];
-            uint64_t b = b_bits[i];
-
-            // Branch-free trivial pre-filter: a few integer compares
-            // decide whether the operands can possibly be trivial (a
-            // zero / one / extended-set constant is involved). Only those
-            // rare candidates take the full detector, which remains the
-            // single source of truth; everything else skips it on one
-            // well-predicted branch. NaN/inf operands need no test here:
-            // the detectors classify them non-trivial anyway.
-            bool rare = false;
-            if (filter_trivial) {
-                if (qr_int) {
-                    rare = (a == 0) | (b == 0) | (a == 1) | (b == 1);
-                    if (ext)
-                        rare |= (a == ~uint64_t{0}) | (b == ~uint64_t{0});
-                } else if (qr_fpmul) {
-                    rare = ((a << 1) == 0) | ((b << 1) == 0) |
-                           (a == kOneBits) | (b == kOneBits);
-                    if (ext)
-                        rare |= (a == kNegOneBits) | (b == kNegOneBits);
-                } else if (qr_fpdiv) {
-                    // b == ±0 / NaN / inf are non-trivial; a == b (the
-                    // ext DivBySelf test) compares equal as doubles iff
-                    // the bits match, zeros and NaNs having been ruled
-                    // out by the detector itself.
-                    rare = ((a << 1) == 0) | (b == kOneBits);
-                    if (ext)
-                        rare |= (b == kNegOneBits) | (a == b);
-                } else if (qr_fpsqrt) {
-                    rare = ext & (((a << 1) == 0) | (a == kOneBits));
-                }
-            }
-
-            uint64_t trivial_result;
-            if (rare && checkTrivial(a, b, trivial_result)) {
-                if (bypass_trivial) {
-                    // Filtered before the table; update() skips it too.
-                    n_bypassed++;
-                } else {
-                    // Integrated: the in-table detector answers.
-                    n_lookups++;
-                    n_trivial_hits++;
-                }
-                continue;
-            }
-
-            n_lookups++;
-            if (mant && !taggable(a, b)) {
-                n_misses++; // update() skips untaggable operands
-                continue;
-            }
-
-            // makeTag() is the identity outside mantissa mode; the NaN
-            // order guard (commutableBits) only ever bites for FpMul.
-            uint64_t tag_a, tag_b;
-            if (mant) {
-                tag_a = makeTag(a);
-                tag_b = unary ? 0 : makeTag(b);
-            } else {
-                tag_a = a;
-                tag_b = unary ? 0 : b;
-            }
-            bool swap_ok = commutative;
-            if (qr_fpmul)
-                swap_ok = commutative &&
-                          !(fpIsNaNBits(a) && fpIsNaNBits(b));
-
-            if (infinite) {
-                InfKey key{tag_a, tag_b};
-                if (swap_ok && key.b < key.a)
-                    std::swap(key.a, key.b);
-                auto it = infTable.find(key);
-                bool present = it != infTable.end();
-                if (present) {
-                    uint64_t result = it->second.value;
-                    if (!mant || reconstruct(a, b, it->second.value,
-                                             it->second.delta, result)) {
-                        n_hits++;
-                        continue;
-                    }
-                    // Reconstruct failed: a miss, then update() rewrites
-                    // the existing entry in place (no insertion counted).
-                }
-                n_misses++;
-                uint64_t value = result_bits[i];
-                int8_t delta = 0;
-                if (mant) {
-                    uint64_t frac;
-                    if (!derivePayload(a, b, result_bits[i], frac, delta))
-                        continue;
-                    value = frac;
-                }
-                if (present) {
-                    it->second = InfValue{value, delta};
-                } else {
-                    infTable.emplace(key, InfValue{value, delta});
-                    n_insertions++;
-                }
-                continue;
-            }
-
-            uint64_t index;
-            switch (idx_kind) {
-              case IdxInt:
-                index = (a ^ b) & ib_mask;
-                break;
-              case IdxUnary:
-                index = detail::topMantissa(a, ib);
-                break;
-              case IdxSum:
-                index = (detail::topMantissa(a, ib) +
-                         detail::topMantissa(b, ib)) &
-                        ib_mask;
-                break;
-              case IdxXor:
-                index = detail::topMantissa(a, ib) ^
-                        detail::topMantissa(b, ib);
-                break;
-              default:
-                index = 0;
-            }
-
-            // findEntry(), unrolled here over hoisted geometry: the first
-            // way matching in direct or (when allowed) swapped order.
-            Entry *const set = ents + index * n_ways;
-            Entry *e = nullptr;
-            for (unsigned w = 0; w < n_ways; w++) {
-                Entry &c = set[w];
-                if (!c.valid)
-                    continue;
-                if ((c.tagA == tag_a && c.tagB == tag_b) ||
-                    (swap_ok && c.tagA == tag_b && c.tagB == tag_a)) {
-                    e = &c;
-                    break;
-                }
-            }
-            Entry *rewrite = nullptr;
-            if (e) {
-                if (parity &&
-                    entryParity(e->tagA, e->tagB, e->value) != e->parity) {
-                    // Soft error: drop the entry; update() then takes the
-                    // victim path (the slot just freed, or an earlier
-                    // invalid way — same scan as the scalar pair).
-                    e->valid = false;
-                    n_parity++;
-                    n_misses++;
-                } else {
-                    uint64_t result = e->value;
-                    if (mant &&
-                        !reconstruct(a, b, e->value, e->delta, result)) {
-                        n_misses++;
-                        rewrite = e; // update() finds this same entry
-                    } else {
-                        if (lru)
-                            e->tick = ++t;
-                        n_hits++;
-                        continue;
-                    }
-                }
-            } else {
-                n_misses++;
-            }
-
-            // Miss path: install, mirroring update() with the trivial,
-            // taggability and tag computations already done above.
-            uint64_t value = result_bits[i];
-            int8_t delta = 0;
-            if (mant) {
-                uint64_t frac;
-                if (!derivePayload(a, b, result_bits[i], frac, delta))
-                    continue;
-                value = frac;
-            }
-            if (rewrite) {
-                rewrite->value = value;
-                rewrite->delta = delta;
-                rewrite->parity =
-                    entryParity(rewrite->tagA, rewrite->tagB, value);
-                if (lru)
-                    rewrite->tick = ++t;
-                continue;
-            }
-            // victimEntry(), same scan order: first invalid way, else the
-            // policy's choice (the rng is drawn only for a full set).
-            Entry *victim = nullptr;
-            for (unsigned w = 0; w < n_ways; w++) {
-                if (!set[w].valid) {
-                    victim = &set[w];
-                    break;
-                }
-            }
-            if (!victim) {
-                if (random_repl) {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    victim = &set[rng % n_ways];
-                } else {
-                    victim = &set[0];
-                    for (unsigned w = 1; w < n_ways; w++) {
-                        if (set[w].tick < victim->tick)
-                            victim = &set[w];
-                    }
-                }
-                n_evictions++;
-            }
-            victim->valid = true;
-            victim->tagA = tag_a;
-            victim->tagB = tag_b;
-            victim->value = value;
-            victim->delta = delta;
-            victim->parity = entryParity(tag_a, tag_b, value);
-            victim->tick = ++t;
-            n_insertions++;
-        }
-    }
-
-    tick = t;
-    stats_.trivialBypassed += n_bypassed;
-    stats_.lookups += n_lookups;
-    stats_.trivialHits += n_trivial_hits;
-    stats_.hits += n_hits;
-    stats_.misses += n_misses;
-    stats_.parityMisses += n_parity;
-    stats_.insertions += n_insertions;
-    stats_.evictions += n_evictions;
+    hooks_ ? probeLoop<true>(a_bits, b_bits, result_bits, n)
+           : probeLoop<false>(a_bits, b_bits, result_bits, n);
 }
 
 } // namespace memo

@@ -94,14 +94,15 @@ class MemoTable
     /**
      * Batched replay probe: for each of the @p n accesses, perform
      * lookup(a_bits[i], b_bits[i]) and, on a miss, update() with
-     * result_bits[i] — the replay hot loop, fused and devirtualized.
+     * result_bits[i] — the replay hot loop.
      *
-     * Exactly equivalent to the scalar calls: the same statistics,
-     * entry states, LRU tick sequence and replacement RNG draws. The
-     * fast path hoists the per-access mode tests (trivial handling,
-     * tag mode, geometry, replacement, parity) out of the loop; when
-     * an observer is attached via setHooks() the scalar path is taken
-     * instead so the emitted event stream is unchanged.
+     * lookup(), update() and this loop run the same access step, so
+     * the result is exactly that of the scalar calls: the same
+     * statistics, entry states, LRU tick sequence, replacement RNG
+     * draws, phase rows and hook events. The loop keeps the decoded
+     * mode and the counters in registers for the whole block; it is
+     * compiled once with and once without the hooks observer, so a
+     * detached table pays nothing for events.
      */
     void probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
                     const uint64_t *result_bits, size_t n);
@@ -129,8 +130,9 @@ class MemoTable
      * Attach (or with nullptr detach) a transaction observer; every
      * hit/miss/insert/evict/trivial/parity event is reported to it.
      * The observer is borrowed, not owned, and must outlive the table
-     * or be detached first. Costs one null test per access when
-     * detached.
+     * or be detached first. probeBlock() keeps its batched loop with
+     * an observer attached. When detached, probeBlock() pays one null
+     * test per block and lookup()/update() one per event.
      */
     void setHooks(TableHooks *hooks) { hooks_ = hooks; }
 
@@ -142,10 +144,10 @@ class MemoTable
      * table then closes one PhaseWindow row into it per
      * @ref PhaseAccum::window accesses (see core/phase.hh for the
      * boundary rule). The accumulator is borrowed, not owned, and is
-     * re-based at the current access stamp on attach. Unlike
-     * TableHooks, phase collection keeps the batched probeBlock()
-     * path: boundaries are found with one register compare per
-     * access. Costs one hoisted null test per block when detached.
+     * re-based at the current access stamp on attach. probeBlock()
+     * splits each block into segments that end at window boundaries,
+     * so its per-access path carries no phase work. Costs one null
+     * test per block (per lookup() call) when detached.
      */
     void
     setPhaseAccum(PhaseAccum *accum)
@@ -221,21 +223,105 @@ class MemoTable
         int8_t delta;
     };
 
+    /** The set-index hash of an access (arith/hash.hh). */
+    enum class IndexHash : uint8_t
+    {
+        None, //!< one set (or the infinite table)
+        Int,
+        FpUnary,
+        FpSum,
+        FpXor,
+    };
+
+    /**
+     * The configuration decisions the access step branches on,
+     * decoded once at construction. probeBlock() copies them into
+     * registers for the whole block.
+     */
+    struct Mode
+    {
+        Operation op;
+        IndexHash hash;
+        unsigned indexBits;
+        unsigned ways;
+        bool filterTrivial; //!< trivial ops bypass the table or hit
+        bool bypassTrivial; //!< ... bypass it (TrivialMode::NonTrivialOnly)
+        bool extTrivial;    //!< detect the extended trivial set
+        bool mantissa;      //!< mantissa-only tags (fp mul/div/sqrt only)
+        bool unary;
+        bool lru;
+        bool random;
+        bool parity;
+        bool infinite;
+    };
+
+    /** One access located in the table: the result of locate(). */
+    struct Access
+    {
+        enum Kind : uint8_t
+        {
+            Trivial,    //!< the trivial detector answers
+            Untaggable, //!< no tag under the tag mode: always a miss
+            Tagged,     //!< looked up by tag
+        };
+        Kind kind;
+        uint64_t a, b;          //!< operand bits
+        uint64_t index;         //!< set index (0 for the infinite table)
+        uint64_t trivialResult; //!< Trivial: the detector's result
+        uint64_t tagA, tagB;    //!< Tagged (canonical order if infinite)
+        Entry *set;             //!< Tagged, finite: the set's first way
+        Entry *match;           //!< Tagged, finite: matching way or null
+        InfValue *inf;          //!< Tagged, infinite: match or null
+    };
+
+    /**
+     * The counters an access step updates: stats_ and tick for the
+     * scalar calls, block-local copies inside probeBlock(). An event's
+     * stamp is stampBase plus the accesses counted in stats, which is
+     * accessStamp() on both paths.
+     */
+    struct Tally
+    {
+        MemoStats &stats;
+        uint64_t &tick;
+        uint64_t stampBase;
+    };
+
     /** Trivial-op handling at lookup time; sets result on detection. */
     bool checkTrivial(uint64_t a_bits, uint64_t b_bits, uint64_t &result)
         const;
 
-    /** True when this access can be tagged under the current tag mode. */
-    bool taggable(uint64_t a_bits, uint64_t b_bits) const;
+    /**
+     * The locate step: trivial pre-filter, taggability, tags, set
+     * index and way match. Counts nothing and changes no state.
+     */
+    Access locate(const Mode &m, uint64_t a_bits, uint64_t b_bits);
 
-    /** True iff this table uses mantissa-only tags (fp mul/div only). */
-    bool mantissaMode() const;
+    /**
+     * The lookup accounting step: statistics, LRU touch, parity
+     * abort, mantissa reconstruction and events. A parity abort
+     * invalidates the way and clears @p x's match.
+     * @return true on a hit, with the result in @p result
+     */
+    template <bool Hooked>
+    bool account(const Mode &m, Access &x, Tally &c, uint64_t &result);
 
-    /** Tag of one operand under the current tag mode. */
-    uint64_t makeTag(uint64_t operand_bits) const;
+    /**
+     * The install step for a Tagged access: payload, rewrite of a
+     * matching way or victim choice, statistics and events.
+     */
+    template <bool Hooked>
+    void install(const Mode &m, const Access &x, uint64_t result_bits,
+                 Tally &c);
 
-    /** Set index for an access. */
-    uint64_t indexOf(uint64_t a_bits, uint64_t b_bits) const;
+    /** The way install() replaces: the first free one, else the
+     *  policy's choice (the RNG is drawn only for a full set). */
+    Entry &victimEntry(const Mode &m, Entry *set);
+
+    /** probeBlock()'s loop; Hooked selects the observer instantiation. */
+    template <bool Hooked>
+    void probeLoop(const uint64_t *a_bits, const uint64_t *b_bits,
+                   const uint64_t *result_bits, size_t n);
 
     /**
      * Reconstruct the full result from a mantissa-mode entry.
@@ -253,40 +339,36 @@ class MemoTable
                        int8_t &delta) const;
 
     /**
-     * True when swapped-order (commutative) matching preserves bit
-     * transparency for this operand pair. a*b and b*a are bit-identical
-     * except when both operands are NaN: the unit then propagates the
-     * *first* operand's payload, so the swapped-order result differs
-     * and those accesses must match in exact order only.
+     * Start a phase segment at the current access stamp: close the
+     * open window if the access about to start sits on its boundary
+     * (the lazy rule of core/phase.hh). Requires stats_ to be
+     * current — probeBlock() folds its register-local counters back
+     * before calling.
+     * @return the accesses that may run before the next boundary
      */
-    bool commutableBits(uint64_t a_bits, uint64_t b_bits) const;
+    uint64_t phaseSegment();
 
-    Entry *findEntry(uint64_t index, uint64_t tag_a, uint64_t tag_b,
-                     bool allow_swap);
-    Entry &victimEntry(uint64_t index);
-
-    /**
-     * Close the window ending at the current access stamp into the
-     * attached accumulator (cold path, once per window). Requires
-     * stats_ to be current — probeBlock() folds its register-local
-     * counters back before calling.
-     */
+    /** Close the window ending at the current access stamp into the
+     *  attached accumulator (cold path, once per window). */
     void phaseFlush();
 
     /** Stamp at which the open window closes (fault-adjustable). */
     uint64_t phaseNextBoundary() const;
 
     /** Report one transaction to the attached observer, if any. */
-    void emitEvent(TableEventKind kind, uint64_t set)
+    template <bool Hooked>
+    void
+    emit(TableEventKind kind, uint64_t set, const Tally &c)
     {
-        if (hooks_)
+        if (Hooked && hooks_)
             hooks_->onTableEvent(op, kind, static_cast<uint32_t>(set),
-                                 accessStamp());
+                                 c.stampBase + c.stats.lookups +
+                                     c.stats.trivialBypassed);
     }
 
     Operation op;
     MemoConfig cfg;
-    unsigned indexBits;
+    Mode mode_;
     std::vector<Entry> entries; //!< sets * ways, set-major
     std::unordered_map<InfKey, InfValue, InfKeyHash> infTable;
     MemoStats stats_;

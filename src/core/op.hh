@@ -11,7 +11,10 @@
 #ifndef MEMO_CORE_OP_HH
 #define MEMO_CORE_OP_HH
 
+#include <cstdint>
 #include <string_view>
+
+#include "arith/fp.hh"
 
 namespace memo
 {
@@ -34,6 +37,20 @@ constexpr bool
 isCommutative(Operation op)
 {
     return op == Operation::IntMul || op == Operation::FpMul;
+}
+
+/**
+ * True when the operand pair may match an entry in swapped order. a*b
+ * and b*a are bit-identical except when both operands are NaN: the
+ * unit then propagates the *first* operand's payload, so the swapped
+ * result differs and such pairs must match in exact order only.
+ */
+inline bool
+commutableBits(Operation op, uint64_t a_bits, uint64_t b_bits)
+{
+    return isCommutative(op) &&
+           !(op == Operation::FpMul && fpIsNaNBits(a_bits) &&
+             fpIsNaNBits(b_bits));
 }
 
 /** True for single-operand operations. */

@@ -44,13 +44,6 @@ class ReciprocalCache
     /** Install a freshly computed reciprocal for divisor @p b_bits. */
     void update(uint64_t b_bits, uint64_t recip_bits);
 
-    /**
-     * Batched replay probe: lookup each divisor and install
-     * recip_bits[i] on a miss, identically to the scalar pair.
-     */
-    void probeBlock(const uint64_t *divisor_bits,
-                    const uint64_t *recip_bits, size_t n);
-
     void reset(); //!< Invalidate all entries and zero the statistics.
 
     const MemoStats &stats() const { return stats_; } //!< Access counters.

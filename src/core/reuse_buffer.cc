@@ -82,15 +82,4 @@ ReuseBuffer::update(uint64_t pc, uint64_t a_bits, uint64_t b_bits,
     stats_.insertions++;
 }
 
-void
-ReuseBuffer::probeBlock(const uint64_t *pcs, const uint64_t *a_bits,
-                        const uint64_t *b_bits,
-                        const uint64_t *result_bits, size_t n)
-{
-    for (size_t i = 0; i < n; i++) {
-        if (!lookup(pcs[i], a_bits[i], b_bits[i]))
-            update(pcs[i], a_bits[i], b_bits[i], result_bits[i]);
-    }
-}
-
 } // namespace memo

@@ -50,15 +50,6 @@ class ReuseBuffer
     void update(uint64_t pc, uint64_t a_bits, uint64_t b_bits,
                 uint64_t result_bits);
 
-    /**
-     * Batched replay probe: lookup each instruction instance and
-     * install result_bits[i] on a miss, identically to the scalar
-     * pair (the Reuse Buffer inserts all executed instructions).
-     */
-    void probeBlock(const uint64_t *pcs, const uint64_t *a_bits,
-                    const uint64_t *b_bits,
-                    const uint64_t *result_bits, size_t n);
-
     void reset(); //!< Invalidate all entries and zero the statistics.
 
     const MemoStats &stats() const { return stats_; } //!< Access counters.

@@ -12,7 +12,7 @@ SharedMemoTable::SharedMemoTable(Operation op, const MemoConfig &cfg,
 std::pair<uint64_t, uint64_t>
 SharedMemoTable::canonical(uint64_t a, uint64_t b) const
 {
-    if (isCommutative(inner.operation()) && b < a)
+    if (commutableBits(inner.operation(), a, b) && b < a)
         std::swap(a, b);
     return {a, b};
 }
@@ -44,19 +44,6 @@ SharedMemoTable::update(unsigned cu_id, uint64_t a_bits, uint64_t b_bits,
 {
     inner.update(a_bits, b_bits, result_bits);
     writers[canonical(a_bits, b_bits)] = cu_id;
-}
-
-void
-SharedMemoTable::probeBlock(const unsigned *cu_ids,
-                            const uint64_t *cycles,
-                            const uint64_t *a_bits,
-                            const uint64_t *b_bits,
-                            const uint64_t *result_bits, size_t n)
-{
-    for (size_t i = 0; i < n; i++) {
-        if (!lookup(cu_ids[i], cycles[i], a_bits[i], b_bits[i]))
-            update(cu_ids[i], a_bits[i], b_bits[i], result_bits[i]);
-    }
 }
 
 void

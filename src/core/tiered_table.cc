@@ -32,17 +32,6 @@ TieredMemoTable::update(uint64_t a_bits, uint64_t b_bits,
 }
 
 void
-TieredMemoTable::probeBlock(const uint64_t *a_bits,
-                            const uint64_t *b_bits,
-                            const uint64_t *result_bits, size_t n)
-{
-    for (size_t i = 0; i < n; i++) {
-        if (!lookup(a_bits[i], b_bits[i]))
-            update(a_bits[i], b_bits[i], result_bits[i]);
-    }
-}
-
-void
 TieredMemoTable::reset()
 {
     l1.reset();

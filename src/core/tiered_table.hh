@@ -49,14 +49,6 @@ class TieredMemoTable
     /** Install a computed result in both levels. */
     void update(uint64_t a_bits, uint64_t b_bits, uint64_t result_bits);
 
-    /**
-     * Batched replay probe: lookup each access (promoting L2 hits) and
-     * install result_bits[i] in both levels on a miss, identically to
-     * the scalar pair.
-     */
-    void probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
-                    const uint64_t *result_bits, size_t n);
-
     void reset(); //!< Invalidate both levels and zero the statistics.
 
     const MemoStats &l1Stats() const { return l1.stats(); } //!< L1 counters.

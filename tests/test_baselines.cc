@@ -152,6 +152,24 @@ TEST(SharedTable, CommutativeWriterTracking)
     EXPECT_EQ(st.crossUnitHits(), 1u);
 }
 
+TEST(SharedTable, BothNaNPairsKeepTheirWriters)
+{
+    // Two NaN operands do not commute (the product carries the first
+    // payload), so (n1,n2) and (n2,n1) are separate entries with
+    // separate writers: unit 0 hitting its own entry is not a
+    // cross-unit hit.
+    MemoConfig cfg;
+    SharedMemoTable st(Operation::FpMul, cfg, 2);
+    uint64_t n1 = (0x7ffULL << 52) | (uint64_t{1} << 51) | 0x111;
+    uint64_t n2 = (0x7ffULL << 52) | (uint64_t{1} << 51) | 0x222;
+    st.update(0, n1, n2, n1);
+    st.update(1, n2, n1, n2);
+    auto hit = st.lookup(0, 5, n1, n2);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, n1);
+    EXPECT_EQ(st.crossUnitHits(), 0u);
+}
+
 TEST(SharedTable, ResetClearsAll)
 {
     MemoConfig cfg;

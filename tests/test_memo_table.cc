@@ -138,6 +138,86 @@ TEST(MemoTable, FifoIgnoresHitRecency)
     EXPECT_TRUE(t.lookup(fpBits(5.0), fpBits(1.5)).has_value());
 }
 
+/** Does a 1.5-divisor entry for @p v answer a lookup? */
+bool
+holds(MemoTable &t, double v)
+{
+    return t.lookup(fpBits(v), fpBits(1.5)).has_value();
+}
+
+void
+insert(MemoTable &t, double v)
+{
+    t.update(fpBits(v), fpBits(1.5), fpBits(v / 1.5));
+}
+
+TEST(MemoTable, RandomReplacementFollowsXorshiftSeed)
+{
+    // One set of four ways. The RNG starts at 0x2545f4914f6cdd1d and
+    // advances by xorshift64 (<<13, >>7, <<17) once per eviction; its
+    // first four states mod 4 are 3, 0, 3, 2:
+    //   0x7f6c280beaa8e3e7, 0xe47119871cf9abe0,
+    //   0x35174a4158b8a0b7, 0x62ce1ffad85b1c36.
+    MemoConfig cfg;
+    cfg.entries = 4;
+    cfg.ways = 4;
+    cfg.replacement = Replacement::Random;
+    MemoTable t(Operation::FpDiv, cfg);
+    for (double v : {3.0, 5.0, 7.0, 11.0}) // fill ways 0..3
+        insert(t, v);
+
+    // way 3 (11) <- 13, way 0 (3) <- 17, way 3 (13) <- 19,
+    // way 2 (7) <- 23. Lookups draw nothing.
+    const double inserted[] = {13.0, 17.0, 19.0, 23.0};
+    const double evicted[] = {11.0, 3.0, 13.0, 7.0};
+    for (int i = 0; i < 4; i++) {
+        insert(t, inserted[i]);
+        EXPECT_FALSE(holds(t, evicted[i])) << "draw " << i;
+        EXPECT_TRUE(holds(t, inserted[i])) << "draw " << i;
+    }
+    for (double v : {5.0, 17.0, 19.0, 23.0})
+        EXPECT_TRUE(holds(t, v)) << v;
+    EXPECT_EQ(t.stats().evictions, 4u);
+    EXPECT_EQ(t.validEntries(), 4u);
+}
+
+TEST(MemoTable, FifoParityAbortReinstallsIntoFreedWay)
+{
+    // A parity abort on a full set frees the corrupted way; the
+    // re-install takes it without an eviction and becomes the
+    // newest entry, so FIFO evicts it last.
+    MemoConfig cfg;
+    cfg.entries = 4;
+    cfg.ways = 4;
+    cfg.replacement = Replacement::Fifo;
+    cfg.parityProtected = true;
+    MemoTable t(Operation::FpDiv, cfg);
+    for (double v : {3.0, 5.0, 7.0, 11.0}) // ways 0..3, ticks 1..4
+        insert(t, v);
+
+    ASSERT_TRUE(t.injectBitFlip(0, 1, 0)); // corrupt 5.0's value
+    EXPECT_FALSE(holds(t, 5.0));
+    EXPECT_EQ(t.stats().parityMisses, 1u);
+    EXPECT_EQ(t.validEntries(), 3u);
+    insert(t, 5.0); // way 1, tick 5
+    EXPECT_EQ(t.stats().evictions, 0u);
+    auto hit = t.lookup(fpBits(5.0), fpBits(1.5));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, fpBits(5.0 / 1.5));
+
+    // Oldest first: 3 (tick 1), 7 (3), 11 (4), then the re-install.
+    const double inserted[] = {13.0, 17.0, 19.0, 23.0};
+    const double evicted[] = {3.0, 7.0, 11.0, 5.0};
+    for (int i = 0; i < 4; i++) {
+        insert(t, inserted[i]);
+        EXPECT_FALSE(holds(t, evicted[i])) << "insert " << i;
+    }
+    for (double v : inserted)
+        EXPECT_TRUE(holds(t, v)) << v;
+    EXPECT_EQ(t.stats().evictions, 4u);
+    EXPECT_EQ(t.stats().parityMisses, 1u);
+}
+
 TEST(MemoTable, InfiniteTableNeverEvicts)
 {
     MemoConfig cfg;

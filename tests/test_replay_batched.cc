@@ -5,10 +5,8 @@
  * against replayMemoReference() (the retained scalar oracle) — same
  * statistics, same entry states, same subsequent behaviour — for
  * every table mode, every Khoros kernel trace, odd trace lengths
- * around the block size, and adversarial FP operands. The batch-probe
- * APIs of the other table variants (shared, tiered, reuse buffer,
- * reciprocal cache) are pinned against their scalar lookup/update
- * pairs the same way.
+ * around the block size, and adversarial FP operands — and, with a
+ * TableHooks observer attached, the same event stream.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +21,8 @@
 #include "arith/fp.hh"
 #include "check/fuzz.hh"
 #include "core/bank.hh"
-#include "core/recip_cache.hh"
-#include "core/reuse_buffer.hh"
-#include "core/shared_table.hh"
-#include "core/tiered_table.hh"
+#include "core/hooks.hh"
+#include "core/phase.hh"
 #include "img/generate.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
@@ -301,113 +297,105 @@ TEST(ReplayBatched, EmptyAndTablelessBanksAreNoOps)
     EXPECT_EQ(bank.table(Operation::FpMul)->stats().lookups, 0u);
 }
 
-/** Access streams for the non-bank table variants. */
-struct VariantStream
+/** A TableHooks observer that keeps every event, in order. */
+struct RecordingHooks : TableHooks
 {
-    std::vector<uint64_t> pc, cycle, a, b, r;
-    std::vector<unsigned> cu;
+    struct Event
+    {
+        Operation op;
+        TableEventKind kind;
+        uint32_t set;
+        uint64_t stamp;
+        bool operator==(const Event &) const = default;
+    };
+    std::vector<Event> events;
+
+    void
+    onTableEvent(Operation op, TableEventKind kind, uint32_t set,
+                 uint64_t stamp) override
+    {
+        events.push_back({op, kind, set, stamp});
+    }
+
+    /** The events one table reported, in order. */
+    std::vector<Event>
+    of(Operation op) const
+    {
+        std::vector<Event> out;
+        for (const Event &e : events)
+            if (e.op == op)
+                out.push_back(e);
+        return out;
+    }
 };
 
-VariantStream
-variantStream(Operation op, size_t n, uint64_t seed)
+TEST(ReplayBatched, HookedEventStreamMatchesScalar)
 {
-    check::FuzzRng rng(seed);
-    std::vector<uint64_t> pool_a, pool_b;
-    VariantStream s;
-    uint64_t cyc = 0;
-    for (size_t i = 0; i < n; i++) {
-        uint64_t a = edgeDoubleBits(rng, pool_a);
-        uint64_t b = edgeDoubleBits(
-            rng, rng.chance(1, 3) ? pool_a : pool_b);
-        s.a.push_back(a);
-        s.b.push_back(b);
-        s.r.push_back(check::computeResult(op, a, b));
-        s.pc.push_back(rng.below(24) * 4);
-        s.cu.push_back(static_cast<unsigned>(rng.below(3)));
-        cyc += rng.chance(1, 3) ? 0 : 1;
-        s.cycle.push_back(cyc);
-    }
-    return s;
-}
+    // probeBlock() keeps its batched loop with an observer attached:
+    // the event stream must still be the one per-access lookup/update
+    // emits, with and without a phase accumulator splitting blocks.
+    const std::array<size_t, 4> lens = {0, 1, kReplayBlock - 1,
+                                        kReplayBlock + 1};
+    auto cfgs = configMatrix();
+    uint64_t seed = 211;
+    for (size_t len : lens) {
+        Trace trace = syntheticTrace(len, seed++);
+        for (const auto &[cname, cfg] : cfgs) {
+            for (bool phased : {false, true}) {
+                MemoBank batched = MemoBank::standard(cfg);
+                MemoBank scalar = MemoBank::standard(cfg);
+                RecordingHooks hb, hs;
+                std::vector<PhaseAccum> pb, ps;
+                pb.reserve(std::size(bank_ops));
+                ps.reserve(std::size(bank_ops));
+                for (Operation op : bank_ops) {
+                    if (!batched.table(op))
+                        continue;
+                    batched.table(op)->setHooks(&hb);
+                    scalar.table(op)->setHooks(&hs);
+                    if (phased) {
+                        batched.table(op)->setPhaseAccum(&pb.emplace_back(7));
+                        scalar.table(op)->setPhaseAccum(&ps.emplace_back(7));
+                    }
+                }
+                replayMemo(trace, batched);
+                replayMemoReference(trace, scalar);
 
-TEST(ReplayBatched, SharedTableProbeBlockMatchesScalar)
-{
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpMul, n, 11 + n);
-        MemoConfig cfg;
-        SharedMemoTable batched(Operation::FpMul, cfg, 2);
-        SharedMemoTable scalar(Operation::FpMul, cfg, 2);
-        batched.probeBlock(s.cu.data(), s.cycle.data(), s.a.data(),
-                           s.b.data(), s.r.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.cu[i], s.cycle[i], s.a[i], s.b[i]))
-                scalar.update(s.cu[i], s.a[i], s.b[i], s.r[i]);
+                std::string what = "len" + std::to_string(len) + "/" +
+                                   cname + (phased ? "/phased" : "");
+                EXPECT_EQ(hb.events.size(), hs.events.size()) << what;
+                if (len > 1) {
+                    EXPECT_FALSE(hb.events.empty()) << what;
+                }
+                size_t accum = 0;
+                for (Operation op : bank_ops) {
+                    MemoTable *tb = batched.table(op);
+                    if (!tb)
+                        continue;
+                    EXPECT_TRUE(hb.of(op) == hs.of(op))
+                        << what << " " << operationName(op);
+                    if (phased) {
+                        tb->finalizePhases();
+                        scalar.table(op)->finalizePhases();
+                        const auto &rb = pb[accum].rows();
+                        const auto &rs = ps[accum].rows();
+                        ASSERT_EQ(rb.size(), rs.size()) << what;
+                        for (size_t w = 0; w < rb.size(); w++) {
+                            EXPECT_EQ(rb[w].start, rs[w].start) << what;
+                            EXPECT_EQ(rb[w].length, rs[w].length) << what;
+                            EXPECT_EQ(rb[w].occupancy, rs[w].occupancy)
+                                << what;
+                            expectStatsEq(rb[w].stats, rs[w].stats,
+                                          what + " window " +
+                                              std::to_string(w));
+                        }
+                        accum++;
+                    }
+                    tb->setPhaseAccum(nullptr);
+                    scalar.table(op)->setPhaseAccum(nullptr);
+                }
+            }
         }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "shared n=" + std::to_string(n));
-        EXPECT_EQ(batched.crossUnitHits(), scalar.crossUnitHits());
-        EXPECT_EQ(batched.portConflicts(), scalar.portConflicts());
-    }
-}
-
-TEST(ReplayBatched, TieredTableProbeBlockMatchesScalar)
-{
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpDiv, n, 23 + n);
-        MemoConfig l1;
-        l1.entries = 8;
-        l1.ways = 2;
-        MemoConfig l2;
-        l2.entries = 64;
-        l2.ways = 4;
-        TieredMemoTable batched(Operation::FpDiv, l1, l2);
-        TieredMemoTable scalar(Operation::FpDiv, l1, l2);
-        batched.probeBlock(s.a.data(), s.b.data(), s.r.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.a[i], s.b[i]))
-                scalar.update(s.a[i], s.b[i], s.r[i]);
-        }
-        expectStatsEq(batched.l1Stats(), scalar.l1Stats(),
-                      "tiered L1 n=" + std::to_string(n));
-        expectStatsEq(batched.l2Stats(), scalar.l2Stats(),
-                      "tiered L2 n=" + std::to_string(n));
-        EXPECT_EQ(batched.promotions(), scalar.promotions());
-    }
-}
-
-TEST(ReplayBatched, ReuseBufferProbeBlockMatchesScalar)
-{
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpMul, n, 37 + n);
-        ReuseBuffer batched(32, 4);
-        ReuseBuffer scalar(32, 4);
-        batched.probeBlock(s.pc.data(), s.a.data(), s.b.data(),
-                           s.r.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.pc[i], s.a[i], s.b[i]))
-                scalar.update(s.pc[i], s.a[i], s.b[i], s.r[i]);
-        }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "reuse-buffer n=" + std::to_string(n));
-    }
-}
-
-TEST(ReplayBatched, RecipCacheProbeBlockMatchesScalar)
-{
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpDiv, n, 41 + n);
-        std::vector<uint64_t> recips;
-        for (size_t i = 0; i < n; i++)
-            recips.push_back(fpBits(1.0 / fpFromBits(s.b[i])));
-        ReciprocalCache batched(16, 2);
-        ReciprocalCache scalar(16, 2);
-        batched.probeBlock(s.b.data(), recips.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.b[i]))
-                scalar.update(s.b[i], recips[i]);
-        }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "recip-cache n=" + std::to_string(n));
     }
 }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "core/bank.hh"
 #include "exec/trace_cache.hh"
 #include "img/generate.hh"
+#include "obs/stats.hh"
 #include "trace/chunk_codec.hh"
 #include "trace/spill.hh"
 #include "workloads/workload.hh"
@@ -594,6 +596,58 @@ TEST(TraceSpillReplay, StreamedMatchesInMemoryReplay)
             EXPECT_EQ(ha.fpMul, hb.fpMul);
             EXPECT_EQ(ha.fpDiv, hb.fpDiv);
         }
+    }
+}
+
+TEST(TraceSpillReplay, StreamedFoldsSameRegistryCounters)
+{
+    // Both replay entry points fold their activity into the global
+    // registry: one run, the trace's record count, and each table's
+    // counter deltas. The streamed path must publish exactly what
+    // the in-memory path does for the same trace.
+    const MmKernel &kernel = mmKernelByName(sweepKernelNames()[0]);
+    Trace trace = traceMmKernel(kernel, standardImages()[0].image, 32);
+    ASSERT_GT(trace.size(), 0u);
+    SpillStore store(tempRoot("replayfold"));
+    store.write("k|i|32", trace, 512);
+
+    auto replayCounters = [](const obs::Snapshot &s) {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, v] : s.counters)
+            if (name.starts_with("analysis.replay.") ||
+                name.starts_with("core.table."))
+                out.emplace(name, v);
+        return out;
+    };
+
+    MemoConfig cfg;
+    cfg.entries = 64;
+    cfg.ways = 4;
+    auto &reg = obs::StatsRegistry::global();
+
+    reg.reset();
+    MemoBank mem = MemoBank::standard(cfg);
+    replayMemo(trace, mem);
+    auto memCounters = replayCounters(reg.snapshot());
+
+    reg.reset();
+    MemoBank disk = MemoBank::standard(cfg);
+    replayMemoStreamed(store, "k|i|32", disk);
+    obs::Snapshot diskSnap = reg.snapshot();
+    reg.reset();
+
+    EXPECT_EQ(memCounters, replayCounters(diskSnap));
+    EXPECT_EQ(diskSnap.counter("analysis.replay.runs"), 1u);
+    EXPECT_EQ(diskSnap.counter("analysis.replay.instructions"),
+              trace.size());
+    for (Operation op : {Operation::IntMul, Operation::FpMul,
+                         Operation::FpDiv}) {
+        const MemoStats &s = disk.table(op)->stats();
+        std::string prefix =
+            "core.table." + std::string(operationName(op)) + ".";
+        EXPECT_EQ(diskSnap.counter(prefix + "lookups"), s.lookups);
+        EXPECT_EQ(diskSnap.counter(prefix + "hits"), s.hits);
+        EXPECT_EQ(diskSnap.counter(prefix + "insertions"), s.insertions);
     }
 }
 

@@ -197,19 +197,6 @@ scenarios()
                  ctx.extra["phaseRows"] = static_cast<double>(rows);
              };
          }},
-        {"trace_replay_reference",
-         "scalar reference replay of the same trace (the batched "
-         "path's oracle)", false,
-         [](BenchContext &) {
-             auto trace = cachedMmKernelTrace(mmKernelByName("vcost"),
-                                              imageByName("chroms"), 64);
-             return [trace](BenchContext &ctx) {
-                 MemoBank bank = MemoBank::standard(MemoConfig{});
-                 replayMemoReference(*trace, bank);
-                 ctx.extra["items"] =
-                     static_cast<double>(trace->size());
-             };
-         }},
         {"cpu_replay",
          "memoized CpuModel replay of one cached kernel trace", true,
          [](BenchContext &) {
@@ -512,9 +499,9 @@ runScenario(const Scenario &sc, const Options &opt,
  * denominator and numerator bodies alternate rep by rep, so slow
  * host drift (frequency scaling, a noisy neighbor) lands on both
  * scenarios equally instead of on whichever happened to run second.
- * For a decisive margin like replay_speed_gate's 2x that is a
- * nicety; for phase_overhead_gate's 3% it is the difference between
- * a gate that holds and one that flakes.
+ * For a decisive margin that is a nicety; for phase_overhead_gate's
+ * few percent it is the difference between a gate that holds and one
+ * that flakes.
  */
 std::pair<prof::BenchRecord, prof::BenchRecord>
 runScenarioPair(const Scenario &num, const Scenario &den,

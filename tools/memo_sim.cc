@@ -469,8 +469,8 @@ main(int argc, char **argv)
         }
 
         // Optional phase collection: one accumulator per table; the
-        // replay below takes the scalar access path, whose lazy
-        // boundary rule matches probeBlock's bit for bit.
+        // replay below calls lookup()/update(), which apply the same
+        // lazy boundary rule as probeBlock.
         std::optional<obs::PhaseScope> phases;
         if (opt.phaseWindow > 0 && !opt.noMemo)
             phases.emplace(bank, opt.phaseWindow, opt.phasePerSet);
