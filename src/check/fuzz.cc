@@ -843,15 +843,17 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
 
 /**
  * Seed fragments for the memo-lint fuzz case: plausible C++ that
- * exercises the analyzer's passes (capability model, I/O rule,
- * determinism rules, suppressions, preprocessor and literal lexing).
+ * exercises the analyzer's passes (scope tracking, declaration
+ * scanning, every rule family, suppressions, preprocessor and literal
+ * lexing).
  */
 constexpr const char *lint_frags[] = {
     "class Box {\n  std::mutex m;\n  int v = 0;\n};\n",
-    "class Reg {\n  memo::Mutex m_;\n  int n MEMO_GUARDED_BY(m_) = 0;"
-    "\n  int get() const { return n; }\n};\n",
-    "void spin(FILE *f, char *buf) {\n  fseek(f, 0, 2);\n"
-    "  std::fread(buf, 1, 8, f);\n}\n",
+    "struct Reg {\n  std::map<const Reg *, int> seen;\n"
+    "  int get(Table &t) const { return t.stats(); }\n};\n",
+    "double acc(const double *w, size_t n) {\n  double s = 0.0;\n"
+    "  parallelFor(0, n, [&](size_t i) { s += w[i]; });\n"
+    "  return s + std::chrono::steady_clock::now();\n}\n",
     "double mix(double a, double b) {\n  if (a == b) return 0.0;\n"
     "  return a / b;\n}\n",
     "std::unordered_map<int, int> gmap;\nint fold() {\n  int s = 0;\n"
@@ -871,7 +873,7 @@ constexpr const char *lint_frags[] = {
 constexpr const char *lint_dict[] = {
     "/*", "*/", "//", "\"", "'", "R\"(", ")\"", "#", "\\\n", "\n",
     "{",  "}",  "(",  ")",  "::", "e+",  "'\\", "NOLINT(",
-    "MEMO_GUARDED_BY(m)", "std::mutex mm;", "\x01", "\xff",
+    "std::unordered_map<int, int> um;", "std::mutex mm;", "\x01", "\xff",
 };
 
 /** A mutated pseudo-C++ translation unit. */
@@ -976,10 +978,10 @@ lintFuzzOracle(const std::string &source, bool with_header)
     }
 
     // The analyzer over the same mutated source (under a path that
-    // arms every path-scoped rule) must not crash and must produce
-    // the same findings twice.
+    // arms the path-scoped DET-002, CONC-001 and API-001) must not
+    // crash and must produce the same findings twice.
     lint::AnalyzerOptions opt;
-    opt.relPath = "src/trace/fuzzed.cc";
+    opt.relPath = "src/obs/fuzzed.cc";
     if (with_header)
         opt.companionHeader = source;
     std::vector<lint::Finding> f1 = lint::analyzeFile(source, opt);

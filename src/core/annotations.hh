@@ -11,9 +11,13 @@
  * by `-Wthread-safety` (a dedicated CI job builds the tree with
  * `-Werror=thread-safety-analysis`); under every other compiler they
  * expand to nothing, so GCC builds are byte-for-byte the unannotated
- * ones. The memo-lint symbol-aware pass (memo-CONC-004/005, see
- * docs/LINTING.md) parses the same macros lexically, so the contract
- * is enforced even on hosts without Clang.
+ * ones. A Clang build of this project turns the analysis on for every
+ * target (see the root CMakeLists.txt), and the
+ * compile_fail_unguarded_access ctest checks that reading a guarded
+ * field without its lock does not compile. The analysis checks only
+ * fields that carry an annotation, so memo-lint's memo-CONC-004 (see
+ * docs/LINTING.md) checks on every compiler that each sibling of a
+ * mutex member carries one.
  *
  * The header is dependency-free apart from `<mutex>`: standard
  * library mutexes are not themselves annotated (libstdc++ carries no

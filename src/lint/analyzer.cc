@@ -386,403 +386,6 @@ isSuppressed(const Finding &f,
 }
 
 // ---------------------------------------------------------------------
-// Capability model (symbol-aware pass).
-//
-// CapParser lifts the token stream into a per-class model of fields,
-// methods and their core/annotations.hh capability macros
-// (MEMO_GUARDED_BY, MEMO_REQUIRES, MEMO_UNGUARDED, ...). The model
-// feeds the lock-awareness rules: memo-CONC-004 (a class with a
-// mutex member must annotate every sibling field) and memo-CONC-005
-// (a method touching a guarded field must hold or require its
-// mutex). Like every other pass this is lexical and heuristic: it
-// resolves names, not types, and errs toward silence on constructs
-// it cannot model (operators, constructors, destructors — mirroring
-// the Clang analysis, which exempts the latter two as well).
-
-struct CapField
-{
-    std::string name;
-    size_t tok = 0;         //!< token index of the field name
-    bool isMutex = false;   //!< the field is itself a lockable type
-    bool exempt = false;    //!< const / atomic / condvar / once_flag
-    bool unguarded = false; //!< carries MEMO_UNGUARDED
-    std::string guard;      //!< MEMO_GUARDED_BY argument, or empty
-};
-
-struct CapMethod
-{
-    std::string name;
-    size_t tok = 0;          //!< token index of the method name
-    bool special = false;    //!< ctor/dtor/operator/defaulted/deleted
-    bool noAnalysis = false; //!< MEMO_NO_THREAD_SAFETY_ANALYSIS
-    bool hasBody = false;    //!< defined in-class
-    size_t bodyBegin = 0;    //!< first token inside the body
-    size_t bodyEnd = 0;      //!< the closing '}' token
-    std::set<std::string> required; //!< MEMO_REQUIRES arguments
-};
-
-struct CapClass
-{
-    std::string name; //!< unqualified (nested classes stand alone)
-    size_t tok = 0;   //!< token index of the name
-    std::vector<CapField> fields;
-    std::vector<CapMethod> methods;
-
-    const CapField *
-    field(std::string_view n) const
-    {
-        for (const CapField &f : fields)
-            if (f.name == n)
-                return &f;
-        return nullptr;
-    }
-
-    const CapMethod *
-    method(std::string_view n) const
-    {
-        for (const CapMethod &m : methods)
-            if (m.name == n)
-                return &m;
-        return nullptr;
-    }
-};
-
-bool
-isLockableType(std::string_view t)
-{
-    return t == "mutex" || t == "timed_mutex" ||
-           t == "recursive_mutex" || t == "recursive_timed_mutex" ||
-           t == "shared_mutex" || t == "shared_timed_mutex" ||
-           t == "Mutex";
-}
-
-bool
-isExemptFieldType(std::string_view t)
-{
-    return t == "condition_variable" ||
-           t == "condition_variable_any" || t == "once_flag" ||
-           t.find("atomic") != std::string_view::npos;
-}
-
-bool
-isScopedLockType(std::string_view t)
-{
-    return t == "MutexLock" || t == "UniqueLock" ||
-           t == "lock_guard" || t == "unique_lock" ||
-           t == "scoped_lock" || t == "shared_lock";
-}
-
-class CapParser
-{
-  public:
-    CapParser(const std::vector<Token> &toks, const ScopeInfo &scope)
-        : toks(toks), scope(scope)
-    {
-    }
-
-    std::vector<CapClass>
-    parse()
-    {
-        std::vector<CapClass> out;
-        for (size_t i = 0; i + 1 < toks.size(); i++) {
-            if (toks[i].kind != TokKind::Ident ||
-                (toks[i].text != "class" && toks[i].text != "struct"))
-                continue;
-            // `enum class`, `friend class` and template type
-            // parameters introduce no class definition here.
-            if (i > 0 && (text(i - 1) == "enum" ||
-                          text(i - 1) == "friend" ||
-                          text(i - 1) == "<" || text(i - 1) == ","))
-                continue;
-            parseClassAt(i, out);
-        }
-        return out;
-    }
-
-  private:
-    const std::vector<Token> &toks;
-    const ScopeInfo &scope;
-
-    std::string_view
-    text(size_t i) const
-    {
-        return i < toks.size() ? std::string_view(toks[i].text)
-                               : std::string_view();
-    }
-
-    void
-    parseClassAt(size_t kw, std::vector<CapClass> &out)
-    {
-        // Name = last plain identifier between the keyword and the
-        // body brace (skipping attribute/capability macro argument
-        // lists) or the base-clause colon.
-        std::string name;
-        size_t nameTok = 0;
-        size_t open = 0;
-        bool inBases = false;
-        for (size_t j = kw + 1; j < toks.size();) {
-            const Token &t = toks[j];
-            if (t.kind == TokKind::Punct && t.text == "(") {
-                if (scope.match[j] < 0)
-                    return;
-                j = static_cast<size_t>(scope.match[j]) + 1;
-                continue;
-            }
-            if (t.kind == TokKind::Punct && t.text == ";")
-                return; // forward declaration
-            if (t.kind == TokKind::Punct && t.text == "{") {
-                open = j;
-                break;
-            }
-            if (t.kind == TokKind::Punct && t.text == ":")
-                inBases = true;
-            if (!inBases && t.kind == TokKind::Ident &&
-                !startsWith(t.text, "MEMO_") && t.text != "final" &&
-                t.text != "alignas") {
-                name = t.text;
-                nameTok = j;
-            }
-            j++;
-        }
-        if (!open || name.empty() || scope.match[open] < 0)
-            return;
-
-        CapClass cls;
-        cls.name = std::move(name);
-        cls.tok = nameTok;
-        size_t close = static_cast<size_t>(scope.match[open]);
-
-        // Walk the body's top-level member statements. Nested group
-        // contents — parens, brackets, initializer braces — are
-        // jumped wholesale (only their opening token lands in the
-        // statement); nested class bodies are handled by their own
-        // parseClassAt call from the global scan.
-        std::vector<size_t> stmt;
-        for (size_t i = open + 1; i < close;) {
-            const Token &t = toks[i];
-            if (t.kind == TokKind::Preproc) {
-                i++;
-                continue;
-            }
-            if (stmt.empty() && t.kind == TokKind::Ident &&
-                (t.text == "public" || t.text == "private" ||
-                 t.text == "protected") &&
-                text(i + 1) == ":") {
-                i += 2;
-                continue;
-            }
-            if (t.kind == TokKind::Punct && t.text == ";") {
-                finishMember(cls, stmt, 0);
-                stmt.clear();
-                i++;
-                continue;
-            }
-            if (t.kind == TokKind::Punct &&
-                (t.text == "(" || t.text == "[")) {
-                stmt.push_back(i);
-                if (scope.match[i] < 0)
-                    break;
-                i = static_cast<size_t>(scope.match[i]) + 1;
-                continue;
-            }
-            if (t.kind == TokKind::Punct && t.text == "{") {
-                if (scope.match[i] < 0)
-                    break;
-                size_t after = static_cast<size_t>(scope.match[i]) + 1;
-                if (scope.braceKind[i] == BraceKind::Init) {
-                    stmt.push_back(i); // brace initializer: part of
-                    i = after;         // the field statement
-                    continue;
-                }
-                bool nestedType = false;
-                for (size_t k : stmt)
-                    if (toks[k].kind == TokKind::Ident &&
-                        (toks[k].text == "class" ||
-                         toks[k].text == "struct" ||
-                         toks[k].text == "union" ||
-                         toks[k].text == "enum")) {
-                        nestedType = true;
-                        break;
-                    }
-                if (!nestedType)
-                    finishMember(cls, stmt, i); // in-class body
-                stmt.clear();
-                i = after;
-                continue;
-            }
-            stmt.push_back(i);
-            i++;
-        }
-        out.push_back(std::move(cls));
-    }
-
-    void
-    finishMember(CapClass &cls, const std::vector<size_t> &stmt,
-                 size_t bodyOpen)
-    {
-        if (stmt.empty())
-            return;
-
-        // Separate the capability annotations from the declaration.
-        std::string guard;
-        std::set<std::string> required;
-        bool unguarded = false, noAnalysis = false;
-        std::vector<size_t> decl;
-        for (size_t p = 0; p < stmt.size(); p++) {
-            size_t k = stmt[p];
-            const Token &t = toks[k];
-            if (t.kind != TokKind::Ident ||
-                !startsWith(t.text, "MEMO_")) {
-                decl.push_back(k);
-                continue;
-            }
-            if (t.text == "MEMO_UNGUARDED") {
-                unguarded = true;
-                continue;
-            }
-            if (t.text == "MEMO_NO_THREAD_SAFETY_ANALYSIS") {
-                noAnalysis = true;
-                continue;
-            }
-            if (text(k + 1) == "(" && scope.match[k + 1] > 0) {
-                size_t argsEnd =
-                    static_cast<size_t>(scope.match[k + 1]);
-                if (t.text == "MEMO_GUARDED_BY" ||
-                    t.text == "MEMO_PT_GUARDED_BY") {
-                    for (size_t q = k + 2; q < argsEnd; q++)
-                        if (toks[q].kind == TokKind::Ident) {
-                            guard = toks[q].text;
-                            break;
-                        }
-                } else if (t.text == "MEMO_REQUIRES") {
-                    for (size_t q = k + 2; q < argsEnd; q++)
-                        if (toks[q].kind == TokKind::Ident)
-                            required.insert(toks[q].text);
-                }
-                // MEMO_ACQUIRE/RELEASE/EXCLUDES/... only matter to
-                // the Clang analysis; skip their argument group.
-                if (p + 1 < stmt.size() && stmt[p + 1] == k + 1)
-                    p++;
-            }
-        }
-        if (decl.empty())
-            return;
-        std::string_view head = toks[decl[0]].text;
-        if (head == "using" || head == "typedef" ||
-            head == "friend" || head == "static_assert" ||
-            head == "enum" || head == "template")
-            return;
-
-        // Method or field? A method has an identifier immediately
-        // followed by '(' outside template angle brackets.
-        int angle = 0;
-        size_t methodTok = 0;
-        bool sawTilde = false, defaultedOrDeleted = false;
-        bool isOperator = false;
-        for (size_t k : decl) {
-            const Token &t = toks[k];
-            if (t.kind == TokKind::Punct) {
-                if (t.text == "<")
-                    angle++;
-                else if (t.text == ">")
-                    angle = angle > 0 ? angle - 1 : 0;
-                else if (t.text == ">>")
-                    angle = angle >= 2 ? angle - 2 : 0;
-                else if (t.text == "~")
-                    sawTilde = true;
-                continue;
-            }
-            if (t.kind != TokKind::Ident)
-                continue;
-            if (t.text == "operator")
-                isOperator = true;
-            if (!methodTok && angle == 0 && text(k + 1) == "(" &&
-                t.text != "alignas" && t.text != "decltype" &&
-                t.text != "noexcept" && t.text != "sizeof")
-                methodTok = k;
-            if (methodTok &&
-                (t.text == "default" || t.text == "delete"))
-                defaultedOrDeleted = true;
-        }
-
-        if (methodTok || isOperator) {
-            CapMethod m;
-            m.name = methodTok ? toks[methodTok].text : "operator";
-            m.tok = methodTok ? methodTok : decl[0];
-            m.required = std::move(required);
-            m.noAnalysis = noAnalysis;
-            m.special = sawTilde || defaultedOrDeleted || isOperator ||
-                        m.name == cls.name;
-            if (bodyOpen && scope.match[bodyOpen] > 0) {
-                m.hasBody = true;
-                m.bodyBegin = bodyOpen + 1;
-                m.bodyEnd = static_cast<size_t>(scope.match[bodyOpen]);
-            }
-            cls.methods.push_back(std::move(m));
-            return;
-        }
-
-        // Field: name = last identifier at angle depth 0 before the
-        // first '=', initializer brace, or array bracket.
-        CapField f;
-        f.unguarded = unguarded;
-        f.guard = std::move(guard);
-        bool isConst = false;
-        angle = 0;
-        for (size_t k : decl) {
-            const Token &t = toks[k];
-            if (t.kind == TokKind::Punct) {
-                if (t.text == "<")
-                    angle++;
-                else if (t.text == ">")
-                    angle = angle > 0 ? angle - 1 : 0;
-                else if (t.text == ">>")
-                    angle = angle >= 2 ? angle - 2 : 0;
-                else if (t.text == "=" || t.text == "{" ||
-                         t.text == "[")
-                    break;
-                continue;
-            }
-            if (t.kind != TokKind::Ident)
-                continue;
-            if (angle == 0) {
-                if (t.text == "const" || t.text == "constexpr" ||
-                    t.text == "constinit") {
-                    isConst = true;
-                    continue;
-                }
-                if (t.text == "static" || t.text == "mutable" ||
-                    t.text == "inline" || t.text == "volatile")
-                    continue;
-                f.name = t.text;
-                f.tok = k;
-            }
-            if (isLockableType(t.text))
-                f.isMutex = true; // any depth: unique_lock<std::mutex>
-            if (isExemptFieldType(t.text))
-                f.exempt = true;
-        }
-        if (f.name.empty())
-            return;
-        // Guards guard, they are not guarded; const fields carry no
-        // mutable state the analysis could protect.
-        if (isConst || f.isMutex)
-            f.exempt = true;
-        cls.fields.push_back(std::move(f));
-    }
-};
-
-const CapClass *
-findCapClass(const std::vector<CapClass> &classes,
-             std::string_view name)
-{
-    for (const CapClass &c : classes)
-        if (c.name == name)
-            return &c;
-    return nullptr;
-}
-
-// ---------------------------------------------------------------------
 // Rule passes.
 
 bool
@@ -1118,6 +721,161 @@ struct Pass
         }
     }
 
+    /**
+     * memo-CONC-004: a class with a mutex member annotates every
+     * mutable sibling field. Clang's -Wthread-safety checks only
+     * fields that already carry MEMO_GUARDED_BY, so it never sees a
+     * new unannotated one. A lexical scan of each class body's member
+     * declarations; member functions, nested types and access
+     * specifiers are skipped.
+     */
+    void
+    unannotatedSiblings()
+    {
+        struct Field
+        {
+            size_t tok;
+            bool lockable;
+            bool needsAnnotation;
+        };
+        auto isLockable = [](std::string_view t) {
+            return t == "mutex" || t == "timed_mutex" ||
+                   t == "recursive_mutex" ||
+                   t == "recursive_timed_mutex" || t == "shared_mutex" ||
+                   t == "shared_timed_mutex" || t == "Mutex";
+        };
+        auto isExemptType = [](std::string_view t) {
+            return t == "condition_variable" ||
+                   t == "condition_variable_any" || t == "once_flag" ||
+                   t.find("atomic") != std::string_view::npos;
+        };
+
+        // One member statement, its nested groups reduced to their
+        // opening token: a field, or nothing.
+        auto field = [&](const std::vector<size_t> &stmt,
+                         std::vector<Field> &out) {
+            bool annotated = false, exempt = false, lockable = false;
+            std::vector<size_t> decl;
+            for (size_t p = 0; p < stmt.size(); p++) {
+                const Token &t = toks[stmt[p]];
+                if (t.kind != TokKind::Ident ||
+                    !startsWith(t.text, "MEMO_")) {
+                    decl.push_back(stmt[p]);
+                    continue;
+                }
+                if (t.text == "MEMO_UNGUARDED" ||
+                    t.text == "MEMO_GUARDED_BY" ||
+                    t.text == "MEMO_PT_GUARDED_BY")
+                    annotated = true;
+                if (p + 1 < stmt.size() && stmt[p + 1] == stmt[p] + 1 &&
+                    text(stmt[p + 1]) == "(")
+                    p++; // the macro's argument list
+            }
+            static const std::set<std::string> skip_heads = {
+                "using",  "typedef", "friend", "static_assert",
+                "enum",   "template"};
+            if (decl.empty() || skip_heads.count(toks[decl[0]].text))
+                return;
+            int angle = 0;
+            size_t name = 0;
+            for (size_t k : decl) {
+                std::string_view t = text(k);
+                if (toks[k].kind == TokKind::Punct) {
+                    if (t == "<")
+                        angle++;
+                    else if (t == ">")
+                        angle = std::max(angle - 1, 0);
+                    else if (t == ">>")
+                        angle = std::max(angle - 2, 0);
+                    else if (angle == 0 &&
+                             (t == "=" || t == "{" || t == "["))
+                        break; // initializer or array bound
+                    continue;
+                }
+                if (toks[k].kind != TokKind::Ident)
+                    continue;
+                if (t == "operator" ||
+                    (angle == 0 && text(k + 1) == "(" &&
+                     t != "alignas" && t != "decltype"))
+                    return; // a member function
+                lockable = lockable || isLockable(t);
+                exempt = exempt || isExemptType(t);
+                if (angle > 0)
+                    continue;
+                if (t == "const" || t == "constexpr" ||
+                    t == "constinit")
+                    exempt = true;
+                else if (t != "static" && t != "mutable" &&
+                         t != "inline" && t != "volatile")
+                    name = k;
+            }
+            if (name)
+                out.push_back(
+                    {name, lockable, !lockable && !exempt && !annotated});
+        };
+
+        for (size_t open = 0; open < toks.size(); open++) {
+            if (toks[open].kind != TokKind::Punct || text(open) != "{" ||
+                scope.braceKind[open] != BraceKind::Class ||
+                scope.match[open] < 0)
+                continue;
+            bool isEnum = false;
+            for (size_t b = open; b > 0 && text(b - 1) != ";" &&
+                                  text(b - 1) != "{" &&
+                                  text(b - 1) != "}";
+                 b--)
+                isEnum = isEnum || text(b - 1) == "enum";
+            if (isEnum)
+                continue;
+
+            std::vector<Field> fields;
+            std::vector<size_t> stmt;
+            size_t close = static_cast<size_t>(scope.match[open]);
+            for (size_t i = open + 1; i < close;) {
+                std::string_view t = text(i);
+                if (toks[i].kind == TokKind::Preproc) {
+                    i++;
+                } else if (stmt.empty() &&
+                           (t == "public" || t == "private" ||
+                            t == "protected") &&
+                           text(i + 1) == ":") {
+                    i += 2;
+                } else if (t == ";") {
+                    field(stmt, fields);
+                    stmt.clear();
+                    i++;
+                } else if (t == "(" || t == "[" || t == "{") {
+                    if (scope.match[i] < 0)
+                        break;
+                    // A brace initializer belongs to the statement; a
+                    // function body or nested type ends it unread.
+                    if (t == "{" &&
+                        scope.braceKind[i] != BraceKind::Init)
+                        stmt.clear();
+                    else
+                        stmt.push_back(i);
+                    i = static_cast<size_t>(scope.match[i]) + 1;
+                } else {
+                    stmt.push_back(i);
+                    i++;
+                }
+            }
+
+            auto mx = std::find_if(fields.begin(), fields.end(),
+                                   [](const Field &f) { return f.lockable; });
+            if (mx == fields.end())
+                continue;
+            for (const Field &f : fields)
+                if (f.needsAnnotation)
+                    report("memo-CONC-004", f.tok,
+                           "field '" + toks[f.tok].text +
+                               "' shares its class with mutex '" +
+                               toks[mx->tok].text +
+                               "' but is neither MEMO_GUARDED_BY nor "
+                               "MEMO_UNGUARDED");
+        }
+    }
+
     void
     statsBypass()
     {
@@ -1132,189 +890,6 @@ struct Pass
                 report("memo-API-001", i,
                        "MemoStats polled via stats() from the "
                        "observability layer");
-        }
-    }
-
-    /** memo-CONC-004: mutex-bearing classes must annotate fields. */
-    void
-    capabilityFields(const std::vector<CapClass> &classes)
-    {
-        for (const CapClass &cls : classes) {
-            const CapField *mx = nullptr;
-            for (const CapField &f : cls.fields)
-                if (f.isMutex) {
-                    mx = &f;
-                    break;
-                }
-            if (!mx)
-                continue;
-            for (const CapField &f : cls.fields) {
-                if (f.exempt || f.unguarded || !f.guard.empty())
-                    continue;
-                report("memo-CONC-004", f.tok,
-                       "field '" + f.name + "' of '" + cls.name +
-                           "' shares the class with mutex '" +
-                           mx->name +
-                           "' but is neither MEMO_GUARDED_BY nor "
-                           "MEMO_UNGUARDED");
-            }
-        }
-    }
-
-    /** memo-CONC-005: touching a guarded field needs its mutex. */
-    void
-    capabilityHolds(const std::vector<CapClass> &classes,
-                    const std::vector<CapClass> &headerClasses)
-    {
-        for (const CapClass &cls : classes)
-            for (const CapMethod &m : cls.methods)
-                if (m.hasBody)
-                    checkMethodBody(cls, m, m.bodyBegin, m.bodyEnd);
-
-        // Out-of-line definitions: `Class::method(...) ... {` at
-        // namespace scope; the declaration (and its MEMO_REQUIRES)
-        // lives in this file or the companion header.
-        for (size_t i = 0; i + 3 < toks.size(); i++) {
-            if (toks[i].kind != TokKind::Ident ||
-                scope.inFunction[i] || text(i + 1) != "::" ||
-                toks[i + 2].kind != TokKind::Ident ||
-                text(i + 3) != "(")
-                continue;
-            int pc = scope.match[i + 3];
-            if (pc < 0)
-                continue;
-            // Skip trailing const/noexcept/override and capability
-            // macros to the body brace; anything else means this was
-            // not a definition (a declaration, an initializer, ...).
-            size_t j = static_cast<size_t>(pc) + 1;
-            while (j < toks.size() && toks[j].kind == TokKind::Ident &&
-                   (text(j) == "const" || text(j) == "noexcept" ||
-                    text(j) == "override" || text(j) == "final" ||
-                    startsWith(toks[j].text, "MEMO_"))) {
-                j++;
-                if (j < toks.size() && text(j) == "(" &&
-                    scope.match[j] > 0)
-                    j = static_cast<size_t>(scope.match[j]) + 1;
-            }
-            if (j >= toks.size() || text(j) != "{" ||
-                scope.match[j] < 0)
-                continue;
-            const CapClass *cls =
-                findCapClass(classes, toks[i].text);
-            if (!cls)
-                cls = findCapClass(headerClasses, toks[i].text);
-            if (!cls)
-                continue;
-            const std::string &mname = toks[i + 2].text;
-            if (mname == cls->name || mname == "operator")
-                continue; // constructors and operators are exempt
-            CapMethod m;
-            m.name = mname;
-            m.tok = i + 2;
-            if (const CapMethod *decl = cls->method(mname)) {
-                m.required = decl->required;
-                m.noAnalysis = decl->noAnalysis;
-                m.special = decl->special;
-            }
-            checkMethodBody(*cls, m, j + 1,
-                            static_cast<size_t>(scope.match[j]));
-        }
-    }
-
-    /**
-     * One method body against one class model. Lexically coarse on
-     * purpose: a scoped-lock construction anywhere in the body whose
-     * arguments name the guard counts as holding it (lock scopes and
-     * lock ordering are the Clang analysis' job; this rule catches
-     * fields that are touched with no lock in sight).
-     */
-    void
-    checkMethodBody(const CapClass &cls, const CapMethod &m,
-                    size_t b, size_t e)
-    {
-        if (m.special || m.noAnalysis)
-            return;
-        std::set<std::string> held = m.required;
-        for (size_t i = b; i < e; i++) {
-            if (toks[i].kind != TokKind::Ident ||
-                !isScopedLockType(toks[i].text))
-                continue;
-            // MutexLock lk(m); std::lock_guard<std::mutex> lk(m_);
-            int angle = 0;
-            for (size_t j = i + 1; j < e && j < i + 16; j++) {
-                std::string_view t = text(j);
-                if (t == "<") {
-                    angle++;
-                } else if (t == ">") {
-                    angle = angle > 0 ? angle - 1 : 0;
-                } else if (t == ">>") {
-                    angle = angle >= 2 ? angle - 2 : 0;
-                } else if (t == ";") {
-                    break;
-                } else if (t == "(" && angle == 0) {
-                    if (scope.match[j] > 0)
-                        for (size_t q = j + 1;
-                             q < static_cast<size_t>(scope.match[j]);
-                             q++)
-                            if (toks[q].kind == TokKind::Ident)
-                                held.insert(toks[q].text);
-                    break;
-                }
-            }
-        }
-        for (size_t i = b; i < e; i++) {
-            if (toks[i].kind != TokKind::Ident)
-                continue;
-            const CapField *f = cls.field(toks[i].text);
-            if (!f || f->guard.empty() || f->unguarded || f->exempt)
-                continue;
-            std::string_view prev = text(i - 1);
-            if (prev == "." ||
-                (prev == "->" && text(i - 2) != "this"))
-                continue; // a member of some other object
-            if (held.count(f->guard))
-                continue;
-            report("memo-CONC-005", i,
-                   "'" + cls.name + "::" + m.name + "' touches '" +
-                       f->name + "' (guarded by '" + f->guard +
-                       "') without holding or requiring the mutex");
-            return; // one finding per method is enough
-        }
-    }
-
-    /** memo-IO-001: src/trace must not discard stdio results. */
-    void
-    uncheckedIo()
-    {
-        if (!startsWith(opt.relPath, "src/trace/"))
-            return;
-        static const std::set<std::string> calls = {
-            "fread", "fwrite", "ftell", "fseek", "rename"};
-        for (size_t i = 0; i + 1 < toks.size(); i++) {
-            if (toks[i].kind != TokKind::Ident ||
-                !calls.count(toks[i].text) || text(i + 1) != "(" ||
-                !scope.inFunction[i])
-                continue;
-            // Walk back over a namespace qualifier to the head of
-            // the expression statement.
-            size_t h = i;
-            if (h >= 2 && text(h - 1) == "::") {
-                if (text(h - 2) == "fs" ||
-                    text(h - 2) == "filesystem")
-                    continue; // fs::rename(a, b, ec) reports through
-                              // its error_code parameter
-                h -= 2;
-                if (h >= 2 && text(h - 1) == "::")
-                    h -= 2;
-            } else if (h >= 1 &&
-                       (text(h - 1) == "." || text(h - 1) == "->")) {
-                continue; // member call on some stream object
-            }
-            std::string_view before = h > 0 ? text(h - 1) : ";";
-            if (before != ";" && before != "{" && before != "}")
-                continue; // the result feeds an expression
-            report("memo-IO-001", i,
-                   "result of '" + toks[i].text + "' is discarded");
         }
     }
 
@@ -1369,19 +944,13 @@ analyzeFile(std::string_view source, const AnalyzerOptions &opt)
     LexResult lr = lex(source);
 
     DeclInfo decls;
-    std::vector<CapClass> headerClasses;
-    if (!opt.companionHeader.empty()) {
-        LexResult header = lex(opt.companionHeader);
-        scanDecls(header.tokens, decls, nullptr, opt.relPath);
-        ScopeInfo headerScope = buildScopes(header.tokens);
-        headerClasses =
-            CapParser(header.tokens, headerScope).parse();
-    }
+    if (!opt.companionHeader.empty())
+        scanDecls(lex(opt.companionHeader).tokens, decls, nullptr,
+                  opt.relPath);
     std::vector<Finding> fs;
     scanDecls(lr.tokens, decls, &fs, opt.relPath);
 
     ScopeInfo scope = buildScopes(lr.tokens);
-    std::vector<CapClass> classes = CapParser(lr.tokens, scope).parse();
     Pass pass{lr.tokens, scope, decls, opt, fs};
     auto spans = pass.unorderedIterationAndSpans();
     pass.wallClockAndRandomness();
@@ -1390,9 +959,7 @@ analyzeFile(std::string_view source, const AnalyzerOptions &opt)
     pass.rawThreads();
     pass.mutableGlobals();
     pass.mutableLocalStatics();
-    pass.capabilityFields(classes);
-    pass.capabilityHolds(classes, headerClasses);
-    pass.uncheckedIo();
+    pass.unannotatedSiblings();
     pass.statsBypass();
     pass.cliRegistration();
 

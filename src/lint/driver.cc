@@ -293,7 +293,7 @@ runLint(const DriverConfig &cfg, std::ostream &out, std::ostream &err)
         std::vector<std::string> bad = b.errorSeverityEntries();
         if (!bad.empty()) {
             err << "memo-lint: baseline policy violation: "
-                   "error-severity (DET/CONC/IO) findings must be "
+                   "error-severity (DET/CONC) findings must be "
                    "fixed, not baselined:\n";
             for (const std::string &e : bad)
                 err << "  " << e << "\n";

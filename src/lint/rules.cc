@@ -58,25 +58,11 @@ ruleCatalog()
          "in src/exec and src/obs do this)"},
         {"memo-CONC-004", "CONC", Severity::Error,
          "class declares a mutex member but a sibling mutable field "
-         "carries no capability annotation; the guarded-by relation "
-         "must be written down for the thread-safety analysis",
+         "carries no capability annotation; Clang's thread-safety "
+         "analysis checks only annotated fields",
          "annotate the field MEMO_GUARDED_BY(<mutex>) "
          "(core/annotations.hh), or MEMO_UNGUARDED with a comment "
          "stating why the field needs no lock"},
-        {"memo-CONC-005", "CONC", Severity::Error,
-         "method touches a MEMO_GUARDED_BY field without taking a "
-         "scoped lock in its body or declaring MEMO_REQUIRES on the "
-         "mutex",
-         "take the mutex with MutexLock/UniqueLock in the method "
-         "body, or annotate the declaration MEMO_REQUIRES(<mutex>) "
-         "and make every caller hold it"},
-        {"memo-IO-001", "IO", Severity::Error,
-         "discarded stdio/filesystem result in src/trace; the disk "
-         "tier's contract is that every read-side defect surfaces as "
-         "a SpillError, so I/O outcomes must not be dropped",
-         "check the return value and throw SpillError on failure "
-         "(or use the fs:: error_code overloads and test the code), "
-         "as trace/spill.cc does"},
         {"memo-API-001", "API", Severity::Warning,
          "MemoStats polled via Table::stats() from the obs/exec "
          "layer; observability must subscribe through TableHooks so "

@@ -13,12 +13,15 @@
  *  - FP:   floating-point patterns that silently break bit-exactness
  *          (== on floats, order-sensitive accumulation);
  *  - CONC: concurrency hazards outside the sanctioned executor
- *          (raw threads, mutable shared state, guarded fields used
- *          without their capability annotations);
- *  - IO:   dropped I/O outcomes in the trace disk tier, whose
- *          contract is that every read-side defect surfaces as a
- *          SpillError;
+ *          (raw threads, mutable shared state, a mutex's sibling
+ *          field without a capability annotation);
  *  - API:  bypasses of repo-internal observability contracts.
+ *
+ * Lock discipline and dropped I/O results are not lint rules: the
+ * compiler checks them (Clang's -Wthread-safety over
+ * core/annotations.hh, and the [[nodiscard]] IoStatus of
+ * trace/file_io.hh under -Werror=unused-result). Clang checks only
+ * annotated fields, which is why memo-CONC-004 stays.
  */
 
 #ifndef MEMO_LINT_RULES_HH
@@ -30,7 +33,7 @@
 namespace memo::lint
 {
 
-/** Finding severity. DET, CONC and IO findings gate CI as errors. */
+/** Finding severity. DET and CONC findings gate CI as errors. */
 enum class Severity
 {
     Error,
@@ -41,7 +44,7 @@ enum class Severity
 struct RuleInfo
 {
     const char *id;      //!< e.g. "memo-DET-001"
-    const char *family;  //!< "DET", "FP", "CONC", "IO", "API"
+    const char *family;  //!< "DET", "FP", "CONC", "API"
     Severity severity;
     const char *summary; //!< one-line description
     const char *hint;    //!< fix-it guidance

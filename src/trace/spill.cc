@@ -6,8 +6,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
+
+#include "trace/file_io.hh"
 
 namespace memo
 {
@@ -29,15 +30,10 @@ hex16(uint64_t v)
 std::string
 readFile(const fs::path &path, const char *what)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw SpillError(std::string(what) + ": cannot open " +
-                         path.string());
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw SpillError(std::string(what) + ": read error on " +
-                         path.string());
+    std::string bytes;
+    IoStatus st = readWholeFile(path.string(), bytes);
+    if (!st.ok())
+        throw SpillError(std::string(what) + ": " + st.error);
     return bytes;
 }
 
@@ -55,28 +51,14 @@ writeFileAtomic(const fs::path &path, const std::string &bytes)
     fs::path tmp = path;
     tmp += ".tmp." + std::to_string(::getpid()) + "." +
            std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw SpillError("spill write: cannot create " +
-                             tmp.string());
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out.good()) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            throw SpillError("spill write: write failed on " +
-                             tmp.string());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        throw SpillError("spill write: rename to " + path.string() +
-                         " failed: " + ec.message());
+    IoStatus st = writeWholeFile(tmp.string(), bytes);
+    if (st.ok())
+        st = renameFile(tmp.string(), path.string());
+    if (!st.ok()) {
+        // Best-effort cleanup; the write failure is what gets reported.
+        std::error_code ec;
+        fs::remove(tmp, ec);
+        throw SpillError("spill write: " + st.error);
     }
 }
 

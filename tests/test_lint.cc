@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "lint/analyzer.hh"
 #include "lint/baseline.hh"
@@ -164,9 +166,9 @@ TEST(LintRules, CatalogIsConsistent)
 {
     for (const RuleInfo &r : ruleCatalog()) {
         EXPECT_EQ(findRule(r.id), &r);
-        // DET, CONC and IO are the hard contracts: errors.
+        // DET and CONC are the hard contracts: errors.
         std::string fam = r.family;
-        if (fam == "DET" || fam == "CONC" || fam == "IO") {
+        if (fam == "DET" || fam == "CONC") {
             EXPECT_EQ(r.severity, Severity::Error) << r.id;
         }
     }
@@ -308,42 +310,19 @@ TEST(LintRules, Conc004RequiresAnnotatedSiblings)
                      "};\n";
     EXPECT_TRUE(ruleIdsOf(ok).empty());
     EXPECT_TRUE(ruleIdsOf("class C {\n    int v = 0;\n};\n").empty());
-}
-
-TEST(LintRules, Conc005GuardedFieldNeedsLockOrRequires)
-{
-    std::string bad = "class C {\n"
-                      "    memo::Mutex m;\n"
-                      "    int v MEMO_GUARDED_BY(m) = 0;\n"
-                      "    int peek() const { return v; }\n"
-                      "};\n";
-    EXPECT_EQ(ruleIdsOf(bad),
-              (std::vector<std::string>{"memo-CONC-005"}));
-    // A scoped lock in the body or a MEMO_REQUIRES contract on the
-    // declaration both discharge the obligation.
-    std::string ok = "class C {\n"
-                     "    memo::Mutex m;\n"
-                     "    int v MEMO_GUARDED_BY(m) = 0;\n"
-                     "    int get() { MutexLock lk(m); return v; }\n"
-                     "    int raw() const MEMO_REQUIRES(m) "
-                     "{ return v; }\n"
-                     "};\n";
-    EXPECT_TRUE(ruleIdsOf(ok).empty());
-}
-
-TEST(LintRules, Io001OnlyInTraceAndOnlyDiscarded)
-{
-    std::string src = "void f(FILE *fp) { fseek(fp, 0, 0); }\n";
-    EXPECT_EQ(ruleIdsOf(src, "src/trace/spill.cc"),
-              (std::vector<std::string>{"memo-IO-001"}));
-    // Path-scoped: the same code outside src/trace is not the spill
-    // tier's contract.
-    EXPECT_TRUE(ruleIdsOf(src, "src/core/aligned.cc").empty());
-    std::string checked = "void f(FILE *fp) {\n"
-                          "    if (fseek(fp, 0, 0) != 0)\n"
-                          "        fail();\n"
-                          "}\n";
-    EXPECT_TRUE(ruleIdsOf(checked, "src/trace/spill.cc").empty());
+    // Member functions, nested types and enums are not fields; a
+    // field initialised by a call still is one.
+    std::string members = "struct S {\n"
+                          "    std::mutex m;\n"
+                          "    S() : n(0) {}\n"
+                          "    int get() const MEMO_REQUIRES(m);\n"
+                          "    enum class K { A, B };\n"
+                          "    struct Inner { int x; };\n"
+                          "    int n MEMO_GUARDED_BY(m);\n"
+                          "    int seeded = make();\n"
+                          "};\n";
+    EXPECT_EQ(ruleIdsOf(members),
+              (std::vector<std::string>{"memo-CONC-004"}));
 }
 
 TEST(LintRules, LintAsOverride)
@@ -402,14 +381,15 @@ TEST(LintBaseline, FilterAbsorbsUpToCount)
 TEST(LintBaseline, PolicyRejectsErrorSeverityEntries)
 {
     // The ratchet may tolerate FP/API debt, never the error-severity
-    // families (DET, CONC, IO): those must be fixed or explicitly
-    // NOLINT-justified in the code.
+    // families (DET, CONC): those must be fixed or explicitly
+    // NOLINT-justified in the code. An id the catalog no longer
+    // knows (a retired rule) is rejected too, so it cannot linger.
     Baseline b;
     std::string err;
     ASSERT_TRUE(b.parse("{\"version\": 1, \"findings\": ["
                         "{\"rule\": \"memo-DET-001\", "
                         "\"file\": \"src/a.cc\", \"count\": 1},"
-                        "{\"rule\": \"memo-CONC-004\", "
+                        "{\"rule\": \"memo-CONC-002\", "
                         "\"file\": \"src/c.cc\", \"count\": 1},"
                         "{\"rule\": \"memo-IO-001\", "
                         "\"file\": \"src/d.cc\", \"count\": 1},"
@@ -422,7 +402,7 @@ TEST(LintBaseline, PolicyRejectsErrorSeverityEntries)
     for (const std::string &e : bad)
         joined += e + "\n";
     EXPECT_NE(joined.find("memo-DET-001"), std::string::npos);
-    EXPECT_NE(joined.find("memo-CONC-004"), std::string::npos);
+    EXPECT_NE(joined.find("memo-CONC-002"), std::string::npos);
     EXPECT_NE(joined.find("memo-IO-001"), std::string::npos);
 }
 
@@ -580,4 +560,58 @@ TEST(LintSelfRun, FixturesSatisfyTheirExpectations)
         std::string(MEMO_SOURCE_DIR) + "/tests/lint_fixtures";
     std::ostringstream out, err;
     EXPECT_EQ(runLint(cfg, out, err), 0) << err.str();
+}
+
+TEST(LintSelfRun, EveryRuleHasAFixtureWhoseMutationIsCaught)
+{
+    // The fixture self-test guards the catalog only if each rule has
+    // a positive fixture and disarming any fixture's EXPECT/NOLINT
+    // annotations makes the self-test fail: a positive fixture then
+    // reports findings nobody expects, a nolint fixture unsuppressed
+    // ones.
+    namespace fs = std::filesystem;
+    const fs::path fixtures =
+        fs::path(MEMO_SOURCE_DIR) / "tests" / "lint_fixtures";
+    // Per process: two build trees may run this test at once.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("memo_lint_fixture_mutation_" + std::to_string(::getpid()));
+    std::set<std::string> covered;
+    for (const auto &entry : fs::directory_iterator(fixtures)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        std::string mutated = ss.str();
+
+        for (const Comment &c : lex(mutated).comments) {
+            size_t p = c.text.find("EXPECT:");
+            if (p == std::string::npos)
+                continue;
+            std::istringstream ids(c.text.substr(p + 7));
+            for (std::string id; ids >> id;)
+                covered.insert(id);
+        }
+        bool armed = false;
+        for (std::string_view mark : {"EXPECT:", "NOLINT"})
+            for (size_t p = mutated.find(mark); p != std::string::npos;
+                 p = mutated.find(mark, p)) {
+                mutated.replace(p, mark.size(), "disarmed");
+                armed = true;
+            }
+        if (!armed)
+            continue; // a clean fixture has nothing to disarm
+
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        std::ofstream(dir / entry.path().filename()) << mutated;
+        DriverConfig cfg;
+        cfg.root = MEMO_SOURCE_DIR;
+        cfg.selfTestDir = dir.string();
+        std::ostringstream out, err;
+        EXPECT_EQ(runLint(cfg, out, err), 1)
+            << entry.path().filename() << " still passes disarmed";
+    }
+    fs::remove_all(dir);
+    for (const RuleInfo &r : ruleCatalog())
+        EXPECT_TRUE(covered.count(r.id)) << r.id << " has no EXPECT";
 }

@@ -3,7 +3,8 @@
  * Tests for the out-of-core trace tier: the chunk codec and its
  * on-disk layout (trace/chunk_codec.hh, pinned field-for-field to
  * docs/TRACE_FORMAT.md), the content-addressed SpillStore
- * (round-trip, dedup, corruption detection), the TraceCache disk
+ * (round-trip, dedup, corruption detection, failed writes) and the
+ * checked file I/O beneath it (trace/file_io.hh), the TraceCache disk
  * tier (spill-on-evict / admit-on-miss / SpillError fallback), the
  * streamed replay path, and the capped-memory acceptance run: the
  * full Figure 3 sweep under a 64 MB trace-cache budget must produce
@@ -28,6 +29,7 @@
 #include "img/generate.hh"
 #include "obs/stats.hh"
 #include "trace/chunk_codec.hh"
+#include "trace/file_io.hh"
 #include "trace/spill.hh"
 #include "workloads/workload.hh"
 
@@ -461,6 +463,53 @@ TEST(TraceSpillStore, CorruptManifestReadsAsAbsent)
     EXPECT_FALSE(store.contains("k|i|1"));
     EXPECT_TRUE(store.keys().empty());
     EXPECT_THROW(store.read("k|i|1"), SpillError);
+}
+
+TEST(TraceSpillStore, FailedWriteThrowsAndLeavesNoTempFile)
+{
+    // A directory squatting on the manifest's path makes the final
+    // rename fail: the write must report it, remove its temp file and
+    // leave the key absent.
+    std::string root = tempRoot("badwrite");
+    SpillStore store(root);
+    const std::string key = "k|i|1";
+    fs::create_directories(fs::path(store.manifestPath(key)) / "squat");
+    try {
+        store.write(key, sampleTrace(50), 64);
+        FAIL() << "write over a directory succeeded";
+    } catch (const SpillError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("spill write: rename to ", 0),
+                  0u)
+            << e.what();
+    }
+    for (const auto &e : fs::recursive_directory_iterator(root))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << e.path();
+    // Reading a directory as a manifest is a SpillError, never an
+    // escaping iostream exception.
+    EXPECT_FALSE(store.contains(key));
+    EXPECT_THROW(store.read(key), SpillError);
+}
+
+TEST(TraceFileIo, OutcomesNameTheOperationAndPath)
+{
+    std::string root = tempRoot("fileio");
+    fs::create_directories(root);
+    const std::string a = root + "/a", b = root + "/b";
+    ASSERT_TRUE(writeWholeFile(a, "bytes").ok());
+    ASSERT_TRUE(renameFile(a, b).ok());
+    std::string got;
+    ASSERT_TRUE(readWholeFile(b, got).ok());
+    EXPECT_EQ(got, "bytes");
+
+    EXPECT_EQ(readWholeFile(a, got).error, "cannot open " + a);
+    EXPECT_EQ(readWholeFile(root, got).error, "read error on " + root);
+    const std::string nodir = root + "/no/such/dir";
+    EXPECT_EQ(writeWholeFile(nodir, "x").error, "cannot create " + nodir);
+    IoStatus st = renameFile(a, b);
+    EXPECT_EQ(st.error.rfind("rename to " + b + " failed: ", 0), 0u)
+        << st.error;
 }
 
 // ---------------------------------------------------------------------------
