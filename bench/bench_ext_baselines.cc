@@ -28,7 +28,7 @@ main()
                  "RB 1024/4 (all insts)", "recip 32/4",
                  "eff. div latency memo", "eff. recip"});
 
-    for (const auto &name : bench::speedupApps()) {
+    for (const auto &name : check::speedupApps()) {
         const MmKernel &k = mmKernelByName(name);
 
         MemoTable memo_t(Operation::FpDiv, memo_cfg);
@@ -38,7 +38,7 @@ main()
 
         bool any = false;
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             memo_t.flush();
             for (const auto &inst : trace) {
                 // The Reuse Buffer caches every instruction type: the

@@ -38,7 +38,7 @@ main()
     std::vector<int> n(sizes.size(), 0);
     for (const auto &name : sweepKernelNames()) {
         auto hits = measureMmKernelConfigs(mmKernelByName(name), cfgs,
-                                           bench::benchCrop);
+                                           check::goldenCrop);
         for (size_t s = 0; s < sizes.size(); s++) {
             if (hits[s].fpDiv >= 0) {
                 hit[s] += hits[s].fpDiv;

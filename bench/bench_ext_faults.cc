@@ -81,7 +81,7 @@ main()
                              "vgpwl"}) {
         const MmKernel &k = mmKernelByName(name);
         Trace trace = traceMmKernel(k, imageByName("Muppet1").image,
-                                    bench::benchCrop);
+                                    check::goldenCrop);
         FaultRun unprot = replayWithFaults(trace, false, 200);
         FaultRun prot = replayWithFaults(trace, true, 200);
 

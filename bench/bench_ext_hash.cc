@@ -31,7 +31,7 @@ main()
         add_cfg.hashScheme = HashScheme::Additive;
 
         auto hits = measureMmKernelConfigs(k, {xor_cfg, add_cfg},
-                                           bench::benchCrop);
+                                           check::goldenCrop);
         UnitHits hx = hits[0];
         UnitHits ha = hits[1];
         t.addRow({k.name, TextTable::ratio(hx.fpMul),

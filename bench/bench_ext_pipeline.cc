@@ -32,14 +32,14 @@ main()
     InOrderPipeline pipe(pipe_cfg);
 
     MemoConfig cfg;
-    for (const auto &name : bench::speedupApps()) {
+    for (const auto &name : check::speedupApps()) {
         const MmKernel &k = mmKernelByName(name);
         uint64_t s_base = 0, s_memo = 0, p_base = 0, p_memo = 0;
         uint64_t stalls_base = 0, stalls_memo = 0;
         MemoBank bank_s = MemoBank::standard(cfg);
         MemoBank bank_p = MemoBank::standard(cfg);
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             s_base += serial.run(trace).totalCycles;
             bank_s.reset();
             s_memo += serial.run(trace, &bank_s).totalCycles;

@@ -27,7 +27,7 @@ main()
         cfgs[1].replacement = Replacement::Fifo;
         cfgs[2].replacement = Replacement::Random;
         return measureMmKernelConfigs(mmKernelByName(name), cfgs,
-                                      bench::benchCrop);
+                                      check::goldenCrop);
     });
 
     for (size_t ki = 0; ki < names.size(); ki++) {

@@ -70,7 +70,7 @@ main()
     for (const auto &name : {"vcost", "vspatial", "vkmeans"}) {
         Trace trace = traceMmKernel(mmKernelByName(name),
                                     imageByName("Muppet1").image,
-                                    bench::benchCrop);
+                                    check::goldenCrop);
         addRow(std::string(name) + " (Muppet1)", trace);
     }
     for (const auto &name : {"OCEAN", "TRFD", "swim"}) {

@@ -28,7 +28,7 @@ main()
     TextTable t({"application", "private hit", "shared hit",
                  "cross-unit hits", "port conflicts"});
 
-    for (const auto &name : bench::speedupApps()) {
+    for (const auto &name : check::speedupApps()) {
         const MmKernel &k = mmKernelByName(name);
 
         MemoTable priv0(Operation::FpDiv, priv_cfg);
@@ -38,7 +38,7 @@ main()
         uint64_t cycle = 0;
         bool any = false;
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             priv0.flush();
             priv1.flush();
             // Dispatch alternate divisions to alternate units

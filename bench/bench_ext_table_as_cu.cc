@@ -26,11 +26,11 @@ main()
                  "1 div + table", "table hits", "vs 1-div",
                  "of 2-div gain"});
 
-    for (const auto &name : bench::speedupApps()) {
+    for (const auto &name : check::speedupApps()) {
         const MmKernel &k = mmKernelByName(name);
         uint64_t one = 0, two = 0, tbl = 0, hits = 0, divs = 0;
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             one += runDivIssue(trace, DivEngine::OneDivider,
                                div_latency)
                        .totalCycles;

@@ -53,7 +53,7 @@ measureApp(const MmKernel &k, const MemoConfig &small_cfg,
 
     AppRow row;
     for (const auto &ni : standardImages()) {
-        auto trace = cachedMmKernelTrace(k, ni, bench::benchCrop);
+        auto trace = cachedMmKernelTrace(k, ni, check::goldenCrop);
         small_t.flush();
         big_t.flush();
         for (const auto &inst : *trace) {
@@ -103,7 +103,7 @@ main()
     TextTable t({"application", "small hit", "big hit", "L1 hit",
                  "L2 hit", "eff small", "eff big", "eff tiered"});
 
-    const auto &apps = bench::speedupApps();
+    const auto &apps = check::speedupApps();
     auto rows = exec::sweep(apps, [&](const std::string &name) {
         return measureApp(mmKernelByName(name), small_cfg, big_cfg);
     });

@@ -28,7 +28,7 @@ main()
         bank.addTable(Operation::FpLog, cfg);
         bank.addTable(Operation::FpExp, cfg);
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             bank.table(Operation::FpSqrt)->flush();
             bank.table(Operation::FpLog)->flush();
             bank.table(Operation::FpExp)->flush();
@@ -64,7 +64,7 @@ main()
         MemoBank all = MemoBank::standard(cfg);
         all.addTable(Operation::FpSqrt, cfg);
         for (const auto &ni : standardImages()) {
-            Trace trace = traceMmKernel(k, ni.image, bench::benchCrop);
+            Trace trace = traceMmKernel(k, ni.image, check::goldenCrop);
             base += cpu.run(trace).totalCycles;
             md.reset();
             all.reset();

@@ -1,76 +1,32 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction harnesses.
+ * Shared helpers for the extension (bench_ext_*) harnesses.
  *
- * The measurements themselves live in src/check (golden.hh and
- * measure.hh) so the benches, the golden snapshots and the
- * memo-report renderer all consume the same computations; what is
- * left here is presentation.
+ * The paper's own tables and figures are measured in src/check
+ * (golden.hh and measure.hh) and rendered by memo-report; the
+ * extension harnesses print ablations the report does not measure
+ * yet. They measure at check::goldenCrop and over check::speedupApps()
+ * so their numbers line up with the report's.
  */
 
 #ifndef MEMO_BENCH_COMMON_HH
 #define MEMO_BENCH_COMMON_HH
 
 #include <string>
-#include <vector>
 
 #include "analysis/experiment.hh"
 #include "analysis/table.hh"
 #include "check/golden.hh"
 #include "check/measure.hh"
 #include "img/generate.hh"
-#include "prof/bench_record.hh"
 #include "sim/cpu.hh"
 #include "workloads/workload.hh"
 
 namespace memo::bench
 {
 
-/**
- * Crop size used by all hit-ratio benches: the golden regression
- * snapshots (src/check/golden.hh) measure with the same crop, so the
- * benches and the goldens report identical numbers.
- */
-constexpr int benchCrop = check::goldenCrop;
-
-/** The nine applications of the speedup tables (see check::measure). */
-using check::speedupApps;
-
 /** Print a top-level header for a bench binary. */
 void printHeader(const std::string &title, const std::string &paper_ref);
-
-/**
- * Print one scientific suite's 32/4-vs-infinite hit-ratio table with
- * the paper's reference columns (the body of Tables 5 and 6).
- */
-void printSciSuite(const std::vector<SciWorkload> &suite);
-
-/**
- * Print one speedup table (the body of Tables 11/12/13) with
- * per-scenario FE/SE/analytic/measured columns under the given
- * fast/slow column tags ("@13"/"@39", "fast"/"slow", ...).
- */
-void printSpeedups(const check::SpeedupResult &r,
-                   const std::string &fast_tag,
-                   const std::string &slow_tag);
-
-/**
- * Start one timing record under the shared BENCH_*.json schema
- * (prof/bench_record.hh): scenario/suite/jobs filled in, the
- * environment manifest attached. Callers push samples into
- * samplesSec and finish with prof::summarizeSamples.
- */
-prof::BenchRecord makeBenchRecord(const std::string &scenario,
-                                  const std::string &suite,
-                                  unsigned jobs);
-
-/**
- * Write @p records to @p path as the canonical schema-versioned
- * document (the same writer memo-bench uses for BENCH_history.json)
- * and log the path. Throws on I/O failure.
- */
-void writeBenchRecords(const std::string &path,
-                       const std::vector<prof::BenchRecord> &records);
 
 } // namespace memo::bench
 

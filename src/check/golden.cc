@@ -49,31 +49,21 @@ jsonBandRows(const std::vector<BandRow> &rows)
 std::string
 produceTable1()
 {
+    Table1Result r = measureTable1();
     std::ostringstream os;
     os << "{\n  \"presets\": [";
-    bool first = true;
-    for (CpuPreset p : LatencyConfig::table1Presets()) {
-        LatencyConfig cfg = LatencyConfig::preset(p);
-        os << (first ? "" : ",") << "\n    {\"name\": \""
-           << presetName(p) << "\", \"fpMul\": "
-           << cfg[InstClass::FpMul] << ", \"fpDiv\": "
-           << cfg[InstClass::FpDiv] << "}";
-        first = false;
+    for (size_t i = 0; i < r.presets.size(); i++) {
+        const PresetLatency &p = r.presets[i];
+        os << (i ? "," : "") << "\n    {\"name\": \"" << p.name
+           << "\", \"fpMul\": " << p.fpMul << ", \"fpDiv\": " << p.fpDiv
+           << "}";
     }
-    os << "\n  ],\n  \"units\": ["
-       << "\n    {\"name\": \"srt-divider-r2\", \"latency\": "
-       << SrtDivider(1, 3).latency() << "},"
-       << "\n    {\"name\": \"srt-divider-r4\", \"latency\": "
-       << SrtDivider(2, 3).latency() << "},"
-       << "\n    {\"name\": \"srt-divider-r16\", \"latency\": "
-       << SrtDivider(4, 3).latency() << "},"
-       << "\n    {\"name\": \"booth4-multiplier\", \"latency\": "
-       << SequentialMultiplier(2, 1).latency() << "},"
-       << "\n    {\"name\": \"tree-multiplier\", \"latency\": "
-       << SequentialMultiplier(18, 1).latency() << "},"
-       << "\n    {\"name\": \"digit-recurrence-sqrt\", \"latency\": "
-       << DigitRecurrenceSqrt(2, 3).latency() << "}"
-       << "\n  ]\n}\n";
+    os << "\n  ],\n  \"units\": [";
+    for (size_t i = 0; i < r.units.size(); i++) {
+        os << (i ? "," : "") << "\n    {\"name\": \"" << r.units[i].name
+           << "\", \"latency\": " << r.units[i].latency << "}";
+    }
+    os << "\n  ]\n}\n";
     return os.str();
 }
 
@@ -163,14 +153,7 @@ produceTable10()
 std::string
 produceFig3()
 {
-    std::vector<MemoConfig> cfgs;
-    for (unsigned entries : fig3Sizes()) {
-        MemoConfig cfg;
-        cfg.entries = entries;
-        cfg.ways = 4;
-        cfgs.push_back(cfg);
-    }
-    SweepBands b = measureSweepBands(cfgs);
+    SweepBands b = measureSweepBands(fig3Configs());
     std::ostringstream os;
     os << "{\n  \"sizes\": [";
     for (size_t i = 0; i < fig3Sizes().size(); i++)
@@ -183,14 +166,7 @@ produceFig3()
 std::string
 produceFig4()
 {
-    std::vector<MemoConfig> cfgs;
-    for (unsigned ways : fig4Ways()) {
-        MemoConfig cfg;
-        cfg.entries = 32;
-        cfg.ways = ways;
-        cfgs.push_back(cfg);
-    }
-    SweepBands b = measureSweepBands(cfgs);
+    SweepBands b = measureSweepBands(fig4Configs());
     std::ostringstream os;
     os << "{\n  \"ways\": [";
     for (size_t i = 0; i < fig4Ways().size(); i++)
@@ -201,6 +177,26 @@ produceFig4()
 }
 
 } // anonymous namespace
+
+Table1Result
+measureTable1()
+{
+    Table1Result r;
+    for (CpuPreset p : LatencyConfig::table1Presets()) {
+        LatencyConfig cfg = LatencyConfig::preset(p);
+        r.presets.push_back(PresetLatency{
+            presetName(p), cfg[InstClass::FpMul], cfg[InstClass::FpDiv]});
+    }
+    r.units = {
+        {"srt-divider-r2", 1, SrtDivider(1, 3).latency()},
+        {"srt-divider-r4", 2, SrtDivider(2, 3).latency()},
+        {"srt-divider-r16", 4, SrtDivider(4, 3).latency()},
+        {"booth4-multiplier", 2, SequentialMultiplier(2, 1).latency()},
+        {"tree-multiplier", 18, SequentialMultiplier(18, 1).latency()},
+        {"digit-recurrence-sqrt", 2, DigitRecurrenceSqrt(2, 3).latency()},
+    };
+    return r;
+}
 
 SciSuiteResult
 measureSciSuite(const std::vector<SciWorkload> &suite)
@@ -393,6 +389,32 @@ fig4Ways()
 {
     static const std::vector<unsigned> ways = {1u, 2u, 4u, 8u};
     return ways;
+}
+
+std::vector<MemoConfig>
+fig3Configs()
+{
+    std::vector<MemoConfig> cfgs;
+    for (unsigned entries : fig3Sizes()) {
+        MemoConfig cfg;
+        cfg.entries = entries;
+        cfg.ways = 4;
+        cfgs.push_back(cfg);
+    }
+    return cfgs;
+}
+
+std::vector<MemoConfig>
+fig4Configs()
+{
+    std::vector<MemoConfig> cfgs;
+    for (unsigned ways : fig4Ways()) {
+        MemoConfig cfg;
+        cfg.entries = 32;
+        cfg.ways = ways;
+        cfgs.push_back(cfg);
+    }
+    return cfgs;
 }
 
 const std::vector<GoldenDoc> &

@@ -4,11 +4,12 @@
  * computations plus canonical JSON snapshots of their results.
  *
  * The hit-ratio/latency numbers behind Tables 1, 5, 6, 9 and 10 and
- * Figures 3 and 4 are computed here, once, and consumed by two kinds
- * of caller:
+ * Figures 3 and 4 are computed here, once, and consumed by three
+ * callers:
  *
- *  - the bench_* reproduction binaries, which pretty-print them next
- *    to the paper's reference values;
+ *  - memo-report, which renders them next to the paper's reference
+ *    values in EXPERIMENTS.md and docs/REPORT.html;
+ *  - memo-plots, which writes the Figure 3/4 bands as gnuplot data;
  *  - the memo-golden tool, which serializes them as canonical JSON and
  *    diffs them against the checked-in snapshots in tests/golden/
  *    (ctest `golden_diff`). Any change to table geometry, replacement,
@@ -34,10 +35,36 @@ namespace memo::check
 {
 
 /**
- * Crop size all hit-ratio measurements use (bench::benchCrop aliases
- * this; see DESIGN.md for the 96-pixel rationale).
+ * Crop size all hit-ratio measurements use (see DESIGN.md for the
+ * 96-pixel rationale).
  */
 constexpr int goldenCrop = 96;
+
+/** One Table 1 processor: its fp multiply and divide latencies. */
+struct PresetLatency
+{
+    std::string name;
+    unsigned fpMul = 0;
+    unsigned fpDiv = 0;
+};
+
+/** One arithmetic-unit timing model and the latency it derives. */
+struct UnitLatency
+{
+    std::string name;          //!< golden key, e.g. "srt-divider-r4"
+    unsigned bitsPerCycle = 0; //!< result bits retired per cycle
+    unsigned latency = 0;      //!< cycles of a non-exceptional operation
+};
+
+/** Table 1: the processor presets plus the unit timing models. */
+struct Table1Result
+{
+    std::vector<PresetLatency> presets;
+    std::vector<UnitLatency> units;
+};
+
+/** Read the Table 1 presets and time the arithmetic unit models. */
+Table1Result measureTable1();
 
 /** One scientific workload measured at 32/4 and infinite (Tables 5/6). */
 struct SciRow
@@ -112,6 +139,12 @@ const std::vector<unsigned> &fig3Sizes();
 
 /** The associativities of Figure 4 (ways, 32 entries). */
 const std::vector<unsigned> &fig4Ways();
+
+/** One 4-way table per fig3Sizes() entry, for measureSweepBands. */
+std::vector<MemoConfig> fig3Configs();
+
+/** One 32-entry table per fig4Ways() entry, for measureSweepBands. */
+std::vector<MemoConfig> fig4Configs();
 
 /** One golden document: a name and its canonical JSON producer. */
 struct GoldenDoc

@@ -240,6 +240,7 @@ measureEntropy()
             s.point.image = ni.name;
             s.point.entropyFull = ef;
             s.point.entropyWin = windowEntropy(ni.image, 8);
+            s.point.entropyWin16 = windowEntropy(ni.image, 16);
 
             // Pool both fp units' hits over every MM kernel (tables
             // flushed between kernels, statistics accumulated).

@@ -6,10 +6,9 @@
  * geometry sweeps; this file covers the remaining EXPERIMENTS.md
  * content — the Multi-Media hit-ratio suite (Table 7), the Amdahl
  * speedup tables (Tables 11-13) and the entropy regressions
- * (Table 8 / Figure 2). The bench_* binaries and the memo-report
- * renderer both call these, so the committed EXPERIMENTS.md and the
- * interactive bench output can never disagree: they are two
- * pretty-printers over the same computation.
+ * (Table 8 / Figure 2). memo-report renders these into EXPERIMENTS.md
+ * and memo-plots writes the Figure 2 points as gnuplot data, so the
+ * report and the plots are two views of one computation.
  *
  * Everything here is deterministic for the same reasons the goldens
  * are: traces come from the process-wide cache, exec::sweep results
@@ -119,9 +118,10 @@ SpeedupResult measureSpeedups(SpeedupUnit unit);
 struct EntropyPoint
 {
     std::string image;
-    double entropyFull = 0.0; //!< whole-image entropy, bits
-    double entropyWin = 0.0;  //!< mean 8x8-window entropy, bits
-    double fpMulHit = 0.0;    //!< pooled over all MM kernels
+    double entropyFull = 0.0;  //!< whole-image entropy, bits
+    double entropyWin = 0.0;   //!< mean 8x8-window entropy, bits
+    double entropyWin16 = 0.0; //!< mean 16x16-window entropy, bits
+    double fpMulHit = 0.0;     //!< pooled over all MM kernels
     double fpDivHit = 0.0;
 };
 

@@ -87,22 +87,61 @@ sciTable(const std::vector<SciWorkload> &suite, const SciSuiteResult &r)
     return t;
 }
 
+/**
+ * Whether unit model @p unit lands inside the processors' latency
+ * range of @p field (fp mult or fp div).
+ */
+ShapeClaim
+presetRangeClaim(const Table1Result &t1, std::string_view unit,
+                 unsigned PresetLatency::*field, std::string text)
+{
+    unsigned lo = ~0u, hi = 0;
+    for (const PresetLatency &p : t1.presets) {
+        lo = std::min(lo, p.*field);
+        hi = std::max(hi, p.*field);
+    }
+    unsigned lat = 0;
+    for (const UnitLatency &u : t1.units)
+        if (u.name == unit)
+            lat = u.latency;
+    return claim(std::move(text), lat >= lo && lat <= hi,
+                 std::to_string(lat) + " cycles; the processors span " +
+                     std::to_string(lo) + "–" + std::to_string(hi));
+}
+
 ReportSection
-table1Section()
+table1Section(const Table1Result &t1)
 {
     ReportSection sec;
-    sec.title = "Table 1 — unit latencies (`bench_table1`)";
+    sec.title = "Table 1 — unit latencies";
     sec.anchor = "table-1";
     sec.prose = {
-        "Reference data reproduced verbatim as latency presets "
-        "(Pentium Pro 3/39, Alpha 21164 4/31, R10000 2/40, PPC 604e "
-        "5/31, UltraSparc-II 3/22, PA 8000 5/31). Grounding: our "
-        "radix-4 SRT divider model retires 54 quotient bits at 2 "
-        "bits/cycle + 3 cycles overhead = **30 cycles**, inside Table "
-        "1's 22–40 band; the tree multiplier (18 bits/cycle) gives "
-        "**4 cycles**, matching the 2–5 cycle multipliers. The models "
-        "are bit-exact against IEEE-754 RNE (verified by ~60k "
-        "randomized tests)."};
+        "The paper's processor latencies, reproduced verbatim as "
+        "latency presets, next to the latencies our digit-recurrence "
+        "and multiplier timing models derive. The models are bit-exact "
+        "against IEEE-754 round-to-nearest-even (`tests/test_units.cc`)."};
+
+    ReportTable presets;
+    presets.header = {"processor", "fp mult", "fp div"};
+    for (const PresetLatency &p : t1.presets)
+        presets.rows.push_back({p.name, std::to_string(p.fpMul),
+                                std::to_string(p.fpDiv)});
+    ReportTable units;
+    units.header = {"unit model", "bits/cycle", "latency (cycles)"};
+    for (const UnitLatency &u : t1.units)
+        units.rows.push_back({"`" + u.name + "`",
+                              std::to_string(u.bitsPerCycle),
+                              std::to_string(u.latency)});
+    sec.tables = {presets, units};
+
+    sec.claims.push_back(presetRangeClaim(
+        t1, "srt-divider-r4", &PresetLatency::fpDiv,
+        "The radix-4 SRT divider falls inside the processors' fp div "
+        "latencies"));
+    sec.claims.push_back(presetRangeClaim(
+        t1, "tree-multiplier", &PresetLatency::fpMul,
+        "The tree multiplier matches the processors' fp mult "
+        "latencies"));
     return sec;
 }
 
@@ -110,7 +149,7 @@ ReportSection
 table5Section(const SciSuiteResult &r)
 {
     ReportSection sec;
-    sec.title = "Table 5 — Perfect suite hit ratios (`bench_table5`)";
+    sec.title = "Table 5 — Perfect suite hit ratios";
     sec.anchor = "table-5";
     sec.prose = {"Hit ratios per application (int mult / fp mult / fp "
                  "div), 32-entry 4-way MEMO-TABLE vs infinite."};
@@ -146,7 +185,7 @@ ReportSection
 table6Section(const SciSuiteResult &r)
 {
     ReportSection sec;
-    sec.title = "Table 6 — SPEC CFP95 hit ratios (`bench_table6`)";
+    sec.title = "Table 6 — SPEC CFP95 hit ratios";
     sec.anchor = "table-6";
     sec.prose = {"Same measurement over the SPEC CFP95 analogues."};
     sec.tables = {sciTable(specWorkloads(), r)};
@@ -183,7 +222,7 @@ table7Section(const MmSuiteResult &mm, const SciSuiteResult &perfect,
               const SciSuiteResult &spec)
 {
     ReportSection sec;
-    sec.title = "Table 7 — Multi-Media hit ratios (`bench_table7`)";
+    sec.title = "Table 7 — Multi-Media hit ratios";
     sec.anchor = "table-7";
     sec.prose = {"The paper's central result: the Khoros Multi-Media "
                  "kernels over the 14 standard inputs."};
@@ -233,8 +272,7 @@ ReportSection
 table8Section(const EntropyResult &ent)
 {
     ReportSection sec;
-    sec.title = "Table 8 — images and per-image hit ratios "
-                "(`bench_table8`)";
+    sec.title = "Table 8 — images and per-image hit ratios";
     sec.anchor = "table-8";
     sec.prose = {
         "Synthetic stand-ins for the paper's 14 inputs, generated to "
@@ -243,9 +281,9 @@ table8Section(const EntropyResult &ent)
         "ratios are pooled over all MM kernels per image."};
 
     ReportTable t;
-    t.header = {"image",          "entropy",    "paper",
-                "entropy 8x8",    "paper 8x8",  "fp mult hit",
-                "fp div hit"};
+    t.header = {"image",         "entropy",     "paper",
+                "entropy 16x16", "paper 16x16", "entropy 8x8",
+                "paper 8x8",     "fp mult hit", "fp div hit"};
     double max_dev = 0.0;
     for (const EntropyPoint &p : ent.points) {
         const NamedImage &ni = imageByName(p.image);
@@ -253,6 +291,8 @@ table8Section(const EntropyResult &ent)
             max_dev, std::fabs(p.entropyFull - ni.paperEntropyFull));
         t.rows.push_back({p.image, fixed(p.entropyFull, 2),
                           fixed(ni.paperEntropyFull, 2),
+                          fixed(p.entropyWin16, 2),
+                          fixed(ni.paperEntropy16, 2),
                           fixed(p.entropyWin, 2),
                           fixed(ni.paperEntropy8, 2),
                           ratio(p.fpMulHit), ratio(p.fpDivHit)});
@@ -289,7 +329,7 @@ ReportSection
 table9Section()
 {
     ReportSection sec;
-    sec.title = "Table 9 — trivial operations (`bench_table9`)";
+    sec.title = "Table 9 — trivial operations";
     sec.anchor = "table-9";
     sec.prose = {
         "Per application and unit: the fraction of trivial operations "
@@ -308,7 +348,7 @@ table9Section()
         TrivialModeRow im, fm, fd;
     };
     const std::vector<std::string> &apps = table9Apps();
-    // One executor job per application, as in bench_table9.
+    // One executor job per application, as in the table9 golden.
     std::vector<AppRows> rows =
         exec::sweep(apps, [](const std::string &name) {
             const MmKernel &k = mmKernelByName(name);
@@ -376,7 +416,7 @@ ReportSection
 table10Section(const TagModeResult &tags)
 {
     ReportSection sec;
-    sec.title = "Table 10 — mantissa-only tags (`bench_table10`)";
+    sec.title = "Table 10 — mantissa-only tags";
     sec.anchor = "table-10";
     sec.prose = {"Suite-average fp hit ratios when the tag drops sign "
                  "and exponent bits (full value vs mantissa only)."};
@@ -465,7 +505,7 @@ speedupSection(const SpeedupResult &div, const SpeedupResult &mul,
                const SpeedupResult &both)
 {
     ReportSection sec;
-    sec.title = "Tables 11/12/13 — speedups (`bench_table11/12/13`)";
+    sec.title = "Tables 11/12/13 — speedups";
     sec.anchor = "speedups";
     sec.prose = {
         "Amdahl-predicted and cycle-model-measured speedups over the "
@@ -537,7 +577,7 @@ ReportSection
 fig2Section(const EntropyResult &ent)
 {
     ReportSection sec;
-    sec.title = "Figure 2 — hit ratio vs entropy (`bench_fig2`)";
+    sec.title = "Figure 2 — hit ratio vs entropy";
     sec.anchor = "fig-2";
     sec.prose = {"Marquardt-Levenberg best-fit slopes (hit-ratio "
                  "change per entropy bit); the paper reports roughly "
@@ -578,7 +618,7 @@ ReportSection
 fig3Section(const SweepBands &bands)
 {
     ReportSection sec;
-    sec.title = "Figure 3 — table size sweep (`bench_fig3`)";
+    sec.title = "Figure 3 — table size sweep";
     sec.anchor = "fig-3";
     sec.prose = {"Hit ratios of the five sample kernels as the 4-way "
                  "MEMO-TABLE grows from 8 to 8192 entries "
@@ -630,7 +670,7 @@ ReportSection
 fig4Section(const SweepBands &bands)
 {
     ReportSection sec;
-    sec.title = "Figure 4 — associativity sweep (`bench_fig4`)";
+    sec.title = "Figure 4 — associativity sweep";
     sec.anchor = "fig-4";
     sec.prose = {"Hit ratios of the five sample kernels at 32 entries "
                  "as the associativity grows from direct-mapped to "
@@ -1134,7 +1174,7 @@ buildExperimentsReport()
     report.preamble = {
         "Every table and figure of the paper's evaluation, measured "
         "through the same `check::measure*` / golden entry points the "
-        "`bench_*` binaries and the `tests/golden/` snapshots use, and "
+        "`tests/golden/` snapshots use, and "
         "rendered by `build/tools/memo-report`. **Generated file — do "
         "not edit.** Regenerate with `build/tools/memo-report --write`; "
         "the `report_drift` check fails CI when this file disagrees "
@@ -1157,23 +1197,8 @@ buildExperimentsReport()
     SpeedupResult sp_mul = measureSpeedups(SpeedupUnit::FpMul);
     SpeedupResult sp_both = measureSpeedups(SpeedupUnit::Both);
 
-    std::vector<MemoConfig> size_cfgs;
-    for (unsigned entries : fig3Sizes()) {
-        MemoConfig cfg;
-        cfg.entries = entries;
-        cfg.ways = 4;
-        size_cfgs.push_back(cfg);
-    }
-    SweepBands fig3 = measureSweepBands(size_cfgs);
-
-    std::vector<MemoConfig> way_cfgs;
-    for (unsigned ways : fig4Ways()) {
-        MemoConfig cfg;
-        cfg.entries = 32;
-        cfg.ways = ways;
-        way_cfgs.push_back(cfg);
-    }
-    SweepBands fig4 = measureSweepBands(way_cfgs);
+    SweepBands fig3 = measureSweepBands(fig3Configs());
+    SweepBands fig4 = measureSweepBands(fig4Configs());
 
     const std::vector<std::string> &phase_apps = table9Apps();
     std::vector<PhaseCell> phases =
@@ -1183,7 +1208,7 @@ buildExperimentsReport()
     for (const PhaseCell &c : phases)
         obs::publishPhases(obs::StatsRegistry::global(), c.full);
 
-    report.sections.push_back(table1Section());
+    report.sections.push_back(table1Section(measureTable1()));
     report.sections.push_back(table5Section(perfect));
     report.sections.push_back(table6Section(spec));
     report.sections.push_back(table7Section(mm, perfect, spec));

@@ -3,8 +3,8 @@
  * The self-rendering experiment report.
  *
  * buildExperimentsReport() runs every reproduction measurement through
- * the same check::measure* / check::golden entry points the bench_*
- * binaries and the golden snapshots use, evaluates the paper's shape
+ * the same check::measure* / check::golden entry points the golden
+ * snapshots use, evaluates the paper's shape
  * claims against the measured numbers, and assembles an obs::Report.
  * The memo-report tool renders it to the committed EXPERIMENTS.md and
  * docs/REPORT.html; the `report_drift` check re-renders and diffs, so

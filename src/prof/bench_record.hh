@@ -3,8 +3,7 @@
  * Versioned benchmark-record schema and the noise-aware regression
  * gate behind memo-bench.
  *
- * Every perf artifact of the repository (BENCH_history.json from
- * memo-bench, BENCH_sweep.json from bench_sweep_scaling) is one JSON
+ * memo-bench's perf artifact, BENCH_history.json, is one JSON
  * document `{"schema": N, "records": [...]}` whose records carry the
  * scenario name, warmup/repetition counts, the robust summary of the
  * wall-clock samples (median and MAD — the paper-sound statistics

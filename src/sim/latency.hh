@@ -63,7 +63,7 @@ struct LatencyConfig
     static LatencyConfig custom(unsigned fp_mul, unsigned fp_div,
                                 const std::string &name = "custom");
 
-    /** All presets of Table 1, for bench_table1. */
+    /** All presets of Table 1, for check::measureTable1(). */
     static const std::vector<CpuPreset> &table1Presets();
 };
 

@@ -3,8 +3,8 @@
  * memo-bench: registered host-performance scenarios and the
  * continuous-benchmarking regression gate.
  *
- * Where the bench_* binaries reproduce the paper's *simulated*
- * numbers, memo-bench times the *host*: how long the reproduction
+ * Where memo-report reproduces the paper's *simulated* numbers,
+ * memo-bench times the *host*: how long the reproduction
  * machinery itself takes to replay a trace, run a table sweep, push a
  * fuzz batch and render a report. Each registered scenario runs
  * warmup + N timed repetitions; the robust summary (median and MAD)

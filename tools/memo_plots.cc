@@ -5,183 +5,89 @@
  * Usage:  memo-plots [output-dir]      (default: ./plots)
  *
  * Writes fig2.dat/fig3.dat/fig4.dat plus matching .gp scripts; then
- * `gnuplot fig3.gp` renders the figure. The numbers are the same ones
- * bench_fig2/3/4 print.
+ * `gnuplot fig3.gp` renders the figure. The numbers come from the
+ * check::measure* entry points behind EXPERIMENTS.md, so the plots
+ * and the report agree by construction. A failed write exits
+ * nonzero and names the file.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "analysis/experiment.hh"
-#include "analysis/lmfit.hh"
-#include "img/entropy.hh"
-#include "img/generate.hh"
-#include "workloads/workload.hh"
+#include "check/golden.hh"
+#include "check/measure.hh"
+#include "trace/file_io.hh"
 
 using namespace memo;
 
 namespace
 {
 
-constexpr int crop = 96;
-
+/** Write one output file; throws naming the path on failure. */
 void
-emitFig3(const std::filesystem::path &dir)
+emit(const std::filesystem::path &path, const std::string &bytes)
 {
-    std::vector<unsigned> sizes = {8,   16,  32,   64,   128, 256,
-                                   512, 1024, 2048, 4096, 8192};
-    std::vector<MemoConfig> cfgs;
-    for (unsigned entries : sizes) {
-        MemoConfig cfg;
-        cfg.entries = entries;
-        cfg.ways = 4;
-        cfgs.push_back(cfg);
-    }
-
-    std::vector<std::vector<UnitHits>> all;
-    for (const auto &name : sweepKernelNames())
-        all.push_back(measureMmKernelConfigs(mmKernelByName(name),
-                                             cfgs, crop));
-
-    std::ofstream dat(dir / "fig3.dat");
-    dat << "# entries div_avg div_min div_max mul_avg mul_min "
-           "mul_max\n";
-    for (size_t s = 0; s < sizes.size(); s++) {
-        double stats[2][3] = {{0, 1, 0}, {0, 1, 0}}; // {sum, min, max}
-        int n[2] = {0, 0};
-        for (const auto &per_kernel : all) {
-            double vals[2] = {per_kernel[s].fpDiv,
-                              per_kernel[s].fpMul};
-            for (int u = 0; u < 2; u++) {
-                if (vals[u] < 0)
-                    continue;
-                stats[u][0] += vals[u];
-                stats[u][1] = std::min(stats[u][1], vals[u]);
-                stats[u][2] = std::max(stats[u][2], vals[u]);
-                n[u]++;
-            }
-        }
-        dat << sizes[s];
-        for (int u = 0; u < 2; u++)
-            dat << " " << stats[u][0] / n[u] << " " << stats[u][1]
-                << " " << stats[u][2];
-        dat << "\n";
-    }
-
-    std::ofstream gp(dir / "fig3.gp");
-    gp << "set terminal png size 800,500\n"
-          "set output 'fig3.png'\n"
-          "set logscale x 2\n"
-          "set xlabel 'MEMO-TABLE entries (4-way)'\n"
-          "set ylabel 'hit ratio'\n"
-          "set yrange [0:1]\n"
-          "set key bottom right\n"
-          "plot 'fig3.dat' using 1:2:3:4 with yerrorlines "
-          "title 'fp division', \\\n"
-          "     'fig3.dat' using 1:5:6:7 with yerrorlines "
-          "title 'fp multiplication'\n";
+    IoStatus st = writeWholeFile(path.string(), bytes);
+    if (!st.ok())
+        throw std::runtime_error(st.error);
 }
 
+/** A Figure 3/4 band plot: one x column, then div and mult bands. */
 void
-emitFig4(const std::filesystem::path &dir)
+emitBands(const std::filesystem::path &dir, const std::string &fig,
+          const std::string &x_name, const std::string &x_label,
+          const std::vector<unsigned> &xs, const check::SweepBands &b)
 {
-    std::vector<unsigned> assocs = {1, 2, 4, 8};
-    std::vector<MemoConfig> cfgs;
-    for (unsigned ways : assocs) {
-        MemoConfig cfg;
-        cfg.entries = 32;
-        cfg.ways = ways;
-        cfgs.push_back(cfg);
-    }
-    std::vector<std::vector<UnitHits>> all;
-    for (const auto &name : sweepKernelNames())
-        all.push_back(measureMmKernelConfigs(mmKernelByName(name),
-                                             cfgs, crop));
-
-    std::ofstream dat(dir / "fig4.dat");
-    dat << "# ways div_avg div_min div_max mul_avg mul_min mul_max\n";
-    for (size_t s = 0; s < assocs.size(); s++) {
-        double stats[2][3] = {{0, 1, 0}, {0, 1, 0}};
-        int n[2] = {0, 0};
-        for (const auto &per_kernel : all) {
-            double vals[2] = {per_kernel[s].fpDiv,
-                              per_kernel[s].fpMul};
-            for (int u = 0; u < 2; u++) {
-                if (vals[u] < 0)
-                    continue;
-                stats[u][0] += vals[u];
-                stats[u][1] = std::min(stats[u][1], vals[u]);
-                stats[u][2] = std::max(stats[u][2], vals[u]);
-                n[u]++;
-            }
-        }
-        dat << assocs[s];
-        for (int u = 0; u < 2; u++)
-            dat << " " << stats[u][0] / n[u] << " " << stats[u][1]
-                << " " << stats[u][2];
+    std::ostringstream dat;
+    dat << "# " << x_name
+        << " div_avg div_min div_max mul_avg mul_min mul_max\n";
+    for (size_t s = 0; s < xs.size(); s++) {
+        dat << xs[s];
+        for (const check::BandRow *row : {&b.fpDiv[s], &b.fpMul[s]})
+            dat << " " << row->avg << " " << row->lo << " " << row->hi;
         dat << "\n";
     }
+    emit(dir / (fig + ".dat"), dat.str());
 
-    std::ofstream gp(dir / "fig4.gp");
-    gp << "set terminal png size 800,500\n"
-          "set output 'fig4.png'\n"
-          "set logscale x 2\n"
-          "set xlabel 'associativity (32 entries)'\n"
-          "set ylabel 'hit ratio'\n"
-          "set yrange [0:1]\n"
-          "set key bottom right\n"
-          "plot 'fig4.dat' using 1:2:3:4 with yerrorlines "
-          "title 'fp division', \\\n"
-          "     'fig4.dat' using 1:5:6:7 with yerrorlines "
-          "title 'fp multiplication'\n";
+    emit(dir / (fig + ".gp"),
+         "set terminal png size 800,500\n"
+         "set output '" + fig + ".png'\n"
+         "set logscale x 2\n"
+         "set xlabel '" + x_label + "'\n"
+         "set ylabel 'hit ratio'\n"
+         "set yrange [0:1]\n"
+         "set key bottom right\n"
+         "plot '" + fig + ".dat' using 1:2:3:4 with yerrorlines "
+         "title 'fp division', \\\n"
+         "     '" + fig + ".dat' using 1:5:6:7 with yerrorlines "
+         "title 'fp multiplication'\n");
 }
 
 void
 emitFig2(const std::filesystem::path &dir)
 {
-    MemoConfig cfg;
-    std::ofstream dat(dir / "fig2.dat");
+    check::EntropyResult ent = check::measureEntropy();
+    std::ostringstream dat;
     dat << "# image entropy_full entropy_8x8 mul_hit div_hit\n";
+    for (const check::EntropyPoint &p : ent.points)
+        dat << p.image << " " << p.entropyFull << " " << p.entropyWin
+            << " " << p.fpMulHit << " " << p.fpDivHit << "\n";
+    emit(dir / "fig2.dat", dat.str());
 
-    std::vector<double> e8s, divs;
-    for (const auto &ni : standardImages()) {
-        double ef = imageEntropy(ni.image);
-        double e8 = windowEntropy(ni.image, 8);
-        if (std::isnan(ef))
-            continue;
-        MemoBank bank = MemoBank::standard(cfg);
-        for (const auto &k : mmKernels()) {
-            if (k.name == "vsqrt")
-                continue;
-            Trace trace = traceMmKernel(k, ni.image, crop);
-            bank.table(Operation::FpMul)->flush();
-            bank.table(Operation::FpDiv)->flush();
-            replayMemo(trace, bank);
-        }
-        double mul_hr = bank.table(Operation::FpMul)->stats()
-                            .hitRatio();
-        double div_hr = bank.table(Operation::FpDiv)->stats()
-                            .hitRatio();
-        dat << ni.name << " " << ef << " " << e8 << " " << mul_hr
-            << " " << div_hr << "\n";
-        e8s.push_back(e8);
-        divs.push_back(div_hr);
-    }
-
-    FitResult fit = fitLine(e8s, divs);
-    std::ofstream gp(dir / "fig2.gp");
+    std::ostringstream gp;
     gp << "set terminal png size 800,500\n"
           "set output 'fig2.png'\n"
           "set xlabel '8x8 window entropy (bits)'\n"
           "set ylabel 'fp division hit ratio'\n"
           "set yrange [0:1]\n"
-       << "f(x) = " << fit.params[0] << " + (" << fit.params[1]
-       << ")*x\n"
+       << "f(x) = " << ent.divWin.params[0] << " + ("
+       << ent.divWin.params[1] << ")*x\n"
           "plot 'fig2.dat' using 3:5 with points pt 7 "
           "title 'images', f(x) title 'ML best fit'\n";
+    emit(dir / "fig2.gp", gp.str());
 }
 
 } // anonymous namespace
@@ -197,12 +103,21 @@ main(int argc, char **argv)
                      dir.string().c_str());
         return 1;
     }
-    std::printf("emitting Figure 2 data...\n");
-    emitFig2(dir);
-    std::printf("emitting Figure 3 data...\n");
-    emitFig3(dir);
-    std::printf("emitting Figure 4 data...\n");
-    emitFig4(dir);
+    try {
+        std::printf("emitting Figure 2 data...\n");
+        emitFig2(dir);
+        std::printf("emitting Figure 3 data...\n");
+        emitBands(dir, "fig3", "entries", "MEMO-TABLE entries (4-way)",
+                  check::fig3Sizes(),
+                  check::measureSweepBands(check::fig3Configs()));
+        std::printf("emitting Figure 4 data...\n");
+        emitBands(dir, "fig4", "ways", "associativity (32 entries)",
+                  check::fig4Ways(),
+                  check::measureSweepBands(check::fig4Configs()));
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "memo-plots: %s\n", e.what());
+        return 1;
+    }
     std::printf("done: %s/fig{2,3,4}.{dat,gp} — render with "
                 "'gnuplot figN.gp'\n",
                 dir.string().c_str());

@@ -10,17 +10,18 @@
  *   memo-report --markdown     # render EXPERIMENTS.md to stdout
  *   memo-report --html         # render REPORT.html to stdout
  *
- * The report runs the same check::measure* entry points the bench_*
- * binaries and the golden snapshots use, so its numbers agree with
- * both by construction. Rendering is deterministic (no timestamps or
- * locale formatting), which is what lets the `report_drift` ctest
- * treat EXPERIMENTS.md like a golden file: any code change that moves
- * a reproduced paper value fails --check until the artifacts are
- * regenerated with --write and committed.
+ * This is the one renderer of the paper's tables and figures. It runs
+ * the same check::measure* entry points the golden snapshots use, so
+ * its numbers agree with them by construction. Rendering is
+ * deterministic (no timestamps or locale formatting), which is what
+ * lets the `report_drift` ctest treat EXPERIMENTS.md like a golden
+ * file: any code change that moves a reproduced paper value fails
+ * --check until the artifacts are regenerated with --write and
+ * committed. Artifact I/O goes through trace/file_io.hh, so a failed
+ * write exits nonzero naming the file.
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,6 +31,7 @@
 #include "exec/trace_cache.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
+#include "trace/file_io.hh"
 
 namespace
 {
@@ -137,33 +139,30 @@ main(int argc, char **argv)
         std::string current = a.render(report);
 
         if (mode == "write") {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            if (!out) {
-                std::cerr << "memo-report: cannot write " << path
-                          << "\n";
+            memo::IoStatus st = memo::writeWholeFile(path, current);
+            if (!st.ok()) {
+                std::cerr << "memo-report: " << st.error << "\n";
                 return 2;
             }
-            out << current;
             std::cout << "wrote " << path << "\n";
             continue;
         }
 
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            std::cout << "MISSING " << path
+        std::string committed;
+        memo::IoStatus st = memo::readWholeFile(path, committed);
+        if (!st.ok()) {
+            std::cout << "MISSING: " << st.error
                       << " (run memo-report --write)\n";
             ok = false;
             continue;
         }
-        std::ostringstream committed;
-        committed << in.rdbuf();
-        if (committed.str() == current) {
+        if (committed == current) {
             std::cout << "ok " << a.path << "\n";
         } else {
             std::cout << "DRIFT " << a.path
                       << ": committed report disagrees with measured "
                          "values\n";
-            printDiff(a.path, committed.str(), current);
+            printDiff(a.path, committed, current);
             ok = false;
         }
     }
