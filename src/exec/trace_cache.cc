@@ -1,6 +1,8 @@
 #include "trace_cache.hh"
 
 #include <cstdlib>
+#include <optional>
+#include <utility>
 
 #include "obs/stats.hh"
 
@@ -100,13 +102,16 @@ TraceCache::get(const TraceKey &key, const Generator &gen)
         if (!slot->trace) {
             // Miss: the disk tier first (a spilled trace decodes
             // bit-exactly and skips the generator), then generation.
-            // Any disk defect is survivable — count it and fall back.
+            // A key never spilled is a clean miss; any disk defect,
+            // a corrupt manifest included, is survivable — count it
+            // and fall back.
             if (spill) {
-                std::string skey = spillKeyOf(key);
                 try {
-                    if (spill->contains(skey)) {
-                        slot->trace = std::make_shared<const Trace>(
-                            spill->read(skey));
+                    std::optional<Trace> t =
+                        spill->readIfPresent(spillKeyOf(key));
+                    if (t) {
+                        slot->trace =
+                            std::make_shared<const Trace>(std::move(*t));
                         admits_.fetch_add(1,
                                           std::memory_order_relaxed);
                     }

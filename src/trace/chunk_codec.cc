@@ -103,32 +103,6 @@ class ByteReader
 
 // --- varint / zigzag ------------------------------------------------------
 
-void
-putVarint(std::string &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-/** Reads one LEB128 varint from [p, end); throws on overrun/overlong. */
-uint64_t
-getVarint(const char *&p, const char *end)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            throw SpillError("chunk payload: truncated varint");
-        uint8_t byte = static_cast<uint8_t>(*p++);
-        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return v;
-    }
-    throw SpillError("chunk payload: varint exceeds 64 bits");
-}
-
 uint64_t
 zigzag(uint64_t delta)
 {
@@ -140,6 +114,67 @@ uint64_t
 unzigzag(uint64_t zz)
 {
     return (zz >> 1) ^ (~(zz & 1) + 1);
+}
+
+/**
+ * Reads one LEB128 varint from [p, end) into @p v, folding each byte
+ * into the FNV-1a state @p h. Returns nullptr on success, else what
+ * was malformed (the bytes read so far are hashed either way).
+ */
+inline const char *
+getVarint(const unsigned char *&p, const unsigned char *end, uint64_t &h,
+          uint64_t &v)
+{
+    v = 0;
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+        if (p == end)
+            return "truncated varint";
+        const unsigned char byte = *p++;
+        h = (h ^ byte) * kFnvPrime;
+        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        if (!(byte & 0x80))
+            return nullptr;
+    }
+    return "varint exceeds 64 bits";
+}
+
+/** Fixed chunk header fields, verified up to the payload size. */
+struct ChunkHeader
+{
+    uint32_t elems = 0;
+    uint32_t payloadBytes = 0;
+    uint64_t hash = 0;
+};
+
+/** §4's header checks, in order: everything before the content hash. */
+ChunkHeader
+readChunkHeader(std::string_view chunk)
+{
+    ByteReader r(chunk, "chunk header");
+    const char *magic = r.take(sizeof(kChunkMagic));
+    if (std::memcmp(magic, kChunkMagic, sizeof(kChunkMagic)) != 0)
+        throw SpillError("chunk header: bad magic");
+    uint16_t version = r.u16();
+    if (version != kSpillFormatVersion)
+        throw SpillError("chunk header: unsupported version " +
+                         std::to_string(version) + " (expected " +
+                         std::to_string(kSpillFormatVersion) + ")");
+    uint8_t encoding = r.u8();
+    if (encoding != kEncodingDeltaVarint)
+        throw SpillError("chunk header: unknown encoding id " +
+                         std::to_string(encoding));
+    if (r.u8() != 0)
+        throw SpillError("chunk header: nonzero reserved byte");
+    ChunkHeader h;
+    h.elems = r.u32();
+    h.payloadBytes = r.u32();
+    h.hash = r.u64();
+    if (chunk.size() - kChunkHeaderBytes != h.payloadBytes)
+        throw SpillError(
+            "chunk: payload size mismatch (header says " +
+            std::to_string(h.payloadBytes) + ", file has " +
+            std::to_string(chunk.size() - kChunkHeaderBytes) + ")");
+    return h;
 }
 
 } // anonymous namespace
@@ -180,151 +215,189 @@ traceColumnWidth(TraceColumn col)
     }
 }
 
-EncodedChunk
-encodeChunk(const uint64_t *v, uint32_t n)
+namespace
 {
-    std::string payload;
-    payload.reserve(size_t{n} * 2); // deltas of low-entropy columns are tiny
+
+/**
+ * Encode @p n elements of @p v, zero-extended to u64, as one chunk.
+ * The payload goes into @p scratch, sized for the worst case of 10
+ * varint bytes per element, and is hashed in the same pass.
+ */
+template <typename T>
+EncodedChunk
+encodeChunkFrom(const T *v, uint32_t n, std::vector<unsigned char> &scratch)
+{
+    if (scratch.size() < size_t{n} * 10)
+        scratch.resize(size_t{n} * 10);
+    unsigned char *out = scratch.data();
+    uint64_t h = kFnvOffset;
     uint64_t prev = 0;
     for (uint32_t i = 0; i < n; i++) {
-        putVarint(payload, zigzag(v[i] - prev));
-        prev = v[i];
+        const uint64_t x = v[i];
+        uint64_t zz = zigzag(x - prev);
+        prev = x;
+        while (zz >= 0x80) {
+            const auto byte = static_cast<unsigned char>(zz | 0x80);
+            h = (h ^ byte) * kFnvPrime;
+            *out++ = byte;
+            zz >>= 7;
+        }
+        const auto byte = static_cast<unsigned char>(zz);
+        h = (h ^ byte) * kFnvPrime;
+        *out++ = byte;
     }
+    const size_t payloadBytes = static_cast<size_t>(out - scratch.data());
 
     EncodedChunk c;
     c.elems = n;
-    c.hash = fnv1a(payload.data(), payload.size());
-    c.bytes.reserve(kChunkHeaderBytes + payload.size());
+    c.hash = h;
+    c.bytes.reserve(kChunkHeaderBytes + payloadBytes);
     c.bytes.append(kChunkMagic, sizeof(kChunkMagic));
     putU16(c.bytes, kSpillFormatVersion);
     c.bytes.push_back(static_cast<char>(kEncodingDeltaVarint));
     c.bytes.push_back(0); // reserved
     putU32(c.bytes, n);
-    putU32(c.bytes, static_cast<uint32_t>(payload.size()));
+    putU32(c.bytes, static_cast<uint32_t>(payloadBytes));
     putU64(c.bytes, c.hash);
-    c.bytes.append(payload);
+    c.bytes.append(reinterpret_cast<const char *>(scratch.data()),
+                   payloadBytes);
     return c;
 }
 
-std::vector<uint64_t>
-decodeChunk(std::string_view chunk)
-{
-    ByteReader r(chunk, "chunk header");
-    const char *magic = r.take(sizeof(kChunkMagic));
-    if (std::memcmp(magic, kChunkMagic, sizeof(kChunkMagic)) != 0)
-        throw SpillError("chunk header: bad magic");
-    uint16_t version = r.u16();
-    if (version != kSpillFormatVersion)
-        throw SpillError("chunk header: unsupported version " +
-                         std::to_string(version) + " (expected " +
-                         std::to_string(kSpillFormatVersion) + ")");
-    uint8_t encoding = r.u8();
-    if (encoding != kEncodingDeltaVarint)
-        throw SpillError("chunk header: unknown encoding id " +
-                         std::to_string(encoding));
-    if (r.u8() != 0)
-        throw SpillError("chunk header: nonzero reserved byte");
-    uint32_t elems = r.u32();
-    uint32_t payloadBytes = r.u32();
-    uint64_t hash = r.u64();
-
-    if (chunk.size() - kChunkHeaderBytes != payloadBytes)
-        throw SpillError(
-            "chunk: payload size mismatch (header says " +
-            std::to_string(payloadBytes) + ", file has " +
-            std::to_string(chunk.size() - kChunkHeaderBytes) + ")");
-    const char *p = chunk.data() + kChunkHeaderBytes;
-    const char *end = p + payloadBytes;
-    if (fnv1a(p, payloadBytes) != hash)
-        throw SpillError("chunk: content hash mismatch");
-
-    std::vector<uint64_t> out;
-    out.reserve(elems);
-    uint64_t prev = 0;
-    while (p != end) {
-        prev += unzigzag(getVarint(p, end));
-        out.push_back(prev);
-    }
-    if (out.size() != elems)
-        throw SpillError("chunk: element count mismatch (header says " +
-                         std::to_string(elems) + ", payload holds " +
-                         std::to_string(out.size()) + ")");
-    return out;
-}
-
-namespace
-{
-
-/** Chunk a column, widening narrow elements to u64 for the codec. */
+/** Chunk a column straight from its typed storage. */
 template <typename T>
 EncodedColumn
 encodeColumn(const T *data, size_t n, uint32_t chunk_elems)
 {
     EncodedColumn col;
     col.elems = n;
-    std::vector<uint64_t> scratch;
+    std::vector<unsigned char> scratch;
     for (size_t base = 0; base < n; base += chunk_elems) {
         uint32_t len = static_cast<uint32_t>(
             std::min<size_t>(chunk_elems, n - base));
-        scratch.assign(data + base, data + base + len);
-        col.chunks.push_back(encodeChunk(scratch.data(), len));
+        col.chunks.push_back(encodeChunkFrom(data + base, len, scratch));
     }
     return col;
 }
 
 /**
- * Decoded view of one column that pulls chunks on demand and
- * narrow-checks every element against the column's declared width.
+ * Decode every chunk of column @p which into @p out, which then holds
+ * exactly the column's declared element count.
  */
-class ColumnCursor
+template <typename T>
+void
+decodeColumn(const EncodedTrace &enc, TraceColumn which,
+             std::vector<T> &out)
 {
-  public:
-    ColumnCursor(const EncodedColumn &col, TraceColumn which)
-        : col_(col), which_(which)
-    {
-        uint64_t total = 0;
-        for (const EncodedChunk &c : col.chunks)
-            total += c.elems;
-        if (total != col.elems)
-            throw SpillError(std::string(traceColumnName(which)) +
-                             ": chunk element counts sum to " +
-                             std::to_string(total) + ", column declares " +
-                             std::to_string(col.elems));
+    const EncodedColumn &col = enc.col(which);
+    const char *name = traceColumnName(which);
+    uint64_t declared = 0, bytes = 0;
+    for (const EncodedChunk &c : col.chunks) {
+        declared += c.elems;
+        bytes += c.bytes.size();
     }
-
-    uint64_t
-    next()
-    {
-        while (pos_ >= buf_.size()) {
-            if (chunk_ >= col_.chunks.size())
-                throw SpillError(std::string(traceColumnName(which_)) +
-                                 ": column exhausted early");
-            buf_ = decodeChunk(col_.chunks[chunk_++].bytes);
-            pos_ = 0;
-        }
-        uint64_t v = buf_[pos_++];
-        unsigned w = traceColumnWidth(which_);
-        if (w < 8 && v >> (8 * w))
-            throw SpillError(std::string(traceColumnName(which_)) +
-                             ": element exceeds column width");
-        return v;
-    }
-
-    bool
-    exhausted()
-    {
-        return pos_ >= buf_.size() && chunk_ >= col_.chunks.size();
-    }
-
-  private:
-    const EncodedColumn &col_;
-    TraceColumn which_;
-    std::vector<uint64_t> buf_;
-    size_t pos_ = 0;
-    size_t chunk_ = 0;
-};
+    if (declared != col.elems)
+        throw SpillError(std::string(name) +
+                         ": chunk element counts sum to " +
+                         std::to_string(declared) + ", column declares " +
+                         std::to_string(col.elems));
+    // Every element takes at least one payload byte, so a count no
+    // chunk bytes could hold never becomes an allocation.
+    out.reserve(static_cast<size_t>(std::min(col.elems, bytes)));
+    for (const EncodedChunk &c : col.chunks)
+        decodeChunkInto(c.bytes, out, name);
+    if (out.size() != col.elems)
+        throw SpillError(std::string(name) + ": chunks decode to " +
+                         std::to_string(out.size()) +
+                         " elements, column declares " +
+                         std::to_string(col.elems));
+}
 
 } // anonymous namespace
+
+EncodedChunk
+encodeChunk(const uint64_t *v, uint32_t n)
+{
+    std::vector<unsigned char> scratch;
+    return encodeChunkFrom(v, n, scratch);
+}
+
+template <typename T>
+void
+decodeChunkInto(std::string_view chunk, std::vector<T> &out,
+                const char *column)
+{
+    const ChunkHeader hdr = readChunkHeader(chunk);
+    const auto *p = reinterpret_cast<const unsigned char *>(chunk.data()) +
+                    kChunkHeaderBytes;
+    const auto *end = p + hdr.payloadBytes;
+    const size_t base = out.size();
+    uint64_t h = kFnvOffset;
+    const char *malformed = nullptr;
+    uint64_t decoded = 0;
+    uint64_t wide = 0; // OR of every value's bits above T's width
+
+    // Each varint is at least one byte, so a count above the payload
+    // size is a defect: skip straight to the checks, never allocate.
+    if (hdr.elems <= hdr.payloadBytes) {
+        out.resize(base + hdr.elems);
+        T *dst = out.data() + base;
+        uint64_t prev = 0;
+        while (decoded < hdr.elems && p != end) {
+            uint64_t zz;
+            malformed = getVarint(p, end, h, zz);
+            if (malformed)
+                break;
+            prev += unzigzag(zz);
+            if constexpr (sizeof(T) < sizeof(uint64_t))
+                wide |= prev >> (8 * sizeof(T));
+            dst[decoded++] = static_cast<T>(prev);
+        }
+    }
+    // Hash and count whatever the loop left: varints past the declared
+    // count, the bytes after a malformed varint, or the whole payload
+    // of an impossible count. The failures then come out in §4's
+    // order however early the loop stopped.
+    while (!malformed && p != end) {
+        uint64_t zz;
+        malformed = getVarint(p, end, h, zz);
+        if (!malformed)
+            decoded++;
+    }
+    h = fnv1a(p, static_cast<size_t>(end - p), h);
+
+    std::string error;
+    if (h != hdr.hash)
+        error = std::string(column) + ": content hash mismatch";
+    else if (malformed)
+        error = std::string(column) + " payload: " + malformed;
+    else if (decoded != hdr.elems)
+        error = std::string(column) +
+                ": element count mismatch (header says " +
+                std::to_string(hdr.elems) + ", payload holds " +
+                std::to_string(decoded) + ")";
+    else if (wide)
+        error = std::string(column) + ": element exceeds column width";
+    if (!error.empty()) {
+        out.resize(base);
+        throw SpillError(error);
+    }
+}
+
+template void decodeChunkInto(std::string_view, std::vector<uint8_t> &,
+                              const char *);
+template void decodeChunkInto(std::string_view, std::vector<uint32_t> &,
+                              const char *);
+template void decodeChunkInto(std::string_view, std::vector<uint64_t> &,
+                              const char *);
+
+std::vector<uint64_t>
+decodeChunk(std::string_view chunk)
+{
+    std::vector<uint64_t> out;
+    decodeChunkInto(chunk, out, "chunk");
+    return out;
+}
 
 EncodedTrace
 encodeTraceChunked(const Trace &trace, uint32_t chunk_elems)
@@ -372,51 +445,15 @@ decodeTraceChunked(const EncodedTrace &enc)
     expectElems(TraceColumn::OpRes, enc.ops);
     expectElems(TraceColumn::Addr, enc.addrs);
 
-    ColumnCursor cls(enc.col(TraceColumn::Cls), TraceColumn::Cls);
-    ColumnCursor pc(enc.col(TraceColumn::Pc), TraceColumn::Pc);
-    ColumnCursor opCls(enc.col(TraceColumn::OpCls), TraceColumn::OpCls);
-    ColumnCursor opA(enc.col(TraceColumn::OpA), TraceColumn::OpA);
-    ColumnCursor opB(enc.col(TraceColumn::OpB), TraceColumn::OpB);
-    ColumnCursor opRes(enc.col(TraceColumn::OpRes), TraceColumn::OpRes);
-    ColumnCursor addr(enc.col(TraceColumn::Addr), TraceColumn::Addr);
-
-    Trace out;
-    out.reserve(enc.records);
-    uint64_t ops = 0, addrs = 0;
-    for (uint64_t i = 0; i < enc.records; i++) {
-        Instruction inst;
-        uint64_t c = cls.next();
-        if (c >= numInstClasses)
-            throw SpillError("cls: value " + std::to_string(c) +
-                             " is not an InstClass");
-        inst.cls = static_cast<InstClass>(c);
-        inst.pc = static_cast<uint32_t>(pc.next());
-        if (TraceStore::hasOperands(inst.cls)) {
-            if (opCls.next() != c)
-                throw SpillError("opCls: disagrees with cls column at "
-                                 "operand record " +
-                                 std::to_string(ops));
-            inst.a = opA.next();
-            inst.b = opB.next();
-            inst.result = opRes.next();
-            ops++;
-        } else if (TraceStore::hasAddress(inst.cls)) {
-            inst.addr = addr.next();
-            addrs++;
-        }
-        out.push(inst);
-    }
-    if (ops != enc.ops)
-        throw SpillError("trace: class column implies " +
-                         std::to_string(ops) +
-                         " operand records, manifest declares " +
-                         std::to_string(enc.ops));
-    if (addrs != enc.addrs)
-        throw SpillError("trace: class column implies " +
-                         std::to_string(addrs) +
-                         " address records, manifest declares " +
-                         std::to_string(enc.addrs));
-    return out;
+    TraceStore::Columns cols;
+    decodeColumn(enc, TraceColumn::Cls, cols.cls);
+    decodeColumn(enc, TraceColumn::Pc, cols.pc);
+    decodeColumn(enc, TraceColumn::OpCls, cols.opCls);
+    decodeColumn(enc, TraceColumn::OpA, cols.opA);
+    decodeColumn(enc, TraceColumn::OpB, cols.opB);
+    decodeColumn(enc, TraceColumn::OpRes, cols.opRes);
+    decodeColumn(enc, TraceColumn::Addr, cols.addr);
+    return Trace(TraceStore::adopt(std::move(cols)));
 }
 
 TraceManifest

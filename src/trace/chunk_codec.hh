@@ -134,10 +134,21 @@ struct EncodedChunk
 EncodedChunk encodeChunk(const uint64_t *v, uint32_t n);
 
 /**
- * Decode one chunk image back to its elements. Verifies magic,
- * version, encoding id, reserved byte, payload size, content hash and
- * element count; throws SpillError on any mismatch.
+ * Decode one chunk image and append its elements to @p out, each
+ * narrowed to @p T (uint8_t, uint32_t or uint64_t). Verifies magic,
+ * version, encoding id, reserved byte, payload size, content hash,
+ * varints and element count, reporting the first failure in the order
+ * docs/TRACE_FORMAT.md §4 lists them, then that every element fits
+ * in @p T. The content hash is computed in the same pass as the
+ * varints; a count larger than the payload could hold is rejected
+ * before anything is allocated. @p column names the column in error
+ * messages. Throws SpillError and leaves @p out as it was.
  */
+template <typename T>
+void decodeChunkInto(std::string_view chunk, std::vector<T> &out,
+                     const char *column);
+
+/** decodeChunkInto() into a fresh u64 vector. Throws SpillError. */
 std::vector<uint64_t> decodeChunk(std::string_view chunk);
 
 // ---------------------------------------------------------------------------
@@ -183,11 +194,14 @@ EncodedTrace encodeTraceChunked(const Trace &trace,
                                     kDefaultChunkElems);
 
 /**
- * Reassemble a Trace from encoded columns, rebuilding the derived
- * payload index record by record. Verifies every chunk plus
- * cross-column consistency (operand/address counts implied by the
- * class column must match the stored columns; the stored opCls column
- * must agree with the class sequence). Throws SpillError.
+ * Reassemble a Trace from encoded columns, a column at a time: each
+ * column's chunks decode straight into its typed vector, and
+ * TraceStore::adopt() takes the seven vectors, rebuilding the derived
+ * payload index in one pass over the class column. Verifies every
+ * chunk plus cross-column consistency (every class value is an
+ * InstClass; the stored opCls column agrees with the class sequence;
+ * the operand and address columns hold exactly the records the class
+ * column implies). Throws SpillError.
  */
 Trace decodeTraceChunked(const EncodedTrace &enc);
 

@@ -178,9 +178,12 @@ SpillStore::loadChunk(const ChunkRef &ref, TraceColumn which) const
     return ch;
 }
 
-Trace
-SpillStore::read(const std::string &key) const
+std::optional<Trace>
+SpillStore::readIfPresent(const std::string &key) const
 {
+    std::error_code ec;
+    if (!fs::exists(manifestPath(key), ec) && !ec)
+        return std::nullopt;
     TraceManifest m = manifest(key);
     EncodedTrace enc;
     enc.records = m.records;
@@ -197,6 +200,15 @@ SpillStore::read(const std::string &key) const
     // decodeTraceChunked verifies every chunk (magic/version/hash/
     // counts) and the cross-column invariants before returning.
     return decodeTraceChunked(enc);
+}
+
+Trace
+SpillStore::read(const std::string &key) const
+{
+    std::optional<Trace> t = readIfPresent(key);
+    if (!t)
+        throw SpillError("manifest: no manifest for key '" + key + "'");
+    return std::move(*t);
 }
 
 std::vector<std::string>

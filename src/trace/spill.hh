@@ -26,6 +26,7 @@
 #define MEMO_TRACE_SPILL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,14 @@ class SpillStore
      * reads as absent.
      */
     bool contains(const std::string &key) const;
+
+    /**
+     * Decode the whole trace for @p key, reading its manifest once, or
+     * return nullopt when the key has no manifest file (a clean miss).
+     * A manifest that is present but invalid, and any defective chunk,
+     * throw SpillError.
+     */
+    std::optional<Trace> readIfPresent(const std::string &key) const;
 
     /** Decode the whole trace for @p key. Throws SpillError. */
     Trace read(const std::string &key) const;

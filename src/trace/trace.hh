@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "trace/instruction.hh"
 #include "trace/trace_store.hh"
@@ -51,6 +52,9 @@ class Trace
     using const_iterator = TraceStore::const_iterator;
 
     Trace() = default;
+
+    /** A trace over an already built store (see TraceStore::adopt). */
+    explicit Trace(TraceStore store) : store_(std::move(store)) {}
 
     void reserve(size_t n) { store_.reserve(n); }
 

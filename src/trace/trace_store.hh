@@ -80,6 +80,27 @@ class TraceStore
         std::vector<uint64_t> a, b, r;
     };
 
+    /** The stored columns of a store, as adopt() takes them. */
+    struct Columns
+    {
+        std::vector<uint8_t> cls;
+        std::vector<uint32_t> pc;
+        std::vector<uint8_t> opCls;
+        std::vector<uint64_t> opA, opB, opRes, addr;
+    };
+
+    /**
+     * Build a store that takes over @p cols, rebuilding the payload
+     * index in one pass over the class column. The pass checks that
+     * every class value is an InstClass, that opCls agrees with the
+     * class of every operand-carrying record, and that the operand and
+     * address columns hold exactly the records the class column
+     * implies, neither running out early nor leaving elements over.
+     * Throws SpillError (trace/chunk_codec.hh): its one caller decodes
+     * spilled traces.
+     */
+    static TraceStore adopt(Columns &&cols);
+
     /** True for classes carrying operand/result payload words. */
     static constexpr bool
     hasOperands(InstClass cls)
@@ -179,11 +200,14 @@ class TraceStore
      * order. Built for all classes on first use and cached (a trace
      * is recorded once and replayed many times); the cache rebuilds
      * itself if the store grew since, and is not shared by copies.
-     * Thread-safe: concurrent first calls from parallel sweep workers
-     * serialize on an internal mutex. The returned reference stays
-     * valid while the store exists unmutated. Cache memory is a
-     * derived copy of the operand columns and is not counted by
-     * memoryBytes().
+     * Thread-safe: the build runs outside any lock, so workers
+     * building the partitions of different stores (say, traces just
+     * readmitted from the spill tier) proceed in parallel; racing
+     * first calls on one store each build, and the first to finish
+     * installs. The returned reference stays valid while the store
+     * exists unmutated: a frozen store's partition is never replaced.
+     * Cache memory is a derived copy of the operand columns and is
+     * not counted by memoryBytes().
      */
     const ClassColumns &classColumns(InstClass cls) const;
 
@@ -313,10 +337,13 @@ class TraceStore
         size_t builtFor = SIZE_MAX; //!< opA_.size() when built
         std::array<ClassColumns, numInstClasses> cols;
     };
-    /// One process-wide mutex guards creation and (re)build of every
-    /// store's partition cache (see classColumns() in the .cc for why
-    /// sharing is free); class-scope so the guarded_by relation is
-    /// visible to the capability analysis.
+    /** Partition of the current operand columns; reads no lock. */
+    std::unique_ptr<Partition> buildPartition() const;
+    /// One process-wide mutex guards the partition pointer of every
+    /// store: held only to look it up or install a finished build,
+    /// never during a build (see classColumns() in the .cc);
+    /// class-scope so the guarded_by relation is visible to the
+    /// capability analysis.
     inline static Mutex partMu;
     mutable std::unique_ptr<Partition> part_ MEMO_GUARDED_BY(partMu);
 };

@@ -1,15 +1,20 @@
 /**
  * @file
- * Tests for the trace container, the Recorder instrumentation facade
- * and the Traced value wrapper.
+ * Tests for the trace container and its per-class partition, the
+ * Recorder instrumentation facade and the Traced value wrapper.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "arith/fp.hh"
 #include "core/aligned.hh"
+#include "exec/thread_pool.hh"
 #include "trace/recorder.hh"
 #include "trace/traced.hh"
 
@@ -192,6 +197,126 @@ TEST(Traced, ScopesNest)
 
     EXPECT_EQ(inner_trace.mix()[InstClass::FpMul], 1u);
     EXPECT_EQ(outer_trace.mix()[InstClass::FpMul], 1u);
+}
+
+/** Deterministic mixed-class trace; @p seed varies values and mix. */
+Trace
+mixedTrace(unsigned seed, size_t n)
+{
+    Trace t;
+    uint64_t x = 0x9e3779b97f4a7c15ull * (seed + 1);
+    for (size_t i = 0; i < n; i++) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        Instruction inst;
+        inst.cls = static_cast<InstClass>(x % numInstClasses);
+        inst.pc = static_cast<uint32_t>(i);
+        inst.a = x;
+        inst.b = x >> 3;
+        inst.result = x * 3;
+        inst.addr = x >> 5;
+        t.push(inst);
+    }
+    return t;
+}
+
+/** Per-class operand words, gathered record by record. */
+using ClassWords = std::array<TraceStore::ClassColumns, numInstClasses>;
+
+ClassWords
+serialPartition(const Trace &t)
+{
+    ClassWords out;
+    for (Instruction inst : t) {
+        if (!TraceStore::hasOperands(inst.cls))
+            continue;
+        TraceStore::ClassColumns &c =
+            out[static_cast<unsigned>(inst.cls)];
+        c.a.push_back(inst.a);
+        c.b.push_back(inst.b);
+        c.r.push_back(inst.result);
+    }
+    return out;
+}
+
+ClassWords
+copyPartition(const TraceStore &s)
+{
+    ClassWords out;
+    for (unsigned c = 0; c < numInstClasses; c++)
+        out[c] = s.classColumns(static_cast<InstClass>(c));
+    return out;
+}
+
+void
+expectSamePartition(const ClassWords &got, const ClassWords &want)
+{
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        EXPECT_EQ(got[c].a, want[c].a) << "class " << c;
+        EXPECT_EQ(got[c].b, want[c].b) << "class " << c;
+        EXPECT_EQ(got[c].r, want[c].r) << "class " << c;
+    }
+}
+
+TEST(TraceStore, ConcurrentClassColumnsMatchSerialBuild)
+{
+    // classColumns() builds outside its lock: 8 threads first-calling
+    // it on one shared store, and on 8 distinct stores, must each see
+    // exactly the partition a record-by-record walk produces. Several
+    // rounds on fresh copies (a copy starts without a partition) give
+    // the thread sanitizer more than one race to watch.
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kRounds = 4;
+    constexpr size_t kRecords = 100000;
+
+    const Trace sharedBase = mixedTrace(0, kRecords);
+    const ClassWords sharedWant = serialPartition(sharedBase);
+    std::vector<Trace> ownBase;
+    std::vector<ClassWords> ownWant;
+    for (unsigned t = 0; t < kThreads; t++) {
+        ownBase.push_back(mixedTrace(t + 1, kRecords));
+        ownWant.push_back(serialPartition(ownBase.back()));
+    }
+
+    exec::ThreadPool pool(kThreads);
+    for (unsigned round = 0; round < kRounds; round++) {
+        const Trace shared = sharedBase;
+        const std::vector<Trace> own = ownBase;
+        std::vector<ClassWords> sharedGot(kThreads), ownGot(kThreads);
+        std::vector<const TraceStore::ClassColumns *> firstRef(kThreads);
+        // Every worker waits at the gate, so the first calls overlap
+        // instead of running one after another.
+        std::atomic<unsigned> arrived{0};
+        for (unsigned t = 0; t < kThreads; t++)
+            pool.submit([&, t] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kThreads)
+                    std::this_thread::yield();
+                firstRef[t] =
+                    &shared.store().classColumns(InstClass::FpMul);
+                sharedGot[t] = copyPartition(shared.store());
+                ownGot[t] = copyPartition(own[t].store());
+            });
+        pool.wait();
+
+        for (unsigned t = 0; t < kThreads; t++) {
+            expectSamePartition(sharedGot[t], sharedWant);
+            expectSamePartition(ownGot[t], ownWant[t]);
+            // One partition survives the race; every caller got it.
+            EXPECT_EQ(firstRef[t],
+                      &shared.store().classColumns(InstClass::FpMul));
+        }
+    }
+}
+
+TEST(TraceStore, ClassColumnsRebuildAfterGrowth)
+{
+    Trace t = mixedTrace(3, 1000);
+    expectSamePartition(copyPartition(t.store()), serialPartition(t));
+    for (const Instruction &inst : mixedTrace(4, 500))
+        t.push(inst);
+    expectSamePartition(copyPartition(t.store()), serialPartition(t));
 }
 
 } // anonymous namespace

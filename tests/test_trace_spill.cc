@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -239,6 +241,41 @@ TEST(TraceSpillFormat, DeltaWrapsModulo64Bits)
     EXPECT_EQ(decodeChunk(ch.bytes), std::vector<uint64_t>({~0ull}));
 }
 
+TEST(TraceSpillFormat, ChunkHashesArePinned)
+{
+    // The store is content-addressed: an encoder whose bytes drift
+    // would orphan every spill directory already on disk. These are
+    // the chunk hashes of sampleTrace(300) at chunk_elems 64 as the
+    // original byte-at-a-time encoder wrote them.
+    const std::vector<std::vector<uint64_t>> pinned = {
+        {0x6c280e8a032afb0bull, 0xaee5463aaf9ee108ull,
+         0xb038a3b82eae7964ull, 0x0a6bb79543e1d4e8ull,
+         0x5a79b53b0a27a6f1ull}, // cls
+        {0x3dfb95fa49d2bc67ull, 0xe8a767e299c00ec0ull,
+         0x3467fec6033cf6d8ull, 0x9a04b56ad8f38913ull,
+         0x58f445041906966aull}, // pc
+        {0xe200d830451eced0ull, 0xc4620cc12de8dd0cull,
+         0xcf0e2b58d148b900ull, 0x7c5e6f253a2c6ef0ull}, // opCls
+        {0xf039b145e44d00c1ull, 0xaeb320f2ecc0d653ull,
+         0x609b10afea03db71ull, 0xd753ce9cc2970b66ull}, // opA
+        {0xc5237e4821dd1d06ull, 0x3955d573e8616272ull,
+         0x9b559d54e6f19af0ull, 0x0422dd2e88e9358eull}, // opB
+        {0x90dc30a460ef6d3aull, 0xb7e706e65742f165ull,
+         0xb9decbeb6194c696ull, 0x87c2058cfefebc7dull}, // opRes
+        {0x726cbd3846fa3d48ull},                        // addr
+    };
+    EncodedTrace enc = encodeTraceChunked(sampleTrace(300), 64);
+    for (size_t c = 0; c < kNumTraceColumns; c++) {
+        std::vector<uint64_t> got;
+        for (const EncodedChunk &ch : enc.cols[c].chunks) {
+            got.push_back(ch.hash);
+            EXPECT_EQ(u64At(ch.bytes, 16), ch.hash);
+        }
+        EXPECT_EQ(got, pinned[c])
+            << traceColumnName(static_cast<TraceColumn>(c));
+    }
+}
+
 TEST(TraceSpillFormat, ManifestLayout)
 {
     Trace t;
@@ -346,6 +383,216 @@ TEST(TraceSpillCodec, ChunkRejectsEveryHeaderDefect)
                  SpillError);                               // truncation
     EXPECT_THROW(decodeChunk(good.substr(0, 10)), SpillError);
     EXPECT_THROW(decodeChunk(std::string_view()), SpillError);
+}
+
+/** Chunk image with its header's elemCount, payloadBytes and hash set. */
+std::string
+withHeader(std::string chunk, uint32_t elems, uint32_t payload_bytes,
+           uint64_t hash)
+{
+    for (size_t i = 0; i < 4; i++) {
+        chunk[8 + i] = static_cast<char>(elems >> (8 * i));
+        chunk[12 + i] = static_cast<char>(payload_bytes >> (8 * i));
+    }
+    for (size_t i = 0; i < 8; i++)
+        chunk[16 + i] = static_cast<char>(hash >> (8 * i));
+    return chunk;
+}
+
+/** What decoding @p chunk throws, or "" when it decodes. */
+std::string
+chunkError(std::string_view chunk)
+{
+    try {
+        decodeChunk(chunk);
+    } catch (const SpillError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceSpillCodec, ChunkReportsFailuresInSpecOrder)
+{
+    // 1 << 13 zigzags to a 3-byte varint; dropping its last byte
+    // leaves a truncated varint. §4 puts the hash check first, so the
+    // decoder must report the hash even though it meets the bad varint
+    // first, and the varint only once the hash matches.
+    const uint64_t v[] = {uint64_t{1} << 13};
+    const std::string good = encodeChunk(v, 1).bytes;
+    ASSERT_EQ(good.size(), kChunkHeaderBytes + 3);
+    std::string cut = good.substr(0, good.size() - 1);
+    const uint64_t cutHash =
+        fnv1a(cut.data() + kChunkHeaderBytes, 2);
+
+    EXPECT_EQ(chunkError(withHeader(cut, 1, 2, u64At(good, 16))),
+              "chunk: content hash mismatch");
+    EXPECT_EQ(chunkError(withHeader(cut, 1, 2, cutHash)),
+              "chunk payload: truncated varint");
+
+    // A count the payload could never hold: hash first, then count.
+    const uint64_t three[] = {1, 2, 3};
+    const std::string small = encodeChunk(three, 3).bytes;
+    EXPECT_EQ(chunkError(withHeader(small, 2, 3, u64At(small, 16))),
+              "chunk: element count mismatch (header says 2, payload "
+              "holds 3)");
+    EXPECT_EQ(chunkError(withHeader(small, 0xffffffffu, 3, 0)),
+              "chunk: content hash mismatch");
+}
+
+TEST(TraceSpillCodec, ImpossibleCountThrowsWithoutAllocating)
+{
+    // elemCount 0xffffffff over a 3-byte payload: each varint takes at
+    // least one byte, so the decoder must reject it before it sizes
+    // the output for four billion elements.
+    const uint64_t v[] = {1, 2, 3};
+    const std::string good = encodeChunk(v, 3).bytes;
+    const std::string bad =
+        withHeader(good, 0xffffffffu, 3, u64At(good, 16));
+    std::vector<uint64_t> out;
+    try {
+        decodeChunkInto(bad, out, "opA");
+        FAIL() << "decoded an impossible count";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(), "opA: element count mismatch (header says "
+                               "4294967295, payload holds 3)");
+    }
+    EXPECT_EQ(out.capacity(), 0u);
+}
+
+TEST(TraceSpillCodec, TypedDecodeAppendsAndChecksWidth)
+{
+    const uint64_t v[] = {7, 255, 0};
+    const std::string ch = encodeChunk(v, 3).bytes;
+    std::vector<uint8_t> narrow = {42};
+    decodeChunkInto(ch, narrow, "cls");
+    EXPECT_EQ(narrow, (std::vector<uint8_t>{42, 7, 255, 0}));
+
+    const uint64_t wide[] = {1, 256};
+    std::vector<uint8_t> keep = {9};
+    try {
+        decodeChunkInto(encodeChunk(wide, 2).bytes, keep, "cls");
+        FAIL() << "256 decoded into a u8 column";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(), "cls: element exceeds column width");
+    }
+    EXPECT_EQ(keep, (std::vector<uint8_t>{9})); // untouched on failure
+}
+
+/** The seven stored columns of a hand-built trace, as u64 values. */
+struct HandTrace
+{
+    std::vector<uint64_t> cls, pc, opCls, opA, opB, opRes, addr;
+};
+
+uint64_t
+clsOf(InstClass c)
+{
+    return static_cast<uint64_t>(c);
+}
+
+/** IntMul, Load, IntAlu: one operand record and one address record. */
+HandTrace
+validHand()
+{
+    HandTrace h;
+    h.cls = {clsOf(InstClass::IntMul), clsOf(InstClass::Load),
+             clsOf(InstClass::IntAlu)};
+    h.pc = {4, 8, 12};
+    h.opCls = {clsOf(InstClass::IntMul)};
+    h.opA = {2};
+    h.opB = {3};
+    h.opRes = {6};
+    h.addr = {0x1000};
+    return h;
+}
+
+/** Encode @p h in 2-element chunks; counts follow the column lengths. */
+EncodedTrace
+encodeHand(const HandTrace &h)
+{
+    EncodedTrace enc;
+    enc.records = h.cls.size();
+    enc.ops = h.opCls.size();
+    enc.addrs = h.addr.size();
+    const std::vector<uint64_t> *cols[] = {&h.cls, &h.pc,    &h.opCls,
+                                           &h.opA, &h.opB,   &h.opRes,
+                                           &h.addr};
+    for (size_t c = 0; c < kNumTraceColumns; c++) {
+        const std::vector<uint64_t> &v = *cols[c];
+        EncodedColumn &col = enc.cols[c];
+        col.elems = v.size();
+        for (size_t base = 0; base < v.size(); base += 2) {
+            auto len = static_cast<uint32_t>(
+                std::min<size_t>(2, v.size() - base));
+            col.chunks.push_back(encodeChunk(v.data() + base, len));
+        }
+    }
+    return enc;
+}
+
+/** What decodeTraceChunked throws for @p h, or "" when it decodes. */
+std::string
+traceError(const HandTrace &h)
+{
+    try {
+        decodeTraceChunked(encodeHand(h));
+    } catch (const SpillError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
+{
+    const HandTrace good = validHand();
+    ASSERT_EQ(traceError(good), "");
+    Trace back = decodeTraceChunked(encodeHand(good));
+    ASSERT_EQ(back.size(), 3u);
+    EXPECT_EQ(back[0].result, 6u);
+    EXPECT_EQ(back[1].addr, 0x1000u);
+    EXPECT_EQ(back[2].pc, 12u);
+
+    HandTrace h = good;
+    h.cls[2] = numInstClasses; // fits a u8, names no class
+    EXPECT_EQ(traceError(h), "cls: value " +
+                                 std::to_string(numInstClasses) +
+                                 " is not an InstClass");
+
+    h = good;
+    h.opCls = {clsOf(InstClass::FpMul)};
+    EXPECT_EQ(traceError(h),
+              "opCls: disagrees with cls column at operand record 0");
+
+    h = good; // a second IntMul with no operand words behind it
+    h.cls.insert(h.cls.begin(), clsOf(InstClass::IntMul));
+    h.pc.push_back(16);
+    EXPECT_EQ(traceError(h), "opCls: column exhausted early");
+
+    h = good; // a second Load with no address behind it
+    h.cls.insert(h.cls.begin(), clsOf(InstClass::Load));
+    h.pc.push_back(16);
+    EXPECT_EQ(traceError(h), "addr: column exhausted early");
+
+    h = good;
+    h.opCls.push_back(clsOf(InstClass::IntMul));
+    h.opA.push_back(1);
+    h.opB.push_back(1);
+    h.opRes.push_back(1);
+    EXPECT_EQ(traceError(h), "trace: class column implies 1 operand "
+                             "records, operand columns hold 2");
+
+    h = good;
+    h.addr.push_back(0x2000);
+    EXPECT_EQ(traceError(h), "trace: class column implies 1 address "
+                             "records, addr column holds 2");
+
+    h = good;
+    h.pc[1] = uint64_t{1} << 32;
+    EXPECT_EQ(traceError(h), "pc: element exceeds column width");
+
+    h = good;
+    h.cls[2] = 256;
+    EXPECT_EQ(traceError(h), "cls: element exceeds column width");
 }
 
 TEST(TraceSpillCodec, ManifestRejectsCorruption)
@@ -580,6 +827,34 @@ TEST(TraceCacheSpill, SpillErrorFallsBackToGenerator)
     auto t1b = cache.get(k1, g1);
     EXPECT_EQ(gen1, 2); // regenerated, not trusted from disk
     EXPECT_GE(cache.spillErrors(), 1u);
+    expectTracesEqual(*t1, *t1b);
+}
+
+TEST(TraceCacheSpill, CorruptManifestCountsAsSpillError)
+{
+    // A spilled key whose manifest is damaged is a disk defect, not a
+    // clean miss: the cache regenerates and counts it.
+    exec::TraceCache cache(1);
+    cache.setSpillDir(tempRoot("cachebadman"));
+
+    int gen1 = 0;
+    auto k1 = cacheKey("w1");
+    auto g1 = [&] { gen1++; return sampleTrace(400); };
+    auto t1 = cache.get(k1, g1);
+    cache.get(cacheKey("w2"), [&] { return sampleTrace(900); });
+    ASSERT_GE(cache.spills(), 1u);
+    ASSERT_EQ(cache.spillErrors(), 0u);
+
+    SpillStore store(cache.spillDir());
+    std::string path = store.manifestPath(exec::spillKeyOf(k1));
+    std::string bytes = readFileBytes(path);
+    bytes[10] = static_cast<char>(bytes[10] ^ 0x40);
+    writeFileBytes(path, bytes);
+
+    auto t1b = cache.get(k1, g1);
+    EXPECT_EQ(gen1, 2); // one regeneration
+    EXPECT_GE(cache.spillErrors(), 1u);
+    EXPECT_EQ(cache.admits(), 0u);
     expectTracesEqual(*t1, *t1b);
 }
 
