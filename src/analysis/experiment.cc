@@ -165,15 +165,11 @@ replayColumns(MemoBank &bank, Feed &&feed)
 void
 replayMemo(const Trace &trace, MemoBank &bank)
 {
-    // The store's dense per-class operand columns, built once per
-    // trace, cached, and shared by every replay of it.
     replayColumns(bank, [&](MemoTable *const *tables, auto &probe) {
         const TraceStore &store = trace.store();
-        if (store.opCount()) {
-            for (unsigned c = 0; c < numInstClasses; c++)
-                if (tables[c])
-                    probe(c, store.classColumns(static_cast<InstClass>(c)));
-        }
+        for (unsigned c = 0; c < numInstClasses; c++)
+            if (tables[c])
+                probe(c, store.classColumns(static_cast<InstClass>(c)));
         return trace.size();
     });
 }

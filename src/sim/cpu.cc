@@ -41,19 +41,27 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
     constexpr uint64_t progressBatch = 64 * 1024;
     uint64_t sinceProgress = 0;
 
-    for (const Instruction &inst : trace) {
-        unsigned cls_idx = static_cast<unsigned>(inst.cls);
+    // Walk the class column and materialize a record only where its
+    // fields are read, so the operand columns of classes without a
+    // table are never streamed.
+    const TraceStore &store = trace.store();
+    const uint8_t *classes = store.clsData();
+    const size_t n = trace.size();
+    for (size_t i = 0; i < n; i++) {
+        const auto cls = static_cast<InstClass>(classes[i]);
+        unsigned cls_idx = classes[i];
         unsigned lat;
-        switch (inst.cls) {
+        switch (cls) {
           case InstClass::Load:
-            lat = hier.load(inst.addr);
+            lat = hier.load(store.get(i).addr);
             break;
           case InstClass::Store:
-            lat = hier.store(inst.addr);
+            lat = hier.store(store.get(i).addr);
             break;
           default: {
-            lat = cfg.lat[inst.cls];
-            if (inst.cls == InstClass::IntMul && cfg.earlyOutIntMul) {
+            lat = cfg.lat[cls];
+            if (cls == InstClass::IntMul && cfg.earlyOutIntMul) {
+                const Instruction inst = store.get(i);
                 lat = earlyOutMultiplier
                           .multiply(static_cast<int64_t>(inst.a),
                                     static_cast<int64_t>(inst.b))
@@ -61,6 +69,7 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
             }
             MemoTable *table = tables[cls_idx];
             if (table) {
+                const Instruction inst = store.get(i);
                 if (auto v = table->lookup(inst.a, inst.b)) {
                     // A successful lookup gives the result of a
                     // multi-cycle computation in a single cycle.

@@ -281,6 +281,53 @@ encodeColumn(const T *data, size_t n, uint32_t chunk_elems)
 }
 
 /**
+ * Chunk the four operand columns in trace order. The store keeps
+ * operands per class, so each chunk's words are gathered by walking
+ * the class column; chunk boundaries fall exactly where encodeColumn
+ * would put them.
+ */
+void
+encodeOperandColumns(const TraceStore &s, uint32_t chunk_elems,
+                     EncodedTrace &enc)
+{
+    std::vector<uint8_t> cls;
+    std::vector<uint64_t> a, b, r;
+    std::vector<unsigned char> scratch;
+    auto flush = [&] {
+        const auto n = static_cast<uint32_t>(cls.size());
+        enc.col(TraceColumn::OpCls).chunks.push_back(
+            encodeChunkFrom(cls.data(), n, scratch));
+        enc.col(TraceColumn::OpA).chunks.push_back(
+            encodeChunkFrom(a.data(), n, scratch));
+        enc.col(TraceColumn::OpB).chunks.push_back(
+            encodeChunkFrom(b.data(), n, scratch));
+        enc.col(TraceColumn::OpRes).chunks.push_back(
+            encodeChunkFrom(r.data(), n, scratch));
+        cls.clear();
+        a.clear();
+        b.clear();
+        r.clear();
+    };
+    for (size_t i = 0; i < s.size(); i++) {
+        const auto c = static_cast<InstClass>(s.clsData()[i]);
+        if (!TraceStore::hasOperands(c))
+            continue;
+        const Instruction inst = s.get(i);
+        cls.push_back(static_cast<uint8_t>(inst.cls));
+        a.push_back(inst.a);
+        b.push_back(inst.b);
+        r.push_back(inst.result);
+        if (cls.size() == chunk_elems)
+            flush();
+    }
+    if (!cls.empty())
+        flush();
+    for (TraceColumn c : {TraceColumn::OpCls, TraceColumn::OpA,
+                          TraceColumn::OpB, TraceColumn::OpRes})
+        enc.col(c).elems = enc.ops;
+}
+
+/**
  * Decode every chunk of column @p which into @p out, which then holds
  * exactly the column's declared element count.
  */
@@ -413,14 +460,7 @@ encodeTraceChunked(const Trace &trace, uint32_t chunk_elems)
         encodeColumn(s.clsData(), s.size(), chunk_elems);
     enc.col(TraceColumn::Pc) =
         encodeColumn(s.pcData(), s.size(), chunk_elems);
-    enc.col(TraceColumn::OpCls) =
-        encodeColumn(s.opClasses(), s.opCount(), chunk_elems);
-    enc.col(TraceColumn::OpA) =
-        encodeColumn(s.opA(), s.opCount(), chunk_elems);
-    enc.col(TraceColumn::OpB) =
-        encodeColumn(s.opB(), s.opCount(), chunk_elems);
-    enc.col(TraceColumn::OpRes) =
-        encodeColumn(s.opResults(), s.opCount(), chunk_elems);
+    encodeOperandColumns(s, chunk_elems, enc);
     enc.col(TraceColumn::Addr) =
         encodeColumn(s.addrData(), s.addrCount(), chunk_elems);
     return enc;

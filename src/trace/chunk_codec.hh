@@ -183,11 +183,12 @@ struct EncodedTrace
 };
 
 /**
- * Slice every stored column of @p trace into chunks of
- * @p chunk_elems elements (the last chunk of a column is short).
- * All columns share the same slice width, so chunk i of the four
- * operand columns covers the same records — the invariant streamed
- * replay relies on.
+ * Slice the seven trace-order columns of @p trace into chunks of
+ * @p chunk_elems elements (the last chunk of a column is short); the
+ * operand columns are gathered back into trace order from the store's
+ * per-class columns. All columns share the same slice width, so chunk
+ * i of the four operand columns covers the same records — the
+ * invariant streamed replay relies on.
  */
 EncodedTrace encodeTraceChunked(const Trace &trace,
                                 uint32_t chunk_elems =
@@ -197,7 +198,8 @@ EncodedTrace encodeTraceChunked(const Trace &trace,
  * Reassemble a Trace from encoded columns, a column at a time: each
  * column's chunks decode straight into its typed vector, and
  * TraceStore::adopt() takes the seven vectors, rebuilding the derived
- * payload index in one pass over the class column. Verifies every
+ * payload index and scattering the operands into their class columns
+ * in one pass over the class column. Verifies every
  * chunk plus cross-column consistency (every class value is an
  * InstClass; the stored opCls column agrees with the class sequence;
  * the operand and address columns hold exactly the records the class

@@ -147,8 +147,9 @@ readTrace(std::istream &in)
     uint32_t version = getU32(header + 8);
     uint32_t count = getU32(header + 12);
 
+    // The header's count is untrusted, so nothing is sized from it:
+    // the record loop below stops at the first missing byte.
     Trace trace;
-    trace.reserve(count);
     if (version == versionDelta) {
         DeltaState st;
         for (uint32_t i = 0; i < count; i++) {

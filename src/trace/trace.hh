@@ -70,7 +70,7 @@ class Trace
     bool empty() const { return store_.empty(); }
     void clear() { store_.clear(); }
 
-    /** Approximate bytes held by the trace data. */
+    /** Bytes held by the trace data (excluding slack capacity). */
     size_t memoryBytes() const { return store_.memoryBytes(); }
 
     /** The column store backing this trace. */

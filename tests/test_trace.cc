@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the trace container and its per-class partition, the
+ * Tests for the trace container and its per-class operand columns, the
  * Recorder instrumentation facade and the Traced value wrapper.
  */
 
@@ -9,12 +9,14 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "arith/fp.hh"
 #include "core/aligned.hh"
 #include "exec/thread_pool.hh"
+#include "trace/chunk_codec.hh"
 #include "trace/recorder.hh"
 #include "trace/traced.hh"
 
@@ -259,64 +261,78 @@ expectSamePartition(const ClassWords &got, const ClassWords &want)
     }
 }
 
-TEST(TraceStore, ConcurrentClassColumnsMatchSerialBuild)
+/** Every field of every record of @p got equals @p want's. */
+void
+expectSameRecords(const std::vector<Instruction> &got, const Trace &want)
 {
-    // classColumns() builds outside its lock: 8 threads first-calling
-    // it on one shared store, and on 8 distinct stores, must each see
-    // exactly the partition a record-by-record walk produces. Several
-    // rounds on fresh copies (a copy starts without a partition) give
-    // the thread sanitizer more than one race to watch.
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kRounds = 4;
-    constexpr size_t kRecords = 100000;
-
-    const Trace sharedBase = mixedTrace(0, kRecords);
-    const ClassWords sharedWant = serialPartition(sharedBase);
-    std::vector<Trace> ownBase;
-    std::vector<ClassWords> ownWant;
-    for (unsigned t = 0; t < kThreads; t++) {
-        ownBase.push_back(mixedTrace(t + 1, kRecords));
-        ownWant.push_back(serialPartition(ownBase.back()));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+        const Instruction &g = got[i], w = want[i];
+        ASSERT_TRUE(g.cls == w.cls && g.pc == w.pc && g.a == w.a &&
+                    g.b == w.b && g.result == w.result && g.addr == w.addr)
+            << "record " << i;
     }
+}
+
+TEST(TraceStore, ConcurrentReadersSeeFrozenStore)
+{
+    // A recorded store is frozen and carries no lock: 8 threads
+    // reading its class columns and walking its records at once must
+    // each see exactly what a serial record-by-record walk sees.
+    constexpr unsigned kThreads = 8;
+    const Trace shared = mixedTrace(0, 100000);
+    const ClassWords want = serialPartition(shared);
 
     exec::ThreadPool pool(kThreads);
-    for (unsigned round = 0; round < kRounds; round++) {
-        const Trace shared = sharedBase;
-        const std::vector<Trace> own = ownBase;
-        std::vector<ClassWords> sharedGot(kThreads), ownGot(kThreads);
-        std::vector<const TraceStore::ClassColumns *> firstRef(kThreads);
-        // Every worker waits at the gate, so the first calls overlap
-        // instead of running one after another.
-        std::atomic<unsigned> arrived{0};
-        for (unsigned t = 0; t < kThreads; t++)
-            pool.submit([&, t] {
-                arrived.fetch_add(1);
-                while (arrived.load() < kThreads)
-                    std::this_thread::yield();
-                firstRef[t] =
-                    &shared.store().classColumns(InstClass::FpMul);
-                sharedGot[t] = copyPartition(shared.store());
-                ownGot[t] = copyPartition(own[t].store());
-            });
-        pool.wait();
+    std::vector<ClassWords> got(kThreads);
+    std::vector<std::vector<Instruction>> walked(kThreads);
+    // Every worker waits at the gate, so the reads overlap instead of
+    // running one after another.
+    std::atomic<unsigned> arrived{0};
+    for (unsigned t = 0; t < kThreads; t++)
+        pool.submit([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kThreads)
+                std::this_thread::yield();
+            got[t] = copyPartition(shared.store());
+            for (size_t i = 0; i < shared.size(); i++)
+                walked[t].push_back(shared.store().get(i));
+        });
+    pool.wait();
 
-        for (unsigned t = 0; t < kThreads; t++) {
-            expectSamePartition(sharedGot[t], sharedWant);
-            expectSamePartition(ownGot[t], ownWant[t]);
-            // One partition survives the race; every caller got it.
-            EXPECT_EQ(firstRef[t],
-                      &shared.store().classColumns(InstClass::FpMul));
-        }
+    for (unsigned t = 0; t < kThreads; t++) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        expectSamePartition(got[t], want);
+        expectSameRecords(walked[t], shared);
     }
 }
 
 TEST(TraceStore, ClassColumnsRebuildAfterGrowth)
 {
+    // The class columns grow with push(), and a spill round trip (the
+    // encoder gathers trace order from them, adopt() scatters it back)
+    // rebuilds them exactly. Chunks of 7 make the gather and the
+    // scatter cross chunk boundaries; the inputs include a trace with
+    // one operand class missing and an empty trace.
     Trace t = mixedTrace(3, 1000);
     expectSamePartition(copyPartition(t.store()), serialPartition(t));
     for (const Instruction &inst : mixedTrace(4, 500))
         t.push(inst);
     expectSamePartition(copyPartition(t.store()), serialPartition(t));
+
+    Trace noFpMul;
+    for (const Instruction &inst : mixedTrace(5, 1000))
+        if (inst.cls != InstClass::FpMul)
+            noFpMul.push(inst);
+    const Trace empty;
+    const Trace *inputs[] = {&t, &noFpMul, &empty};
+    for (const Trace *in : inputs) {
+        const Trace back = decodeTraceChunked(encodeTraceChunked(*in, 7));
+        expectSamePartition(copyPartition(back.store()),
+                            serialPartition(*in));
+        expectSameRecords({back.begin(), back.end()}, *in);
+    }
+    EXPECT_TRUE(noFpMul.store().classColumns(InstClass::FpMul).a.empty());
 }
 
 } // anonymous namespace

@@ -126,6 +126,20 @@ TEST(TraceIo, RejectsTruncation)
     EXPECT_THROW(readTrace(cut), std::runtime_error);
 }
 
+TEST(TraceIo, RejectsImpossibleCount)
+{
+    // A header claiming 2^32 - 1 records over no record bytes reads
+    // as truncated rather than allocating for the claimed count.
+    for (char version : {'\1', '\2'}) {
+        std::string data("MEMOTRC\0", 8);
+        data += std::string{version, 0, 0, 0};
+        data += std::string(4, '\xff');
+        std::stringstream ss(data);
+        EXPECT_THROW(readTrace(ss), std::runtime_error)
+            << "version " << int(version);
+    }
+}
+
 TEST(TraceIo, RejectsBadClass)
 {
     Trace t = sampleTrace();
