@@ -175,25 +175,6 @@ replayMemo(const Trace &trace, MemoBank &bank)
 }
 
 void
-replayMemoReference(const Trace &trace, MemoBank &bank)
-{
-    auto before = snapshotStats(bank);
-
-    for (const Instruction &inst : trace) {
-        auto op = memoOperation(inst.cls);
-        if (!op)
-            continue;
-        MemoTable *table = bank.table(*op);
-        if (!table)
-            continue;
-        if (!table->lookup(inst.a, inst.b))
-            table->update(inst.a, inst.b, inst.result);
-    }
-
-    foldReplayStats(bank, before, trace.size());
-}
-
-void
 replayMemoStreamed(const SpillStore &store, const std::string &key,
                    MemoBank &bank)
 {

@@ -62,18 +62,12 @@ constexpr size_t kReplayBlock = 4096;
  * kReplayBlock records, partitions each block by operation, and
  * presents each partition to its table through MemoTable::probeBlock.
  * Accesses reach each table in trace order, so the resulting table
- * states and statistics are bit-identical to replayMemoReference();
- * tests/test_replay_batched.cc and the memo-fuzz batched-replay mode
- * enforce that equivalence.
+ * states and statistics are bit-identical to a scalar lookup/update
+ * per record; tests/test_replay_batched.cc (against its scalar
+ * replayMemoReference) and the memo-fuzz batched-replay mode enforce
+ * that equivalence.
  */
 void replayMemo(const Trace &trace, MemoBank &bank);
-
-/**
- * The scalar per-Instruction replay loop, retained as the oracle for
- * the batched path. Semantically identical to replayMemo() and kept
- * deliberately simple; do not optimize it.
- */
-void replayMemoReference(const Trace &trace, MemoBank &bank);
 
 /**
  * Replay a spilled trace straight off the disk tier: decode the

@@ -120,13 +120,4 @@ writePnm(const Image &img, std::ostream &out)
     }
 }
 
-void
-writePnm(const Image &img, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("pnm: cannot open " + path);
-    writePnm(img, out);
-}
-
 } // namespace memo

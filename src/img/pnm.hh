@@ -31,9 +31,6 @@ Image readPnm(const std::string &path);
  */
 void writePnm(const Image &img, std::ostream &out);
 
-/** Write a PGM/PPM file. Throws std::runtime_error on failure. */
-void writePnm(const Image &img, const std::string &path);
-
 } // namespace memo
 
 #endif // MEMO_IMG_PNM_HH

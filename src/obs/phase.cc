@@ -203,50 +203,4 @@ publishPhases(StatsRegistry &registry,
     }
 }
 
-// ScalarPhaseReference exists to check the table's own phase
-// collection differentially, so it deliberately does NOT share that
-// machinery: it polls cumulative counters via stats() and diffs them
-// itself. Subscribing through TableHooks (the memo-API-001 rule's
-// demand) would make the oracle depend on the very event plumbing it
-// is meant to cross-check.
-ScalarPhaseReference::ScalarPhaseReference(const MemoTable &table,
-                                           uint64_t window)
-    : table_(table), window_(window ? window : 1),
-      flushedThrough_(table.accessStamp()),
-      last_(table.stats()) // NOLINT(memo-API-001)
-{
-}
-
-void
-ScalarPhaseReference::close()
-{
-    uint64_t stamp = table_.accessStamp();
-    uint64_t len = stamp - flushedThrough_;
-    if (len == 0)
-        return;
-    PhaseWindow row;
-    row.start = flushedThrough_;
-    row.length = len;
-    row.stats = statsDelta(table_.stats(), last_); // NOLINT(memo-API-001)
-    row.occupancy = table_.validEntries();
-    rows_.push_back(row);
-    last_ = table_.stats(); // NOLINT(memo-API-001)
-    flushedThrough_ = stamp;
-}
-
-void
-ScalarPhaseReference::step()
-{
-    // One access advances the stamp by exactly one, so equality (not
-    // >=) suffices and each step closes at most one window.
-    if (table_.accessStamp() == flushedThrough_ + window_)
-        close();
-}
-
-void
-ScalarPhaseReference::finalize()
-{
-    close();
-}
-
 } // namespace memo::obs

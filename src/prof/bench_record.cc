@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "prof.hh"
@@ -75,409 +70,6 @@ summarizeSamples(BenchRecord &r)
                                         r.samplesSec.end());
     r.minSec = *lo;
     r.maxSec = *hi;
-}
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-num(double v)
-{
-    // Shortest-ish stable rendering; %.9g round-trips a timing in
-    // seconds comfortably and never emits locale separators.
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    // JSON has no inf/nan literals.
-    if (std::strchr(buf, 'n') || std::strchr(buf, 'i'))
-        return "0";
-    return buf;
-}
-
-} // anonymous namespace
-
-std::string
-renderBenchJson(const std::vector<BenchRecord> &records)
-{
-    std::ostringstream os;
-    os << "{\n  \"schema\": " << benchSchemaVersion
-       << ",\n  \"records\": [";
-    bool first_rec = true;
-    for (const BenchRecord &r : records) {
-        os << (first_rec ? "\n" : ",\n");
-        first_rec = false;
-        os << "    {\"scenario\": \"" << jsonEscape(r.scenario)
-           << "\", \"suite\": \"" << jsonEscape(r.suite)
-           << "\",\n     \"reps\": " << r.reps << ", \"warmup\": "
-           << r.warmup << ", \"jobs\": " << r.jobs
-           << ",\n     \"median_s\": " << num(r.medianSec)
-           << ", \"mad_s\": " << num(r.madSec) << ", \"min_s\": "
-           << num(r.minSec) << ", \"max_s\": " << num(r.maxSec)
-           << ",\n     \"samples_s\": [";
-        for (size_t i = 0; i < r.samplesSec.size(); i++)
-            os << (i ? ", " : "") << num(r.samplesSec[i]);
-        os << "],\n     \"extra\": {";
-        bool first_x = true;
-        for (const auto &[k, v] : r.extra) {
-            os << (first_x ? "" : ", ") << "\"" << jsonEscape(k)
-               << "\": " << num(v);
-            first_x = false;
-        }
-        os << "},\n     \"env\": {\"git_sha\": \""
-           << jsonEscape(r.env.gitSha) << "\", \"compiler\": \""
-           << jsonEscape(r.env.compiler) << "\", \"flags\": \""
-           << jsonEscape(r.env.flags) << "\",\n             \"cpu\": \""
-           << jsonEscape(r.env.cpu) << "\", \"hw_threads\": "
-           << r.env.hwThreads << "}}";
-    }
-    os << (first_rec ? "]\n}\n" : "\n  ]\n}\n");
-    return os.str();
-}
-
-namespace
-{
-
-/**
- * The smallest JSON reader that handles the bench format (and
- * reasonable hand edits of it): objects, arrays, strings with
- * escapes, numbers including floats. Unknown keys are skipped, so
- * the schema can grow without breaking old readers.
- */
-struct MiniJson
-{
-    const std::string &s;
-    size_t i = 0;
-    std::string err;
-
-    void
-    skipWs()
-    {
-        while (i < s.size() &&
-               (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                s[i] == '\r'))
-            i++;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (i < s.size() && s[i] == c) {
-            i++;
-            return true;
-        }
-        err = std::string("expected '") + c + "'";
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return i < s.size() && s[i] == c;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (i < s.size() && s[i] != '"') {
-            if (s[i] == '\\' && i + 1 < s.size()) {
-                i++;
-                switch (s[i]) {
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  default:
-                    out += s[i];
-                }
-            } else {
-                out += s[i];
-            }
-            i++;
-        }
-        return expect('"');
-    }
-
-    bool
-    parseNumber(double &out)
-    {
-        skipWs();
-        const char *begin = s.c_str() + i;
-        char *end = nullptr;
-        out = std::strtod(begin, &end);
-        if (end == begin) {
-            err = "expected number";
-            return false;
-        }
-        i += static_cast<size_t>(end - begin);
-        return true;
-    }
-
-    /** Skip any JSON value (for unknown keys). */
-    bool
-    skipValue()
-    {
-        skipWs();
-        if (i >= s.size())
-            return false;
-        char c = s[i];
-        if (c == '"') {
-            std::string tmp;
-            return parseString(tmp);
-        }
-        if (c == '{' || c == '[') {
-            int depth = 0;
-            bool in_str = false;
-            for (; i < s.size(); i++) {
-                if (in_str) {
-                    if (s[i] == '\\')
-                        i++;
-                    else if (s[i] == '"')
-                        in_str = false;
-                    continue;
-                }
-                if (s[i] == '"')
-                    in_str = true;
-                else if (s[i] == '{' || s[i] == '[')
-                    depth++;
-                else if (s[i] == '}' || s[i] == ']')
-                    depth--;
-                if (depth == 0) {
-                    i++;
-                    return true;
-                }
-            }
-            return false;
-        }
-        while (i < s.size() && s[i] != ',' && s[i] != '}' &&
-               s[i] != ']')
-            i++;
-        return true;
-    }
-
-    /** Iterate an object's keys: calls @p on_key(key) per member. */
-    template <typename Fn>
-    bool
-    parseObject(Fn &&on_key)
-    {
-        if (!expect('{'))
-            return false;
-        while (!peek('}')) {
-            std::string key;
-            if (!parseString(key) || !expect(':'))
-                return false;
-            if (!on_key(key))
-                return false;
-            if (!peek('}') && !expect(','))
-                return false;
-        }
-        return expect('}');
-    }
-};
-
-bool
-parseEnv(MiniJson &p, EnvManifest &env)
-{
-    return p.parseObject([&](const std::string &k) {
-        double d = 0;
-        if (k == "git_sha")
-            return p.parseString(env.gitSha);
-        if (k == "compiler")
-            return p.parseString(env.compiler);
-        if (k == "flags")
-            return p.parseString(env.flags);
-        if (k == "cpu")
-            return p.parseString(env.cpu);
-        if (k == "hw_threads") {
-            if (!p.parseNumber(d))
-                return false;
-            env.hwThreads = static_cast<unsigned>(d);
-            return true;
-        }
-        return p.skipValue();
-    });
-}
-
-bool
-parseRecord(MiniJson &p, BenchRecord &r)
-{
-    return p.parseObject([&](const std::string &k) {
-        double d = 0;
-        if (k == "scenario")
-            return p.parseString(r.scenario);
-        if (k == "suite")
-            return p.parseString(r.suite);
-        if (k == "env")
-            return parseEnv(p, r.env);
-        if (k == "samples_s") {
-            if (!p.expect('['))
-                return false;
-            while (!p.peek(']')) {
-                if (!p.parseNumber(d))
-                    return false;
-                r.samplesSec.push_back(d);
-                if (!p.peek(']') && !p.expect(','))
-                    return false;
-            }
-            return p.expect(']');
-        }
-        if (k == "extra") {
-            return p.parseObject([&](const std::string &xk) {
-                if (!p.parseNumber(d))
-                    return false;
-                r.extra[xk] = d;
-                return true;
-            });
-        }
-        if (!p.parseNumber(d))
-            return false;
-        if (k == "reps")
-            r.reps = static_cast<unsigned>(d);
-        else if (k == "warmup")
-            r.warmup = static_cast<unsigned>(d);
-        else if (k == "jobs")
-            r.jobs = static_cast<unsigned>(d);
-        else if (k == "median_s")
-            r.medianSec = d;
-        else if (k == "mad_s")
-            r.madSec = d;
-        else if (k == "min_s")
-            r.minSec = d;
-        else if (k == "max_s")
-            r.maxSec = d;
-        return true;
-    });
-}
-
-} // anonymous namespace
-
-bool
-parseBenchJson(const std::string &json, std::vector<BenchRecord> &out,
-               std::string &error)
-{
-    out.clear();
-    MiniJson p{json};
-    double schema = 0;
-    bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "schema")
-            return p.parseNumber(schema);
-        if (key == "records") {
-            if (!p.expect('['))
-                return false;
-            while (!p.peek(']')) {
-                BenchRecord r;
-                if (!parseRecord(p, r))
-                    return false;
-                out.push_back(std::move(r));
-                if (!p.peek(']') && !p.expect(','))
-                    return false;
-            }
-            return p.expect(']');
-        }
-        return p.skipValue();
-    });
-    if (!ok) {
-        error = p.err.empty() ? "malformed bench JSON" : p.err;
-        return false;
-    }
-    if (static_cast<int>(schema) != benchSchemaVersion) {
-        error = "unsupported bench schema version " +
-                std::to_string(static_cast<int>(schema));
-        return false;
-    }
-    return true;
-}
-
-bool
-readBenchFile(const std::string &path, std::vector<BenchRecord> &out,
-              std::string &error)
-{
-    out.clear();
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return true; // missing history is an empty history
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parseBenchJson(ss.str(), out, error);
-}
-
-bool
-writeBenchFile(const std::string &path,
-               const std::vector<BenchRecord> &records)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out << renderBenchJson(records);
-    return static_cast<bool>(out);
-}
-
-std::vector<GateRow>
-gateCompare(const std::vector<BenchRecord> &history,
-            const std::vector<BenchRecord> &current,
-            const GateOptions &opt)
-{
-    std::vector<GateRow> rows;
-    for (const BenchRecord &cur : current) {
-        GateRow row;
-        row.scenario = cur.scenario;
-        row.currentSec = cur.medianSec;
-
-        // Baseline: the most recent history record of this scenario.
-        const BenchRecord *base = nullptr;
-        for (const BenchRecord &h : history)
-            if (h.scenario == cur.scenario)
-                base = &h;
-
-        if (!base) {
-            row.isNew = true;
-            rows.push_back(std::move(row));
-            continue;
-        }
-        double mad = std::max(base->madSec, cur.madSec);
-        double band = std::max({opt.relSlack * base->medianSec,
-                                opt.madK * mad, opt.absFloorSec});
-        row.baselineSec = base->medianSec;
-        row.thresholdSec = base->medianSec + band;
-        row.deltaPct =
-            base->medianSec > 0
-                ? (cur.medianSec / base->medianSec - 1.0) * 100.0
-                : 0.0;
-        row.regressed = cur.medianSec > row.thresholdSec;
-        rows.push_back(std::move(row));
-    }
-    return rows;
 }
 
 } // namespace memo::prof

@@ -3,7 +3,10 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+
+#include "file_io.hh"
 
 namespace memo
 {
@@ -131,10 +134,11 @@ writeTrace(const Trace &trace, std::ostream &out, bool compressed)
 void
 writeTrace(const Trace &trace, const std::string &path, bool compressed)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("trace: cannot open " + path);
+    std::ostringstream out;
     writeTrace(trace, out, compressed);
+    IoStatus st = writeWholeFile(path, out.str());
+    if (!st.ok())
+        throw std::runtime_error("trace: " + st.error);
 }
 
 Trace

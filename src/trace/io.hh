@@ -32,7 +32,8 @@ namespace memo
 void writeTrace(const Trace &trace, std::ostream &out,
                 bool compressed = true);
 
-/** Write @p trace to @p path. */
+/** Write @p trace to @p path. Throws std::runtime_error naming the
+ *  path when the file cannot be written in full. */
 void writeTrace(const Trace &trace, const std::string &path,
                 bool compressed = true);
 

@@ -43,7 +43,7 @@ Recorder::Recorder(Trace &trace)
 {
     // Kernels touch a handful of files but thousands of cache lines;
     // pre-sizing the hash maps keeps recording from rehashing while a
-    // large trace streams through (memo-bench: trace_gen).
+    // large trace streams through.
     fileHashes.reserve(16);
     lineMap.reserve(1 << 12);
 }

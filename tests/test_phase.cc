@@ -2,7 +2,7 @@
  * @file
  * memo-scope phase-telemetry tests: the in-table window collection
  * (scalar lookup path and batched probeBlock path) is differentially
- * pinned against obs::ScalarPhaseReference, an accumulator that
+ * pinned against ScalarPhaseReference, an accumulator that
  * shares no boundary code with the table; a mutation self-test
  * injects an off-by-one window boundary (setPhaseBoundaryFault) and
  * requires the differential to catch it. The TimeSeries/Histogram
@@ -37,6 +37,74 @@ namespace memo
 {
 namespace
 {
+
+/**
+ * Independent scalar reference accumulator for the differential tests.
+ *
+ * Tracks windows from *outside* the table: step() is called after
+ * each completed scalar access (lookup plus any update) and closes a
+ * row whenever the table's stamp reaches the next boundary, using
+ * only the public stats()/validEntries() surface. It shares no
+ * boundary code with the in-table path, so the injected off-by-one
+ * of setPhaseBoundaryFault() (core/phase.hh) shifts the in-table
+ * rows but not these — the phase mutation self-test requires the
+ * difference to be caught.
+ *
+ * It polls cumulative counters via stats() and diffs them itself on
+ * purpose. Subscribing through TableHooks, as memo-API-001 asks of
+ * the observability layer, would make the oracle depend on the very
+ * event plumbing it is meant to cross-check.
+ */
+class ScalarPhaseReference
+{
+  public:
+    /** @p table is borrowed and re-based at its current stamp. */
+    ScalarPhaseReference(const MemoTable &table, uint64_t window)
+        : table_(table), window_(window ? window : 1),
+          flushedThrough_(table.accessStamp()), last_(table.stats())
+    {
+    }
+
+    /** Notify that one access (lookup + any update) completed. */
+    void
+    step()
+    {
+        // One access advances the stamp by exactly one, so equality
+        // (not >=) suffices and each step closes at most one window.
+        if (table_.accessStamp() == flushedThrough_ + window_)
+            close();
+    }
+
+    /** Close the trailing partial window, if any. */
+    void finalize() { close(); }
+
+    /** Closed windows, oldest first. */
+    const std::vector<PhaseWindow> &rows() const { return rows_; }
+
+  private:
+    void
+    close()
+    {
+        uint64_t stamp = table_.accessStamp();
+        uint64_t len = stamp - flushedThrough_;
+        if (len == 0)
+            return;
+        PhaseWindow row;
+        row.start = flushedThrough_;
+        row.length = len;
+        row.stats = statsDelta(table_.stats(), last_);
+        row.occupancy = table_.validEntries();
+        rows_.push_back(row);
+        last_ = table_.stats();
+        flushedThrough_ = stamp;
+    }
+
+    const MemoTable &table_;
+    uint64_t window_;
+    uint64_t flushedThrough_;
+    MemoStats last_;
+    std::vector<PhaseWindow> rows_;
+};
 
 /** Operand mix with heavy reuse and trivial constants. */
 uint64_t
@@ -190,7 +258,7 @@ referenceRows(const Trace &trace, const MemoConfig &cfg, Operation op,
               uint64_t window)
 {
     MemoTable table(op, cfg);
-    obs::ScalarPhaseReference ref(table, window);
+    ScalarPhaseReference ref(table, window);
     for (const Instruction &inst : trace) {
         auto o = memoOperation(inst.cls);
         if (!o || *o != op)
@@ -326,7 +394,7 @@ TEST(PhaseDifferential, ScalarInTablePathMatchesReference)
                 PhaseAccum accum(w);
                 table.setPhaseAccum(&accum);
                 MemoTable oracle(op, cfg);
-                obs::ScalarPhaseReference ref(oracle, w);
+                ScalarPhaseReference ref(oracle, w);
                 for (const Instruction &inst : trace) {
                     auto o = memoOperation(inst.cls);
                     if (!o || *o != op)

@@ -55,6 +55,26 @@ constexpr Operation bank_ops[] = {
 };
 
 /**
+ * The scalar per-Instruction replay loop, the oracle for replayMemo():
+ * one lookup, and an update on a miss, per memoizable record. Kept
+ * deliberately simple; do not optimize it.
+ */
+void
+replayMemoReference(const Trace &trace, MemoBank &bank)
+{
+    for (const Instruction &inst : trace) {
+        auto op = memoOperation(inst.cls);
+        if (!op)
+            continue;
+        MemoTable *table = bank.table(*op);
+        if (!table)
+            continue;
+        if (!table->lookup(inst.a, inst.b))
+            table->update(inst.a, inst.b, inst.result);
+    }
+}
+
+/**
  * Replay @p trace through the batched path and the scalar oracle on
  * identically configured banks and require equal statistics and entry
  * counts; then replay it once more on both (scalar), so a divergence

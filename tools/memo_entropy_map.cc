@@ -15,12 +15,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "img/entropy.hh"
 #include "img/generate.hh"
 #include "img/pnm.hh"
+#include "trace/file_io.hh"
 
 using namespace memo;
 
@@ -98,7 +101,11 @@ main(int argc, char **argv)
             }
         }
         map.quantize();
-        writePnm(map, out_path);
+        std::ostringstream pgm;
+        writePnm(map, pgm);
+        IoStatus st = writeWholeFile(out_path, pgm.str());
+        if (!st.ok())
+            throw std::runtime_error(st.error);
         std::printf("%dx%d window-entropy map -> %s (bright = high "
                     "entropy = memo-hostile)\n",
                     tw, th, out_path.c_str());

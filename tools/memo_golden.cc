@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "check/golden.hh"
+#include "trace/file_io.hh"
 
 namespace
 {
@@ -108,13 +109,11 @@ main(int argc, char **argv)
         std::string current = doc.produce();
 
         if (mode == "regen") {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            if (!out) {
-                std::cerr << "memo-golden: cannot write " << path
-                          << "\n";
+            memo::IoStatus st = memo::writeWholeFile(path, current);
+            if (!st.ok()) {
+                std::cerr << "memo-golden: " << st.error << "\n";
                 return 2;
             }
-            out << current;
             std::cout << "wrote " << path << "\n";
             continue;
         }

@@ -19,9 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +40,7 @@
 #include "prof/heartbeat.hh"
 #include "prof/prof.hh"
 #include "sim/cpu.hh"
+#include "trace/file_io.hh"
 #include "trace/io.hh"
 #include "workloads/workload.hh"
 
@@ -410,6 +411,15 @@ printReuse(const Trace &trace, bool csv)
         t.print(std::cout);
 }
 
+/** Write one output file; throws naming the path on failure. */
+void
+writeArtifact(const std::string &path, const std::string &bytes)
+{
+    IoStatus st = writeWholeFile(path, bytes);
+    if (!st.ok())
+        throw std::runtime_error(st.error);
+}
+
 } // anonymous namespace
 
 int
@@ -544,12 +554,8 @@ main(int argc, char **argv)
                                 : !opt.pipeline.empty()
                                     ? opt.pipeline.front()
                                     : "trace";
-            std::ofstream os(opt.phaseOut,
-                             std::ios::binary | std::ios::trunc);
-            if (!os)
-                throw std::runtime_error("cannot write " +
-                                         opt.phaseOut);
-            os << obs::renderPhasesJson(phase_profiles, label);
+            writeArtifact(opt.phaseOut,
+                          obs::renderPhasesJson(phase_profiles, label));
             size_t windows = 0;
             for (const auto &p : phase_profiles)
                 windows += p.rows.size();
@@ -559,11 +565,7 @@ main(int argc, char **argv)
         }
 
         if (tracer) {
-            std::ofstream events(opt.traceEvents,
-                                 std::ios::binary | std::ios::trunc);
-            if (!events)
-                throw std::runtime_error("cannot write " +
-                                         opt.traceEvents);
+            std::ostringstream events;
             if (phase_profiles.empty()) {
                 tracer->exportChromeTrace(events);
             } else {
@@ -582,6 +584,7 @@ main(int argc, char **argv)
                        << opt.samplePeriod << ", \"phaseWindow\": "
                        << opt.phaseWindow << "}}\n";
             }
+            writeArtifact(opt.traceEvents, events.str());
             std::cout << "wrote " << opt.traceEvents << " ("
                       << tracer->recorded() << " of "
                       << tracer->offered()
@@ -598,13 +601,10 @@ main(int argc, char **argv)
             exec::ThreadPool::shared().publishUtilization(host_stats);
             exec::TraceCache::instance().publishStats(host_stats);
 
-            std::ofstream os(opt.profileTrace,
-                             std::ios::binary | std::ios::trunc);
-            if (!os)
-                throw std::runtime_error("cannot write " +
-                                         opt.profileTrace);
+            std::ostringstream os;
             profiler.exportChromeTrace(os,
                                        tracer ? &*tracer : nullptr);
+            writeArtifact(opt.profileTrace, os.str());
             std::cerr << "memo-sim: wrote " << opt.profileTrace
                       << " (" << profiler.size() << " host spans"
                       << (tracer ? ", +table events" : "") << ")\n"
@@ -612,7 +612,7 @@ main(int argc, char **argv)
         }
 
         if (!opt.statsFile.empty()) {
-            std::ofstream stats(opt.statsFile);
+            std::ostringstream stats;
             stats << "instructions=" << trace.size() << "\n"
                   << "baseline_cycles=" << base.totalCycles << "\n"
                   << "l1_hit_ratio=" << base.l1.hitRatio() << "\n"
@@ -642,6 +642,7 @@ main(int argc, char **argv)
                           << it->second.lookups << "\n";
                 }
             }
+            writeArtifact(opt.statsFile, stats.str());
         }
         return 0;
     } catch (const std::exception &e) {
