@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/io.hh"
 #include "trace/recorder.hh"
@@ -159,6 +162,47 @@ TEST(TraceIo, FileRoundTrip)
     Trace back = readTrace(path);
     EXPECT_EQ(back.size(), t.size());
     std::remove(path.c_str());
+}
+
+TEST(TraceIo, FileWriteTruncatesAnEarlierTrace)
+{
+    // A shorter trace written over a longer one must read back alone,
+    // with no tail of the earlier file's records.
+    Trace longer = sampleTrace();
+    Trace tail = sampleTrace();
+    for (size_t i = 0; i < tail.size(); i++)
+        longer.push(tail[i]);
+    Trace shorter = sampleTrace();
+    std::string path = "/tmp/memo_trace_io_truncate_test.bin";
+    writeTrace(longer, path, false);
+    writeTrace(shorter, path, false);
+    Trace back = readTrace(path);
+    expectEqualTraces(shorter, back);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, FileWriteToMissingDirectoryNamesThePath)
+{
+    const std::string path = "/tmp/memo_trace_io_no_such_dir/t.bin";
+    try {
+        writeTrace(sampleTrace(), path);
+        FAIL() << "writeTrace into a missing directory did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "trace: cannot create " + path);
+    }
+}
+
+TEST(TraceIo, FileWriteToFullDeviceThrows)
+{
+    // /dev/full opens fine and fails every write: the short write must
+    // surface as an error, not as a silently truncated trace file.
+    try {
+        writeTrace(sampleTrace(), "/dev/full");
+        FAIL() << "writeTrace to /dev/full did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "trace: write failed on /dev/full");
+    }
 }
 
 } // anonymous namespace

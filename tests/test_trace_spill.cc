@@ -759,6 +759,25 @@ TEST(TraceFileIo, OutcomesNameTheOperationAndPath)
         << st.error;
 }
 
+TEST(TraceFileIo, ShortWriteIsReported)
+{
+    // Opening /dev/full succeeds; only the flush on close fails.
+    EXPECT_EQ(writeWholeFile("/dev/full", "bytes").error,
+              "write failed on /dev/full");
+}
+
+TEST(TraceFileIo, EmptyWriteTruncatesToAnEmptyFile)
+{
+    std::string root = tempRoot("fileio_empty");
+    fs::create_directories(root);
+    const std::string a = root + "/a";
+    ASSERT_TRUE(writeWholeFile(a, "earlier contents").ok());
+    ASSERT_TRUE(writeWholeFile(a, "").ok());
+    std::string got = "stale";
+    ASSERT_TRUE(readWholeFile(a, got).ok());
+    EXPECT_TRUE(got.empty()) << got;
+}
+
 // ---------------------------------------------------------------------------
 // TraceCache disk tier.
 // ---------------------------------------------------------------------------
