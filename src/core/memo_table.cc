@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "arith/fp.hh"
@@ -16,7 +17,10 @@ namespace memo
 MemoTable::MemoTable(Operation operation, const MemoConfig &config)
     : op(operation), cfg(config)
 {
-    assert(cfg.validate().empty());
+    // A bad geometry would index past `entries` (ways > entries gives
+    // zero sets), so it is rejected in every build type.
+    if (std::string err = cfg.validate(); !err.empty())
+        throw std::invalid_argument("MemoTable: " + err);
     unsigned index_bits = 0;
     if (!cfg.infinite) {
         index_bits = log2Exact(cfg.sets());
@@ -69,13 +73,14 @@ MemoTable::flush()
 namespace
 {
 
-/** Parity over the protected entry fields. */
+/**
+ * Parity over the protected entry fields. The parity of a sum of
+ * popcounts is the popcount parity of the XOR, so one call suffices.
+ */
 inline bool
 entryParity(uint64_t tag_a, uint64_t tag_b, uint64_t value)
 {
-    return (std::popcount(tag_a) + std::popcount(tag_b) +
-            std::popcount(value)) &
-           1;
+    return std::popcount(tag_a ^ tag_b ^ value) & 1;
 }
 
 /** setPhaseBoundaryFault() state; read once per boundary decision. */
@@ -375,24 +380,22 @@ MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
     };
     x.tagA = tag(a);
     x.tagB = m.unary ? 0 : tag(b);
-    bool swap_ok = commutableBits(m.op, a, b);
+    // Commutative units store and compare one canonical tag order, so
+    // a*b and b*a share an entry (section 2.2).
+    if (commutableBits(m.op, a, b) && x.tagB < x.tagA)
+        std::swap(x.tagA, x.tagB);
 
     if (m.infinite) {
-        if (swap_ok && x.tagB < x.tagA)
-            std::swap(x.tagA, x.tagB);
         auto it = infTable.find(InfKey{x.tagA, x.tagB});
         if (it != infTable.end())
             x.inf = &it->second;
         return x;
     }
 
-    // Way match. Commutative units compare the operands in both
-    // orders (section 2.2).
     x.set = &entries[x.index * m.ways];
     for (unsigned w = 0; w < m.ways; w++) {
         Entry &e = x.set[w];
-        if (e.valid && ((e.tagA == x.tagA && e.tagB == x.tagB) ||
-                        (swap_ok && e.tagA == x.tagB && e.tagB == x.tagA))) {
+        if (e.valid && e.tagA == x.tagA && e.tagB == x.tagB) {
             x.match = &e;
             break;
         }
@@ -510,7 +513,8 @@ MemoTable::install(const Mode &m, const Access &x, uint64_t result_bits,
         // reconstruct, or refreshed by a racing unit); rewrite.
         e->value = value;
         e->delta = delta;
-        e->parity = entryParity(e->tagA, e->tagB, value);
+        if (m.parity)
+            e->parity = entryParity(e->tagA, e->tagB, value);
         if (m.lru)
             e->tick = ++c.tick;
         return;
@@ -525,7 +529,8 @@ MemoTable::install(const Mode &m, const Access &x, uint64_t result_bits,
     victim.tagB = x.tagB;
     victim.value = value;
     victim.delta = delta;
-    victim.parity = entryParity(x.tagA, x.tagB, value);
+    if (m.parity)
+        victim.parity = entryParity(x.tagA, x.tagB, value);
     victim.tick = ++c.tick;
     c.stats.insertions++;
     emit<Hooked>(TableEventKind::Insert, x.index, c);

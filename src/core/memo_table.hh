@@ -14,8 +14,9 @@
  * selects the indexing/tagging scheme:
  *  - integer ops index with the XOR of the low operand bits;
  *  - fp ops index with the XOR of the top mantissa bits;
- *  - commutative ops (both multiplies) compare tags in both operand
- *    orders (section 2.2);
+ *  - commutative ops (both multiplies) store and compare tags in one
+ *    canonical operand order, so a*b and b*a share an entry (section
+ *    2.2; both-NaN pairs keep operand order, see commutableBits());
  *  - MantissaOnly tag mode stores only mantissas and reconstructs the
  *    result's sign/exponent, raising hit ratios slightly (Table 10);
  *  - trivial operations are bypassed, cached, or folded into hits
@@ -45,7 +46,9 @@ class MemoTable
   public:
     /**
      * @param operation the operation this table memoizes
-     * @param config geometry and policy; validated with assertions
+     * @param config geometry and policy
+     * @throws std::invalid_argument if config.validate() reports an
+     *         error
      */
     MemoTable(Operation operation, const MemoConfig &config);
 
@@ -188,7 +191,10 @@ class MemoTable
     struct Entry
     {
         bool valid = false;
-        bool parity = false; //!< stored parity over tags and value
+        /** Stored parity over tags and value. Written and read only
+         *  on parityProtected tables; unprotected ones never pay for
+         *  it. */
+        bool parity = false;
         uint64_t tagA = 0;
         uint64_t tagB = 0;
         uint64_t value = 0;
@@ -268,7 +274,7 @@ class MemoTable
         uint64_t a, b;          //!< operand bits
         uint64_t index;         //!< set index (0 for the infinite table)
         uint64_t trivialResult; //!< Trivial: the detector's result
-        uint64_t tagA, tagB;    //!< Tagged (canonical order if infinite)
+        uint64_t tagA, tagB;    //!< Tagged; canonical order if commutable
         Entry *set;             //!< Tagged, finite: the set's first way
         Entry *match;           //!< Tagged, finite: matching way or null
         InfValue *inf;          //!< Tagged, infinite: match or null

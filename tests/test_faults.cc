@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
+
 #include "arith/fp.hh"
 #include "arith/units.hh"
 #include "core/memo_table.hh"
@@ -85,6 +88,37 @@ TEST(Faults, ParityIntactEntriesUnaffected)
         EXPECT_EQ(fpFromBits(*hit), a / 4.0);
     }
     EXPECT_EQ(t.stats().parityMisses, 0u);
+}
+
+TEST(Faults, ParityCoversRewrittenEntries)
+{
+    // Every install path of a protected table writes the parity bit:
+    // a new entry, a rewrite, and a rewrite reached through the
+    // swapped operand order. The values make a skipped write visible:
+    // the new entry's parity is odd (a fresh way holds false), and r1
+    // and r2 differ in one bit.
+    MemoConfig cfg;
+    cfg.parityProtected = true;
+    MemoTable t(Operation::FpMul, cfg);
+    uint64_t a = fpBits(1.5), b = fpBits(10.0);
+    uint64_t r1 = fpBits(15.0), r2 = r1 ^ 1;
+    ASSERT_EQ(std::popcount(a ^ b ^ r1) & 1, 1);
+
+    t.update(a, b, r1);
+    EXPECT_EQ(t.lookup(a, b), std::optional<uint64_t>(r1));
+    t.update(a, b, r2);
+    EXPECT_EQ(t.lookup(a, b), std::optional<uint64_t>(r2));
+    t.update(b, a, r2);
+    EXPECT_EQ(t.lookup(a, b), std::optional<uint64_t>(r2));
+    EXPECT_EQ(t.stats().insertions, 1u);
+    EXPECT_EQ(t.stats().parityMisses, 0u);
+
+    // A flipped value bit in the rewritten entry is still caught.
+    unsigned set, way;
+    ASSERT_TRUE(findEntryPosition(t, cfg, set, way));
+    ASSERT_TRUE(t.injectBitFlip(set, way, 3));
+    EXPECT_FALSE(t.lookup(a, b).has_value());
+    EXPECT_EQ(t.stats().parityMisses, 1u);
 }
 
 TEST(Faults, InjectIntoInvalidEntryFails)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "arith/fp.hh"
 #include "core/memo_table.hh"
@@ -71,6 +72,15 @@ TEST(MemoTable, IntMulCommutative)
     auto hit = t.lookup(7, 6);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, 42u);
+}
+
+TEST(MemoTable, InvalidConfigThrows)
+{
+    // ways > entries leaves no sets; indexing would run off the table.
+    MemoConfig cfg;
+    cfg.entries = 2;
+    cfg.ways = 4;
+    EXPECT_THROW(MemoTable(Operation::FpMul, cfg), std::invalid_argument);
 }
 
 TEST(MemoTable, UnaryOperationIgnoresSecondOperand)
@@ -359,6 +369,34 @@ TEST(MemoTableEdge, SingleNaNPairStillCommutes)
     auto hit = t.lookup(x, n);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, n);
+}
+
+TEST(MemoTable, CommutedUpdateSharesOneWay)
+{
+    // One set of four ways: a second entry for the commuted pair
+    // would fit, so only the way match keeps the pair in one entry.
+    MemoConfig cfg;
+    cfg.entries = 4;
+    cfg.ways = 4;
+    MemoTable im(Operation::IntMul, cfg);
+    im.update(6, 7, 42);
+    im.update(7, 6, 42);
+    EXPECT_EQ(im.stats().insertions, 1u);
+    EXPECT_EQ(im.validEntries(), 1u);
+
+    MemoTable fm(Operation::FpMul, cfg);
+    fm.update(fpBits(3.0), fpBits(7.0), fpBits(21.0));
+    fm.update(fpBits(7.0), fpBits(3.0), fpBits(21.0));
+    EXPECT_EQ(fm.stats().insertions, 1u);
+    EXPECT_EQ(fm.validEntries(), 1u);
+
+    // Both-NaN products keep operand order: two entries.
+    MemoTable nan(Operation::FpMul, cfg);
+    uint64_t n1 = quietNaN(0x111), n2 = quietNaN(0x222);
+    nan.update(n1, n2, n1);
+    nan.update(n2, n1, n2);
+    EXPECT_EQ(nan.stats().insertions, 2u);
+    EXPECT_EQ(nan.validEntries(), 2u);
 }
 
 TEST(MemoTableEdge, SignedZerosAreDistinctKeys)
