@@ -5,8 +5,9 @@
  *
  * Every shared-state subsystem in this repository (ThreadPool,
  * TraceCache and its spill tier, StatsRegistry, Profiler, Heartbeat,
- * LineGenerations, the lazy TraceStore partition) carries hand-written
- * locking contracts; this header makes those contracts machine-checked.
+ * LiveRecorders and its FreedLines inboxes, the lazy TraceStore
+ * partition) carries hand-written locking contracts; this header makes
+ * those contracts machine-checked.
  * Under Clang the macros expand to the capability attributes consumed
  * by `-Wthread-safety` (a dedicated CI job builds the tree with
  * `-Werror=thread-safety-analysis`); under every other compiler they

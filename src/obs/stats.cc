@@ -26,12 +26,18 @@ Histogram::Histogram(std::vector<uint64_t> upper_edges)
 void
 Histogram::record(uint64_t value)
 {
+    record(value, 1);
+}
+
+void
+Histogram::record(uint64_t value, uint64_t n)
+{
     size_t b = 0;
     while (b < edges_.size() && value > edges_[b])
         b++;
-    counts_[b]++;
-    total_++;
-    sum_ += value;
+    counts_[b] += n;
+    total_ += n;
+    sum_ += value * n;
 }
 
 void

@@ -62,6 +62,9 @@ class Histogram
     /** Record one sample. */
     void record(uint64_t value);
 
+    /** Record @p n samples of @p value; equals n calls of record(value). */
+    void record(uint64_t value, uint64_t n);
+
     /** Add another histogram's counts; edges must match exactly. */
     void merge(const Histogram &other);
 

@@ -41,6 +41,12 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
     constexpr uint64_t progressBatch = 64 * 1024;
     uint64_t sinceProgress = 0;
 
+    // Occupancy is counted per (class, latency) and folded into the
+    // histograms once after the loop; latencies past the array are
+    // recorded directly.
+    constexpr unsigned maxCountedLat = 64;
+    uint64_t latCount[numInstClasses][maxCountedLat + 1] = {};
+
     // Walk the class column and materialize a record only where its
     // fields are read, so the operand columns of classes without a
     // table are never streamed.
@@ -87,7 +93,10 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
         }
         res.cycles[cls_idx] += lat;
         res.count[cls_idx]++;
-        res.occupancy[cls_idx].record(lat);
+        if (lat <= maxCountedLat)
+            latCount[cls_idx][lat]++;
+        else
+            res.occupancy[cls_idx].record(lat);
         res.totalCycles += lat;
         if (cfg.progress && ++sinceProgress == progressBatch) {
             cfg.progress->fetch_add(sinceProgress,
@@ -98,6 +107,10 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
     if (cfg.progress && sinceProgress)
         cfg.progress->fetch_add(sinceProgress,
                                 std::memory_order_relaxed);
+    for (unsigned c = 0; c < numInstClasses; c++)
+        for (unsigned lat = 0; lat <= maxCountedLat; lat++)
+            if (latCount[c][lat])
+                res.occupancy[c].record(lat, latCount[c][lat]);
 
     // Annulled delay slots: a deterministic fraction of branches
     // wastes one issue cycle each.

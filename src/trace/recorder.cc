@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include "arith/fp.hh"
 #include "core/aligned.hh"
@@ -24,6 +25,20 @@ namespace
  */
 constexpr unsigned lineShift = 5;
 static_assert((1u << lineShift) == kRecordedLineBytes);
+
+/**
+ * A call site's file name relative to the repository root: the build
+ * sets MEMO_SOURCE_ROOT to the root's absolute path, which prefixes
+ * every file name source_location reports. Hashing the relative part
+ * keeps recorded PCs independent of where the tree is checked out.
+ */
+const char *
+relativeToRoot(const char *file)
+{
+    constexpr std::string_view root = MEMO_SOURCE_ROOT;
+    return std::string_view(file).starts_with(root) ? file + root.size()
+                                                    : file;
+}
 
 uint32_t
 fnv1a(const char *s)
@@ -53,9 +68,17 @@ Recorder::pcOf(const std::source_location &loc)
 {
     auto [it, inserted] = fileHashes.try_emplace(loc.file_name(), 0);
     if (inserted)
-        it->second = fnv1a(loc.file_name());
+        it->second = fnv1a(relativeToRoot(loc.file_name()));
     return it->second ^ (loc.line() * 0x9e3779b1u) ^
            (loc.column() * 0x85ebca77u);
+}
+
+void
+Recorder::forgetFreedLines()
+{
+    for (const LineRange &r : freed.take())
+        for (uint64_t line = r.first; line <= r.last; line++)
+            lineMap.erase(line);
 }
 
 uint64_t
@@ -63,17 +86,16 @@ Recorder::remap(const void *addr)
 {
     uint64_t host = reinterpret_cast<uintptr_t>(addr);
     uint64_t line = host >> lineShift;
-    // Key the first-touch mapping by (line, lifetime): a host line
-    // whose buffer was freed since we numbered it (malloc may hand
-    // the region to a later buffer) gets a fresh number, exactly as
-    // untouched ground would — whether the allocator reuses a region
-    // must not show in the trace.
-    uint32_t g = LineGenerations::instance().of(line);
-    auto [it, inserted] = lineMap.try_emplace(line, LineMapping{g, 0});
-    if (inserted || it->second.gen != g)
-        it->second = {g, nextLine++};
-    return (it->second.id << lineShift) |
-           (host & ((1u << lineShift) - 1));
+    // A host line whose buffer was freed since we numbered it (malloc
+    // may hand the region to a later buffer) gets a fresh number,
+    // exactly as untouched ground would: whether the allocator reuses
+    // a region must not show in the trace.
+    if (freed.pending()) [[unlikely]]
+        forgetFreedLines();
+    auto [it, inserted] = lineMap.try_emplace(line, nextLine);
+    if (inserted)
+        nextLine++;
+    return (it->second << lineShift) | (host & ((1u << lineShift) - 1));
 }
 
 void

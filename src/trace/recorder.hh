@@ -21,6 +21,7 @@
 #include <source_location>
 #include <unordered_map>
 
+#include "core/aligned.hh"
 #include "trace/trace.hh"
 
 namespace memo
@@ -104,19 +105,16 @@ class Recorder
     void pushOp(InstClass cls, uint64_t a, uint64_t b, uint64_t result,
                 const std::source_location &loc);
 
-    /** First-touch mapping of one host line, valid for one lifetime. */
-    struct LineMapping
-    {
-        uint32_t gen; //!< LineGenerations value when assigned
-        uint64_t id;  //!< the trace line number handed out
-    };
+    /** Drop the first-touch IDs of lines freed since the last access. */
+    void forgetFreedLines();
 
     Trace &trace_;
     // Pointer-keyed, but a pure lookup cache: the stored value is the
     // FNV-1a hash of the string contents and the map is never
     // iterated, so addresses never reach the trace.
     std::unordered_map<const char *, uint32_t> fileHashes; // NOLINT(memo-DET-003)
-    std::unordered_map<uint64_t, LineMapping> lineMap;
+    FreedLines freed;
+    std::unordered_map<uint64_t, uint64_t> lineMap; //!< host line -> ID
     uint64_t nextLine = 0;
 };
 

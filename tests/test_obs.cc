@@ -54,6 +54,25 @@ TEST(Histogram, MergeSumsPerBucket)
     EXPECT_EQ(a.total(), 3u);
 }
 
+TEST(Histogram, RecordManyEqualsRepeatedRecord)
+{
+    // record(v, n) is the batched form CpuModel::run folds its
+    // per-latency counts through: n calls of record(v), exactly.
+    for (uint64_t value : {0u, 1u, 3u, 64u, 200u}) {
+        Histogram batched, repeated;
+        batched.record(value, 7);
+        for (int i = 0; i < 7; i++)
+            repeated.record(value);
+        EXPECT_EQ(batched.serialize(), repeated.serialize()) << value;
+        EXPECT_EQ(batched.counts(), repeated.counts()) << value;
+        EXPECT_EQ(batched.sum(), repeated.sum()) << value;
+    }
+    Histogram none;
+    none.record(5, 0);
+    EXPECT_EQ(none.total(), 0u);
+    EXPECT_EQ(none.sum(), 0u);
+}
+
 TEST(Histogram, SerializeIsCanonical)
 {
     Histogram h({1, 2});

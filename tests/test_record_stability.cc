@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/experiment.hh"
+#include "exec/parallel.hh"
 #include "img/generate.hh"
 #include "workloads/workload.hh"
 
@@ -89,6 +90,31 @@ TEST(RecordStability, SciWorkloadTraceHeapInvariant)
         auto keep = perturbHeap(pad);
         Trace t = traceSciWorkload(workload);
         expectIdenticalTraces(base, t, pad);
+    }
+}
+
+TEST(RecordStability, ConcurrentRecordingIsBitIdentical)
+{
+    // Recorders on different threads free and reuse each other's heap
+    // regions; every free reaches every live recorder, so each trace
+    // is the one a serial run records, address column included.
+    const MmKernel &kernel = mmKernelByName("vcost");
+    const std::vector<NamedImage> &images = standardImages();
+    auto record = [&](unsigned jobs) {
+        return exec::sweep(
+            images,
+            [&](const NamedImage &img) {
+                return traceMmKernel(kernel, img.image, 64);
+            },
+            jobs);
+    };
+    std::vector<Trace> serial = record(1);
+    std::vector<Trace> parallel = record(4);
+    ASSERT_EQ(serial.size(), images.size());
+    ASSERT_EQ(parallel.size(), images.size());
+    for (size_t i = 0; i < images.size(); i++) {
+        SCOPED_TRACE(images[i].name);
+        expectIdenticalTraces(serial[i], parallel[i], 0);
     }
 }
 

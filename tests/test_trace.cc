@@ -9,7 +9,9 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <source_location>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -112,6 +114,63 @@ TEST(Recorder, AddressRemappingIsFirstTouchOrdered)
     EXPECT_EQ(line(0), 0u);
     EXPECT_EQ(line(1), 1u);
     EXPECT_EQ(line(2), line(0));
+}
+
+TEST(Recorder, FreedLineGetsFreshNumber)
+{
+    // A line whose buffer is freed must be numbered afresh at its
+    // next touch, whichever thread reports the free; lines outside
+    // the freed range keep their IDs.
+    Trace trace;
+    Recorder rec(trace);
+    AlignedVec<double> data(64, 0.0); // 16 lines of 32 bytes
+    auto line = [&](size_t i) { return trace[i].addr >> 5; };
+    auto freeLine = [&](size_t elem) {
+        LiveRecorders::instance().onFree(&data[elem], kRecordedLineBytes);
+    };
+
+    rec.load(data[0]);  // line 0
+    rec.load(data[32]); // line 1
+    freeLine(0);
+    rec.load(data[0]);  // fresh: line 2
+    rec.load(data[32]); // outside the range: still line 1
+    EXPECT_EQ(line(0), 0u);
+    EXPECT_EQ(line(1), 1u);
+    EXPECT_EQ(line(2), 2u);
+    EXPECT_EQ(line(3), 1u);
+
+    exec::ThreadPool pool(1);
+    pool.submit([&] { freeLine(0); });
+    pool.wait();
+    rec.load(data[0]);  // fresh again: line 3
+    rec.load(data[32]); // still line 1
+    rec.load(data[1]);  // same line as data[0], no new free: line 3
+    EXPECT_EQ(line(4), 3u);
+    EXPECT_EQ(line(5), 1u);
+    EXPECT_EQ(line(6), 3u);
+}
+
+TEST(Recorder, PcHashesPathRelativeToRoot)
+{
+    // The PC of a call site hashes its file name relative to the
+    // repository root, so it is the same in any checkout.
+    auto fnv1a = [](std::string_view s) {
+        uint32_t h = 0x811c9dc5u;
+        for (char c : s) {
+            h ^= static_cast<uint8_t>(c);
+            h *= 0x01000193u;
+        }
+        return h;
+    };
+    Trace trace;
+    Recorder rec(trace);
+    const auto loc = std::source_location::current();
+    rec.mul(2.0, 3.0, loc);
+
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace[0].pc, fnv1a("tests/test_trace.cc") ^
+                               (loc.line() * 0x9e3779b1u) ^
+                               (loc.column() * 0x85ebca77u));
 }
 
 TEST(Recorder, PcStablePerCallSite)
