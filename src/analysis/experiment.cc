@@ -184,7 +184,8 @@ replayMemoStreamed(const SpillStore &store, const std::string &key,
     // exactly the access sequence replayMemo() feeds it.
     replayColumns(bank, [&](MemoTable *const *tables, auto &probe) {
         SpillStore::Reader reader = store.open(key);
-        std::vector<uint64_t> cls, a, b, r;
+        std::vector<uint8_t> cls;
+        std::vector<uint64_t> a, b, r;
         std::array<TraceStore::ClassColumns, numInstClasses> part;
         for (size_t chunk = 0; chunk < reader.opChunkCount(); chunk++) {
             reader.readOpChunk(chunk, cls, a, b, r);

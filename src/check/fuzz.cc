@@ -785,7 +785,8 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
     }
 
     // Manifest round-trip.
-    TraceManifest m = manifestOf("fuzz|case", enc);
+    TraceManifest m = enc.manifest;
+    m.key = "fuzz|case";
     std::string mbytes = encodeManifest(m);
     try {
         TraceManifest m2 = decodeManifest(mbytes);
@@ -811,8 +812,8 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
     // random single-bit flip must throw — reaching the element
     // comparison above would mean corruption decoded silently.
     std::vector<EncodedChunk *> chunks;
-    for (EncodedColumn &col : enc.cols)
-        for (EncodedChunk &ch : col.chunks)
+    for (std::vector<EncodedChunk> &col : enc.cols)
+        for (EncodedChunk &ch : col)
             chunks.push_back(&ch);
     if (!chunks.empty()) {
         EncodedChunk *victim = chunks[rng.below(chunks.size())];

@@ -1,34 +1,26 @@
 #include "chunk_codec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 namespace memo
 {
 
+// Payloads and hash lanes are copied between memory and the format's
+// little-endian bytes as they are.
+static_assert(std::endian::native == std::endian::little,
+              "the spill codec assumes a little-endian host");
+
 namespace
 {
 
-// --- little-endian scalar helpers -----------------------------------------
-
+/** Append the low @p n bytes of @p v to @p out, little-endian. */
 void
-putU16(std::string &out, uint16_t v)
+putLE(std::string &out, uint64_t v, size_t n)
 {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; i++)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; i++)
+    for (size_t i = 0; i < n; i++)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
@@ -41,7 +33,6 @@ class ByteReader
     {
     }
 
-    size_t pos() const { return pos_; }
     size_t remaining() const { return bytes_.size() - pos_; }
 
     const char *
@@ -58,42 +49,22 @@ class ByteReader
         return p;
     }
 
-    uint8_t
-    u8()
-    {
-        return static_cast<uint8_t>(*take(1));
-    }
-
-    uint16_t
-    u16()
-    {
-        const char *p = take(2);
-        return static_cast<uint16_t>(
-            static_cast<uint8_t>(p[0]) |
-            (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8));
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        const char *p = take(4);
-        for (int i = 0; i < 4; i++)
-            v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i]))
-                 << (8 * i);
-        return v;
-    }
-
+    /** The next @p n bytes as a little-endian unsigned value. */
     uint64_t
-    u64()
+    le(size_t n)
     {
+        const char *p = take(n);
         uint64_t v = 0;
-        const char *p = take(8);
-        for (int i = 0; i < 8; i++)
+        for (size_t i = 0; i < n; i++)
             v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i]))
                  << (8 * i);
         return v;
     }
+
+    uint8_t u8() { return static_cast<uint8_t>(le(1)); }
+    uint16_t u16() { return static_cast<uint16_t>(le(2)); }
+    uint32_t u32() { return static_cast<uint32_t>(le(4)); }
+    uint64_t u64() { return le(8); }
 
   private:
     std::string_view bytes_;
@@ -101,46 +72,40 @@ class ByteReader
     size_t pos_ = 0;
 };
 
-// --- varint / zigzag ------------------------------------------------------
+// --- XXH64 ------------------------------------------------------------------
+
+constexpr uint64_t kXxP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kXxP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kXxP3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kXxP4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kXxP5 = 0x27D4EB2F165667C5ull;
 
 uint64_t
-zigzag(uint64_t delta)
+load64(const unsigned char *p)
 {
-    return (delta << 1) ^
-           static_cast<uint64_t>(static_cast<int64_t>(delta) >> 63);
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
 }
 
 uint64_t
-unzigzag(uint64_t zz)
+xxRound(uint64_t acc, uint64_t lane)
 {
-    return (zz >> 1) ^ (~(zz & 1) + 1);
+    return std::rotl(acc + lane * kXxP2, 31) * kXxP1;
 }
 
-/**
- * Reads one LEB128 varint from [p, end) into @p v, folding each byte
- * into the FNV-1a state @p h. Returns nullptr on success, else what
- * was malformed (the bytes read so far are hashed either way).
- */
-inline const char *
-getVarint(const unsigned char *&p, const unsigned char *end, uint64_t &h,
-          uint64_t &v)
+uint64_t
+xxMerge(uint64_t h, uint64_t acc)
 {
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return "truncated varint";
-        const unsigned char byte = *p++;
-        h = (h ^ byte) * kFnvPrime;
-        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return nullptr;
-    }
-    return "varint exceeds 64 bits";
+    return (h ^ xxRound(0, acc)) * kXxP1 + kXxP4;
 }
+
+// --- chunk header -----------------------------------------------------------
 
 /** Fixed chunk header fields, verified up to the payload size. */
 struct ChunkHeader
 {
+    unsigned width = 0;
     uint32_t elems = 0;
     uint32_t payloadBytes = 0;
     uint64_t hash = 0;
@@ -150,9 +115,13 @@ struct ChunkHeader
 ChunkHeader
 readChunkHeader(std::string_view chunk)
 {
+    if (chunk.size() < kChunkHeaderBytes)
+        throw SpillError("chunk header: truncated (" +
+                         std::to_string(chunk.size()) + " of " +
+                         std::to_string(kChunkHeaderBytes) + " bytes)");
     ByteReader r(chunk, "chunk header");
-    const char *magic = r.take(sizeof(kChunkMagic));
-    if (std::memcmp(magic, kChunkMagic, sizeof(kChunkMagic)) != 0)
+    if (std::memcmp(r.take(sizeof(kChunkMagic)), kChunkMagic,
+                    sizeof(kChunkMagic)) != 0)
         throw SpillError("chunk header: bad magic");
     uint16_t version = r.u16();
     if (version != kSpillFormatVersion)
@@ -160,12 +129,14 @@ readChunkHeader(std::string_view chunk)
                          std::to_string(version) + " (expected " +
                          std::to_string(kSpillFormatVersion) + ")");
     uint8_t encoding = r.u8();
-    if (encoding != kEncodingDeltaVarint)
+    if (encoding != kEncodingRaw)
         throw SpillError("chunk header: unknown encoding id " +
                          std::to_string(encoding));
-    if (r.u8() != 0)
-        throw SpillError("chunk header: nonzero reserved byte");
     ChunkHeader h;
+    h.width = r.u8();
+    if (h.width != 1 && h.width != 4 && h.width != 8)
+        throw SpillError("chunk header: invalid element width " +
+                         std::to_string(h.width));
     h.elems = r.u32();
     h.payloadBytes = r.u32();
     h.hash = r.u64();
@@ -177,7 +148,133 @@ readChunkHeader(std::string_view chunk)
     return h;
 }
 
+/** Encode @p n elements of @p v into @p c, reusing its buffer. */
+template <typename T>
+void
+encodeChunkInto(const T *v, uint32_t n, EncodedChunk &c)
+{
+    static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+    const size_t payloadBytes = size_t{n} * sizeof(T);
+    c.elems = n;
+    c.hash = xxh64(v, payloadBytes);
+    c.bytes.clear();
+    c.bytes.append(kChunkMagic, sizeof(kChunkMagic));
+    putLE(c.bytes, kSpillFormatVersion, 2);
+    putLE(c.bytes, kEncodingRaw, 1);
+    putLE(c.bytes, sizeof(T), 1);
+    putLE(c.bytes, n, 4);
+    putLE(c.bytes, payloadBytes, 4);
+    putLE(c.bytes, c.hash, 8);
+    c.bytes.append(reinterpret_cast<const char *>(v), payloadBytes);
+}
+
+/**
+ * Decode every chunk of column @p which into @p out. Its count was
+ * checked against the manifest header, but the reservation is also
+ * capped at @p cap, a count backed by bytes already decoded, so a
+ * manifest claiming more elements than any file holds allocates
+ * nothing for them.
+ */
+template <typename T>
+void
+decodeColumn(const TraceManifest &m, TraceColumn which, uint64_t cap,
+             const ChunkSource &chunk, std::vector<T> &out)
+{
+    const std::vector<ChunkRef> &refs = m.col(which);
+    uint64_t declared = 0;
+    for (const ChunkRef &ref : refs)
+        declared += ref.elems;
+    out.reserve(static_cast<size_t>(std::min(declared, cap)));
+    const char *name = traceColumnName(which);
+    for (size_t i = 0; i < refs.size(); i++)
+        decodeChunkInto(chunk(which, i), out, name, &refs[i]);
+}
+
+/**
+ * Decode the opA, opB and opRes chunks one at a time and append each
+ * word to the column of its record's class, as @p cols.opCls names it,
+ * so the operands never exist in trace order. The class columns are
+ * reserved exactly from opCls first.
+ */
+void
+scatterOperands(const TraceManifest &m, const ChunkSource &chunk,
+                TraceStore::Columns &cols)
+{
+    const std::vector<uint8_t> &opCls = cols.opCls;
+    std::array<size_t, numInstClasses> count{};
+    for (uint8_t c : opCls) {
+        if (c >= numInstClasses)
+            throw SpillError("opCls: value " + std::to_string(c) +
+                             " is not an InstClass");
+        count[c]++;
+    }
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        cols.ops[c].a.reserve(count[c]);
+        cols.ops[c].b.reserve(count[c]);
+        cols.ops[c].r.reserve(count[c]);
+    }
+    using Words = std::vector<uint64_t> TraceStore::ClassColumns::*;
+    const std::pair<TraceColumn, Words> targets[] = {
+        {TraceColumn::OpA, &TraceStore::ClassColumns::a},
+        {TraceColumn::OpB, &TraceStore::ClassColumns::b},
+        {TraceColumn::OpRes, &TraceStore::ClassColumns::r},
+    };
+    std::vector<uint64_t> words; // one chunk in flight
+    for (const auto &[which, dst] : targets) {
+        const std::vector<ChunkRef> &refs = m.col(which);
+        // decodeTrace checked these counts sum to opCls.size().
+        size_t base = 0;
+        for (size_t i = 0; i < refs.size(); i++) {
+            words.clear();
+            decodeChunkInto(chunk(which, i), words, traceColumnName(which),
+                            &refs[i]);
+            for (size_t j = 0; j < words.size(); j++)
+                (cols.ops[opCls[base + j]].*dst).push_back(words[j]);
+            base += words.size();
+        }
+    }
+}
+
 } // anonymous namespace
+
+uint64_t
+xxh64(const void *data, size_t n)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    const unsigned char *const end = p + n;
+    uint64_t h;
+    if (n >= 32) {
+        uint64_t v1 = kXxP1 + kXxP2, v2 = kXxP2, v3 = 0, v4 = 0 - kXxP1;
+        do {
+            v1 = xxRound(v1, load64(p));
+            v2 = xxRound(v2, load64(p + 8));
+            v3 = xxRound(v3, load64(p + 16));
+            v4 = xxRound(v4, load64(p + 24));
+            p += 32;
+        } while (end - p >= 32);
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxMerge(xxMerge(xxMerge(xxMerge(h, v1), v2), v3), v4);
+    } else {
+        h = kXxP5;
+    }
+    h += n;
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ xxRound(0, load64(p)), 27) * kXxP1 + kXxP4;
+    if (end - p >= 4) {
+        uint32_t lane;
+        std::memcpy(&lane, p, sizeof(lane));
+        h = std::rotl(h ^ (lane * kXxP1), 23) * kXxP2 + kXxP3;
+        p += 4;
+    }
+    for (; p != end; p++)
+        h = std::rotl(h ^ (*p * kXxP5), 11) * kXxP1;
+    h ^= h >> 33;
+    h *= kXxP2;
+    h ^= h >> 29;
+    h *= kXxP3;
+    return h ^ (h >> 32);
+}
 
 const char *
 traceColumnName(TraceColumn col)
@@ -215,94 +312,96 @@ traceColumnWidth(TraceColumn col)
     }
 }
 
-namespace
-{
-
-/**
- * Encode @p n elements of @p v, zero-extended to u64, as one chunk.
- * The payload goes into @p scratch, sized for the worst case of 10
- * varint bytes per element, and is hashed in the same pass.
- */
 template <typename T>
 EncodedChunk
-encodeChunkFrom(const T *v, uint32_t n, std::vector<unsigned char> &scratch)
+encodeChunk(const T *v, uint32_t n)
 {
-    if (scratch.size() < size_t{n} * 10)
-        scratch.resize(size_t{n} * 10);
-    unsigned char *out = scratch.data();
-    uint64_t h = kFnvOffset;
-    uint64_t prev = 0;
-    for (uint32_t i = 0; i < n; i++) {
-        const uint64_t x = v[i];
-        uint64_t zz = zigzag(x - prev);
-        prev = x;
-        while (zz >= 0x80) {
-            const auto byte = static_cast<unsigned char>(zz | 0x80);
-            h = (h ^ byte) * kFnvPrime;
-            *out++ = byte;
-            zz >>= 7;
-        }
-        const auto byte = static_cast<unsigned char>(zz);
-        h = (h ^ byte) * kFnvPrime;
-        *out++ = byte;
-    }
-    const size_t payloadBytes = static_cast<size_t>(out - scratch.data());
-
     EncodedChunk c;
-    c.elems = n;
-    c.hash = h;
-    c.bytes.reserve(kChunkHeaderBytes + payloadBytes);
-    c.bytes.append(kChunkMagic, sizeof(kChunkMagic));
-    putU16(c.bytes, kSpillFormatVersion);
-    c.bytes.push_back(static_cast<char>(kEncodingDeltaVarint));
-    c.bytes.push_back(0); // reserved
-    putU32(c.bytes, n);
-    putU32(c.bytes, static_cast<uint32_t>(payloadBytes));
-    putU64(c.bytes, c.hash);
-    c.bytes.append(reinterpret_cast<const char *>(scratch.data()),
-                   payloadBytes);
+    encodeChunkInto(v, n, c);
     return c;
 }
 
-/** Chunk a column straight from its typed storage. */
+template EncodedChunk encodeChunk(const uint8_t *, uint32_t);
+template EncodedChunk encodeChunk(const uint32_t *, uint32_t);
+template EncodedChunk encodeChunk(const uint64_t *, uint32_t);
+
 template <typename T>
-EncodedColumn
-encodeColumn(const T *data, size_t n, uint32_t chunk_elems)
+void
+decodeChunkInto(std::string_view chunk, std::vector<T> &out,
+                const char *column, const ChunkRef *expect)
 {
-    EncodedColumn col;
-    col.elems = n;
-    std::vector<unsigned char> scratch;
-    for (size_t base = 0; base < n; base += chunk_elems) {
-        uint32_t len = static_cast<uint32_t>(
-            std::min<size_t>(chunk_elems, n - base));
-        col.chunks.push_back(encodeChunkFrom(data + base, len, scratch));
-    }
-    return col;
+    const ChunkHeader h = readChunkHeader(chunk);
+    const char *payload = chunk.data() + kChunkHeaderBytes;
+    const std::string name(column);
+    if (xxh64(payload, h.payloadBytes) != h.hash)
+        throw SpillError(name + ": content hash mismatch");
+    // In 64 bits: a count whose 32-bit product wrapped onto the
+    // payload size must not pass and size the output.
+    if (uint64_t{h.elems} * h.width != h.payloadBytes)
+        throw SpillError(name + ": element count mismatch (header says " +
+                         std::to_string(h.elems) + " elements of " +
+                         std::to_string(h.width) + " bytes, payload holds " +
+                         std::to_string(h.payloadBytes) + " bytes)");
+    if (h.width != sizeof(T))
+        throw SpillError(name + ": chunk width " + std::to_string(h.width) +
+                         ", column width " + std::to_string(sizeof(T)));
+    if (expect && h.hash != expect->hash)
+        throw SpillError(name + ": chunk hash differs from the manifest's");
+    if (expect && h.elems != expect->elems)
+        throw SpillError(name +
+                         ": chunk element count differs from the "
+                         "manifest's");
+    const size_t base = out.size();
+    out.resize(base + h.elems);
+    if (h.elems)
+        std::memcpy(out.data() + base, payload, h.payloadBytes);
 }
 
-/**
- * Chunk the four operand columns in trace order. The store keeps
- * operands per class, so each chunk's words are gathered by walking
- * the class column; chunk boundaries fall exactly where encodeColumn
- * would put them.
- */
-void
-encodeOperandColumns(const TraceStore &s, uint32_t chunk_elems,
-                     EncodedTrace &enc)
+template void decodeChunkInto(std::string_view, std::vector<uint8_t> &,
+                              const char *, const ChunkRef *);
+template void decodeChunkInto(std::string_view, std::vector<uint32_t> &,
+                              const char *, const ChunkRef *);
+template void decodeChunkInto(std::string_view, std::vector<uint64_t> &,
+                              const char *, const ChunkRef *);
+
+TraceManifest
+encodeTrace(const std::string &key, const Trace &trace,
+            uint32_t chunk_elems, const ChunkSink &sink)
 {
+    if (chunk_elems == 0 || chunk_elems > kMaxChunkElems)
+        throw SpillError("encodeTrace: chunk_elems must be in [1, " +
+                         std::to_string(kMaxChunkElems) + "]");
+    const TraceStore &s = trace.store();
+    TraceManifest m;
+    m.key = key;
+    m.records = s.size();
+    m.ops = s.opCount();
+    m.addrs = s.addrCount();
+
+    EncodedChunk chunk; // the one chunk in flight, its buffer reused
+    auto emit = [&](TraceColumn c, const auto *v, size_t n) {
+        encodeChunkInto(v, static_cast<uint32_t>(n), chunk);
+        m.cols[static_cast<size_t>(c)].push_back({chunk.hash, chunk.elems});
+        sink(c, chunk);
+    };
+    auto column = [&](TraceColumn c, const auto *v, size_t n) {
+        for (size_t base = 0; base < n; base += chunk_elems)
+            emit(c, v + base, std::min<size_t>(chunk_elems, n - base));
+    };
+
+    column(TraceColumn::Cls, s.clsData(), s.size());
+    column(TraceColumn::Pc, s.pcData(), s.size());
+
+    // The store keeps operands per class, so each operand chunk's
+    // words are gathered by walking the class column; chunk
+    // boundaries fall exactly where column() would put them.
     std::vector<uint8_t> cls;
     std::vector<uint64_t> a, b, r;
-    std::vector<unsigned char> scratch;
     auto flush = [&] {
-        const auto n = static_cast<uint32_t>(cls.size());
-        enc.col(TraceColumn::OpCls).chunks.push_back(
-            encodeChunkFrom(cls.data(), n, scratch));
-        enc.col(TraceColumn::OpA).chunks.push_back(
-            encodeChunkFrom(a.data(), n, scratch));
-        enc.col(TraceColumn::OpB).chunks.push_back(
-            encodeChunkFrom(b.data(), n, scratch));
-        enc.col(TraceColumn::OpRes).chunks.push_back(
-            encodeChunkFrom(r.data(), n, scratch));
+        emit(TraceColumn::OpCls, cls.data(), cls.size());
+        emit(TraceColumn::OpA, a.data(), a.size());
+        emit(TraceColumn::OpB, b.data(), b.size());
+        emit(TraceColumn::OpRes, r.data(), r.size());
         cls.clear();
         a.clear();
         b.clear();
@@ -322,192 +421,63 @@ encodeOperandColumns(const TraceStore &s, uint32_t chunk_elems,
     }
     if (!cls.empty())
         flush();
-    for (TraceColumn c : {TraceColumn::OpCls, TraceColumn::OpA,
-                          TraceColumn::OpB, TraceColumn::OpRes})
-        enc.col(c).elems = enc.ops;
+
+    column(TraceColumn::Addr, s.addrData(), s.addrCount());
+    return m;
 }
 
-/**
- * Decode every chunk of column @p which into @p out, which then holds
- * exactly the column's declared element count.
- */
-template <typename T>
-void
-decodeColumn(const EncodedTrace &enc, TraceColumn which,
-             std::vector<T> &out)
+Trace
+decodeTrace(const TraceManifest &m, const ChunkSource &chunk)
 {
-    const EncodedColumn &col = enc.col(which);
-    const char *name = traceColumnName(which);
-    uint64_t declared = 0, bytes = 0;
-    for (const EncodedChunk &c : col.chunks) {
-        declared += c.elems;
-        bytes += c.bytes.size();
+    const uint64_t implied[kNumTraceColumns] = {
+        m.records, m.records, m.ops, m.ops, m.ops, m.ops, m.addrs};
+    for (size_t c = 0; c < kNumTraceColumns; c++) {
+        uint64_t declared = 0;
+        for (const ChunkRef &ref : m.cols[c])
+            declared += ref.elems;
+        if (declared != implied[c])
+            throw SpillError(
+                std::string(traceColumnName(static_cast<TraceColumn>(c))) +
+                ": chunk element counts sum to " +
+                std::to_string(declared) + ", trace counts imply " +
+                std::to_string(implied[c]));
     }
-    if (declared != col.elems)
-        throw SpillError(std::string(name) +
-                         ": chunk element counts sum to " +
-                         std::to_string(declared) + ", column declares " +
-                         std::to_string(col.elems));
-    // Every element takes at least one payload byte, so a count no
-    // chunk bytes could hold never becomes an allocation.
-    out.reserve(static_cast<size_t>(std::min(col.elems, bytes)));
-    for (const EncodedChunk &c : col.chunks)
-        decodeChunkInto(c.bytes, out, name);
-    if (out.size() != col.elems)
-        throw SpillError(std::string(name) + ": chunks decode to " +
-                         std::to_string(out.size()) +
-                         " elements, column declares " +
-                         std::to_string(col.elems));
-}
 
-} // anonymous namespace
-
-EncodedChunk
-encodeChunk(const uint64_t *v, uint32_t n)
-{
-    std::vector<unsigned char> scratch;
-    return encodeChunkFrom(v, n, scratch);
-}
-
-template <typename T>
-void
-decodeChunkInto(std::string_view chunk, std::vector<T> &out,
-                const char *column)
-{
-    const ChunkHeader hdr = readChunkHeader(chunk);
-    const auto *p = reinterpret_cast<const unsigned char *>(chunk.data()) +
-                    kChunkHeaderBytes;
-    const auto *end = p + hdr.payloadBytes;
-    const size_t base = out.size();
-    uint64_t h = kFnvOffset;
-    const char *malformed = nullptr;
-    uint64_t decoded = 0;
-    uint64_t wide = 0; // OR of every value's bits above T's width
-
-    // Each varint is at least one byte, so a count above the payload
-    // size is a defect: skip straight to the checks, never allocate.
-    if (hdr.elems <= hdr.payloadBytes) {
-        out.resize(base + hdr.elems);
-        T *dst = out.data() + base;
-        uint64_t prev = 0;
-        while (decoded < hdr.elems && p != end) {
-            uint64_t zz;
-            malformed = getVarint(p, end, h, zz);
-            if (malformed)
-                break;
-            prev += unzigzag(zz);
-            if constexpr (sizeof(T) < sizeof(uint64_t))
-                wide |= prev >> (8 * sizeof(T));
-            dst[decoded++] = static_cast<T>(prev);
-        }
-    }
-    // Hash and count whatever the loop left: varints past the declared
-    // count, the bytes after a malformed varint, or the whole payload
-    // of an impossible count. The failures then come out in §4's
-    // order however early the loop stopped.
-    while (!malformed && p != end) {
-        uint64_t zz;
-        malformed = getVarint(p, end, h, zz);
-        if (!malformed)
-            decoded++;
-    }
-    h = fnv1a(p, static_cast<size_t>(end - p), h);
-
-    std::string error;
-    if (h != hdr.hash)
-        error = std::string(column) + ": content hash mismatch";
-    else if (malformed)
-        error = std::string(column) + " payload: " + malformed;
-    else if (decoded != hdr.elems)
-        error = std::string(column) +
-                ": element count mismatch (header says " +
-                std::to_string(hdr.elems) + ", payload holds " +
-                std::to_string(decoded) + ")";
-    else if (wide)
-        error = std::string(column) + ": element exceeds column width";
-    if (!error.empty()) {
-        out.resize(base);
-        throw SpillError(error);
-    }
-}
-
-template void decodeChunkInto(std::string_view, std::vector<uint8_t> &,
-                              const char *);
-template void decodeChunkInto(std::string_view, std::vector<uint32_t> &,
-                              const char *);
-template void decodeChunkInto(std::string_view, std::vector<uint64_t> &,
-                              const char *);
-
-std::vector<uint64_t>
-decodeChunk(std::string_view chunk)
-{
-    std::vector<uint64_t> out;
-    decodeChunkInto(chunk, out, "chunk");
-    return out;
+    // cls grows with the chunks actually decoded; no other column
+    // holds more than one element per record, so cls.size() caps
+    // their reservations.
+    TraceStore::Columns cols;
+    decodeColumn(m, TraceColumn::Cls, 0, chunk, cols.cls);
+    cols.cls.shrink_to_fit();
+    const uint64_t cap = cols.cls.size();
+    decodeColumn(m, TraceColumn::Pc, cap, chunk, cols.pc);
+    decodeColumn(m, TraceColumn::OpCls, cap, chunk, cols.opCls);
+    scatterOperands(m, chunk, cols);
+    decodeColumn(m, TraceColumn::Addr, cap, chunk, cols.addr);
+    return Trace(TraceStore::adopt(std::move(cols)));
 }
 
 EncodedTrace
 encodeTraceChunked(const Trace &trace, uint32_t chunk_elems)
 {
-    if (chunk_elems == 0)
-        throw SpillError("encodeTraceChunked: chunk_elems must be > 0");
-    const TraceStore &s = trace.store();
     EncodedTrace enc;
-    enc.records = s.size();
-    enc.ops = s.opCount();
-    enc.addrs = s.addrCount();
-    enc.col(TraceColumn::Cls) =
-        encodeColumn(s.clsData(), s.size(), chunk_elems);
-    enc.col(TraceColumn::Pc) =
-        encodeColumn(s.pcData(), s.size(), chunk_elems);
-    encodeOperandColumns(s, chunk_elems, enc);
-    enc.col(TraceColumn::Addr) =
-        encodeColumn(s.addrData(), s.addrCount(), chunk_elems);
+    enc.manifest = encodeTrace(
+        "", trace, chunk_elems,
+        [&](TraceColumn c, const EncodedChunk &ch) {
+            enc.cols[static_cast<size_t>(c)].push_back(ch);
+        });
     return enc;
 }
 
 Trace
 decodeTraceChunked(const EncodedTrace &enc)
 {
-    auto expectElems = [&](TraceColumn c, uint64_t want) {
-        if (enc.col(c).elems != want)
-            throw SpillError(std::string(traceColumnName(c)) +
-                             ": column has " +
-                             std::to_string(enc.col(c).elems) +
-                             " elements, trace counts imply " +
-                             std::to_string(want));
-    };
-    expectElems(TraceColumn::Cls, enc.records);
-    expectElems(TraceColumn::Pc, enc.records);
-    expectElems(TraceColumn::OpCls, enc.ops);
-    expectElems(TraceColumn::OpA, enc.ops);
-    expectElems(TraceColumn::OpB, enc.ops);
-    expectElems(TraceColumn::OpRes, enc.ops);
-    expectElems(TraceColumn::Addr, enc.addrs);
-
-    TraceStore::Columns cols;
-    decodeColumn(enc, TraceColumn::Cls, cols.cls);
-    decodeColumn(enc, TraceColumn::Pc, cols.pc);
-    decodeColumn(enc, TraceColumn::OpCls, cols.opCls);
-    decodeColumn(enc, TraceColumn::OpA, cols.opA);
-    decodeColumn(enc, TraceColumn::OpB, cols.opB);
-    decodeColumn(enc, TraceColumn::OpRes, cols.opRes);
-    decodeColumn(enc, TraceColumn::Addr, cols.addr);
-    return Trace(TraceStore::adopt(std::move(cols)));
-}
-
-TraceManifest
-manifestOf(const std::string &key, const EncodedTrace &enc)
-{
-    TraceManifest m;
-    m.key = key;
-    m.records = enc.records;
-    m.ops = enc.ops;
-    m.addrs = enc.addrs;
-    for (size_t c = 0; c < kNumTraceColumns; c++)
-        for (const EncodedChunk &ch : enc.cols[c].chunks)
-            m.cols[c].push_back({ch.hash, ch.elems});
-    return m;
+    return decodeTrace(enc.manifest,
+                       [&](TraceColumn c, size_t i) -> std::string_view {
+                           return enc.cols[static_cast<size_t>(c)]
+                               .at(i)
+                               .bytes;
+                       });
 }
 
 std::string
@@ -515,21 +485,21 @@ encodeManifest(const TraceManifest &m)
 {
     std::string out;
     out.append(kManifestMagic, sizeof(kManifestMagic));
-    putU16(out, kSpillFormatVersion);
-    putU16(out, 0); // reserved
-    putU64(out, m.records);
-    putU64(out, m.ops);
-    putU64(out, m.addrs);
-    putU32(out, static_cast<uint32_t>(m.key.size()));
+    putLE(out, kSpillFormatVersion, 2);
+    putLE(out, 0, 2); // reserved
+    putLE(out, m.records, 8);
+    putLE(out, m.ops, 8);
+    putLE(out, m.addrs, 8);
+    putLE(out, m.key.size(), 4);
     out.append(m.key);
     for (size_t c = 0; c < kNumTraceColumns; c++) {
-        putU32(out, static_cast<uint32_t>(m.cols[c].size()));
+        putLE(out, m.cols[c].size(), 4);
         for (const ChunkRef &ch : m.cols[c]) {
-            putU64(out, ch.hash);
-            putU32(out, ch.elems);
+            putLE(out, ch.hash, 8);
+            putLE(out, ch.elems, 4);
         }
     }
-    putU64(out, fnv1a(out.data(), out.size()));
+    putLE(out, xxh64(out.data(), out.size()), 8);
     return out;
 }
 
@@ -540,7 +510,7 @@ decodeManifest(std::string_view bytes)
         throw SpillError("manifest: truncated");
     size_t hashed = bytes.size() - sizeof(uint64_t);
     ByteReader tail(bytes.substr(hashed), "manifest trailer");
-    if (fnv1a(bytes.data(), hashed) != tail.u64())
+    if (xxh64(bytes.data(), hashed) != tail.u64())
         throw SpillError("manifest: trailing hash mismatch");
 
     ByteReader r(bytes.substr(0, hashed), "manifest");
@@ -563,6 +533,11 @@ decodeManifest(std::string_view bytes)
     m.key.assign(r.take(keyLen), keyLen);
     for (size_t c = 0; c < kNumTraceColumns; c++) {
         uint32_t chunks = r.u32();
+        // Each entry takes 12 bytes: a count the remaining bytes
+        // cannot hold must not size the vector.
+        if (chunks > r.remaining() / 12)
+            throw SpillError("manifest: " + std::to_string(chunks) +
+                             " chunks overrun the file");
         m.cols[c].reserve(chunks);
         for (uint32_t i = 0; i < chunks; i++) {
             ChunkRef ch;

@@ -3,18 +3,21 @@
  * Byte-level codec for the out-of-core trace tier.
  *
  * A trace spilled to disk becomes a set of independently decodable
- * *chunks* (fixed-size slices of one TraceStore column, delta+varint
- * encoded and content-addressed by FNV-1a) plus one *manifest* naming
- * the chunks of each column. The layout is a persistent format with
- * a normative spec in docs/TRACE_FORMAT.md; this header is the single
- * place the magic numbers, version and header shapes live, and the
- * spec and these constants must match field-for-field (pinned by
- * TraceSpillFormat tests).
+ * *chunks* (fixed-size slices of one TraceStore column, stored as raw
+ * little-endian words of the column's width and content-addressed by
+ * XXH64) plus one *manifest* naming the chunks of each column. The
+ * layout is a persistent format with a normative spec in
+ * docs/TRACE_FORMAT.md; this header is the single place the magic
+ * numbers, version and header shapes live, and the spec and these
+ * constants must match field-for-field (pinned by TraceSpillFormat
+ * tests).
  *
  * Everything here is pure bytes-in/bytes-out — no filesystem — so the
  * round-trip and corruption properties are fuzzable hermetically (the
- * chunk-codec memo-fuzz case kind). File placement, dedup and atomic
- * writes live in trace/spill.hh.
+ * chunk-codec memo-fuzz case kind). Encoding hands out one chunk at a
+ * time and decoding asks for one chunk at a time, so a caller never
+ * needs a whole encoded trace in memory. File placement, dedup and
+ * atomic writes live in trace/spill.hh.
  *
  * Corruption contract: every decoder failure, whatever the cause
  * (truncation, bit flip, wrong magic/version, count mismatch), throws
@@ -28,6 +31,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -59,10 +63,10 @@ inline constexpr char kChunkMagic[4] = {'M', 'T', 'C', 'K'};
 inline constexpr char kManifestMagic[4] = {'M', 'T', 'R', 'M'};
 
 /** Schema version shared by chunk and manifest headers. */
-inline constexpr uint16_t kSpillFormatVersion = 1;
+inline constexpr uint16_t kSpillFormatVersion = 2;
 
-/** Encoding id 1: per-element delta, zigzag, LEB128 varint. */
-inline constexpr uint8_t kEncodingDeltaVarint = 1;
+/** Encoding id 2: raw little-endian words of the header's width. */
+inline constexpr uint8_t kEncodingRaw = 2;
 
 /** Fixed chunk header size in bytes. */
 inline constexpr size_t kChunkHeaderBytes = 24;
@@ -73,11 +77,8 @@ inline constexpr size_t kManifestHeaderBytes = 36;
 /** Default number of elements per chunk. */
 inline constexpr uint32_t kDefaultChunkElems = 1u << 16;
 
-/** FNV-1a 64-bit offset basis. */
-inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-
-/** FNV-1a 64-bit prime. */
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
+/** Largest chunk element count whose u64 payload fits payloadBytes. */
+inline constexpr uint32_t kMaxChunkElems = UINT32_MAX / 8;
 
 /**
  * The seven TraceStore columns a manifest indexes, in on-disk order.
@@ -100,20 +101,11 @@ inline constexpr size_t kNumTraceColumns = 7;
 /** Human-readable column name ("cls", "pc", ...). */
 const char *traceColumnName(TraceColumn col);
 
-/** Decoded element width in bytes (1, 4 or 8); bounds decode values. */
+/** Element width in bytes (1, 4 or 8) of the column's chunks. */
 unsigned traceColumnWidth(TraceColumn col);
 
-/** FNV-1a 64 over @p n bytes, continuing from @p h. */
-inline uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = kFnvOffset)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
+/** XXH64 with seed 0 over @p n bytes: the format's one hash. */
+uint64_t xxh64(const void *data, size_t n);
 
 // ---------------------------------------------------------------------------
 // Chunks.
@@ -127,96 +119,39 @@ struct EncodedChunk
     uint32_t elems = 0; //!< decoded element count
 };
 
-/**
- * Encode @p n u64 elements as one chunk. Delta state starts at zero,
- * so chunks decode independently of their neighbours.
- */
-EncodedChunk encodeChunk(const uint64_t *v, uint32_t n);
-
-/**
- * Decode one chunk image and append its elements to @p out, each
- * narrowed to @p T (uint8_t, uint32_t or uint64_t). Verifies magic,
- * version, encoding id, reserved byte, payload size, content hash,
- * varints and element count, reporting the first failure in the order
- * docs/TRACE_FORMAT.md §4 lists them, then that every element fits
- * in @p T. The content hash is computed in the same pass as the
- * varints; a count larger than the payload could hold is rejected
- * before anything is allocated. @p column names the column in error
- * messages. Throws SpillError and leaves @p out as it was.
- */
-template <typename T>
-void decodeChunkInto(std::string_view chunk, std::vector<T> &out,
-                     const char *column);
-
-/** decodeChunkInto() into a fresh u64 vector. Throws SpillError. */
-std::vector<uint64_t> decodeChunk(std::string_view chunk);
-
-// ---------------------------------------------------------------------------
-// Whole-trace encoding (column -> chunk list).
-// ---------------------------------------------------------------------------
-
-/** One column as an ordered chunk sequence. */
-struct EncodedColumn
-{
-    uint64_t elems = 0;
-    std::vector<EncodedChunk> chunks;
-};
-
-/** A whole trace, encoded; indexed by TraceColumn. */
-struct EncodedTrace
-{
-    uint64_t records = 0; //!< cls/pc element count
-    uint64_t ops = 0;     //!< opCls/opA/opB/opRes element count
-    uint64_t addrs = 0;   //!< addr element count
-    std::array<EncodedColumn, kNumTraceColumns> cols;
-
-    const EncodedColumn &
-    col(TraceColumn c) const
-    {
-        return cols[static_cast<size_t>(c)];
-    }
-    EncodedColumn &
-    col(TraceColumn c)
-    {
-        return cols[static_cast<size_t>(c)];
-    }
-};
-
-/**
- * Slice the seven trace-order columns of @p trace into chunks of
- * @p chunk_elems elements (the last chunk of a column is short); the
- * operand columns are gathered back into trace order from the store's
- * per-class columns. All columns share the same slice width, so chunk
- * i of the four operand columns covers the same records — the
- * invariant streamed replay relies on.
- */
-EncodedTrace encodeTraceChunked(const Trace &trace,
-                                uint32_t chunk_elems =
-                                    kDefaultChunkElems);
-
-/**
- * Reassemble a Trace from encoded columns, a column at a time: each
- * column's chunks decode straight into its typed vector, and
- * TraceStore::adopt() takes the seven vectors, rebuilding the derived
- * payload index and scattering the operands into their class columns
- * in one pass over the class column. Verifies every
- * chunk plus cross-column consistency (every class value is an
- * InstClass; the stored opCls column agrees with the class sequence;
- * the operand and address columns hold exactly the records the class
- * column implies). Throws SpillError.
- */
-Trace decodeTraceChunked(const EncodedTrace &enc);
-
-// ---------------------------------------------------------------------------
-// Manifests.
-// ---------------------------------------------------------------------------
-
 /** Reference to one chunk from a manifest. */
 struct ChunkRef
 {
     uint64_t hash = 0;
     uint32_t elems = 0;
 };
+
+/**
+ * Encode @p n elements of @p v (uint8_t, uint32_t or uint64_t) as one
+ * chunk of element width sizeof(T). @p n is at most kMaxChunkElems.
+ */
+template <typename T>
+EncodedChunk encodeChunk(const T *v, uint32_t n);
+
+/**
+ * Decode one chunk image and append its elements to @p out, whose
+ * element type must be the chunk's width. Verifies, in the order
+ * docs/TRACE_FORMAT.md §4 lists them: header length, magic, version,
+ * encoding id, width, payload size, content hash, element count
+ * against payload size (in 64 bits), width against @p T, and, when
+ * @p expect is given, that the chunk is the one a manifest names (its
+ * hash and element count). Every check runs before @p out grows.
+ * @p column names the column in error messages. Throws SpillError and
+ * leaves @p out as it was.
+ */
+template <typename T>
+void decodeChunkInto(std::string_view chunk, std::vector<T> &out,
+                     const char *column,
+                     const ChunkRef *expect = nullptr);
+
+// ---------------------------------------------------------------------------
+// Manifests.
+// ---------------------------------------------------------------------------
 
 /** Parsed manifest: which chunks make up each column of one trace. */
 struct TraceManifest
@@ -234,15 +169,68 @@ struct TraceManifest
     }
 };
 
-/** Build the manifest naming @p enc's chunks under @p key. */
-TraceManifest manifestOf(const std::string &key,
-                         const EncodedTrace &enc);
-
 /** Serialize a manifest to its file image (with trailing hash). */
 std::string encodeManifest(const TraceManifest &m);
 
 /** Parse and fully verify a manifest image. Throws SpillError. */
 TraceManifest decodeManifest(std::string_view bytes);
+
+// ---------------------------------------------------------------------------
+// Whole traces, one chunk at a time.
+// ---------------------------------------------------------------------------
+
+/** Takes each chunk encodeTrace() makes; valid only during the call. */
+using ChunkSink = std::function<void(TraceColumn, const EncodedChunk &)>;
+
+/**
+ * Slice the seven trace-order columns of @p trace into chunks of
+ * @p chunk_elems elements (the last chunk of a column is short), hand
+ * each chunk to @p sink as soon as it is encoded, and return the
+ * manifest naming them under @p key. One chunk's bytes exist at a
+ * time. The operand columns are gathered back into trace order from
+ * the store's per-class columns. All columns share the same slice
+ * width, so chunk i of the four operand columns covers the same
+ * records — the invariant streamed replay relies on.
+ */
+TraceManifest encodeTrace(const std::string &key, const Trace &trace,
+                          uint32_t chunk_elems, const ChunkSink &sink);
+
+/**
+ * Returns the image of chunk @p i of column @p c of the trace being
+ * decoded. The view need only stay valid until the next call.
+ */
+using ChunkSource = std::function<std::string_view(TraceColumn c,
+                                                   size_t i)>;
+
+/**
+ * Reassemble the trace @p m describes, asking @p chunk for one chunk
+ * at a time: each is checked against its manifest entry and decodes
+ * straight into its typed column (operand chunks into the class
+ * columns their opCls elements name), and TraceStore::adopt() takes
+ * the columns, rebuilding the derived payload index. Verifies first
+ * that each column's chunk counts sum to the count the manifest header
+ * implies, then every chunk, then the cross-column rules (every class
+ * value is an InstClass; opCls agrees with the class sequence; the
+ * operand and address columns hold exactly the records the class
+ * column implies). Throws SpillError.
+ */
+Trace decodeTrace(const TraceManifest &m, const ChunkSource &chunk);
+
+/** A whole trace encoded in memory: its manifest and chunk images. */
+struct EncodedTrace
+{
+    TraceManifest manifest;
+    /// Chunk images per column, in manifest order.
+    std::array<std::vector<EncodedChunk>, kNumTraceColumns> cols;
+};
+
+/** encodeTrace() into memory, under an empty key. */
+EncodedTrace encodeTraceChunked(const Trace &trace,
+                                uint32_t chunk_elems =
+                                    kDefaultChunkElems);
+
+/** decodeTrace() from memory. Throws SpillError. */
+Trace decodeTraceChunked(const EncodedTrace &enc);
 
 } // namespace memo
 

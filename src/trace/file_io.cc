@@ -1,5 +1,6 @@
 #include "file_io.hh"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -13,13 +14,21 @@ readWholeFile(const std::string &path, std::string &out)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return {"cannot open " + path};
-    // istream::read turns a failing read (EISDIR, EIO) into badbit;
-    // a streambuf iterator would let libstdc++'s exception escape.
+    // The first read asks for one byte more than the file's size, so
+    // an unchanged file ends at EOF in one call; one that grew since
+    // reads on in 64 KiB steps. istream::read turns a failing read
+    // (EISDIR, EIO) into badbit; a streambuf iterator would let
+    // libstdc++'s exception escape.
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
+    size_t step = ec ? size_t{1} << 16 : static_cast<size_t>(size) + 1;
     out.clear();
-    char buf[1 << 16];
     do {
-        in.read(buf, sizeof(buf));
-        out.append(buf, static_cast<size_t>(in.gcount()));
+        const size_t have = out.size();
+        out.resize(have + step);
+        in.read(out.data() + have, static_cast<std::streamsize>(step));
+        out.resize(have + static_cast<size_t>(in.gcount()));
+        step = size_t{1} << 16;
     } while (in);
     if (in.bad())
         return {"read error on " + path};

@@ -27,14 +27,13 @@ hex16(uint64_t v)
     return buf;
 }
 
-std::string
-readFile(const fs::path &path, const char *what)
+/** Read @p path into @p bytes, reusing its buffer. */
+void
+readFile(const fs::path &path, const char *what, std::string &bytes)
 {
-    std::string bytes;
     IoStatus st = readWholeFile(path.string(), bytes);
     if (!st.ok())
         throw SpillError(std::string(what) + ": " + st.error);
-    return bytes;
 }
 
 /**
@@ -85,7 +84,7 @@ SpillStore::chunkPath(uint64_t hash) const
 std::string
 SpillStore::manifestPath(const std::string &key) const
 {
-    uint64_t h = fnv1a(key.data(), key.size());
+    uint64_t h = xxh64(key.data(), key.size());
     return (fs::path(root_) / "manifests" / (hex16(h) + ".mtm"))
         .string();
 }
@@ -94,24 +93,24 @@ SpillStore::WriteStats
 SpillStore::write(const std::string &key, const Trace &trace,
                   uint32_t chunk_elems)
 {
-    EncodedTrace enc = encodeTraceChunked(trace, chunk_elems);
     WriteStats ws;
-    for (const EncodedColumn &col : enc.cols) {
-        for (const EncodedChunk &ch : col.chunks) {
+    // Each chunk goes to disk as soon as it is encoded.
+    TraceManifest m = encodeTrace(
+        key, trace, chunk_elems,
+        [&](TraceColumn, const EncodedChunk &ch) {
             fs::path path = chunkPath(ch.hash);
             std::error_code ec;
             if (fs::exists(path, ec)) {
                 ws.chunksShared++;
                 ws.bytesShared += ch.bytes.size();
-                continue;
+                return;
             }
             writeFileAtomic(path, ch.bytes);
             ws.chunksWritten++;
             ws.bytesWritten += ch.bytes.size();
-        }
-    }
+        });
     // Manifest last: its chunks are all durable by now.
-    std::string mb = encodeManifest(manifestOf(key, enc));
+    std::string mb = encodeManifest(m);
     writeFileAtomic(manifestPath(key), mb);
     ws.bytesWritten += mb.size();
     return ws;
@@ -120,8 +119,9 @@ SpillStore::write(const std::string &key, const Trace &trace,
 TraceManifest
 SpillStore::manifest(const std::string &key) const
 {
-    TraceManifest m =
-        decodeManifest(readFile(manifestPath(key), "manifest"));
+    std::string bytes;
+    readFile(manifestPath(key), "manifest", bytes);
+    TraceManifest m = decodeManifest(bytes);
     if (m.key != key)
         throw SpillError("manifest: stores key '" + m.key +
                          "', expected '" + key + "'");
@@ -139,67 +139,20 @@ SpillStore::contains(const std::string &key) const
     }
 }
 
-EncodedChunk
-SpillStore::loadChunk(const ChunkRef &ref, TraceColumn which) const
-{
-    EncodedChunk ch;
-    ch.bytes = readFile(chunkPath(ref.hash),
-                        traceColumnName(which));
-    ch.hash = ref.hash;
-    ch.elems = ref.elems;
-    if (ch.bytes.size() < kChunkHeaderBytes)
-        throw SpillError(std::string(traceColumnName(which)) +
-                         ": chunk file " + hex16(ref.hash) +
-                         " shorter than its header");
-    // Cross-check the file against the manifest's reference before
-    // decode: an internally valid chunk in the wrong file (or a
-    // manifest pointing at the wrong hash) must not decode silently.
-    auto u32At = [&](size_t off) {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; i++)
-            v |= static_cast<uint32_t>(
-                     static_cast<uint8_t>(ch.bytes[off + i]))
-                 << (8 * i);
-        return v;
-    };
-    uint64_t fileHash = 0;
-    for (int i = 0; i < 8; i++)
-        fileHash |= static_cast<uint64_t>(
-                        static_cast<uint8_t>(ch.bytes[16 + i]))
-                    << (8 * i);
-    if (fileHash != ref.hash)
-        throw SpillError(std::string(traceColumnName(which)) +
-                         ": chunk file " + hex16(ref.hash) +
-                         " carries hash " + hex16(fileHash));
-    if (u32At(8) != ref.elems)
-        throw SpillError(std::string(traceColumnName(which)) +
-                         ": chunk file " + hex16(ref.hash) +
-                         " element count differs from manifest");
-    return ch;
-}
-
 std::optional<Trace>
 SpillStore::readIfPresent(const std::string &key) const
 {
     std::error_code ec;
     if (!fs::exists(manifestPath(key), ec) && !ec)
         return std::nullopt;
-    TraceManifest m = manifest(key);
-    EncodedTrace enc;
-    enc.records = m.records;
-    enc.ops = m.ops;
-    enc.addrs = m.addrs;
-    for (size_t c = 0; c < kNumTraceColumns; c++) {
-        TraceColumn which = static_cast<TraceColumn>(c);
-        EncodedColumn &col = enc.cols[c];
-        for (const ChunkRef &ref : m.cols[c]) {
-            col.chunks.push_back(loadChunk(ref, which));
-            col.elems += ref.elems;
-        }
-    }
-    // decodeTraceChunked verifies every chunk (magic/version/hash/
-    // counts) and the cross-column invariants before returning.
-    return decodeTraceChunked(enc);
+    const TraceManifest m = manifest(key);
+    // One chunk file in memory at a time; decodeTrace verifies it
+    // against its manifest entry and decodes it into its column.
+    std::string bytes;
+    return decodeTrace(m, [&](TraceColumn c, size_t i) {
+        readFile(chunkPath(m.col(c)[i].hash), traceColumnName(c), bytes);
+        return std::string_view(bytes);
+    });
 }
 
 Trace
@@ -223,8 +176,9 @@ SpillStore::keys() const
         if (entry.path().extension() != ".mtm")
             continue;
         try {
-            out.push_back(
-                decodeManifest(readFile(entry.path(), "manifest")).key);
+            std::string bytes;
+            readFile(entry.path(), "manifest", bytes);
+            out.push_back(decodeManifest(bytes).key);
         } catch (const SpillError &) {
             // Corrupt manifests are invisible to listing; read()
             // against their key reports the defect precisely.
@@ -266,16 +220,19 @@ SpillStore::open(const std::string &key) const
 }
 
 void
-SpillStore::Reader::readOpChunk(size_t i, std::vector<uint64_t> &cls,
+SpillStore::Reader::readOpChunk(size_t i, std::vector<uint8_t> &cls,
                                 std::vector<uint64_t> &a,
                                 std::vector<uint64_t> &b,
                                 std::vector<uint64_t> &r) const
 {
-    // loadChunk pins the file to the manifest's hash/count and
-    // decodeChunk verifies the payload against the header, so the
-    // vectors below are fully validated.
-    auto decodeOne = [&](TraceColumn c, std::vector<uint64_t> &out) {
-        out = decodeChunk(store_->loadChunk(m_.col(c).at(i), c).bytes);
+    // decodeChunkInto verifies each file and pins it to the
+    // manifest's entry, so the vectors below are fully validated.
+    std::string bytes;
+    auto decodeOne = [&](TraceColumn c, auto &out) {
+        const ChunkRef &ref = m_.col(c).at(i);
+        readFile(store_->chunkPath(ref.hash), traceColumnName(c), bytes);
+        out.clear();
+        decodeChunkInto(bytes, out, traceColumnName(c), &ref);
     };
     decodeOne(TraceColumn::OpCls, cls);
     decodeOne(TraceColumn::OpA, a);

@@ -69,8 +69,9 @@ class SpillStore
     bool contains(const std::string &key) const;
 
     /**
-     * Decode the whole trace for @p key, reading its manifest once, or
-     * return nullopt when the key has no manifest file (a clean miss).
+     * Decode the whole trace for @p key, reading its manifest once and
+     * then one chunk file at a time, or return nullopt when the key
+     * has no manifest file (a clean miss).
      * A manifest that is present but invalid, and any defective chunk,
      * throw SpillError.
      */
@@ -116,7 +117,7 @@ class SpillStore
          * Decode operand chunk @p i into the four supplied vectors
          * (resized to the chunk's element count). Throws SpillError.
          */
-        void readOpChunk(size_t i, std::vector<uint64_t> &cls,
+        void readOpChunk(size_t i, std::vector<uint8_t> &cls,
                          std::vector<uint64_t> &a,
                          std::vector<uint64_t> &b,
                          std::vector<uint64_t> &r) const;
@@ -135,10 +136,6 @@ class SpillStore
     Reader open(const std::string &key) const;
 
   private:
-    /** Read + header-verify the chunk file named by @p ref. */
-    EncodedChunk loadChunk(const ChunkRef &ref,
-                           TraceColumn which) const;
-
     /// The store's only state. Immutable after construction, so every
     /// method is safe to call concurrently without locking: writes
     /// are atomic at the filesystem level (temp file + rename) and

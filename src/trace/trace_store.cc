@@ -28,26 +28,23 @@ TraceStore::adopt(Columns &&cols)
         throw SpillError("pc: column has " +
                          std::to_string(cols.pc.size()) +
                          " elements, cls has " + std::to_string(n));
-    for (const auto *col : {&cols.opA, &cols.opB, &cols.opRes})
-        if (col->size() != nOps)
-            throw SpillError("trace: operand columns differ in length "
-                             "from opCls");
-
-    // Size each class column from opCls, so a readmitted trace holds
-    // no slack capacity. Out-of-range values are left to the pass
-    // below, which rejects them.
-    std::array<size_t, numInstClasses> count{};
+    // Out-of-range opCls values name no class column; the pass below
+    // rejects them.
+    std::array<size_t, numInstClasses> named{};
     for (uint8_t c : cols.opCls)
         if (c < numInstClasses)
-            count[c]++;
-    TraceStore s;
+            named[c]++;
     for (unsigned c = 0; c < numInstClasses; c++) {
-        s.ops_[c].a.reserve(count[c]);
-        s.ops_[c].b.reserve(count[c]);
-        s.ops_[c].r.reserve(count[c]);
+        const ClassColumns &cc = cols.ops[c];
+        if (cc.a.size() != named[c] || cc.b.size() != named[c] ||
+            cc.r.size() != named[c])
+            throw SpillError("trace: operand columns of class " +
+                             std::to_string(c) + " differ in length "
+                             "from opCls");
     }
 
     std::vector<uint32_t> payload(n);
+    std::array<uint32_t, numInstClasses> rank{};
     size_t ops = 0, addrs = 0;
     for (size_t i = 0; i < n; i++) {
         const uint8_t c = cols.cls[i];
@@ -62,11 +59,7 @@ TraceStore::adopt(Columns &&cols)
                 throw SpillError("opCls: disagrees with cls column at "
                                  "operand record " +
                                  std::to_string(ops));
-            ClassColumns &cc = s.ops_[c];
-            payload[i] = static_cast<uint32_t>(cc.a.size());
-            cc.a.push_back(cols.opA[ops]);
-            cc.b.push_back(cols.opB[ops]);
-            cc.r.push_back(cols.opRes[ops]);
+            payload[i] = rank[c]++;
             ops++;
         } else if (hasAddress(cls)) {
             if (addrs == nAddrs)
@@ -83,9 +76,11 @@ TraceStore::adopt(Columns &&cols)
                          std::to_string(addrs) + " address records, " +
                          "addr column holds " + std::to_string(nAddrs));
 
+    TraceStore s;
     s.cls_ = std::move(cols.cls);
     s.pc_ = std::move(cols.pc);
     s.payload_ = std::move(payload);
+    s.ops_ = std::move(cols.ops);
     s.addr_ = std::move(cols.addr);
     return s;
 }

@@ -52,27 +52,30 @@ class TraceStore
     };
 
     /**
-     * A store's columns in trace order, as the spill codec decodes
-     * them and adopt() takes them.
+     * A store's columns as the spill codec decodes them and adopt()
+     * takes them: the per-record, operand-class and address columns in
+     * trace order, and the operand words already in their classes'
+     * columns (the decoder scatters each chunk by opCls as it goes).
      */
     struct Columns
     {
         std::vector<uint8_t> cls;
         std::vector<uint32_t> pc;
         std::vector<uint8_t> opCls;
-        std::vector<uint64_t> opA, opB, opRes, addr;
+        std::array<ClassColumns, numInstClasses> ops;
+        std::vector<uint64_t> addr;
     };
 
     /**
      * Build a store that takes over @p cols, rebuilding the payload
-     * index and scattering the operand words into their class columns
-     * in one pass over the class column. The pass checks that every
-     * class value is an InstClass, that opCls agrees with the class of
-     * every operand-carrying record, and that the operand and address
-     * columns hold exactly the records the class column implies,
-     * neither running out early nor leaving elements over. Throws
-     * SpillError (trace/chunk_codec.hh): its one caller decodes
-     * spilled traces.
+     * index in one pass over the class column. The checks: every
+     * class column holds as many a, b and result words as opCls names
+     * records of that class; every class value is an InstClass; opCls
+     * agrees with the class of every operand-carrying record; and the
+     * operand and address columns hold exactly the records the class
+     * column implies, neither running out early nor leaving elements
+     * over. Throws SpillError (trace/chunk_codec.hh): its one caller
+     * decodes spilled traces.
      */
     static TraceStore adopt(Columns &&cols);
 

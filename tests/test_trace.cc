@@ -369,8 +369,8 @@ TEST(TraceStore, ConcurrentReadersSeeFrozenStore)
 TEST(TraceStore, ClassColumnsRebuildAfterGrowth)
 {
     // The class columns grow with push(), and a spill round trip (the
-    // encoder gathers trace order from them, adopt() scatters it back)
-    // rebuilds them exactly. Chunks of 7 make the gather and the
+    // encoder gathers trace order from them, the decoder scatters it
+    // back) rebuilds them exactly. Chunks of 7 make the gather and the
     // scatter cross chunk boundaries; the inputs include a trace with
     // one operand class missing and an empty trace.
     Trace t = mixedTrace(3, 1000);

@@ -41,6 +41,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using namespace std::string_view_literals;
 
 // ---------------------------------------------------------------------------
 // Helpers.
@@ -86,7 +87,7 @@ u64At(const std::string &s, size_t off)
 /**
  * Deterministic trace of @p n records cycling every instruction class
  * with adversarial value bits (zeros, all-ones, NaN payloads, signed
- * zero, denormals) so delta/zigzag wraparound paths are exercised.
+ * zero, denormals) so every byte lane of the stored words varies.
  */
 Trace
 sampleTrace(size_t n)
@@ -94,7 +95,7 @@ sampleTrace(size_t n)
     constexpr uint64_t edges[] = {
         0,
         1,
-        ~0ull,                  // wraps the delta
+        ~0ull,                  // all-ones
         0x7ff8000000000001ull,  // quiet NaN with payload
         0x8000000000000000ull,  // -0.0
         0x0000000000000001ull,  // smallest denormal
@@ -118,6 +119,39 @@ sampleTrace(size_t n)
         t.push(inst);
     }
     return t;
+}
+
+/** IntMul, Load, IntAlu: one operand record and one address record. */
+Trace
+handTrace()
+{
+    Trace t;
+    Instruction mul;
+    mul.cls = InstClass::IntMul;
+    mul.pc = 4;
+    mul.a = 2;
+    mul.b = 3;
+    mul.result = 6;
+    t.push(mul);
+    Instruction ld;
+    ld.cls = InstClass::Load;
+    ld.pc = 8;
+    ld.addr = 0x1000;
+    t.push(ld);
+    Instruction alu;
+    alu.cls = InstClass::IntAlu;
+    alu.pc = 12;
+    t.push(alu);
+    return t;
+}
+
+/** decodeChunkInto() into a fresh u64 vector. */
+std::vector<uint64_t>
+decode64(std::string_view chunk)
+{
+    std::vector<uint64_t> out;
+    decodeChunkInto(chunk, out, "chunk");
+    return out;
 }
 
 void
@@ -165,6 +199,72 @@ countChunkFiles(const std::string &root)
     return n;
 }
 
+/**
+ * A spill store as the version-1 encoder (delta + zigzag + LEB128
+ * payloads, FNV-1a hashes and file names) wrote handTrace() under key
+ * "w1|img|16": one manifest and seven one-chunk columns, byte for byte.
+ */
+const struct
+{
+    const char *path;
+    std::string_view bytes;
+} kV1Store[] = {
+    {"manifests/d1cd259997043cf5.mtm",
+     "\x4d\x54\x52\x4d\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00"
+     "\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+     "\x09\x00\x00\x00\x77\x31\x7c\x69\x6d\x67\x7c\x31\x36\x01\x00\x00"
+     "\x00\x72\x0c\x13\x76\x18\x25\xdd\xea\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\xbf\x30\x66\x93\x18\x12\xb4\x1e\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x45\xbb\x01\x86\x4c\xbf\x63\xaf\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\x13\xb1\x01\x86\x4c\xb9\x63\xaf\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\x79\xb4\x01\x86\x4c\xbb\x63\xaf\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\xab\xbe\x01\x86\x4c\xc1\x63\xaf\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\xad\x97\x5c\xb6\x07\x48\xe5\x09\x01\x00\x00\x00\xe0\x1f\x53"
+     "\xdf\x64\x18\x98\x50"sv},
+    {"chunks/af63c14c8601beab.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+     "\xab\xbe\x01\x86\x4c\xc1\x63\xaf\x0c"sv},
+    {"chunks/1eb41218936630bf.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x03\x00\x00\x00\x03\x00\x00\x00"
+     "\xbf\x30\x66\x93\x18\x12\xb4\x1e\x08\x08\x08"sv},
+    {"chunks/eadd251876130c72.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x03\x00\x00\x00\x03\x00\x00\x00"
+     "\x72\x0c\x13\x76\x18\x25\xdd\xea\x02\x12\x13"sv},
+    {"chunks/af63bb4c8601b479.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+     "\x79\xb4\x01\x86\x4c\xbb\x63\xaf\x06"sv},
+    {"chunks/af63b94c8601b113.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+     "\x13\xb1\x01\x86\x4c\xb9\x63\xaf\x04"sv},
+    {"chunks/09e54807b65c97ad.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+     "\xad\x97\x5c\xb6\x07\x48\xe5\x09\x80\x40"sv},
+    {"chunks/af63bf4c8601bb45.mtc",
+     "\x4d\x54\x43\x4b\x01\x00\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+     "\x45\xbb\x01\x86\x4c\xbf\x63\xaf\x02"sv},
+};
+
+const std::string kV1Key = "w1|img|16";
+
+/** Write kV1Store's files under @p root. */
+void
+writeV1Store(const std::string &root)
+{
+    for (const auto &f : kV1Store) {
+        fs::path path = fs::path(root) / f.path;
+        fs::create_directories(path.parent_path());
+        writeFileBytes(path.string(), std::string(f.bytes));
+    }
+}
+
+/** kV1Store's manifest, copied to where a v2 reader looks for it. */
+void
+placeV1ManifestAtV2Name(const std::string &root)
+{
+    writeFileBytes(SpillStore(root).manifestPath(kV1Key),
+                   std::string(kV1Store[0].bytes));
+}
+
 // ---------------------------------------------------------------------------
 // Format pinning: these tests ARE docs/TRACE_FORMAT.md. Any change
 // that fails one of them is a format change and must bump
@@ -174,17 +274,24 @@ countChunkFiles(const std::string &root)
 TEST(TraceSpillFormat, NormativeConstants)
 {
     // §2: version and identification.
-    EXPECT_EQ(kSpillFormatVersion, 1u);
+    EXPECT_EQ(kSpillFormatVersion, 2u);
     EXPECT_EQ(std::string(kChunkMagic, 4), "MTCK");
     EXPECT_EQ(std::string(kManifestMagic, 4), "MTRM");
-    EXPECT_EQ(kEncodingDeltaVarint, 1u);
+    EXPECT_EQ(kEncodingRaw, 2u);
     EXPECT_EQ(kChunkHeaderBytes, 24u);
     EXPECT_EQ(kManifestHeaderBytes, 36u);
     EXPECT_EQ(kDefaultChunkElems, 65536u);
+    EXPECT_EQ(kMaxChunkElems, 536870911u); // 8 * it fits payloadBytes
 
-    // §4: FNV-1a 64 parameters.
-    EXPECT_EQ(kFnvOffset, 14695981039346656037ull);
-    EXPECT_EQ(kFnvPrime, 1099511628211ull);
+    // §4: XXH64, seed 0. The empty input and "abc" are the published
+    // vectors; 0..99 exercises the 32-byte stripe loop and every tail
+    // step (value from the reference implementation).
+    EXPECT_EQ(xxh64("", 0), 0xEF46DB3751D8E999ull);
+    EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ull);
+    unsigned char ramp[100];
+    for (unsigned i = 0; i < sizeof(ramp); i++)
+        ramp[i] = static_cast<unsigned char>(i);
+    EXPECT_EQ(xxh64(ramp, sizeof(ramp)), 0x6AC1E58032166597ull);
 
     // §3: the seven stored columns, their order and element widths.
     ASSERT_EQ(kNumTraceColumns, 7u);
@@ -208,37 +315,59 @@ TEST(TraceSpillFormat, NormativeConstants)
 
 TEST(TraceSpillFormat, ChunkHeaderLayout)
 {
-    // Values {1, 2, 3}: deltas 1,1,1 -> zigzag 2,2,2 -> one varint
-    // byte each. The whole file must be 24 header + 3 payload bytes.
+    // Values {1, 2, 3} as u64: three 8-byte words. The whole file must
+    // be 24 header + 24 payload bytes.
     const uint64_t v[] = {1, 2, 3};
     EncodedChunk ch = encodeChunk(v, 3);
     const std::string &s = ch.bytes;
-    ASSERT_EQ(s.size(), kChunkHeaderBytes + 3);
+    ASSERT_EQ(s.size(), kChunkHeaderBytes + 24);
 
     EXPECT_EQ(s.substr(0, 4), "MTCK");                 // bytes 0-3
     EXPECT_EQ(u16At(s, 4), kSpillFormatVersion);       // bytes 4-5
-    EXPECT_EQ(static_cast<uint8_t>(s[6]), kEncodingDeltaVarint);
-    EXPECT_EQ(static_cast<uint8_t>(s[7]), 0u);         // reserved
+    EXPECT_EQ(static_cast<uint8_t>(s[6]), kEncodingRaw);
+    EXPECT_EQ(static_cast<uint8_t>(s[7]), 8u);         // width
     EXPECT_EQ(u32At(s, 8), 3u);                        // elemCount
-    EXPECT_EQ(u32At(s, 12), 3u);                       // payloadBytes
+    EXPECT_EQ(u32At(s, 12), 24u);                      // payloadBytes
     const std::string payload = s.substr(kChunkHeaderBytes);
-    EXPECT_EQ(payload, std::string("\x02\x02\x02", 3));
-    EXPECT_EQ(u64At(s, 16), fnv1a(payload.data(), payload.size()));
+    EXPECT_EQ(payload, std::string("\x01\0\0\0\0\0\0\0"
+                                   "\x02\0\0\0\0\0\0\0"
+                                   "\x03\0\0\0\0\0\0\0",
+                                   24));
+    EXPECT_EQ(u64At(s, 16), xxh64(payload.data(), payload.size()));
     EXPECT_EQ(ch.hash, u64At(s, 16));
     EXPECT_EQ(ch.elems, 3u);
 
-    EXPECT_EQ(decodeChunk(s), std::vector<uint64_t>({1, 2, 3}));
+    EXPECT_EQ(decode64(s), std::vector<uint64_t>({1, 2, 3}));
 }
 
-TEST(TraceSpillFormat, DeltaWrapsModulo64Bits)
+TEST(TraceSpillFormat, PayloadIsLittleEndianWordsOfTheColumnWidth)
 {
-    // First delta is v - 0 = 2^64-1, i.e. signed -1, zigzag 1: a
-    // single payload byte 0x01. §4's wraparound rule, byte-exact.
-    const uint64_t v[] = {~0ull};
-    EncodedChunk ch = encodeChunk(v, 1);
-    ASSERT_EQ(ch.bytes.size(), kChunkHeaderBytes + 1);
-    EXPECT_EQ(static_cast<uint8_t>(ch.bytes[kChunkHeaderBytes]), 0x01);
-    EXPECT_EQ(decodeChunk(ch.bytes), std::vector<uint64_t>({~0ull}));
+    // §4: each element is one little-endian word of the header's
+    // width, and §3: each column's chunks carry that column's width.
+    const uint8_t narrow[] = {0x01, 0xff};
+    const uint32_t mid[] = {0x01020304u};
+    const uint64_t wide[] = {0x0102030405060708ull};
+    const EncodedChunk c1 = encodeChunk(narrow, 2);
+    const EncodedChunk c4 = encodeChunk(mid, 1);
+    const EncodedChunk c8 = encodeChunk(wide, 1);
+    EXPECT_EQ(static_cast<uint8_t>(c1.bytes[7]), 1u);
+    EXPECT_EQ(static_cast<uint8_t>(c4.bytes[7]), 4u);
+    EXPECT_EQ(static_cast<uint8_t>(c8.bytes[7]), 8u);
+    EXPECT_EQ(c1.bytes.substr(kChunkHeaderBytes), "\x01\xff");
+    EXPECT_EQ(c4.bytes.substr(kChunkHeaderBytes), "\x04\x03\x02\x01");
+    EXPECT_EQ(c8.bytes.substr(kChunkHeaderBytes),
+              "\x08\x07\x06\x05\x04\x03\x02\x01");
+
+    EncodedTrace enc = encodeTraceChunked(sampleTrace(100), 16);
+    for (size_t c = 0; c < kNumTraceColumns; c++) {
+        const unsigned width =
+            traceColumnWidth(static_cast<TraceColumn>(c));
+        ASSERT_FALSE(enc.cols[c].empty());
+        for (const EncodedChunk &ch : enc.cols[c]) {
+            EXPECT_EQ(static_cast<uint8_t>(ch.bytes[7]), width);
+            EXPECT_EQ(u32At(ch.bytes, 12), ch.elems * width);
+        }
+    }
 }
 
 TEST(TraceSpillFormat, ChunkHashesArePinned)
@@ -246,28 +375,28 @@ TEST(TraceSpillFormat, ChunkHashesArePinned)
     // The store is content-addressed: an encoder whose bytes drift
     // would orphan every spill directory already on disk. These are
     // the chunk hashes of sampleTrace(300) at chunk_elems 64 as the
-    // original byte-at-a-time encoder wrote them.
+    // first version-2 encoder wrote them.
     const std::vector<std::vector<uint64_t>> pinned = {
-        {0x6c280e8a032afb0bull, 0xaee5463aaf9ee108ull,
-         0xb038a3b82eae7964ull, 0x0a6bb79543e1d4e8ull,
-         0x5a79b53b0a27a6f1ull}, // cls
-        {0x3dfb95fa49d2bc67ull, 0xe8a767e299c00ec0ull,
-         0x3467fec6033cf6d8ull, 0x9a04b56ad8f38913ull,
-         0x58f445041906966aull}, // pc
-        {0xe200d830451eced0ull, 0xc4620cc12de8dd0cull,
-         0xcf0e2b58d148b900ull, 0x7c5e6f253a2c6ef0ull}, // opCls
-        {0xf039b145e44d00c1ull, 0xaeb320f2ecc0d653ull,
-         0x609b10afea03db71ull, 0xd753ce9cc2970b66ull}, // opA
-        {0xc5237e4821dd1d06ull, 0x3955d573e8616272ull,
-         0x9b559d54e6f19af0ull, 0x0422dd2e88e9358eull}, // opB
-        {0x90dc30a460ef6d3aull, 0xb7e706e65742f165ull,
-         0xb9decbeb6194c696ull, 0x87c2058cfefebc7dull}, // opRes
-        {0x726cbd3846fa3d48ull},                        // addr
+        {0x041323bf48217167ull, 0x06eefa06bccc2b81ull,
+         0xbe465289613b09c9ull, 0x7a6c69a22629a7a5ull,
+         0x7e53984b811bc12cull}, // cls
+        {0xe65ec5062432da2aull, 0xe50bbb6a3dcd1e79ull,
+         0xbccadf06c00d8b78ull, 0xb60106d033f1f8fbull,
+         0x2d0060624ecd5861ull}, // pc
+        {0x2f6f3c6f999d9db9ull, 0x058b59f67c2c1a36ull,
+         0x5b717a6e9a42f1a6ull, 0xba0be800970d7e04ull}, // opCls
+        {0x5756750b955e1f0dull, 0x3832d23411342842ull,
+         0x125ecd7e1e30f548ull, 0x89be10281d8e1f0dull}, // opA
+        {0xc1f9a0c5e54aef54ull, 0x1a2ebd4e5c488e90ull,
+         0x9ff41ee3dd264a93ull, 0xb20c7d8f80eea31dull}, // opB
+        {0xd58274fc9964ecfbull, 0x3877191938cf638cull,
+         0xfb75d31a7c5139fcull, 0x07aadd2cd0af379eull}, // opRes
+        {0xe0e1efe78b83c1f2ull},                        // addr
     };
     EncodedTrace enc = encodeTraceChunked(sampleTrace(300), 64);
     for (size_t c = 0; c < kNumTraceColumns; c++) {
         std::vector<uint64_t> got;
-        for (const EncodedChunk &ch : enc.cols[c].chunks) {
+        for (const EncodedChunk &ch : enc.cols[c]) {
             got.push_back(ch.hash);
             EXPECT_EQ(u64At(ch.bytes, 16), ch.hash);
         }
@@ -278,27 +407,10 @@ TEST(TraceSpillFormat, ChunkHashesArePinned)
 
 TEST(TraceSpillFormat, ManifestLayout)
 {
-    Trace t;
-    Instruction mul;
-    mul.cls = InstClass::IntMul;
-    mul.pc = 4;
-    mul.a = 2;
-    mul.b = 3;
-    mul.result = 6;
-    t.push(mul);
-    Instruction ld;
-    ld.cls = InstClass::Load;
-    ld.pc = 8;
-    ld.addr = 0x1000;
-    t.push(ld);
-    Instruction alu;
-    alu.cls = InstClass::IntAlu;
-    alu.pc = 12;
-    t.push(alu);
-
     const std::string key = "kern|img|32";
-    EncodedTrace enc = encodeTraceChunked(t, 4);
-    std::string s = encodeManifest(manifestOf(key, enc));
+    EncodedTrace enc = encodeTraceChunked(handTrace(), 4);
+    enc.manifest.key = key;
+    std::string s = encodeManifest(enc.manifest);
 
     ASSERT_GE(s.size(), kManifestHeaderBytes + key.size() + 8);
     EXPECT_EQ(s.substr(0, 4), "MTRM");           // bytes 0-3
@@ -314,11 +426,9 @@ TEST(TraceSpillFormat, ManifestLayout)
     // (hash u64, elemCount u32) per chunk.
     size_t off = kManifestHeaderBytes + key.size();
     for (size_t c = 0; c < kNumTraceColumns; c++) {
-        const EncodedColumn &col =
-            enc.col(static_cast<TraceColumn>(c));
-        ASSERT_EQ(u32At(s, off), col.chunks.size());
+        ASSERT_EQ(u32At(s, off), enc.cols[c].size());
         off += 4;
-        for (const EncodedChunk &ch : col.chunks) {
+        for (const EncodedChunk &ch : enc.cols[c]) {
             EXPECT_EQ(u64At(s, off), ch.hash);
             EXPECT_EQ(u32At(s, off + 8), ch.elems);
             off += 12;
@@ -327,7 +437,7 @@ TEST(TraceSpillFormat, ManifestLayout)
 
     // Trailing manifestHash covers every preceding byte.
     ASSERT_EQ(off + 8, s.size());
-    EXPECT_EQ(u64At(s, off), fnv1a(s.data(), off));
+    EXPECT_EQ(u64At(s, off), xxh64(s.data(), off));
 
     TraceManifest back = decodeManifest(s);
     EXPECT_EQ(back.key, key);
@@ -347,7 +457,7 @@ TEST(TraceSpillCodec, RoundTripAtChunkBoundaryLengths)
     for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 9u, 26u}) {
         Trace t = sampleTrace(n);
         EncodedTrace enc = encodeTraceChunked(t, 4);
-        EXPECT_EQ(enc.records, n);
+        EXPECT_EQ(enc.manifest.records, n);
         Trace back = decodeTraceChunked(enc);
         expectTracesEqual(t, back);
     }
@@ -359,30 +469,44 @@ TEST(TraceSpillCodec, RoundTripDefaultChunking)
     expectTracesEqual(t, decodeTraceChunked(encodeTraceChunked(t)));
 }
 
+TEST(TraceSpillCodec, ChunkElemsOutsideTheFormatAreRefused)
+{
+    // kMaxChunkElems u64 words are the most payloadBytes can count.
+    EXPECT_THROW(encodeTraceChunked(sampleTrace(3), 0), SpillError);
+    EXPECT_THROW(encodeTraceChunked(sampleTrace(3), kMaxChunkElems + 1),
+                 SpillError);
+    expectTracesEqual(
+        sampleTrace(3),
+        decodeTraceChunked(encodeTraceChunked(sampleTrace(3),
+                                              kMaxChunkElems)));
+}
+
 TEST(TraceSpillCodec, ChunkRejectsEveryHeaderDefect)
 {
     const uint64_t v[] = {10, 20, 30, 40};
     const std::string good = encodeChunk(v, 4).bytes;
-    EXPECT_NO_THROW(decodeChunk(good));
+    EXPECT_NO_THROW(decode64(good));
 
     auto mutate = [&](size_t off, char to) {
         std::string bad = good;
         bad[off] = to;
         return bad;
     };
-    EXPECT_THROW(decodeChunk(mutate(0, 'X')), SpillError);  // magic
-    EXPECT_THROW(decodeChunk(mutate(4, 2)), SpillError);    // version
-    EXPECT_THROW(decodeChunk(mutate(6, 2)), SpillError);    // encoding
-    EXPECT_THROW(decodeChunk(mutate(7, 1)), SpillError);    // reserved
-    EXPECT_THROW(decodeChunk(mutate(8, 3)), SpillError);    // elemCount
-    EXPECT_THROW(decodeChunk(mutate(12, 9)), SpillError);   // payloadBytes
-    EXPECT_THROW(decodeChunk(mutate(16, 0)), SpillError);   // contentHash
-    EXPECT_THROW(decodeChunk(mutate(kChunkHeaderBytes, 0x7f)),
-                 SpillError);                               // payload
-    EXPECT_THROW(decodeChunk(good.substr(0, good.size() - 1)),
-                 SpillError);                               // truncation
-    EXPECT_THROW(decodeChunk(good.substr(0, 10)), SpillError);
-    EXPECT_THROW(decodeChunk(std::string_view()), SpillError);
+    EXPECT_THROW(decode64(mutate(0, 'X')), SpillError);  // magic
+    EXPECT_THROW(decode64(mutate(4, 1)), SpillError);    // version 1
+    EXPECT_THROW(decode64(mutate(4, 3)), SpillError);    // version 3
+    EXPECT_THROW(decode64(mutate(6, 1)), SpillError);    // encoding 1
+    EXPECT_THROW(decode64(mutate(7, 3)), SpillError);    // width
+    EXPECT_THROW(decode64(mutate(7, 4)), SpillError);    // width vs count
+    EXPECT_THROW(decode64(mutate(8, 3)), SpillError);    // elemCount
+    EXPECT_THROW(decode64(mutate(12, 9)), SpillError);   // payloadBytes
+    EXPECT_THROW(decode64(mutate(16, 0)), SpillError);   // contentHash
+    EXPECT_THROW(decode64(mutate(kChunkHeaderBytes, 0x7f)),
+                 SpillError);                            // payload
+    EXPECT_THROW(decode64(good.substr(0, good.size() - 1)),
+                 SpillError);                            // truncation
+    EXPECT_THROW(decode64(good.substr(0, 10)), SpillError);
+    EXPECT_THROW(decode64(std::string_view()), SpillError);
 }
 
 /** Chunk image with its header's elemCount, payloadBytes and hash set. */
@@ -399,12 +523,14 @@ withHeader(std::string chunk, uint32_t elems, uint32_t payload_bytes,
     return chunk;
 }
 
-/** What decoding @p chunk throws, or "" when it decodes. */
+/** What decoding @p chunk into a T column throws, or "" if it decodes. */
+template <typename T = uint64_t>
 std::string
-chunkError(std::string_view chunk)
+chunkError(std::string_view chunk, const ChunkRef *expect = nullptr)
 {
+    std::vector<T> out;
     try {
-        decodeChunk(chunk);
+        decodeChunkInto(chunk, out, "chunk", expect);
     } catch (const SpillError &e) {
         return e.what();
     }
@@ -413,88 +539,128 @@ chunkError(std::string_view chunk)
 
 TEST(TraceSpillCodec, ChunkReportsFailuresInSpecOrder)
 {
-    // 1 << 13 zigzags to a 3-byte varint; dropping its last byte
-    // leaves a truncated varint. §4 puts the hash check first, so the
-    // decoder must report the hash even though it meets the bad varint
-    // first, and the varint only once the hash matches.
-    const uint64_t v[] = {uint64_t{1} << 13};
-    const std::string good = encodeChunk(v, 1).bytes;
-    ASSERT_EQ(good.size(), kChunkHeaderBytes + 3);
-    std::string cut = good.substr(0, good.size() - 1);
-    const uint64_t cutHash =
-        fnv1a(cut.data() + kChunkHeaderBytes, 2);
+    // A chunk with every defect §4 lists at once, repaired one field
+    // at a time: each repair must move the report to the next check,
+    // so no check can run early or be skipped.
+    const uint64_t v[] = {1, 2, 3};
+    const EncodedChunk good = encodeChunk(v, 3);
+    const ChunkRef right{good.hash, 3};
+    const ChunkRef wrongHash{good.hash ^ 1, 3};
+    const ChunkRef wrongCount{good.hash, 2};
 
-    EXPECT_EQ(chunkError(withHeader(cut, 1, 2, u64At(good, 16))),
-              "chunk: content hash mismatch");
-    EXPECT_EQ(chunkError(withHeader(cut, 1, 2, cutHash)),
-              "chunk payload: truncated varint");
+    std::string bad = withHeader(good.bytes, 2, 25, ~good.hash);
+    bad[0] = 'X'; // magic
+    bad[4] = 1;   // version
+    bad[6] = 1;   // encoding
+    bad[7] = 3;   // width
+    auto repair = [&](size_t off) {
+        bad[off] = good.bytes[off];
+        return bad;
+    };
 
-    // A count the payload could never hold: hash first, then count.
-    const uint64_t three[] = {1, 2, 3};
-    const std::string small = encodeChunk(three, 3).bytes;
-    EXPECT_EQ(chunkError(withHeader(small, 2, 3, u64At(small, 16))),
-              "chunk: element count mismatch (header says 2, payload "
-              "holds 3)");
-    EXPECT_EQ(chunkError(withHeader(small, 0xffffffffu, 3, 0)),
+    EXPECT_EQ(chunkError<uint8_t>(bad.substr(0, 23), &wrongHash),
+              "chunk header: truncated (23 of 24 bytes)");
+    EXPECT_EQ(chunkError<uint8_t>(bad, &wrongHash),
+              "chunk header: bad magic");
+    EXPECT_EQ(chunkError<uint8_t>(repair(0), &wrongHash),
+              "chunk header: unsupported version 1 (expected 2)");
+    EXPECT_EQ(chunkError<uint8_t>(repair(4), &wrongHash),
+              "chunk header: unknown encoding id 1");
+    EXPECT_EQ(chunkError<uint8_t>(repair(6), &wrongHash),
+              "chunk header: invalid element width 3");
+    EXPECT_EQ(chunkError<uint8_t>(repair(7), &wrongHash),
+              "chunk: payload size mismatch (header says 25, file has "
+              "24)");
+    bad = withHeader(bad, 2, 24, ~good.hash);
+    EXPECT_EQ(chunkError<uint8_t>(bad, &wrongHash),
               "chunk: content hash mismatch");
+    bad = withHeader(bad, 2, 24, good.hash);
+    EXPECT_EQ(chunkError<uint8_t>(bad, &wrongHash),
+              "chunk: element count mismatch (header says 2 elements of 8 "
+              "bytes, payload holds 24 bytes)");
+    EXPECT_EQ(chunkError<uint8_t>(good.bytes, &wrongHash),
+              "chunk: chunk width 8, column width 1");
+    EXPECT_EQ(chunkError(good.bytes, &wrongHash),
+              "chunk: chunk hash differs from the manifest's");
+    EXPECT_EQ(chunkError(good.bytes, &wrongCount),
+              "chunk: chunk element count differs from the manifest's");
+    EXPECT_EQ(chunkError(good.bytes, &right), "");
 }
 
 TEST(TraceSpillCodec, ImpossibleCountThrowsWithoutAllocating)
 {
-    // elemCount 0xffffffff over a 3-byte payload: each varint takes at
-    // least one byte, so the decoder must reject it before it sizes
-    // the output for four billion elements.
+    // A 24-byte payload holds three u64 words. 0x20000003 * 8 wraps to
+    // 24 in 32 bits, and 0xffffffff is the largest count a header can
+    // carry: the decoder must reject both before it sizes the output.
     const uint64_t v[] = {1, 2, 3};
     const std::string good = encodeChunk(v, 3).bytes;
-    const std::string bad =
-        withHeader(good, 0xffffffffu, 3, u64At(good, 16));
-    std::vector<uint64_t> out;
-    try {
-        decodeChunkInto(bad, out, "opA");
-        FAIL() << "decoded an impossible count";
-    } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(), "opA: element count mismatch (header says "
-                               "4294967295, payload holds 3)");
+    for (uint32_t elems : {0x20000003u, 0xffffffffu}) {
+        const std::string bad =
+            withHeader(good, elems, 24, u64At(good, 16));
+        std::vector<uint64_t> out;
+        try {
+            decodeChunkInto(bad, out, "opA");
+            FAIL() << "decoded an impossible count";
+        } catch (const SpillError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "opA: element count mismatch (header says " +
+                          std::to_string(elems) +
+                          " elements of 8 bytes, payload holds 24 "
+                          "bytes)");
+        }
+        EXPECT_EQ(out.capacity(), 0u);
     }
-    EXPECT_EQ(out.capacity(), 0u);
 }
 
 TEST(TraceSpillCodec, TypedDecodeAppendsAndChecksWidth)
 {
-    const uint64_t v[] = {7, 255, 0};
+    const uint8_t v[] = {7, 255, 0};
     const std::string ch = encodeChunk(v, 3).bytes;
     std::vector<uint8_t> narrow = {42};
     decodeChunkInto(ch, narrow, "cls");
     EXPECT_EQ(narrow, (std::vector<uint8_t>{42, 7, 255, 0}));
 
-    const uint64_t wide[] = {1, 256};
+    // A chunk decodes only into a column of exactly its width, wider
+    // or narrower, and a refused chunk leaves the column untouched.
+    const uint32_t wide[] = {1, 256};
     std::vector<uint8_t> keep = {9};
     try {
         decodeChunkInto(encodeChunk(wide, 2).bytes, keep, "cls");
-        FAIL() << "256 decoded into a u8 column";
+        FAIL() << "a 4-byte chunk decoded into a u8 column";
     } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(), "cls: element exceeds column width");
+        EXPECT_STREQ(e.what(), "cls: chunk width 4, column width 1");
     }
-    EXPECT_EQ(keep, (std::vector<uint8_t>{9})); // untouched on failure
+    EXPECT_EQ(keep, (std::vector<uint8_t>{9}));
+    std::vector<uint64_t> keep64 = {9};
+    try {
+        decodeChunkInto(ch, keep64, "opA");
+        FAIL() << "a 1-byte chunk decoded into a u64 column";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(), "opA: chunk width 1, column width 8");
+    }
+    EXPECT_EQ(keep64, (std::vector<uint64_t>{9}));
 }
 
-/** The seven stored columns of a hand-built trace, as u64 values. */
-struct HandTrace
-{
-    std::vector<uint64_t> cls, pc, opCls, opA, opB, opRes, addr;
-};
-
-uint64_t
+uint8_t
 clsOf(InstClass c)
 {
-    return static_cast<uint64_t>(c);
+    return static_cast<uint8_t>(c);
 }
 
-/** IntMul, Load, IntAlu: one operand record and one address record. */
-HandTrace
+/** The seven stored columns of a hand-built trace, in trace order. */
+struct HandColumns
+{
+    std::vector<uint8_t> cls;
+    std::vector<uint32_t> pc;
+    std::vector<uint8_t> opCls;
+    std::vector<uint64_t> opA, opB, opRes, addr;
+};
+
+/** The stored columns of handTrace(), written out by hand. */
+HandColumns
 validHand()
 {
-    HandTrace h;
+    HandColumns h;
     h.cls = {clsOf(InstClass::IntMul), clsOf(InstClass::Load),
              clsOf(InstClass::IntAlu)};
     h.pc = {4, 8, 12};
@@ -508,51 +674,58 @@ validHand()
 
 /** Encode @p h in 2-element chunks; counts follow the column lengths. */
 EncodedTrace
-encodeHand(const HandTrace &h)
+encodeHand(const HandColumns &h)
 {
     EncodedTrace enc;
-    enc.records = h.cls.size();
-    enc.ops = h.opCls.size();
-    enc.addrs = h.addr.size();
-    const std::vector<uint64_t> *cols[] = {&h.cls, &h.pc,    &h.opCls,
-                                           &h.opA, &h.opB,   &h.opRes,
-                                           &h.addr};
-    for (size_t c = 0; c < kNumTraceColumns; c++) {
-        const std::vector<uint64_t> &v = *cols[c];
-        EncodedColumn &col = enc.cols[c];
-        col.elems = v.size();
+    TraceManifest &m = enc.manifest;
+    m.records = h.cls.size();
+    m.ops = h.opCls.size();
+    m.addrs = h.addr.size();
+    auto column = [&](TraceColumn c, const auto &v) {
         for (size_t base = 0; base < v.size(); base += 2) {
             auto len = static_cast<uint32_t>(
                 std::min<size_t>(2, v.size() - base));
-            col.chunks.push_back(encodeChunk(v.data() + base, len));
+            EncodedChunk ch = encodeChunk(v.data() + base, len);
+            m.cols[static_cast<size_t>(c)].push_back({ch.hash, ch.elems});
+            enc.cols[static_cast<size_t>(c)].push_back(std::move(ch));
         }
-    }
+    };
+    column(TraceColumn::Cls, h.cls);
+    column(TraceColumn::Pc, h.pc);
+    column(TraceColumn::OpCls, h.opCls);
+    column(TraceColumn::OpA, h.opA);
+    column(TraceColumn::OpB, h.opB);
+    column(TraceColumn::OpRes, h.opRes);
+    column(TraceColumn::Addr, h.addr);
     return enc;
 }
 
-/** What decodeTraceChunked throws for @p h, or "" when it decodes. */
+/** What decodeTraceChunked throws for @p enc, or "" when it decodes. */
 std::string
-traceError(const HandTrace &h)
+traceError(const EncodedTrace &enc)
 {
     try {
-        decodeTraceChunked(encodeHand(h));
+        decodeTraceChunked(enc);
     } catch (const SpillError &e) {
         return e.what();
     }
     return "";
 }
 
+std::string
+traceError(const HandColumns &h)
+{
+    return traceError(encodeHand(h));
+}
+
 TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
 {
-    const HandTrace good = validHand();
+    const HandColumns good = validHand();
     ASSERT_EQ(traceError(good), "");
     Trace back = decodeTraceChunked(encodeHand(good));
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[0].result, 6u);
-    EXPECT_EQ(back[1].addr, 0x1000u);
-    EXPECT_EQ(back[2].pc, 12u);
+    expectTracesEqual(back, handTrace());
 
-    HandTrace h = good;
+    HandColumns h = good;
     h.cls[2] = numInstClasses; // fits a u8, names no class
     EXPECT_EQ(traceError(h), "cls: value " +
                                  std::to_string(numInstClasses) +
@@ -585,21 +758,71 @@ TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
     h.addr.push_back(0x2000);
     EXPECT_EQ(traceError(h), "trace: class column implies 1 address "
                              "records, addr column holds 2");
+}
 
-    h = good;
-    h.pc[1] = uint64_t{1} << 32;
-    EXPECT_EQ(traceError(h), "pc: element exceeds column width");
+TEST(TraceSpillCodec, DecodeChecksChunksAgainstTheManifest)
+{
+    const EncodedTrace good = encodeHand(validHand());
+    const auto pc = static_cast<size_t>(TraceColumn::Pc);
+    const auto cls = static_cast<size_t>(TraceColumn::Cls);
 
-    h = good;
-    h.cls[2] = 256;
-    EXPECT_EQ(traceError(h), "cls: element exceeds column width");
+    EncodedTrace enc = good;
+    enc.manifest.records = 4;
+    EXPECT_EQ(traceError(enc),
+              "cls: chunk element counts sum to 3, trace counts imply 4");
+
+    // A valid chunk of the wrong width, named by the manifest.
+    enc = good;
+    const uint64_t wide[] = {4, 8};
+    enc.cols[pc][0] = encodeChunk(wide, 2);
+    enc.manifest.cols[pc][0] = {enc.cols[pc][0].hash, 2};
+    EXPECT_EQ(traceError(enc), "pc: chunk width 8, column width 4");
+
+    // A valid chunk in the place of another.
+    enc = good;
+    std::swap(enc.cols[pc][0], enc.cols[pc][1]);
+    EXPECT_EQ(traceError(enc), "pc: chunk hash differs from the manifest's");
+
+    // The manifest's counts move between chunks but keep their sum.
+    enc = good;
+    std::swap(enc.manifest.cols[cls][0].elems,
+              enc.manifest.cols[cls][1].elems);
+    EXPECT_EQ(traceError(enc),
+              "cls: chunk element count differs from the manifest's");
+}
+
+TEST(TraceSpillCodec, EverySingleBitFlipIsRejected)
+{
+    // §4 and §5: every bit of every chunk and of the manifest is
+    // load-bearing, so no single flip may decode.
+    const EncodedTrace good = encodeTraceChunked(sampleTrace(40), 8);
+    for (size_t c = 0; c < kNumTraceColumns; c++) {
+        for (size_t i = 0; i < good.cols[c].size(); i++) {
+            for (size_t bit = 0; bit < good.cols[c][i].bytes.size() * 8;
+                 bit++) {
+                EncodedTrace bad = good;
+                std::string &bytes = bad.cols[c][i].bytes;
+                bytes[bit / 8] =
+                    static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+                ASSERT_NE(traceError(bad), "")
+                    << traceColumnName(static_cast<TraceColumn>(c))
+                    << " chunk " << i << " bit " << bit;
+            }
+        }
+    }
+    const std::string manifest = encodeManifest(good.manifest);
+    for (size_t bit = 0; bit < manifest.size() * 8; bit++) {
+        std::string bad = manifest;
+        bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+        ASSERT_THROW(decodeManifest(bad), SpillError) << "bit " << bit;
+    }
 }
 
 TEST(TraceSpillCodec, ManifestRejectsCorruption)
 {
-    Trace t = sampleTrace(40);
-    std::string good =
-        encodeManifest(manifestOf("a|b|1", encodeTraceChunked(t, 8)));
+    EncodedTrace enc = encodeTraceChunked(sampleTrace(40), 8);
+    enc.manifest.key = "a|b|1";
+    std::string good = encodeManifest(enc.manifest);
     EXPECT_NO_THROW(decodeManifest(good));
 
     for (size_t off : {size_t{0}, size_t{4}, size_t{8}, size_t{33},
@@ -693,9 +916,40 @@ TEST(TraceSpillStore, DetectsVersionSkew)
     TraceManifest m = store.manifest("k|i|1");
     std::string path = store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
     std::string bytes = readFileBytes(path);
-    bytes[4] = 2; // future format version
+    bytes[4] = 3; // future format version
     writeFileBytes(path, bytes);
     EXPECT_THROW(store.read("k|i|1"), SpillError);
+}
+
+TEST(TraceSpillStore, V1FilesAreNeverDecoded)
+{
+    const std::string root = tempRoot("v1");
+    SpillStore store(root);
+    writeV1Store(root);
+
+    // Version 1 named manifests by FNV-1a of the key, so a v2 reader
+    // finds none: a clean miss, and the listing skips the v1 file.
+    EXPECT_FALSE(store.readIfPresent(kV1Key).has_value());
+    EXPECT_FALSE(store.contains(kV1Key));
+    EXPECT_TRUE(store.keys().empty());
+
+    // A v1 manifest where a v2 one belongs fails its trailing hash.
+    placeV1ManifestAtV2Name(root);
+    EXPECT_FALSE(store.contains(kV1Key));
+    EXPECT_THROW(store.readIfPresent(kV1Key), SpillError);
+
+    // A v2 manifest whose chunk file holds a v1 chunk.
+    store.write(kV1Key, handTrace());
+    const TraceManifest m = store.manifest(kV1Key);
+    writeFileBytes(store.chunkPath(m.col(TraceColumn::Cls)[0].hash),
+                   std::string(kV1Store[3].bytes)); // v1 cls chunk
+    try {
+        store.readIfPresent(kV1Key);
+        FAIL() << "a v1 chunk decoded";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(),
+                     "chunk header: unsupported version 1 (expected 2)");
+    }
 }
 
 TEST(TraceSpillStore, CorruptManifestReadsAsAbsent)
@@ -896,6 +1150,33 @@ TEST(TraceCacheSpill, ClearLeavesDiskTierAdmittable)
     EXPECT_EQ(gen, 1); // served by the disk tier
     EXPECT_EQ(cache.admits(), 1u);
     expectTracesEqual(*t0, *t1);
+}
+
+TEST(TraceCacheSpill, V1StoreRegeneratesTheGeneratorsTrace)
+{
+    exec::TraceCache cache(1u << 30);
+    const std::string root = tempRoot("cachev1");
+    writeV1Store(root);
+    cache.setSpillDir(root);
+    ASSERT_EQ(exec::spillKeyOf(cacheKey("w1")), kV1Key);
+
+    int gen = 0;
+    auto generate = [&] { gen++; return handTrace(); };
+
+    // Files at v1 names: a clean miss.
+    auto t1 = cache.get(cacheKey("w1"), generate);
+    EXPECT_EQ(gen, 1);
+    EXPECT_EQ(cache.spillErrors(), 0u);
+    expectTracesEqual(*t1, handTrace());
+
+    // A v1 manifest at the v2 name: a counted disk defect.
+    cache.clear();
+    placeV1ManifestAtV2Name(root);
+    auto t2 = cache.get(cacheKey("w1"), generate);
+    EXPECT_EQ(gen, 2);
+    EXPECT_EQ(cache.spillErrors(), 1u);
+    EXPECT_EQ(cache.admits(), 0u);
+    expectTracesEqual(*t2, handTrace());
 }
 
 // ---------------------------------------------------------------------------

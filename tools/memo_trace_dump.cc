@@ -8,31 +8,22 @@
  *       a trace saved by `memo-sim --save-trace`.
  *   memo-trace-dump --store DIR
  *       List every trace in a spill chunk store (docs/TRACE_FORMAT.md)
- *       with record/chunk counts, encoded sizes and the store-wide
+ *       with record/chunk counts, bytes on disk and the store-wide
  *       dedup ratio.
  *   memo-trace-dump --store DIR --key KEY [count]
  *       Decode one spilled trace and print it like the FILE form.
  *   memo-trace-dump --store DIR --chunks KEY
  *       Per-column chunk table of one spilled trace: chunk hashes,
- *       element counts, encoded bytes and compression ratios.
- *   memo-trace-dump --store DIR --stats KEY
- *       Per-column compression summary of one spilled trace: encoded
- *       vs raw bytes and the Shannon entropy of the zigzag delta
- *       stream (the quantity the delta+varint codec exploits), with
- *       the entropy-ideal size next to what the codec achieved.
+ *       element counts and bytes on disk.
  *   memo-trace-dump --store DIR --verify
  *       Fully decode every trace in the store; exit 1 if any chunk or
  *       manifest fails verification.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -108,58 +99,37 @@ printTrace(const std::string &name, const Trace &trace, size_t count)
         printRecord(i, trace[i]);
 }
 
-/** Encoded + raw byte totals of one manifest's chunk set. */
-struct ManifestBytes
-{
-    uint64_t chunks = 0;
-    uint64_t encoded = 0; //!< on-disk bytes of the referenced chunks
-    uint64_t raw = 0;     //!< decoded bytes (column width * elems)
-};
-
-ManifestBytes
-bytesOf(const SpillStore &store, const TraceManifest &m)
-{
-    ManifestBytes mb;
-    for (size_t c = 0; c < kNumTraceColumns; c++) {
-        TraceColumn col = static_cast<TraceColumn>(c);
-        for (const ChunkRef &ref : m.col(col)) {
-            mb.chunks++;
-            mb.encoded += store.chunkFileBytes(ref.hash);
-            mb.raw += uint64_t{traceColumnWidth(col)} * ref.elems;
-        }
-    }
-    return mb;
-}
-
 int
 listStore(const SpillStore &store)
 {
     std::vector<std::string> keys = store.keys();
     std::printf("%s: %zu trace(s)\n\n", store.root().c_str(),
                 keys.size());
-    std::printf("%-40s %12s %8s %14s %14s\n", "key", "records",
-                "chunks", "encoded B", "raw B");
+    std::printf("%-40s %12s %8s %14s\n", "key", "records", "chunks",
+                "bytes");
     uint64_t referenced = 0;
+    std::vector<uint64_t> seen;
     for (const std::string &key : keys) {
         TraceManifest m = store.manifest(key);
-        ManifestBytes mb = bytesOf(store, m);
-        referenced += mb.encoded;
-        std::printf("%-40s %12llu %8llu %14llu %14llu\n", key.c_str(),
-                    static_cast<unsigned long long>(m.records),
-                    static_cast<unsigned long long>(mb.chunks),
-                    static_cast<unsigned long long>(mb.encoded),
-                    static_cast<unsigned long long>(mb.raw));
+        uint64_t bytes = 0;
+        size_t chunks = 0;
+        for (const auto &col : m.cols) {
+            chunks += col.size();
+            for (const ChunkRef &ref : col) {
+                bytes += store.chunkFileBytes(ref.hash);
+                seen.push_back(ref.hash);
+            }
+        }
+        referenced += bytes;
+        std::printf("%-40s %12llu %8zu %14llu\n", key.c_str(),
+                    static_cast<unsigned long long>(m.records), chunks,
+                    static_cast<unsigned long long>(bytes));
     }
     // Store-wide dedup: bytes the manifests reference vs bytes the
     // content-addressed chunk files actually occupy once.
-    uint64_t unique = 0;
-    std::vector<uint64_t> seen;
-    for (const std::string &key : keys)
-        for (const auto &col : store.manifest(key).cols)
-            for (const ChunkRef &ref : col)
-                seen.push_back(ref.hash);
     std::sort(seen.begin(), seen.end());
     seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    uint64_t unique = 0;
     for (uint64_t h : seen)
         unique += store.chunkFileBytes(h);
     std::printf("\nchunk files: %zu unique, %llu bytes on disk"
@@ -186,111 +156,13 @@ dumpChunks(const SpillStore &store, const std::string &key)
         std::printf("\ncolumn %-6s (%u-byte elems, %zu chunk%s)\n",
                     traceColumnName(col), traceColumnWidth(col),
                     refs.size(), refs.size() == 1 ? "" : "s");
-        for (size_t i = 0; i < refs.size(); i++) {
-            uint64_t disk = store.chunkFileBytes(refs[i].hash);
-            uint64_t raw =
-                uint64_t{traceColumnWidth(col)} * refs[i].elems;
-            std::printf("  [%4zu] %016llx  %8u elems  %10llu B"
-                        "  (%.2fx)\n",
-                        i,
+        for (size_t i = 0; i < refs.size(); i++)
+            std::printf("  [%4zu] %016llx  %8u elems  %10llu B\n", i,
                         static_cast<unsigned long long>(refs[i].hash),
                         refs[i].elems,
-                        static_cast<unsigned long long>(disk),
-                        disk ? static_cast<double>(raw) /
-                                   static_cast<double>(disk)
-                             : 0.0);
-        }
+                        static_cast<unsigned long long>(
+                            store.chunkFileBytes(refs[i].hash)));
     }
-    return 0;
-}
-
-/** Slurp one content-addressed chunk file (throws SpillError). */
-std::string
-readChunkFile(const SpillStore &store, uint64_t hash)
-{
-    std::ifstream in(store.chunkPath(hash), std::ios::binary);
-    if (!in)
-        throw SpillError("missing chunk " + store.chunkPath(hash));
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
-}
-
-/**
- * Per-column compression and delta-entropy summary: how many bits per
- * element the zigzag delta stream carries (Shannon entropy of the
- * delta value distribution, delta state reset per chunk exactly as
- * the codec resets it) next to the bytes the LEB128 encoding actually
- * spends. Columns whose deltas concentrate on few values (cls runs,
- * monotonic pc) compress far below their raw width; high-entropy
- * operand columns approach it.
- */
-int
-statsStore(const SpillStore &store, const std::string &key)
-{
-    TraceManifest m = store.manifest(key);
-    std::printf("%s: %llu records\n\n", key.c_str(),
-                static_cast<unsigned long long>(m.records));
-    std::printf("%-6s %12s %12s %12s %7s %12s %13s\n", "column",
-                "elems", "raw B", "encoded B", "ratio", "H bits/elem",
-                "H-ideal B");
-    uint64_t tot_raw = 0, tot_enc = 0;
-    double tot_ideal = 0.0;
-    for (size_t c = 0; c < kNumTraceColumns; c++) {
-        TraceColumn col = static_cast<TraceColumn>(c);
-        uint64_t elems = 0, enc = 0;
-        // Ordered map: the entropy fold below sums floats over the
-        // histogram, so the iteration order must be deterministic.
-        std::map<uint64_t, uint64_t> deltas;
-        for (const ChunkRef &ref : m.col(col)) {
-            enc += store.chunkFileBytes(ref.hash);
-            std::vector<uint64_t> v =
-                decodeChunk(readChunkFile(store, ref.hash));
-            uint64_t prev = 0; // per-chunk delta reset, as encoded
-            for (uint64_t x : v) {
-                uint64_t d = x - prev;
-                prev = x;
-                uint64_t zig =
-                    (d << 1) ^ static_cast<uint64_t>(
-                                   static_cast<int64_t>(d) >> 63);
-                deltas[zig]++;
-            }
-            elems += v.size();
-        }
-        uint64_t raw = uint64_t{traceColumnWidth(col)} * elems;
-        double entropy = 0.0;
-        for (const auto &[zig, count] : deltas) {
-            (void)zig;
-            double p = static_cast<double>(count) /
-                       static_cast<double>(elems);
-            entropy -= p * std::log2(p);
-        }
-        double ideal = entropy * static_cast<double>(elems) / 8.0;
-        tot_raw += raw;
-        tot_enc += enc;
-        tot_ideal += ideal;
-        std::printf("%-6s %12llu %12llu %12llu %6.2fx %12.2f %13.0f\n",
-                    traceColumnName(col),
-                    static_cast<unsigned long long>(elems),
-                    static_cast<unsigned long long>(raw),
-                    static_cast<unsigned long long>(enc),
-                    enc ? static_cast<double>(raw) /
-                              static_cast<double>(enc)
-                        : 0.0,
-                    elems ? entropy : 0.0, ideal);
-    }
-    std::printf("\ntotal: %llu raw B, %llu encoded B (%.2fx);"
-                " delta-entropy bound %.0f B (%.0f%% of encoded —"
-                " the varint's whole-byte floor is the gap)\n",
-                static_cast<unsigned long long>(tot_raw),
-                static_cast<unsigned long long>(tot_enc),
-                tot_enc ? static_cast<double>(tot_raw) /
-                              static_cast<double>(tot_enc)
-                        : 0.0,
-                tot_ideal,
-                tot_enc ? 100.0 * tot_ideal /
-                              static_cast<double>(tot_enc)
-                        : 0.0);
     return 0;
 }
 
@@ -321,8 +193,7 @@ usage()
         stderr,
         "usage: memo-trace-dump FILE [count]\n"
         "       memo-trace-dump --store DIR "
-        "[--key KEY [count] | --chunks KEY | --stats KEY | "
-        "--verify]\n");
+        "[--key KEY [count] | --chunks KEY | --verify]\n");
     return 1;
 }
 
@@ -340,8 +211,6 @@ main(int argc, char **argv)
                 return verifyStore(store);
             if (argc >= 5 && std::strcmp(argv[3], "--chunks") == 0)
                 return dumpChunks(store, argv[4]);
-            if (argc >= 5 && std::strcmp(argv[3], "--stats") == 0)
-                return statsStore(store, argv[4]);
             if (argc >= 5 && std::strcmp(argv[3], "--key") == 0) {
                 size_t count =
                     argc > 5
