@@ -118,99 +118,37 @@ foldReplayStats(const MemoBank &bank,
     }
 }
 
-/**
- * The replay loop behind replayMemo() and replayMemoStreamed():
- * resolve each instruction class's table once, let @p feed hand over
- * per-class operand columns through probe(cls, columns), present them
- * to the tables in kReplayBlock chunks, and fold the replay's
- * statistics into the registry. @p feed returns the number of trace
- * records it replayed.
- *
- * Accesses of one table keep their trace order and different tables
- * are independent state, so partitioning by class is exact; how the
- * columns are chunked only moves probeBlock call boundaries, which
- * the batch-probe contract (probeBlock(n) == n scalar lookup/update
- * calls) makes invisible.
- */
-template <typename Feed>
-void
-replayColumns(MemoBank &bank, Feed &&feed)
-{
-    // Snapshot the attached tables so only this replay's activity is
-    // folded into the registry below (tables accumulate across calls).
-    auto before = snapshotStats(bank);
-
-    // Classes without a table in this bank (or not memoizable at all)
-    // stay null and their accesses are skipped.
-    MemoTable *tables[numInstClasses] = {};
-    for (unsigned c = 0; c < numInstClasses; c++)
-        if (auto op = memoOperation(static_cast<InstClass>(c)))
-            tables[c] = bank.table(*op);
-
-    auto probe = [&](unsigned c, const TraceStore::ClassColumns &col) {
-        const size_t m = col.a.size();
-        for (size_t base = 0; base < m; base += kReplayBlock)
-            tables[c]->probeBlock(col.a.data() + base,
-                                  col.b.data() + base,
-                                  col.r.data() + base,
-                                  std::min(m - base, kReplayBlock));
-    };
-    uint64_t records = feed(tables, probe);
-
-    foldReplayStats(bank, before, records);
-}
-
 } // anonymous namespace
 
 void
 replayMemo(const Trace &trace, MemoBank &bank)
 {
-    replayColumns(bank, [&](MemoTable *const *tables, auto &probe) {
-        const TraceStore &store = trace.store();
-        for (unsigned c = 0; c < numInstClasses; c++)
-            if (tables[c])
-                probe(c, store.classColumns(static_cast<InstClass>(c)));
-        return trace.size();
-    });
-}
+    // Snapshot the attached tables so only this replay's activity is
+    // folded into the registry below (tables accumulate across calls).
+    auto before = snapshotStats(bank);
 
-void
-replayMemoStreamed(const SpillStore &store, const std::string &key,
-                   MemoBank &bank)
-{
-    // One decoded operand chunk in flight at a time: cls/a/b/r hold
-    // the current chunk's columns, part[] its stable per-class
-    // partition. Chunks arrive in trace order, so each table sees
-    // exactly the access sequence replayMemo() feeds it.
-    replayColumns(bank, [&](MemoTable *const *tables, auto &probe) {
-        SpillStore::Reader reader = store.open(key);
-        std::vector<uint8_t> cls;
-        std::vector<uint64_t> a, b, r;
-        std::array<TraceStore::ClassColumns, numInstClasses> part;
-        for (size_t chunk = 0; chunk < reader.opChunkCount(); chunk++) {
-            reader.readOpChunk(chunk, cls, a, b, r);
-            for (auto &p : part) {
-                p.a.clear();
-                p.b.clear();
-                p.r.clear();
-            }
-            for (size_t i = 0; i < cls.size(); i++) {
-                uint64_t c = cls[i];
-                if (c >= numInstClasses)
-                    throw SpillError("opCls: value " + std::to_string(c) +
-                                     " is not an InstClass");
-                if (!tables[c])
-                    continue;
-                part[c].a.push_back(a[i]);
-                part[c].b.push_back(b[i]);
-                part[c].r.push_back(r[i]);
-            }
-            for (unsigned c = 0; c < numInstClasses; c++)
-                if (!part[c].a.empty())
-                    probe(c, part[c]);
-        }
-        return reader.records();
-    });
+    // Accesses of one table keep their trace order and different
+    // tables are independent state, so replaying class by class is
+    // exact; the kReplayBlock chunking only moves probeBlock call
+    // boundaries, which the batch-probe contract (probeBlock(n) == n
+    // scalar lookup/update calls) makes invisible. Classes without a
+    // table in this bank (or not memoizable at all) are skipped.
+    const TraceStore &store = trace.store();
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        auto op = memoOperation(static_cast<InstClass>(c));
+        MemoTable *table = op ? bank.table(*op) : nullptr;
+        if (!table)
+            continue;
+        const TraceStore::ClassColumns &col =
+            store.classColumns(static_cast<InstClass>(c));
+        const size_t m = col.a.size();
+        for (size_t base = 0; base < m; base += kReplayBlock)
+            table->probeBlock(col.a.data() + base, col.b.data() + base,
+                              col.r.data() + base,
+                              std::min(m - base, kReplayBlock));
+    }
+
+    foldReplayStats(bank, before, trace.size());
 }
 
 namespace

@@ -13,7 +13,6 @@
 #include "core/bank.hh"
 #include "img/generate.hh"
 #include "img/image.hh"
-#include "trace/spill.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -68,23 +67,6 @@ constexpr size_t kReplayBlock = 4096;
  * that equivalence.
  */
 void replayMemo(const Trace &trace, MemoBank &bank);
-
-/**
- * Replay a spilled trace straight off the disk tier: decode the
- * operand-column chunks of @p key one chunk at a time, partition each
- * decoded block by class, and feed the partitions through
- * MemoTable::probeBlock — the full trace is never materialized, so
- * peak memory is one chunk's worth of columns.
- *
- * Accesses of each table keep their trace order (chunks are decoded
- * in sequence and partitioning is stable), so table states and
- * statistics are bit-identical to replayMemo() over the in-memory
- * trace; probeBlock call boundaries differ, which the batch-probe API
- * contract makes semantically neutral. Throws SpillError if @p key is
- * absent or any chunk fails verification.
- */
-void replayMemoStreamed(const SpillStore &store, const std::string &key,
-                        MemoBank &bank);
 
 /** Hit ratios of the three paper units; negative when the unit saw no
  *  non-trivial traffic. */

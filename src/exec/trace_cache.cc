@@ -67,13 +67,6 @@ TraceCache::setBudgetBytes(size_t budget_bytes)
     budget = budget_bytes ? budget_bytes : defaultBudget();
 }
 
-size_t
-TraceCache::budgetBytes() const
-{
-    MutexLock lk(m);
-    return budget;
-}
-
 std::shared_ptr<const Trace>
 TraceCache::get(const TraceKey &key, const Generator &gen)
 {

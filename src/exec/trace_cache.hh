@@ -133,9 +133,6 @@ class TraceCache
      */
     void setBudgetBytes(size_t budget_bytes);
 
-    /** The active resident-bytes budget. */
-    size_t budgetBytes() const;
-
     /** Number of resident entries. */
     size_t entries() const;
 

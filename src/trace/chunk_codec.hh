@@ -190,7 +190,7 @@ using ChunkSink = std::function<void(TraceColumn, const EncodedChunk &)>;
  * time. The operand columns are gathered back into trace order from
  * the store's per-class columns. All columns share the same slice
  * width, so chunk i of the four operand columns covers the same
- * records — the invariant streamed replay relies on.
+ * records.
  */
 TraceManifest encodeTrace(const std::string &key, const Trace &trace,
                           uint32_t chunk_elems, const ChunkSink &sink);

@@ -74,6 +74,16 @@ SpillStore::SpillStore(std::string root) : root_(std::move(root))
                          root_ + ": " + ec.message());
 }
 
+SpillStore
+SpillStore::existing(std::string root)
+{
+    std::error_code ec;
+    if (!fs::is_directory(fs::path(root) / "manifests", ec))
+        throw SpillError("spill store: no store at " + root +
+                         " (no manifests directory)");
+    return SpillStore(Existing{}, std::move(root));
+}
+
 std::string
 SpillStore::chunkPath(uint64_t hash) const
 {
@@ -160,7 +170,8 @@ SpillStore::read(const std::string &key) const
 {
     std::optional<Trace> t = readIfPresent(key);
     if (!t)
-        throw SpillError("manifest: no manifest for key '" + key + "'");
+        throw SpillError("manifest: no manifest for key '" + key +
+                         "' in " + root_);
     return std::move(*t);
 }
 
@@ -194,50 +205,6 @@ SpillStore::chunkFileBytes(uint64_t hash) const
     std::error_code ec;
     uint64_t n = fs::file_size(chunkPath(hash), ec);
     return ec ? 0 : n;
-}
-
-SpillStore::Reader
-SpillStore::open(const std::string &key) const
-{
-    TraceManifest m = manifest(key);
-    // Streamed replay walks the four operand columns in lockstep;
-    // require identical chunking up front so readOpChunk(i) is
-    // well-defined.
-    const auto &cls = m.col(TraceColumn::OpCls);
-    for (TraceColumn c : {TraceColumn::OpA, TraceColumn::OpB,
-                          TraceColumn::OpRes}) {
-        const auto &col = m.col(c);
-        if (col.size() != cls.size())
-            throw SpillError(std::string(traceColumnName(c)) +
-                             ": chunk count differs from opCls");
-        for (size_t i = 0; i < col.size(); i++)
-            if (col[i].elems != cls[i].elems)
-                throw SpillError(std::string(traceColumnName(c)) +
-                                 ": chunk " + std::to_string(i) +
-                                 " element count differs from opCls");
-    }
-    return Reader(*this, std::move(m));
-}
-
-void
-SpillStore::Reader::readOpChunk(size_t i, std::vector<uint8_t> &cls,
-                                std::vector<uint64_t> &a,
-                                std::vector<uint64_t> &b,
-                                std::vector<uint64_t> &r) const
-{
-    // decodeChunkInto verifies each file and pins it to the
-    // manifest's entry, so the vectors below are fully validated.
-    std::string bytes;
-    auto decodeOne = [&](TraceColumn c, auto &out) {
-        const ChunkRef &ref = m_.col(c).at(i);
-        readFile(store_->chunkPath(ref.hash), traceColumnName(c), bytes);
-        out.clear();
-        decodeChunkInto(bytes, out, traceColumnName(c), &ref);
-    };
-    decodeOne(TraceColumn::OpCls, cls);
-    decodeOne(TraceColumn::OpA, a);
-    decodeOne(TraceColumn::OpB, b);
-    decodeOne(TraceColumn::OpRes, r);
 }
 
 } // namespace memo

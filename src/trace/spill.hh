@@ -1,6 +1,8 @@
 /**
  * @file
- * Content-addressed on-disk store for spilled traces.
+ * Content-addressed on-disk store for traces: the spill tier of
+ * exec::TraceCache and the saved traces of `memo-sim --save-trace` —
+ * the one on-disk trace format.
  *
  * Layout under one root directory (docs/TRACE_FORMAT.md §5):
  *
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/chunk_codec.hh"
@@ -42,6 +45,13 @@ class SpillStore
   public:
     /** Opens @p root, creating its subdirectories if needed. */
     explicit SpillStore(std::string root);
+
+    /**
+     * Opens the store that already exists at @p root, for reading.
+     * Creates nothing: throws SpillError naming @p root when it holds
+     * no store (no manifests directory).
+     */
+    static SpillStore existing(std::string root);
 
     const std::string &root() const { return root_; }
 
@@ -95,47 +105,12 @@ class SpillStore
     /** Path of the manifest file for @p key. */
     std::string manifestPath(const std::string &key) const;
 
-    /**
-     * Streamed access to one spilled trace: decodes the operand
-     * columns chunk by chunk, never materializing the full trace.
-     * Chunk i of the four operand columns covers the same records
-     * (verified), so streamed replay can partition each decoded
-     * block by class and feed MemoTable::probeBlock directly.
-     */
-    class Reader
-    {
-      public:
-        uint64_t records() const { return m_.records; }
-        uint64_t ops() const { return m_.ops; }
-        size_t
-        opChunkCount() const
-        {
-            return m_.col(TraceColumn::OpCls).size();
-        }
-
-        /**
-         * Decode operand chunk @p i into the four supplied vectors
-         * (resized to the chunk's element count). Throws SpillError.
-         */
-        void readOpChunk(size_t i, std::vector<uint8_t> &cls,
-                         std::vector<uint64_t> &a,
-                         std::vector<uint64_t> &b,
-                         std::vector<uint64_t> &r) const;
-
-      private:
-        friend class SpillStore;
-        Reader(const SpillStore &store, TraceManifest m)
-            : store_(&store), m_(std::move(m))
-        {
-        }
-        const SpillStore *store_;
-        TraceManifest m_;
-    };
-
-    /** Open @p key for streamed reading. Throws SpillError. */
-    Reader open(const std::string &key) const;
-
   private:
+    struct Existing
+    {
+    };
+    SpillStore(Existing, std::string root) : root_(std::move(root)) {}
+
     /// The store's only state. Immutable after construction, so every
     /// method is safe to call concurrently without locking: writes
     /// are atomic at the filesystem level (temp file + rename) and

@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/hooks.hh"
 #include "core/phase.hh"
 #include "img/generate.hh"
+#include "obs/stats.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -315,6 +317,57 @@ TEST(ReplayBatched, EmptyAndTablelessBanksAreNoOps)
     MemoBank bank = MemoBank::standard(MemoConfig{});
     replayMemo(none, bank);
     EXPECT_EQ(bank.table(Operation::FpMul)->stats().lookups, 0u);
+}
+
+TEST(ReplayBatched, FoldsItsActivityIntoTheRegistry)
+{
+    // Each replay adds one run, its trace's record count and each
+    // table's counter deltas — only this replay's, though the bank's
+    // tables accumulate across replays — to the global registry.
+    Trace trace = syntheticTrace(2 * kReplayBlock + 5, 11);
+    MemoConfig cfg;
+    cfg.entries = 64;
+    cfg.ways = 4;
+    MemoBank bank = MemoBank::standard(cfg);
+    replayMemo(trace, bank);
+    std::map<Operation, MemoStats> before;
+    for (Operation op : bank_ops)
+        if (const MemoTable *t = bank.table(op))
+            before[op] = t->stats();
+
+    auto &reg = obs::StatsRegistry::global();
+    reg.reset();
+    replayMemo(trace, bank);
+    obs::Snapshot snap = reg.snapshot();
+    reg.reset();
+
+    EXPECT_EQ(snap.counter("analysis.replay.runs"), 1u);
+    EXPECT_EQ(snap.counter("analysis.replay.instructions"),
+              trace.size());
+    for (const auto &[op, b] : before) {
+        const MemoStats &a = bank.table(op)->stats();
+        std::string prefix =
+            "core.table." + std::string(operationName(op)) + ".";
+        EXPECT_EQ(snap.counter(prefix + "lookups"), a.lookups - b.lookups)
+            << prefix;
+        EXPECT_EQ(snap.counter(prefix + "hits"), a.hits - b.hits)
+            << prefix;
+        EXPECT_EQ(snap.counter(prefix + "misses"), a.misses - b.misses)
+            << prefix;
+        EXPECT_EQ(snap.counter(prefix + "insertions"),
+                  a.insertions - b.insertions)
+            << prefix;
+        EXPECT_EQ(snap.counter(prefix + "evictions"),
+                  a.evictions - b.evictions)
+            << prefix;
+        EXPECT_EQ(snap.counter(prefix + "trivialHits"),
+                  a.trivialHits - b.trivialHits)
+            << prefix;
+    }
+    // The second replay did table work, so the deltas above are not
+    // all vacuously zero.
+    EXPECT_GT(bank.table(Operation::FpMul)->stats().lookups,
+              before.at(Operation::FpMul).lookups);
 }
 
 /** A TableHooks observer that keeps every event, in order. */

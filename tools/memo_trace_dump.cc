@@ -1,34 +1,35 @@
 /**
  * @file
- * memo-trace-dump: inspect saved traces and spill chunk stores.
+ * memo-trace-dump: inspect trace stores — spill tiers and traces
+ * saved by `memo-sim --save-trace` (docs/TRACE_FORMAT.md).
  *
  * Usage:
- *   memo-trace-dump FILE [count]
- *       Print the class mix and first `count` records (default 20) of
- *       a trace saved by `memo-sim --save-trace`.
  *   memo-trace-dump --store DIR
- *       List every trace in a spill chunk store (docs/TRACE_FORMAT.md)
- *       with record/chunk counts, bytes on disk and the store-wide
- *       dedup ratio.
+ *       List every trace in a store with record/chunk counts, bytes on
+ *       disk and the store-wide dedup ratio.
  *   memo-trace-dump --store DIR --key KEY [count]
- *       Decode one spilled trace and print it like the FILE form.
+ *       Decode one trace and print its class mix and first `count`
+ *       records (default 20). `memo-sim --save-trace` saves under the
+ *       key `memo-sim`.
  *   memo-trace-dump --store DIR --chunks KEY
  *       Per-column chunk table of one spilled trace: chunk hashes,
  *       element counts and bytes on disk.
  *   memo-trace-dump --store DIR --verify
  *       Fully decode every trace in the store; exit 1 if any chunk or
  *       manifest fails verification.
+ *
+ * DIR must already hold a store: reading never creates one.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arith/fp.hh"
-#include "trace/io.hh"
 #include "trace/spill.hh"
 
 using namespace memo;
@@ -191,10 +192,22 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: memo-trace-dump FILE [count]\n"
-        "       memo-trace-dump --store DIR "
+        "usage: memo-trace-dump --store DIR "
         "[--key KEY [count] | --chunks KEY | --verify]\n");
     return 1;
+}
+
+/** Parse the record count to print; anything but digits throws. */
+size_t
+parseRecordCount(const char *arg)
+{
+    size_t n = 0;
+    const char *end = arg + std::strlen(arg);
+    auto [p, ec] = std::from_chars(arg, end, n);
+    if (ec != std::errc() || p != end)
+        throw std::runtime_error(std::string("count: '") + arg +
+                                 "' is not a record count");
+    return n;
 }
 
 } // anonymous namespace
@@ -203,32 +216,21 @@ int
 main(int argc, char **argv)
 {
     try {
-        if (argc >= 3 && std::strcmp(argv[1], "--store") == 0) {
-            SpillStore store(argv[2]);
-            if (argc == 3)
-                return listStore(store);
-            if (std::strcmp(argv[3], "--verify") == 0)
-                return verifyStore(store);
-            if (argc >= 5 && std::strcmp(argv[3], "--chunks") == 0)
-                return dumpChunks(store, argv[4]);
-            if (argc >= 5 && std::strcmp(argv[3], "--key") == 0) {
-                size_t count =
-                    argc > 5
-                        ? static_cast<size_t>(std::atol(argv[5]))
-                        : 20;
-                printTrace(argv[4], store.read(argv[4]), count);
-                return 0;
-            }
+        if (argc < 3 || std::strcmp(argv[1], "--store") != 0)
             return usage();
+        SpillStore store = SpillStore::existing(argv[2]);
+        if (argc == 3)
+            return listStore(store);
+        if (std::strcmp(argv[3], "--verify") == 0)
+            return verifyStore(store);
+        if (argc >= 5 && std::strcmp(argv[3], "--chunks") == 0)
+            return dumpChunks(store, argv[4]);
+        if (argc >= 5 && std::strcmp(argv[3], "--key") == 0) {
+            size_t count = argc > 5 ? parseRecordCount(argv[5]) : 20;
+            printTrace(argv[4], store.read(argv[4]), count);
+            return 0;
         }
-        if (argc < 2 || argv[1][0] == '-')
-            return usage();
-
-        size_t count = argc > 2
-                           ? static_cast<size_t>(std::atol(argv[2]))
-                           : 20;
-        printTrace(argv[1], readTrace(argv[1]), count);
-        return 0;
+        return usage();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "memo-trace-dump: %s\n", e.what());
         return 1;
