@@ -16,6 +16,12 @@
  * a shared runner, while per-access phase bookkeeping in the loop
  * (10%+) still trips it.
  *
+ * A body takes ~25 ms, so one pair's ratio swings by +-15% on a busy
+ * host (0.74-1.28 seen on a shared 4-vCPU runner). Over 9 pairs the
+ * median of such ratios fell to 0.88 with every core busy; over
+ * kReps = 101 pairs it stayed at 0.99 there. The pair count, not a
+ * looser bound, is what keeps the gate quiet on a shared machine.
+ *
  * A self-check leg then proves the gate can fail: the same estimator
  * and bound over 8 bare replays against 10 (25% more work, a ratio
  * near 0.8) must land below kMinRatio.
@@ -41,7 +47,7 @@ using namespace memo;
 namespace
 {
 
-constexpr unsigned kReps = 9;
+constexpr unsigned kReps = 101;
 constexpr double kMinRatio = 0.95;
 
 /** @p n batched replays of @p trace, each on a fresh standard bank. */

@@ -1,0 +1,65 @@
+/**
+ * @file
+ * Checked parsing of command-line values, shared by the tools: a bad
+ * value is an error that names its flag, never a run with a guessed
+ * value.
+ */
+
+#ifndef MEMO_TOOLS_CLI_ARGS_HH
+#define MEMO_TOOLS_CLI_ARGS_HH
+
+#include <charconv>
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+namespace memo::cli
+{
+
+/**
+ * Parse @p value, the value of @p flag, as a positive count that fits
+ * T. Anything else — a sign, trailing characters, zero, overflow —
+ * throws naming the flag.
+ */
+template <typename T>
+T
+parseCount(const std::string &flag, const std::string &value)
+{
+    uint64_t n = 0;
+    const char *end = value.data() + value.size();
+    auto [p, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc() || p != end || n == 0 ||
+        n > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+        throw std::runtime_error(flag + ": '" + value +
+                                 "' is not a positive count");
+    return static_cast<T>(n);
+}
+
+/**
+ * Map @p value, the value of @p flag, to the enumerator of its exact
+ * spelling in @p choices. Any other spelling throws naming the flag
+ * and the accepted spellings.
+ */
+template <typename E>
+E
+parseChoice(const std::string &flag, const std::string &value,
+            std::initializer_list<std::pair<const char *, E>> choices)
+{
+    std::string known;
+    for (const auto &[name, e] : choices) {
+        if (value == name)
+            return e;
+        if (!known.empty())
+            known += '|';
+        known += name;
+    }
+    throw std::runtime_error(flag + ": unknown value '" + value +
+                             "' (expected " + known + ")");
+}
+
+} // namespace memo::cli
+
+#endif // MEMO_TOOLS_CLI_ARGS_HH

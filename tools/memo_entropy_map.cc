@@ -4,7 +4,8 @@
  *
  * Usage:  memo-entropy-map IMAGE [window] [out.pgm]
  *   IMAGE   bundled image name or a .pgm/.ppm file
- *   window  tile size (default 8, the paper's finest granularity)
+ *   window  tile size in pixels, 1-65535 (default 8, the paper's
+ *           finest granularity); any other value is an error
  *
  * Prints the full/16x16/8x8 entropies (the Table 8 columns) and
  * writes a per-window entropy heat map as a PGM image: bright tiles
@@ -13,8 +14,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,8 @@
 #include "img/generate.hh"
 #include "img/pnm.hh"
 #include "trace/file_io.hh"
+
+#include "cli_args.hh"
 
 using namespace memo;
 
@@ -66,10 +69,12 @@ main(int argc, char **argv)
         return 1;
     }
     std::string name = argv[1];
-    int window = argc > 2 ? std::atoi(argv[2]) : 8;
     std::string out_path = argc > 3 ? argv[3] : "entropy_map.pgm";
 
     try {
+        // A 16-bit window keeps the tile arithmetic below in int range.
+        int window =
+            argc > 2 ? cli::parseCount<uint16_t>("window", argv[2]) : 8;
         Image img = (name.ends_with(".pgm") || name.ends_with(".ppm"))
                         ? readPnm(name)
                         : imageByName(name).image;
