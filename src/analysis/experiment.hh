@@ -99,8 +99,8 @@ UnitHits measureSci(const SciWorkload &workload, const MemoConfig &cfg);
 
 /**
  * Measure one MM kernel under many table configurations while
- * generating each (kernel, image) trace only once — the sweep benches'
- * workhorse (Figures 3/4, Tables 9/10 and the ablations).
+ * generating each (kernel, image) trace only once — the sweeps'
+ * workhorse (Figures 3/4, Tables 9/10).
  *
  * Configurations are measured in parallel on up to @p jobs workers
  * (0 = exec::ThreadPool::defaultJobs(), 1 = serial); each worker owns

@@ -1,6 +1,5 @@
 #include "units.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "fp.hh"
@@ -154,46 +153,6 @@ SequentialMultiplier::multiply(double a, double b) const
     if (!compose(sign, e, mant, out))
         return {a * b, latency(), true};
     return {out, latency(), false};
-}
-
-EarlyOutIntMultiplier::EarlyOutIntMultiplier(unsigned bits_per_cycle,
-                                             unsigned overhead_cycles)
-    : bitsPerCycle(bits_per_cycle), overheadCycles(overhead_cycles)
-{
-}
-
-unsigned
-EarlyOutIntMultiplier::latencyFor(int64_t multiplier) const
-{
-    // Significant bits of the multiplier once sign extension is
-    // stripped; zero and minus one terminate immediately.
-    uint64_t mag = static_cast<uint64_t>(
-        multiplier < 0 ? ~multiplier : multiplier);
-    unsigned bits = 0;
-    while (mag) {
-        bits++;
-        mag >>= 1;
-    }
-    unsigned iterations = ceilDiv(bits + 1, bitsPerCycle);
-    if (iterations == 0)
-        iterations = 1;
-    return iterations + overheadCycles;
-}
-
-unsigned
-EarlyOutIntMultiplier::maxLatency() const
-{
-    return ceilDiv(64, bitsPerCycle) + overheadCycles;
-}
-
-EarlyOutIntMultiplier::IntOutcome
-EarlyOutIntMultiplier::multiply(int64_t a, int64_t b) const
-{
-    // The unit scans whichever operand terminates sooner.
-    unsigned lat = std::min(latencyFor(a), latencyFor(b));
-    int64_t product = static_cast<int64_t>(static_cast<uint64_t>(a) *
-                                           static_cast<uint64_t>(b));
-    return {product, lat};
 }
 
 DigitRecurrenceSqrt::DigitRecurrenceSqrt(unsigned bits_per_cycle,

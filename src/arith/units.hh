@@ -99,45 +99,6 @@ class SequentialMultiplier
 };
 
 /**
- * An early-out integer multiplier (SPARC-style): a Booth-recoded
- * iterative array that retires the multiplier operand a few bits per
- * cycle and terminates once the remaining bits are a sign extension.
- * Latency therefore depends on the smaller operand's magnitude — the
- * interaction studied against memoization (a table hit beats the
- * early-out only for wide operands).
- */
-class EarlyOutIntMultiplier
-{
-  public:
-    /**
-     * @param bits_per_cycle multiplier bits retired per cycle
-     * @param overhead_cycles fixed setup/writeback overhead
-     */
-    explicit EarlyOutIntMultiplier(unsigned bits_per_cycle = 8,
-                                   unsigned overhead_cycles = 1);
-
-    /** Result of an integer multiplication. */
-    struct IntOutcome
-    {
-        int64_t value;
-        unsigned cycles;
-    };
-
-    /** Multiply a by b (wrapping on overflow, like the hardware). */
-    IntOutcome multiply(int64_t a, int64_t b) const;
-
-    /** Latency for a given multiplier operand value. */
-    unsigned latencyFor(int64_t multiplier) const;
-
-    /** Worst-case (full-width) latency. */
-    unsigned maxLatency() const;
-
-  private:
-    unsigned bitsPerCycle;
-    unsigned overheadCycles;
-};
-
-/**
  * A restoring digit-recurrence square root unit (one result bit per
  * cycle per radix step), the classic companion of an SRT divider.
  */

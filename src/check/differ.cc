@@ -1,6 +1,5 @@
 #include "differ.hh"
 
-#include <cassert>
 #include <sstream>
 
 namespace memo::check
@@ -94,175 +93,6 @@ MemoTableChecker::step(uint64_t a_bits, uint64_t b_bits,
         table.update(real_a, b_bits, true_result);
     if (!ov)
         shadow.update(a_bits, b_bits, true_result);
-    return std::nullopt;
-}
-
-SharedTableChecker::SharedTableChecker(Operation op,
-                                       const MemoConfig &cfg,
-                                       unsigned ports)
-    : table(op, cfg, ports), shadow(op, cfg)
-{
-}
-
-std::optional<std::string>
-SharedTableChecker::step(unsigned cu_id, uint64_t cycle, uint64_t a_bits,
-                         uint64_t b_bits, uint64_t true_result)
-{
-    steps++;
-    auto rv = table.lookup(cu_id, cycle, a_bits, b_bits);
-    auto ov = shadow.lookup(a_bits, b_bits);
-    auto where = [&] {
-        return describeAccess(steps, shadow.operation(), a_bits, b_bits,
-                              true_result);
-    };
-
-    if (rv && *rv != true_result)
-        return "shared-table transparency violated: hit returned " +
-               hex(*rv) + ", expected " + hex(true_result) + where();
-    if (ov && *ov != true_result)
-        return "oracle self-check failed: hit returned " + hex(*ov) +
-               ", expected " + hex(true_result) + where();
-    if (rv && !ov)
-        return "shared-table containment violated: hit where the "
-               "unbounded oracle missed" +
-               where();
-    if (auto e = statsConserved(table.stats(), "shared table"))
-        return *e + where();
-
-    // A port conflict is a forced miss: the unit computes and, like
-    // any missing access, installs the result.
-    if (!rv)
-        table.update(cu_id, a_bits, b_bits, true_result);
-    if (!ov)
-        shadow.update(a_bits, b_bits, true_result);
-    return std::nullopt;
-}
-
-TieredTableChecker::TieredTableChecker(Operation op,
-                                       const MemoConfig &l1_cfg,
-                                       const MemoConfig &l2_cfg)
-    : table(op, l1_cfg, l2_cfg), shadow(op, l1_cfg)
-{
-    // The oracle models policy, not geometry: both levels must agree
-    // on the policy knobs for the comparison to be meaningful.
-    assert(l1_cfg.tagMode == l2_cfg.tagMode &&
-           l1_cfg.trivialMode == l2_cfg.trivialMode &&
-           l1_cfg.extendedTrivial == l2_cfg.extendedTrivial);
-}
-
-std::optional<std::string>
-TieredTableChecker::step(uint64_t a_bits, uint64_t b_bits,
-                         uint64_t true_result)
-{
-    steps++;
-    auto rv = table.lookup(a_bits, b_bits);
-    auto ov = shadow.lookup(a_bits, b_bits);
-    auto where = [&] {
-        return describeAccess(steps, shadow.operation(), a_bits, b_bits,
-                              true_result);
-    };
-
-    if (rv && rv->resultBits != true_result) {
-        std::ostringstream os;
-        os << "tiered-table transparency violated: L" << rv->level
-           << " hit returned " << hex(rv->resultBits) << ", expected "
-           << hex(true_result) << where();
-        return os.str();
-    }
-    if (ov && *ov != true_result)
-        return "oracle self-check failed: hit returned " + hex(*ov) +
-               ", expected " + hex(true_result) + where();
-    if (rv && !ov)
-        return "tiered-table containment violated: hit where the "
-               "unbounded oracle missed" +
-               where();
-    if (auto e = statsConserved(table.l1Stats(), "tiered L1"))
-        return *e + where();
-    if (auto e = statsConserved(table.l2Stats(), "tiered L2"))
-        return *e + where();
-
-    if (!rv)
-        table.update(a_bits, b_bits, true_result);
-    if (!ov)
-        shadow.update(a_bits, b_bits, true_result);
-    return std::nullopt;
-}
-
-ReuseBufferChecker::ReuseBufferChecker(unsigned entries, unsigned ways)
-    : buffer(entries, ways)
-{
-}
-
-std::optional<std::string>
-ReuseBufferChecker::step(uint64_t pc, uint64_t a_bits, uint64_t b_bits,
-                         uint64_t true_result)
-{
-    steps++;
-    auto rv = buffer.lookup(pc, a_bits, b_bits);
-    auto where = [&] {
-        std::ostringstream os;
-        os << " [step " << steps << ", pc " << hex(pc) << ", a "
-           << hex(a_bits) << ", b " << hex(b_bits) << ", result "
-           << hex(true_result) << "]";
-        return os.str();
-    };
-
-    auto it = shadow.find(Key{pc, a_bits, b_bits});
-    if (rv) {
-        if (*rv != true_result)
-            return "reuse-buffer transparency violated: hit returned " +
-                   hex(*rv) + ", expected " + hex(true_result) + where();
-        if (it == shadow.end())
-            return "reuse-buffer containment violated: hit on a "
-                   "(pc, operands) instance never executed" +
-                   where();
-    }
-    if (auto e = statsConserved(buffer.stats(), "reuse buffer"))
-        return *e + where();
-
-    if (!rv)
-        buffer.update(pc, a_bits, b_bits, true_result);
-    if (it == shadow.end())
-        shadow.emplace(Key{pc, a_bits, b_bits}, true_result);
-    return std::nullopt;
-}
-
-RecipCacheChecker::RecipCacheChecker(unsigned entries, unsigned ways)
-    : cache(entries, ways)
-{
-}
-
-std::optional<std::string>
-RecipCacheChecker::step(uint64_t b_bits, uint64_t true_recip_bits)
-{
-    steps++;
-    auto rv = cache.lookup(b_bits);
-    auto where = [&] {
-        std::ostringstream os;
-        os << " [step " << steps << ", divisor " << hex(b_bits)
-           << ", 1/b " << hex(true_recip_bits) << "]";
-        return os.str();
-    };
-
-    auto it = shadow.find(b_bits);
-    if (rv) {
-        if (*rv != true_recip_bits)
-            return "reciprocal-cache transparency violated: hit "
-                   "returned " +
-                   hex(*rv) + ", expected " + hex(true_recip_bits) +
-                   where();
-        if (it == shadow.end())
-            return "reciprocal-cache containment violated: hit on a "
-                   "divisor never installed" +
-                   where();
-    }
-    if (auto e = statsConserved(cache.stats(), "reciprocal cache"))
-        return *e + where();
-
-    if (!rv)
-        cache.update(b_bits, true_recip_bits);
-    if (it == shadow.end())
-        shadow.emplace(b_bits, true_recip_bits);
     return std::nullopt;
 }
 

@@ -1,35 +1,30 @@
 /**
  * @file
- * Seeded differential fuzzer for the MEMO-TABLE family.
+ * Seeded differential fuzzer for the MEMO-TABLE.
  *
- * Each fuzz case derives a private RNG from (seed, case index),
- * draws a random table variant + geometry and an adversarial operand
- * stream (NaN payloads, denormals, signed zeros, trivial operands,
- * tag-aliasing and exponent-aliasing patterns, heavy value reuse), and
- * replays it through the differential checkers of differ.hh; one case
- * kind additionally replays a random instruction trace through
- * memoized-vs-baseline CpuModel runs and checks cycle/stats
- * conservation, and another round-trips a random trace through the
- * spill tier's chunk codec (trace/chunk_codec.hh) — decode must be
- * bit-exact and any single-bit corruption must be rejected with
- * SpillError, and another feeds a mutated pseudo-C++ translation unit
- * through the memo-lint lexer and analyzer (src/lint/), which must
- * never crash, stay deterministic, and keep token/comment positions
- * coherent. Everything is deterministic: the same --seed/--iters
- * reproduce the same verdicts on any platform, and a failing stream is
- * shrunk (greedy chunk removal) before being reported as a one-line
- * repro.
+ * Each fuzz case derives a private RNG from (seed, case index) and
+ * draws one of four kinds. Half the cases draw a random table geometry
+ * and policy and an adversarial operand stream (NaN payloads,
+ * denormals, signed zeros, trivial operands, tag-aliasing and
+ * exponent-aliasing patterns, heavy value reuse) and replay it through
+ * the MemoTable-vs-oracle checker of differ.hh. The others replay such
+ * a stream through MemoTable::probeBlock against the scalar
+ * lookup/update path; replay a random instruction trace through
+ * memoized-vs-baseline CpuModel runs and check cycle/stats
+ * conservation; or round-trip a random trace through the spill tier's
+ * chunk codec (trace/chunk_codec.hh), where decode must be bit-exact
+ * and any single-bit corruption must be rejected with SpillError.
+ * Everything is deterministic: the same --seed/--iters reproduce the
+ * same verdicts on any platform, and a failing stream is shrunk
+ * (greedy chunk removal) before being reported as a one-line repro.
  *
- * The mutation self-test (mutationSelfTest) deliberately injects
- * three bugs and requires all be caught: a tag-comparison bug — the
- * real table sees operand A with its top 16 bits forced to zero, the
- * oracle sees the true operand — producing false hits; a
- * block-boundary off-by-one in the batched-replay differential — the
- * probeBlock side silently drops the last access of every full block;
- * and a lexer fault (lint::setLexerFaultInjection) that stops
- * counting newlines inside block comments, which the lint oracle's
- * position invariants must trip. CI runs it to prove the oracles have
- * teeth (see docs/TESTING.md).
+ * The mutation self-test (mutationSelfTest) deliberately injects two
+ * bugs and requires both be caught: a tag-comparison bug — the real
+ * table sees operand A with its top 16 bits forced to zero, the oracle
+ * sees the true operand — producing false hits; and a block-boundary
+ * off-by-one in the batched-replay differential — the probeBlock side
+ * silently drops the last access of every full block. CI runs it to
+ * prove the oracles have teeth (see docs/TESTING.md).
  */
 
 #ifndef MEMO_CHECK_FUZZ_HH
@@ -128,10 +123,9 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
 
 /**
  * Mutation smoke test: rerun the MemoTable differential with an
- * injected tag-comparison bug, the batched-replay differential with
- * an injected block-boundary off-by-one, and the memo-lint oracle
- * with an injected lexer newline-accounting bug, requiring the
- * harness to catch all three.
+ * injected tag-comparison bug and the batched-replay differential with
+ * an injected block-boundary off-by-one, requiring the harness to
+ * catch both.
  *
  * @return true when the oracles detected every injected bug
  */

@@ -1065,81 +1065,6 @@ instrumentationSection(const obs::Snapshot &snap)
 }
 
 ReportSection
-extensionsSection()
-{
-    ReportSection sec;
-    sec.title = "Extensions (no paper counterpart; future-work and "
-                "ablations)";
-    sec.anchor = "extensions";
-    sec.prose = {
-        "Narrative summaries of the `bench_ext_*` harnesses (run them "
-        "for the full tables):",
-        "- **Transcendental units** (`bench_ext_transcendental`): sqrt "
-        "tables hit .10–.65 across kernels; adding a sqrt table lifts "
-        "vcost's speedup 1.20 → 1.53 and vsqrt's 1.16 → 1.45 — "
-        "confirming the paper's future-work claim that long-latency "
-        "sqrt benefits at least as much as division.",
-        "- **Shared multi-ported table** (`bench_ext_shared_table`): "
-        "with two round-robin dividers, one shared 64-entry 2-port "
-        "table beats two private 32-entry tables on every app (e.g. "
-        "vkmeans .47 → .62) with zero port conflicts — quantifying "
-        "section 2.3's proposal.",
-        "- **Baselines** (`bench_ext_baselines`): at equal budget the "
-        "PC-indexed Reuse Buffer trails the MEMO-TABLE on reuse-rich "
-        "apps (vkmeans .29 vs .48) and a 32x larger all-instruction RB "
-        "does no better (long-latency entries are bumped by "
-        "single-cycle traffic) — the paper's two arguments against RB. "
-        "The reciprocal cache hits far more often (divisor-only key) "
-        "but each hit still costs a multiply: effective division "
-        "latency 3.0–8.9 cycles vs the MEMO-TABLE's 7.2–13.0; which "
-        "wins depends on divisor variety, as Oberman/Flynn's design "
-        "predicts.",
-        "- **Replacement** (`bench_ext_replacement`): LRU ≥ FIFO ≥ "
-        "random, gaps of a few points only.",
-        "- **Index hash** (`bench_ext_hash`): the paper's literal XOR "
-        "hash maps every x·x to set 0; squares-heavy kernels lose "
-        "fp-mult hits (suite average .27 vs .33 additive). We default "
-        "to the additive hash and expose both (DESIGN.md section 5).",
-        "- **Table as a second divider** (`bench_ext_table_as_cu`): "
-        "replacing a second divider with a MEMO-TABLE issue port "
-        "recovers 30-65% of the second divider's completion-time "
-        "benefit on the reuse-rich apps (vspatial .65, vgpwl .54, "
-        "vgauss .49) at a fraction of its area — quantifying section "
-        "2.3's proposal.",
-        "- **Reuse distance** (`bench_ext_reuse`): the stack-distance "
-        "prediction equals the simulated fully associative hit ratio "
-        "exactly at every size (cross-validation of both "
-        "implementations); MM division streams reach 50% hit ratio "
-        "within 6-32 entries while OCEAN needs ~1200 and swim more "
-        "than 8192 — the analytic root of the paper's "
-        "Multi-Media-vs-scientific split.",
-        "- **Capacity vs lookup latency** (`bench_ext_cost`): with "
-        "1-cycle hits SE grows monotonically with capacity, but "
-        "charging the cost model's lookup latency (2 cycles past 128 "
-        "entries, 3 past 2048) caps the net SE near the 64-128 entry "
-        "point — the quantitative form of the paper's small-table "
-        "argument.",
-        "- **Tiered tables** (`bench_ext_tiered`): a 32-entry 1-cycle "
-        "L1 backed by a 2048-entry L2 with promotion reaches the big "
-        "table's coverage at close to the small table's latency: the "
-        "lowest average effective division cost of the three "
-        "configurations on every app.",
-        "- **Soft errors** (`bench_ext_faults`): injected bit flips "
-        "silently corrupt up to tens of percent of hits in an "
-        "unprotected table (nothing downstream checks a memoized "
-        "result); a per-entry parity bit detects essentially all of "
-        "them, with the classic even-flip blind spot appearing only at "
-        "extreme flip rates.",
-        "- **Overlap** (`bench_ext_pipeline`): once issue overlaps and "
-        "only structural hazards stall, memoization's gain "
-        "concentrates where the unpipelined divider was the bottleneck "
-        "(vslope 1.19, vspatial 1.21 overlapped) and vanishes where a "
-        "non-memoized unit dominates — quantifying the paper's "
-        "pipelining caveat."};
-    return sec;
-}
-
-ReportSection
 deviationsSection()
 {
     ReportSection sec;
@@ -1222,7 +1147,6 @@ buildExperimentsReport()
     report.sections.push_back(phaseSection(phase_apps, phases));
     report.sections.push_back(instrumentationSection(
         obs::StatsRegistry::global().snapshot()));
-    report.sections.push_back(extensionsSection());
     report.sections.push_back(deviationsSection());
     return report;
 }

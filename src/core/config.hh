@@ -67,7 +67,8 @@ enum class HashScheme
     PaperXor,
     /**
      * Additive combination of the top mantissa fields: symmetric and
-     * square-safe (default; see bench_ext_hash for the ablation).
+     * square-safe (default; `memo-sim --hash xor|add` compares the
+     * two, and HashScheme.PaperXorCollapsesSquares pins the collapse).
      */
     Additive,
 };
@@ -96,7 +97,7 @@ struct MemoConfig
     /**
      * Protect each entry with a parity bit over tags and value: a
      * soft-error bit flip then turns into a detected miss instead of
-     * a silently wrong result (bench_ext_faults).
+     * a silently wrong result (tests/test_faults.cc).
      */
     bool parityProtected = false;
 

@@ -114,8 +114,8 @@ class MemoTable
      * Fault-injection hook: flip bit @p bit of the stored value of
      * entry (@p set, @p way). With parityProtected the corruption is
      * detected on the next hit (a parity miss); without it the wrong
-     * value is returned silently — the hazard bench_ext_faults
-     * quantifies. @return false when the entry is invalid.
+     * value is returned silently (Faults.UnprotectedFlipSilentlyCorrupts).
+     * @return false when the entry is invalid.
      */
     bool injectBitFlip(unsigned set, unsigned way, unsigned bit);
 

@@ -5,7 +5,8 @@
  * The paper attaches MEMO-TABLEs to the integer multiplier, the fp
  * multiplier and the fp divider. Its future-work section proposes
  * extending the technique to sqrt, log and the trigonometric functions;
- * those units are implemented here as well (see bench_ext_transcendental).
+ * those units are implemented here as well (MantissaMode.Sqrt* covers
+ * the sqrt table).
  */
 
 #ifndef MEMO_CORE_OP_HH

@@ -2,8 +2,8 @@
  * @file
  * Fixed-size worker thread pool for the experiment executor.
  *
- * The reproduction sweeps (Figures 3/4, Tables 9-13 and the extension
- * ablations) are embarrassingly parallel: each (kernel, image, config)
+ * The reproduction sweeps (Figures 3/4, Tables 9-13) are
+ * embarrassingly parallel: each (kernel, image, config)
  * point replays an immutable trace through its own private MemoBank.
  * A single process-wide pool, created lazily at its first use, serves
  * every parallelFor()/sweep() call so thread creation is paid once per

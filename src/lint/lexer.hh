@@ -61,9 +61,9 @@ LexResult lex(std::string_view source);
 /**
  * Test-only fault injection: when enabled, lex() deliberately stops
  * counting newlines inside block comments, so every token after a
- * multi-line block comment carries a wrong line number. The fuzz
- * oracle's mutation self-test (src/check/fuzz.cc) turns this on to
- * prove its lexer invariants have teeth. Never enable outside tests.
+ * multi-line block comment carries a wrong line number. The seeded
+ * lexer fuzz in tests/test_lint.cc turns this on to prove its
+ * invariants have teeth. Never enable outside tests.
  */
 void setLexerFaultInjection(bool enabled);
 

@@ -1,20 +1,9 @@
 #include "cpu.hh"
 
-#include "arith/units.hh"
 #include "core/check.hh"
 
 namespace memo
 {
-
-namespace
-{
-
-// Namespace-scope constant: the function-local `static const` it
-// replaces injected a guard check into the hot replay loop and was
-// shared mutable-init state once run() became concurrent.
-const EarlyOutIntMultiplier earlyOutMultiplier{};
-
-} // anonymous namespace
 
 CpuModel::CpuModel(const CpuConfig &cfg)
     : cfg(cfg)
@@ -66,13 +55,6 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
             break;
           default: {
             lat = cfg.lat[cls];
-            if (cls == InstClass::IntMul && cfg.earlyOutIntMul) {
-                const Instruction inst = store.get(i);
-                lat = earlyOutMultiplier
-                          .multiply(static_cast<int64_t>(inst.a),
-                                    static_cast<int64_t>(inst.b))
-                          .cycles;
-            }
             MemoTable *table = tables[cls_idx];
             if (table) {
                 const Instruction inst = store.get(i);

@@ -40,13 +40,6 @@ struct CpuConfig
      */
     unsigned annulPerMille = 100;
     /**
-     * Model a SPARC-style early-out integer multiplier: IntMul
-     * latency depends on the narrower operand instead of being fixed
-     * (see arith/units.hh). Narrow operands are fast even without a
-     * table, shrinking the memoization benefit (bench_ext_earlyout).
-     */
-    bool earlyOutIntMul = false;
-    /**
      * Optional progress sink: when non-null, run() adds the number of
      * instructions replayed to this counter in coarse batches (every
      * 64 Ki instructions plus once at the end). Display-only — the

@@ -1,5 +1,10 @@
 #include "file_io.hh"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -55,6 +60,29 @@ renameFile(const std::string &from, const std::string &to)
     std::filesystem::rename(from, to, ec);
     if (ec)
         return {"rename to " + to + " failed: " + ec.message()};
+    return {};
+}
+
+FileLock::~FileLock()
+{
+    if (fd_ >= 0)
+        ::close(fd_); // closing the descriptor releases the lock
+}
+
+IoStatus
+FileLock::lock(const std::string &path, bool exclusive)
+{
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0)
+        return {"cannot open " + path + ": " +
+                std::error_code(errno, std::generic_category()).message()};
+    int rc;
+    do
+        rc = ::flock(fd_, exclusive ? LOCK_EX : LOCK_SH);
+    while (rc != 0 && errno == EINTR);
+    if (rc != 0)
+        return {"cannot lock " + path + ": " +
+                std::error_code(errno, std::generic_category()).message()};
     return {};
 }
 

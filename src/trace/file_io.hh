@@ -38,6 +38,25 @@ IoStatus writeWholeFile(const std::string &path, std::string_view bytes);
 /** Rename @p from over @p to; atomic within one directory. */
 IoStatus renameFile(const std::string &from, const std::string &to);
 
+/** An flock(2) on one file, held until the FileLock is destroyed. */
+class FileLock
+{
+  public:
+    FileLock() = default;
+    FileLock(const FileLock &) = delete;
+    FileLock &operator=(const FileLock &) = delete;
+    ~FileLock();
+
+    /**
+     * Open @p path (creating it if absent) and lock it, shared or
+     * exclusive, waiting until the lock is granted. Call once.
+     */
+    IoStatus lock(const std::string &path, bool exclusive);
+
+  private:
+    int fd_ = -1;
+};
+
 } // namespace memo
 
 #endif // MEMO_TRACE_FILE_IO_HH

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <unordered_set>
 
 #include "trace/file_io.hh"
 
@@ -61,6 +63,28 @@ writeFileAtomic(const fs::path &path, const std::string &bytes)
     }
 }
 
+/**
+ * Hold the store's lock file: shared by every write, exclusive while
+ * orphaned chunks are deleted, so no write can find a chunk present
+ * (and skip writing it) while that chunk is being deleted.
+ */
+void
+lockStore(FileLock &lock, const std::string &root, bool exclusive)
+{
+    IoStatus st = lock.lock((fs::path(root) / "lock").string(), exclusive);
+    if (!st.ok())
+        throw SpillError("spill lock: " + st.error);
+}
+
+/** Add the hash of every chunk @p m references to @p out. */
+void
+addChunkHashes(const TraceManifest &m, std::unordered_set<uint64_t> &out)
+{
+    for (const std::vector<ChunkRef> &col : m.cols)
+        for (const ChunkRef &ref : col)
+            out.insert(ref.hash);
+}
+
 } // anonymous namespace
 
 SpillStore::SpillStore(std::string root) : root_(std::move(root))
@@ -104,25 +128,65 @@ SpillStore::write(const std::string &key, const Trace &trace,
                   uint32_t chunk_elems)
 {
     WriteStats ws;
-    // Each chunk goes to disk as soon as it is encoded.
-    TraceManifest m = encodeTrace(
-        key, trace, chunk_elems,
-        [&](TraceColumn, const EncodedChunk &ch) {
-            fs::path path = chunkPath(ch.hash);
-            std::error_code ec;
-            if (fs::exists(path, ec)) {
-                ws.chunksShared++;
-                ws.bytesShared += ch.bytes.size();
-                return;
-            }
-            writeFileAtomic(path, ch.bytes);
-            ws.chunksWritten++;
-            ws.bytesWritten += ch.bytes.size();
-        });
-    // Manifest last: its chunks are all durable by now.
-    std::string mb = encodeManifest(m);
-    writeFileAtomic(manifestPath(key), mb);
-    ws.bytesWritten += mb.size();
+    // The manifest this write replaces; its chunks may become orphans.
+    std::optional<TraceManifest> old;
+    try {
+        old = manifest(key);
+    } catch (const SpillError &) {
+        // Absent or corrupt: nothing this write can account for.
+    }
+
+    TraceManifest m;
+    {
+        FileLock shared;
+        lockStore(shared, root_, false);
+        // Each chunk goes to disk as soon as it is encoded.
+        m = encodeTrace(
+            key, trace, chunk_elems,
+            [&](TraceColumn, const EncodedChunk &ch) {
+                fs::path path = chunkPath(ch.hash);
+                std::error_code ec;
+                if (fs::exists(path, ec)) {
+                    ws.chunksShared++;
+                    ws.bytesShared += ch.bytes.size();
+                    return;
+                }
+                writeFileAtomic(path, ch.bytes);
+                ws.chunksWritten++;
+                ws.bytesWritten += ch.bytes.size();
+            });
+        // Manifest last: its chunks are all durable by now.
+        std::string mb = encodeManifest(m);
+        writeFileAtomic(manifestPath(key), mb);
+        ws.bytesWritten += mb.size();
+    }
+
+    if (!old)
+        return ws;
+    std::unordered_set<uint64_t> kept;
+    addChunkHashes(m, kept);
+    std::vector<uint64_t> dropped;
+    for (const std::vector<ChunkRef> &col : old->cols)
+        for (const ChunkRef &ref : col)
+            if (!kept.count(ref.hash))
+                dropped.push_back(ref.hash);
+    if (dropped.empty())
+        return ws;
+    FileLock exclusive;
+    lockStore(exclusive, root_, true);
+    const Scan scan = scanManifests();
+    if (scan.corrupt)
+        return ws; // an unreadable manifest may reference any chunk
+    std::unordered_set<uint64_t> live;
+    for (const TraceManifest &other : scan.manifests)
+        addChunkHashes(other, live);
+    for (uint64_t h : dropped) {
+        // A chunk that cannot be deleted stays an orphan, which
+        // memo-trace-dump --verify reports.
+        std::error_code ec;
+        if (!live.count(h))
+            fs::remove(chunkPath(h), ec);
+    }
     return ws;
 }
 
@@ -175,25 +239,61 @@ SpillStore::read(const std::string &key) const
     return std::move(*t);
 }
 
-std::vector<std::string>
-SpillStore::keys() const
+SpillStore::Scan
+SpillStore::scanManifests() const
 {
-    std::vector<std::string> out;
+    Scan scan;
     std::error_code ec;
     fs::directory_iterator it(fs::path(root_) / "manifests", ec);
     if (ec)
-        return out;
+        return scan;
+    std::string bytes;
     for (const auto &entry : it) {
         if (entry.path().extension() != ".mtm")
             continue;
         try {
-            std::string bytes;
             readFile(entry.path(), "manifest", bytes);
-            out.push_back(decodeManifest(bytes).key);
+            scan.manifests.push_back(decodeManifest(bytes));
         } catch (const SpillError &) {
-            // Corrupt manifests are invisible to listing; read()
-            // against their key reports the defect precisely.
+            scan.corrupt++;
         }
+    }
+    return scan;
+}
+
+std::vector<std::string>
+SpillStore::keys() const
+{
+    // Corrupt manifests are invisible to listing; read() against
+    // their key reports the defect precisely.
+    std::vector<std::string> out;
+    for (const TraceManifest &m : scanManifests().manifests)
+        out.push_back(m.key);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+std::vector<uint64_t>
+SpillStore::unreferencedChunks() const
+{
+    std::unordered_set<uint64_t> live;
+    for (const TraceManifest &m : scanManifests().manifests)
+        addChunkHashes(m, live);
+    std::vector<uint64_t> out;
+    std::error_code ec;
+    fs::directory_iterator it(fs::path(root_) / "chunks", ec);
+    if (ec)
+        return out;
+    for (const auto &entry : it) {
+        const std::string name = entry.path().filename().string();
+        uint64_t h = 0;
+        // Only <hash16>.mtc names are chunks; temp files are not.
+        if (name.size() != 20 || name.compare(16, 4, ".mtc") != 0 ||
+            std::from_chars(name.data(), name.data() + 16, h, 16).ptr !=
+                name.data() + 16)
+            continue;
+        if (!live.count(h))
+            out.push_back(h);
     }
     std::sort(out.begin(), out.end());
     return out;

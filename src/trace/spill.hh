@@ -16,12 +16,17 @@
  * workload) deduplicate to one copy. Writes are atomic
  * (temp file + rename) and the manifest is written last, so a reader
  * never observes a manifest whose chunks are missing or partial.
+ * A write that replaces a key's manifest deletes the old manifest's
+ * chunks that no manifest references any more, so saving different
+ * traces under one key does not grow the store.
  *
  * The store itself is stateless apart from its root path; all methods
- * are safe to call concurrently. Every read-side defect (missing
- * file, truncation, bit rot, version skew) surfaces as SpillError —
- * callers such as exec::TraceCache treat the disk tier as a cache and
- * fall back to regeneration.
+ * are safe to call concurrently, also from several processes: writers
+ * share an flock(2) on <root>/lock that chunk deletion takes
+ * exclusively. Every read-side defect (missing file, truncation, bit
+ * rot, version skew) surfaces as SpillError — callers such as
+ * exec::TraceCache treat the disk tier as a cache and fall back to
+ * regeneration.
  */
 
 #ifndef MEMO_TRACE_SPILL_HH
@@ -66,7 +71,10 @@ class SpillStore
 
     /**
      * Encode @p trace and persist it under @p key, reusing any chunk
-     * already in the store. Overwrites the key's previous manifest.
+     * already in the store. Overwrites the key's previous manifest;
+     * when that manifest was well-formed, each of its chunks that no
+     * manifest references after the overwrite is deleted. Nothing is
+     * deleted while any manifest in the store fails to decode.
      */
     WriteStats write(const std::string &key, const Trace &trace,
                      uint32_t chunk_elems = kDefaultChunkElems);
@@ -96,6 +104,21 @@ class SpillStore
     /** All stored keys, sorted (deterministic listing order). */
     std::vector<std::string> keys() const;
 
+    /** The well-formed manifests, and how many manifest files fail. */
+    struct Scan
+    {
+        std::vector<TraceManifest> manifests;
+        size_t corrupt = 0;
+    };
+    Scan scanManifests() const;
+
+    /**
+     * Hashes of the chunk files that no well-formed manifest
+     * references, sorted. A store that only write() has touched has
+     * none unless a manifest is corrupt.
+     */
+    std::vector<uint64_t> unreferencedChunks() const;
+
     /** On-disk size of chunk @p hash, or 0 if absent. */
     uint64_t chunkFileBytes(uint64_t hash) const;
 
@@ -112,9 +135,10 @@ class SpillStore
     SpillStore(Existing, std::string root) : root_(std::move(root)) {}
 
     /// The store's only state. Immutable after construction, so every
-    /// method is safe to call concurrently without locking: writes
-    /// are atomic at the filesystem level (temp file + rename) and
-    /// reads only ever see fully-renamed files.
+    /// method is safe to call concurrently without in-process locking:
+    /// writes are atomic at the filesystem level (temp file + rename),
+    /// chunk deletion waits for writes on the lock file, and reads
+    /// only ever see fully-renamed files.
     const std::string root_;
 };
 

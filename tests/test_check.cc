@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "arith/fp.hh"
 #include "check/differ.hh"
@@ -208,6 +209,98 @@ TEST(Differ, InjectedTagBugIsCaught)
     ASSERT_TRUE(err.has_value());
     EXPECT_NE(err->find("violated"), std::string::npos) << *err;
 }
+
+/** One table design the MemoTable differential is held to. */
+struct DifferCase
+{
+    const char *name;
+    Operation op;
+    MemoConfig cfg;
+};
+
+/** Names the case in test listings (a stable name, no raw bytes). */
+void
+PrintTo(const DifferCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class DifferDesign : public ::testing::TestWithParam<DifferCase>
+{
+};
+
+TEST_P(DifferDesign, ReusingStreamHoldsEveryInvariant)
+{
+    // A stream over a small operand pool — trivial operands, signed
+    // zeros, a NaN and a denormal among ordinary values — reuses pairs
+    // at every distance, so a small table both hits and evicts while
+    // the checker verifies transparency, containment and conservation
+    // (and equivalence, for the infinite table) after each access.
+    const DifferCase &c = GetParam();
+    ASSERT_EQ(c.cfg.validate(), "");
+    MemoTableChecker checker(c.op, c.cfg);
+    const double pool[] = {1.5,  2.25, 3.0,   -0.75, 5.5, 7.125, 1.0,
+                           0.0,  -0.0, 12.5,  0.375, 9.0, -6.5,  2.0,
+                           std::nan(""), 0x1p-1030};
+    FuzzRng rng(2024);
+    for (int i = 0; i < 3000; i++) {
+        uint64_t a = fpBits(pool[rng.below(std::size(pool))]);
+        uint64_t b = fpBits(pool[rng.below(std::size(pool))]);
+        if (c.op == Operation::IntMul) {
+            a = rng.below(24);
+            b = rng.below(24);
+        }
+        auto err = checker.step(a, b, computeResult(c.op, a, b));
+        ASSERT_FALSE(err.has_value()) << "access " << i << ": " << *err;
+    }
+    const MemoStats &s = checker.real().stats();
+    EXPECT_GT(s.allHits(), 0u);
+    EXPECT_LE(s.hits, checker.oracle().stats().hits);
+    if (!c.cfg.infinite) {
+        EXPECT_GT(s.evictions, 0u);
+    }
+}
+
+constexpr auto Fifo = Replacement::Fifo;
+constexpr auto Mant = TagMode::MantissaOnly;
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, DifferDesign,
+    ::testing::Values(
+        DifferCase{"LruFpMul", Operation::FpMul, {.entries = 8, .ways = 2}},
+        DifferCase{"FifoFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2, .replacement = Fifo}},
+        DifferCase{"RandomFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2,
+                    .replacement = Replacement::Random}},
+        DifferCase{"DirectMappedFpDiv", Operation::FpDiv,
+                   {.entries = 8, .ways = 1}},
+        DifferCase{"FullyAssociativeFpDiv", Operation::FpDiv,
+                   {.entries = 8, .ways = 8}},
+        DifferCase{"MantissaFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2, .tagMode = Mant}},
+        DifferCase{"MantissaFpDiv", Operation::FpDiv,
+                   {.entries = 8, .ways = 4, .tagMode = Mant,
+                    .replacement = Fifo}},
+        DifferCase{"CacheAllFpDiv", Operation::FpDiv,
+                   {.entries = 8, .ways = 2,
+                    .trivialMode = TrivialMode::CacheAll}},
+        DifferCase{"IntegratedFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2,
+                    .trivialMode = TrivialMode::Integrated}},
+        DifferCase{"ParityExtendedTrivialFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2, .extendedTrivial = true,
+                    .parityProtected = true}},
+        DifferCase{"PaperXorHashFpMul", Operation::FpMul,
+                   {.entries = 8, .ways = 2,
+                    .hashScheme = HashScheme::PaperXor}},
+        DifferCase{"LruIntMul", Operation::IntMul, {.entries = 8, .ways = 2}},
+        DifferCase{"MantissaSqrt", Operation::FpSqrt,
+                   {.entries = 4, .ways = 2, .tagMode = Mant}},
+        DifferCase{"InfiniteFpDiv", Operation::FpDiv, {.infinite = true}}),
+    [](const ::testing::TestParamInfo<DifferCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Fuzz, CampaignIsDeterministic)
 {

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for fault injection and parity protection (core/memo_table)
- * and for the early-out integer multiplier (arith/units).
+ * Tests for fault injection and parity protection (core/memo_table).
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +9,7 @@
 #include <optional>
 
 #include "arith/fp.hh"
-#include "arith/units.hh"
 #include "core/memo_table.hh"
-#include "sim/cpu.hh"
-#include "trace/recorder.hh"
 
 namespace memo
 {
@@ -126,63 +122,6 @@ TEST(Faults, InjectIntoInvalidEntryFails)
     MemoConfig cfg;
     MemoTable t(Operation::FpDiv, cfg);
     EXPECT_FALSE(t.injectBitFlip(0, 0, 5));
-}
-
-TEST(EarlyOutMul, LatencyTracksOperandWidth)
-{
-    EarlyOutIntMultiplier m(8, 1);
-    // Narrow operands finish fast; wide ones take the full scan.
-    EXPECT_LT(m.latencyFor(3), m.latencyFor(1 << 30));
-    EXPECT_LT(m.latencyFor(1 << 30), m.latencyFor(int64_t{1} << 60));
-    EXPECT_EQ(m.latencyFor(0), 2u);  // immediate early-out + overhead
-    EXPECT_EQ(m.latencyFor(-1), 2u); // sign extension only
-    EXPECT_LE(m.latencyFor(int64_t{1} << 62), m.maxLatency());
-}
-
-TEST(EarlyOutMul, ScansTheNarrowerOperand)
-{
-    EarlyOutIntMultiplier m(8, 1);
-    auto wide_narrow = m.multiply(int64_t{1} << 60, 7);
-    auto narrow_wide = m.multiply(7, int64_t{1} << 60);
-    EXPECT_EQ(wide_narrow.cycles, narrow_wide.cycles);
-    EXPECT_EQ(wide_narrow.cycles, m.latencyFor(7));
-}
-
-TEST(EarlyOutMul, ProductsAreExact)
-{
-    EarlyOutIntMultiplier m;
-    EXPECT_EQ(m.multiply(6, 7).value, 42);
-    EXPECT_EQ(m.multiply(-6, 7).value, -42);
-    EXPECT_EQ(m.multiply(-6, -7).value, 42);
-    EXPECT_EQ(m.multiply(123456789, 987654321).value,
-              123456789LL * 987654321LL);
-}
-
-TEST(EarlyOutMul, CpuModelUsesOperandDependentLatency)
-{
-    Trace narrow, wide;
-    {
-        Recorder rec(narrow);
-        for (int i = 0; i < 50; i++)
-            rec.imul(3 + i % 4, 5); // distinct-ish narrow products
-    }
-    {
-        Recorder rec(wide);
-        for (int i = 0; i < 50; i++)
-            rec.imul((int64_t{1} << 50) + i, (int64_t{1} << 50) + 2 * i);
-    }
-    CpuConfig cfg;
-    cfg.earlyOutIntMul = true;
-    CpuModel cpu(cfg);
-    uint64_t narrow_cycles = cpu.run(narrow).totalCycles;
-    uint64_t wide_cycles = cpu.run(wide).totalCycles;
-    EXPECT_LT(narrow_cycles, wide_cycles);
-
-    // With the fixed-latency multiplier both streams cost the same.
-    CpuConfig fixed;
-    CpuModel fixed_cpu(fixed);
-    EXPECT_EQ(fixed_cpu.run(narrow).totalCycles,
-              fixed_cpu.run(wide).totalCycles);
 }
 
 } // anonymous namespace

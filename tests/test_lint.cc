@@ -1,13 +1,17 @@
 /**
  * @file
  * memo-lint unit tests: lexer, suppressions, every rule family,
- * baseline ratchet + policy, emitters, and the self-run that holds
- * the whole repository to the committed lint-baseline.json.
+ * baseline ratchet + policy, emitters, the self-run that holds the
+ * whole repository to the committed lint-baseline.json, and a seeded
+ * fuzz of the lexer and analyzer over mutated sources.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "check/fuzz.hh"
 #include "lint/analyzer.hh"
 #include "lint/baseline.hh"
 #include "lint/driver.hh"
@@ -614,4 +619,244 @@ TEST(LintSelfRun, EveryRuleHasAFixtureWhoseMutationIsCaught)
     fs::remove_all(dir);
     for (const RuleInfo &r : ruleCatalog())
         EXPECT_TRUE(covered.count(r.id)) << r.id << " has no EXPECT";
+}
+
+// ----------------------------------------------------------------- fuzz
+
+namespace
+{
+
+/**
+ * Seed fragments for the fuzzed sources: plausible C++ that exercises
+ * the analyzer's passes (scope tracking, declaration scanning, every
+ * rule family, suppressions, preprocessor and literal lexing).
+ */
+constexpr const char *fuzz_frags[] = {
+    "class Box {\n  std::mutex m;\n  int v = 0;\n};\n",
+    "struct Reg {\n  std::map<const Reg *, int> seen;\n"
+    "  int get(Table &t) const { return t.stats(); }\n};\n",
+    "double acc(const double *w, size_t n) {\n  double s = 0.0;\n"
+    "  parallelFor(0, n, [&](size_t i) { s += w[i]; });\n"
+    "  return s + std::chrono::steady_clock::now();\n}\n",
+    "double mix(double a, double b) {\n  if (a == b) return 0.0;\n"
+    "  return a / b;\n}\n",
+    "std::unordered_map<int, int> gmap;\nint fold() {\n  int s = 0;\n"
+    "  for (auto &kv : gmap) s += kv.second;\n  return s;\n}\n",
+    "static int counter = 0;\nvoid bump() { counter++; }\n",
+    "void fanout() {\n  std::thread t([] {});\n  t.detach();\n}\n",
+    "int Reg::bump() { return n++; }\n",
+    "#define WIDGET(x) ((x) * 2)\n#include <vector>\n",
+    "const char *s = \"/* not a comment */\";\nchar c = '\\n';\n",
+    "/* block\n   comment */\n",
+    "auto lam = [](int q) { return q ? 0x1p-3 : 2e+4; };\n",
+    "// NOLINTNEXTLINE(memo-FP-001)\nbool z(double d) "
+    "{ return d == 0.0; }\n",
+};
+
+/** Mutation dictionary biased toward lexer state machines. */
+constexpr const char *fuzz_dict[] = {
+    "/*", "*/", "//", "\"", "'", "R\"(", ")\"", "#", "\\\n", "\n",
+    "{",  "}",  "(",  ")",  "::", "e+",  "'\\", "NOLINT(",
+    "std::unordered_map<int, int> um;", "std::mutex mm;", "\x01", "\xff",
+};
+
+/** A mutated pseudo-C++ translation unit. */
+std::string
+fuzzSource(memo::check::FuzzRng &rng)
+{
+    std::string s;
+    unsigned frags = 2 + static_cast<unsigned>(rng.below(8));
+    for (unsigned i = 0; i < frags; i++)
+        s += fuzz_frags[rng.below(std::size(fuzz_frags))];
+
+    unsigned muts = static_cast<unsigned>(rng.below(12));
+    for (unsigned i = 0; i < muts && !s.empty(); i++) {
+        size_t pos = rng.below(s.size() + 1);
+        switch (rng.below(4)) {
+          case 0: // splice a dictionary token
+            s.insert(pos, fuzz_dict[rng.below(std::size(fuzz_dict))]);
+            break;
+          case 1: { // delete a short range
+            size_t n = 1 + rng.below(8);
+            if (pos < s.size())
+                s.erase(pos, std::min(n, s.size() - pos));
+            break;
+          }
+          case 2: // flip one byte
+            if (pos < s.size())
+                s[pos] = static_cast<char>(
+                    static_cast<uint8_t>(s[pos]) ^
+                    (1u << rng.below(8)));
+            break;
+          default: { // duplicate a short range (comment/quote nesting)
+            size_t n = 1 + rng.below(16);
+            if (pos < s.size())
+                s.insert(pos,
+                         s.substr(pos, std::min(n, s.size() - pos)));
+            break;
+          }
+        }
+    }
+    return s;
+}
+
+/**
+ * The invariants one fuzzed source must satisfy: the lexer and the
+ * analyzer never crash, are deterministic, and keep positions
+ * coherent — token (line, col) strictly increases, lines stay within
+ * the file, and a comment spans exactly the newlines of its body (±1
+ * for an unterminated trailing comment). The position checks are what
+ * the injected lexer fault must trip.
+ */
+std::optional<std::string>
+fuzzOracle(const std::string &source, bool with_header)
+{
+    LexResult one = lex(source);
+    LexResult two = lex(source);
+    if (one.tokens.size() != two.tokens.size() ||
+        one.comments.size() != two.comments.size())
+        return "lex not deterministic: token/comment counts differ";
+    for (size_t i = 0; i < one.tokens.size(); i++) {
+        const Token &x = one.tokens[i];
+        const Token &y = two.tokens[i];
+        if (x.kind != y.kind || x.text != y.text || x.line != y.line ||
+            x.col != y.col)
+            return "lex not deterministic at token " +
+                   std::to_string(i);
+    }
+
+    int total_lines = 1;
+    for (char c : source)
+        total_lines += c == '\n';
+
+    int prev_line = 1, prev_col = 0;
+    for (size_t i = 0; i < one.tokens.size(); i++) {
+        const Token &t = one.tokens[i];
+        if (t.line < 1 || t.col < 1 || t.line > total_lines)
+            return "token " + std::to_string(i) +
+                   " positioned outside the file: line " +
+                   std::to_string(t.line) + " of " +
+                   std::to_string(total_lines);
+        if (t.line < prev_line ||
+            (t.line == prev_line && t.col <= prev_col))
+            return "token positions not strictly increasing at token " +
+                   std::to_string(i);
+        prev_line = t.line;
+        prev_col = t.col;
+    }
+    for (size_t i = 0; i < one.comments.size(); i++) {
+        const Comment &c = one.comments[i];
+        int body_newlines = 0;
+        for (char ch : c.text)
+            body_newlines += ch == '\n';
+        if (c.line < 1 || c.endLine < c.line ||
+            c.endLine > total_lines)
+            return "comment " + std::to_string(i) +
+                   " spans impossible lines " + std::to_string(c.line) +
+                   ".." + std::to_string(c.endLine);
+        int span = c.endLine - c.line;
+        if (span < body_newlines || span > body_newlines + 1)
+            return "comment " + std::to_string(i) + " spans " +
+                   std::to_string(span) + " lines but its body has " +
+                   std::to_string(body_newlines) + " newlines";
+    }
+
+    // The analyzer over the same source (under a path that arms the
+    // path-scoped DET-002, CONC-001 and API-001) must not crash and
+    // must produce the same findings twice.
+    AnalyzerOptions opt;
+    opt.relPath = "src/obs/fuzzed.cc";
+    if (with_header)
+        opt.companionHeader = source;
+    std::vector<Finding> f1 = analyzeFile(source, opt);
+    std::vector<Finding> f2 = analyzeFile(source, opt);
+    if (f1.size() != f2.size())
+        return "analyzeFile not deterministic: finding counts differ";
+    for (size_t i = 0; i < f1.size(); i++)
+        if (std::string_view(f1[i].rule->id) != f2[i].rule->id ||
+            f1[i].line != f2[i].line || f1[i].col != f2[i].col)
+            return "analyzeFile not deterministic at finding " +
+                   std::to_string(i);
+    return std::nullopt;
+}
+
+/** Fuzzed sources per campaign (each also drawn with a header). */
+constexpr unsigned fuzz_cases = 1000;
+
+/** Arms the lexer fault for one scope, disarming it on every exit. */
+struct LexerFault
+{
+    LexerFault() { setLexerFaultInjection(true); }
+    ~LexerFault() { setLexerFaultInjection(false); }
+};
+
+} // anonymous namespace
+
+TEST(LintFuzz, MutatedSourcesHoldTheOracle)
+{
+    // The linter runs over arbitrary future code, so garbage input must
+    // hold fuzzOracle's invariants; under ASan/UBSan this is mainly a
+    // never-crashes guarantee. One private stream per case, so a
+    // failing case is reproduced from its index alone.
+    memo::check::FuzzRng campaign(1);
+    for (unsigned i = 0; i < fuzz_cases; i++) {
+        memo::check::FuzzRng rng(campaign.next());
+        std::string source = fuzzSource(rng);
+        bool with_header = rng.chance(1, 3);
+        auto violation = fuzzOracle(source, with_header);
+        ASSERT_FALSE(violation.has_value())
+            << "case " << i << (with_header ? " (also as header)" : "")
+            << ": " << *violation << "\n--- source ---\n" << source;
+    }
+}
+
+TEST(LintFuzz, EveryFragmentHoldsTheOracleUnmutated)
+{
+    // The campaign's seed material itself, alone, as its own header,
+    // and all of it in one file.
+    std::string all;
+    for (const char *frag : fuzz_frags) {
+        all += frag;
+        for (bool with_header : {false, true}) {
+            auto violation = fuzzOracle(frag, with_header);
+            EXPECT_FALSE(violation) << *violation << "\n--- in ---\n" << frag;
+        }
+    }
+    auto violation = fuzzOracle(all, true);
+    EXPECT_FALSE(violation) << *violation;
+}
+
+TEST(LintFuzz, EveryDictionaryTokenHoldsTheOracle)
+{
+    // Each mutation token alone, and spliced into the middle of a
+    // fragment (unterminated quotes, comments and raw strings reach
+    // end of file there).
+    const std::string host = fuzz_frags[3];
+    for (const char *token : fuzz_dict) {
+        std::string spliced = host;
+        spliced.insert(spliced.size() / 2, token);
+        for (const std::string &src : {std::string(token), spliced}) {
+            auto violation = fuzzOracle(src, false);
+            EXPECT_FALSE(violation) << *violation << "\n--- in ---\n" << src;
+        }
+    }
+}
+
+TEST(LintFuzz, OracleCatchesTheInjectedLexerFault)
+{
+    const std::string canonical = "/* a\n b */ int x;\n";
+    ASSERT_FALSE(fuzzOracle(canonical, false).has_value());
+    LexerFault fault;
+    EXPECT_TRUE(fuzzOracle(canonical, false).has_value());
+
+    // The fuzzed sources carry multi-line block comments, so the
+    // campaign itself must trip on the fault too.
+    memo::check::FuzzRng campaign(1);
+    unsigned caught = 0;
+    for (unsigned i = 0; i < fuzz_cases; i++) {
+        memo::check::FuzzRng rng(campaign.next());
+        std::string source = fuzzSource(rng);
+        caught += fuzzOracle(source, rng.chance(1, 3)).has_value();
+    }
+    EXPECT_GT(caught, 0u);
 }

@@ -2,7 +2,7 @@
  * @file
  * Cross-cutting consistency tests: the MemoBank facade, registry
  * metadata coherence, experiment-driver equivalences, and odds and
- * ends of the pipeline and image modules.
+ * ends of the recorder and image modules.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "core/bank.hh"
 #include "img/generate.hh"
 #include "img/pnm.hh"
-#include "sim/pipeline.hh"
 #include "workloads/workload.hh"
 
 namespace memo
@@ -103,21 +102,6 @@ TEST(Experiment, ConfigSweepMatchesSingleMeasurements)
     EXPECT_DOUBLE_EQ(both[0].fpMul, ha.fpMul);
     EXPECT_DOUBLE_EQ(both[1].fpDiv, hb.fpDiv);
     EXPECT_DOUBLE_EQ(both[1].fpMul, hb.fpMul);
-}
-
-TEST(Pipeline, LoadsOverlapWithIssue)
-{
-    Trace trace;
-    Recorder rec(trace);
-    std::vector<double> data(64, 1.0);
-    for (int i = 0; i < 32; i++)
-        rec.load(data[static_cast<size_t>(i * 2)]);
-    InOrderPipeline pipe;
-    PipelineResult res = pipe.run(trace);
-    // Issue takes 32 cycles; the memory latencies overlap, so the
-    // total is far below the serial sum of 32 cold misses.
-    EXPECT_GE(res.totalCycles, 32u);
-    EXPECT_LT(res.totalCycles, 32u * 30u);
 }
 
 TEST(Recorder, IntegerLoadStore)

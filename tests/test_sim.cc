@@ -1,17 +1,18 @@
 /**
  * @file
- * Tests for the latency presets, the serial CPU cycle model, the
- * overlapped pipeline model and the Amdahl decomposition.
+ * Tests for the latency presets, the serial CPU cycle model and the
+ * Amdahl decomposition.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <ostream>
 
 #include "arith/fp.hh"
 #include "sim/amdahl.hh"
 #include "sim/cpu.hh"
-#include "sim/pipeline.hh"
 #include "trace/recorder.hh"
 
 namespace memo
@@ -144,59 +145,130 @@ TEST(CpuModel, AnnulledDelaySlots)
     EXPECT_EQ(no_annul.run(trace).totalCycles, 100u);
 }
 
-TEST(Pipeline, DividerStructuralHazard)
+/** One memoizable unit and how a recorder issues it. */
+struct Unit
 {
-    Trace trace;
-    Recorder rec(trace);
-    rec.div(10.0, 3.0);
-    rec.div(20.0, 7.0); // must wait for the unpipelined divider
-    InOrderPipeline pipe;
-    PipelineResult res = pipe.run(trace);
-    EXPECT_GT(res.divStallCycles, 0u);
+    const char *name;
+    Operation op;
+    void (*issue)(Recorder &, double a, double b);
+};
+
+void
+PrintTo(const Unit &u, std::ostream *os)
+{
+    *os << u.name;
 }
 
-TEST(Pipeline, MemoHitFreesDivider)
+/** Every memoizable unit, priced and memoized by the same rule. */
+class ComputeCost : public ::testing::TestWithParam<Unit>
 {
+};
+
+TEST_P(ComputeCost, MissCostsTheConfiguredLatencyAndAHitOneCycle)
+{
+    // A compute instruction costs exactly cfg.lat[cls] on a miss and
+    // one cycle on a hit, whatever its operands: three distinct
+    // operand pairs issued five times each give three misses and
+    // twelve hits.
+    const Operation op = GetParam().op;
+    const InstClass cls = instClassOf(op);
     Trace trace;
-    Recorder rec(trace);
-    for (int i = 0; i < 10; i++)
-        rec.div(10.0, 3.0);
-    InOrderPipeline pipe;
-    PipelineResult base = pipe.run(trace);
+    {
+        Recorder rec(trace);
+        for (int r = 0; r < 5; r++)
+            for (double a : {3.0, 5.0, 7.0})
+                GetParam().issue(rec, a, a + 6.0);
+    }
+
+    CpuConfig cfg;
+    cfg.lat[cls] = 17; // off every preset, so the model must read it
+    CpuModel cpu(cfg);
+    SimResult base = cpu.run(trace);
+    EXPECT_EQ(base.countOf(cls), 15u);
+    EXPECT_EQ(base.cyclesOf(cls), 15u * 17u);
+    EXPECT_EQ(base.memoSavedOf(cls), 0u);
+
+    MemoBank bank;
+    bank.addTable(op, MemoConfig{});
+    SimResult memo = cpu.run(trace, &bank);
+    EXPECT_EQ(memo.memo.at(op).misses, 3u);
+    EXPECT_EQ(memo.memo.at(op).hits, 12u);
+    EXPECT_EQ(memo.cyclesOf(cls), 3u * 17u + 12u * 1u);
+    EXPECT_EQ(memo.memoSavedOf(cls), 12u * (17u - 1u));
+    EXPECT_EQ(memo.cyclesOf(cls) + memo.memoSavedOf(cls),
+              base.cyclesOf(cls));
+    EXPECT_EQ(memo.totalCycles + memo.totalMemoSaved(), base.totalCycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Units, ComputeCost,
+    ::testing::Values(
+        Unit{"IntMul", Operation::IntMul,
+             [](Recorder &r, double a, double b) {
+                 r.imul(static_cast<int64_t>(a), static_cast<int64_t>(b));
+             }},
+        Unit{"FpMul", Operation::FpMul,
+             [](Recorder &r, double a, double b) { r.mul(a, b); }},
+        Unit{"FpDiv", Operation::FpDiv,
+             [](Recorder &r, double a, double b) { r.div(a, b); }},
+        Unit{"FpSqrt", Operation::FpSqrt,
+             [](Recorder &r, double a, double) { r.sqrt(a); }},
+        Unit{"FpLog", Operation::FpLog,
+             [](Recorder &r, double a, double) { r.log(a); }},
+        Unit{"FpSin", Operation::FpSin,
+             [](Recorder &r, double a, double) { r.sin(a); }},
+        Unit{"FpCos", Operation::FpCos,
+             [](Recorder &r, double a, double) { r.cos(a); }},
+        Unit{"FpExp", Operation::FpExp,
+             [](Recorder &r, double a, double) { r.exp(a); }}),
+    [](const ::testing::TestParamInfo<Unit> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(CpuModel, IntMulCostDoesNotDependOnOperandWidth)
+{
+    // The integer multiplier has one latency: narrow and wide operand
+    // streams of the same length cost the same cycles.
+    Trace narrow, wide;
+    Recorder rn(narrow), rw(wide);
+    for (int i = 0; i < 50; i++) {
+        rn.imul(3 + i % 4, 5);
+        rw.imul((int64_t{1} << 50) + i, (int64_t{1} << 50) + 2 * i);
+    }
+    CpuModel cpu;
+    EXPECT_EQ(cpu.run(narrow).totalCycles, cpu.run(wide).totalCycles);
+    EXPECT_EQ(cpu.run(narrow).cyclesOf(InstClass::IntMul), 50u * 5u);
+}
+
+TEST(CpuModel, OccupancyMovesHitsIntoTheFirstBucket)
+{
+    Trace trace = makeDivTrace(10); // 30 divs: 3 misses, 27 hits
+    CpuModel cpu;
+    const auto div = static_cast<unsigned>(InstClass::FpDiv);
+
+    SimResult base = cpu.run(trace);
+    EXPECT_EQ(base.occupancy[div].total(), 30u);
+    EXPECT_EQ(base.occupancy[div].counts()[0], 0u);
+    EXPECT_EQ(base.occupancy[div].sum(), 30u * 13u);
+
     MemoBank bank = MemoBank::standard(MemoConfig{});
-    PipelineResult memo = pipe.run(trace, &bank);
-    EXPECT_LT(memo.totalCycles, base.totalCycles);
-    EXPECT_LT(memo.divStallCycles, base.divStallCycles);
+    SimResult memo = cpu.run(trace, &bank);
+    EXPECT_EQ(memo.occupancy[div].total(), 30u);
+    EXPECT_EQ(memo.occupancy[div].counts()[0], 27u); // <= 1 cycle
+    EXPECT_EQ(memo.occupancy[div].sum(), memo.cyclesOf(InstClass::FpDiv));
 }
 
-TEST(Pipeline, PipelinedMultipliesOverlap)
+TEST(CpuModel, ProgressCounterSeesEveryInstructionOnce)
 {
-    Trace trace;
-    Recorder rec(trace);
-    for (int i = 2; i < 50; i++)
-        rec.mul(1.0 + i, 3.0);
-    InOrderPipeline pipe;
-    PipelineResult res = pipe.run(trace);
-    // 48 multiplies, II=1: ~48 issue cycles + drain, far below 48*3.
-    EXPECT_LT(res.totalCycles, 48u * 3u);
-    EXPECT_GE(res.totalCycles, 48u);
-}
-
-TEST(Pipeline, SerialMultiplierStalls)
-{
-    Trace trace;
-    Recorder rec(trace);
-    for (int i = 2; i < 50; i++)
-        rec.mul(1.0 + i, 3.0);
-
-    PipelineConfig pipelined;
-    PipelineConfig serial;
-    serial.mulPipelined = false;
-    uint64_t fast = InOrderPipeline(pipelined).run(trace).totalCycles;
-    uint64_t slow = InOrderPipeline(serial).run(trace).totalCycles;
-    // A serial multiplier serializes the stream at full latency.
-    EXPECT_GT(slow, fast);
-    EXPECT_GE(slow, 48u * 3u);
+    Trace trace = makeDivTrace(7); // 21 divs + 42 alus
+    std::atomic<uint64_t> progress{0};
+    CpuConfig cfg;
+    cfg.progress = &progress;
+    CpuModel cpu(cfg);
+    SimResult with = cpu.run(trace);
+    EXPECT_EQ(progress.load(), trace.size());
+    // A display-only sink: the cycle counts are those without it.
+    EXPECT_EQ(with.totalCycles, CpuModel().run(trace).totalCycles);
 }
 
 TEST(Amdahl, SpeedupEnhancedFormula)

@@ -15,13 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -1080,6 +1083,146 @@ TEST(TraceSpillStore, RewritingOneKeyLeavesItsSharersIntact)
     expectTracesEqual(t, store.read("b|i|1"));
 }
 
+/** Distinct chunk hashes the manifests of @p keys reference. */
+std::set<uint64_t>
+referencedChunks(const SpillStore &store,
+                 const std::vector<std::string> &keys)
+{
+    std::set<uint64_t> out;
+    for (const std::string &key : keys)
+        for (const std::vector<ChunkRef> &col : store.manifest(key).cols)
+            for (const ChunkRef &ref : col)
+                out.insert(ref.hash);
+    return out;
+}
+
+TEST(TraceSpillStore, ReplacedManifestLeavesNoOrphanedChunks)
+{
+    // Saving a different trace under a key deletes the chunks only the
+    // replaced manifest referenced: the store then holds exactly the
+    // distinct chunks its manifest references.
+    const std::string root = tempRoot("orphans");
+    SpillStore store(root);
+    store.write("memo-sim", sampleTrace(700), 64);
+    const size_t before = countChunkFiles(root);
+    store.write("memo-sim", sampleTrace(90), 64);
+    const std::set<uint64_t> live = referencedChunks(store, {"memo-sim"});
+    EXPECT_EQ(countChunkFiles(root), live.size());
+    EXPECT_LT(live.size(), before);
+    EXPECT_TRUE(store.unreferencedChunks().empty());
+    expectTracesEqual(sampleTrace(90), store.read("memo-sim"));
+}
+
+TEST(TraceSpillStore, ReplacingKeepsChunksOtherKeysReference)
+{
+    const std::string root = tempRoot("orphans_shared");
+    SpillStore store(root);
+    store.write("a|i|1", sampleTrace(700), 64);
+    store.write("b|i|1", sampleTrace(700), 64);
+    const size_t full = countChunkFiles(root);
+    store.write("a|i|1", sampleTrace(90), 64);
+    // b still references every chunk of the replaced trace.
+    EXPECT_EQ(countChunkFiles(root),
+              referencedChunks(store, {"a|i|1", "b|i|1"}).size());
+    expectTracesEqual(sampleTrace(700), store.read("b|i|1"));
+    expectTracesEqual(sampleTrace(90), store.read("a|i|1"));
+
+    store.write("b|i|1", sampleTrace(90), 64);
+    EXPECT_EQ(countChunkFiles(root),
+              referencedChunks(store, {"a|i|1", "b|i|1"}).size());
+    EXPECT_LT(countChunkFiles(root), full);
+    EXPECT_TRUE(store.unreferencedChunks().empty());
+}
+
+TEST(TraceSpillStore, CorruptManifestBlocksChunkDeletion)
+{
+    // A manifest that does not decode may reference any chunk, so a
+    // replacing write deletes nothing while one is in the store.
+    const std::string root = tempRoot("orphans_corrupt");
+    SpillStore store(root);
+    store.write("a|i|1", sampleTrace(700), 64);
+    store.write("b|i|1", sampleTrace(700), 64);
+    const std::string bpath = store.manifestPath("b|i|1");
+    std::string bytes = readFileBytes(bpath);
+    writeFileBytes(bpath, bytes.substr(0, bytes.size() / 2));
+    EXPECT_EQ(store.scanManifests().corrupt, 1u);
+    const size_t before = countChunkFiles(root);
+    SpillStore::WriteStats ws = store.write("a|i|1", sampleTrace(90), 64);
+    EXPECT_EQ(countChunkFiles(root), before + ws.chunksWritten);
+}
+
+TEST(TraceSpillStore, ConcurrentReplaceNeverLosesASharedChunk)
+{
+    // Two keys flip between a long and a short trace in two threads.
+    // Saving the long one under b finds its chunks present while a
+    // holds it, and does not rewrite them; a flipping back to the
+    // short one must not delete them before b's manifest is written.
+    // The store lock orders the two.
+    SpillStore store(tempRoot("orphans_race"));
+    const Trace full = sampleTrace(700);
+    const Trace part = sampleTrace(90);
+    std::atomic<bool> a_failed{false};
+    // Two writers racing on one store is the point; the pool would
+    // run them on one thread under --jobs 1.
+    // NOLINTNEXTLINE(memo-CONC-001)
+    std::thread flipper([&] {
+        try {
+            for (int i = 0; i < 100; i++) {
+                store.write("a|i|1", full, 64);
+                store.write("a|i|1", part, 64);
+            }
+        } catch (const SpillError &) {
+            a_failed = true;
+        }
+    });
+    int lost = 0;
+    for (int i = 0; i < 100; i++) {
+        store.write("b|i|1", full, 64);
+        try {
+            store.read("b|i|1");
+        } catch (const SpillError &) {
+            lost++;
+        }
+        store.write("b|i|1", part, 64);
+    }
+    flipper.join();
+    EXPECT_FALSE(a_failed);
+    EXPECT_EQ(lost, 0);
+    EXPECT_TRUE(store.unreferencedChunks().empty());
+}
+
+TEST(TraceSpillStore, UnreferencedChunksFindsAPlantedOrphan)
+{
+    const std::string root = tempRoot("orphans_planted");
+    SpillStore store(root);
+    store.write("k|i|1", sampleTrace(300), 64);
+    EXPECT_TRUE(store.unreferencedChunks().empty());
+    const uint64_t live = *referencedChunks(store, {"k|i|1"}).begin();
+    fs::copy_file(store.chunkPath(live), store.chunkPath(0xdeadbeef));
+    // Temp files and foreign names in the chunk directory are not
+    // chunks.
+    writeFileBytes(store.chunkPath(0xfeed) + ".tmp.1.2", "partial");
+    writeFileBytes((fs::path(root) / "chunks" / "README").string(), "x");
+    EXPECT_EQ(store.unreferencedChunks(),
+              std::vector<uint64_t>{0xdeadbeef});
+}
+
+TEST(TraceSpillStore, RewritingTheSameTraceDeletesNoChunk)
+{
+    // The replaced manifest references exactly the chunks the new one
+    // does, so none of them is an orphan to delete.
+    const std::string root = tempRoot("orphans_same");
+    SpillStore store(root);
+    const Trace t = sampleTrace(500);
+    store.write("memo-sim", t, 64);
+    const size_t files = countChunkFiles(root);
+    store.write("memo-sim", t, 64);
+    EXPECT_EQ(countChunkFiles(root), files);
+    EXPECT_EQ(referencedChunks(store, {"memo-sim"}).size(), files);
+    EXPECT_TRUE(store.unreferencedChunks().empty());
+    expectTracesEqual(t, store.read("memo-sim"));
+}
+
 TEST(TraceSpillStore, RootThatIsAFileIsAnErrorNamingIt)
 {
     // A store cannot be made under a regular file: the error names the
@@ -1239,6 +1382,31 @@ TEST(TraceCacheSpill, CorruptManifestCountsAsSpillError)
     EXPECT_GE(cache.spillErrors(), 1u);
     EXPECT_EQ(cache.admits(), 0u);
     expectTracesEqual(*t1, *t1b);
+}
+
+TEST(TraceCacheSpill, EvictingATraceAlreadyOnDiskWritesNothing)
+{
+    // A victim whose key the disk tier already holds is not written
+    // again: the eviction costs no chunk or manifest write.
+    exec::TraceCache cache(1);
+    cache.setSpillDir(tempRoot("cachedurable"));
+    auto k1 = cacheKey("w1");
+    SpillStore(cache.spillDir()).write(exec::spillKeyOf(k1),
+                                       sampleTrace(400));
+
+    int gen1 = 0;
+    auto t1 = cache.get(k1, [&] { gen1++; return sampleTrace(400); });
+    EXPECT_EQ(gen1, 0); // admitted from disk
+    EXPECT_EQ(cache.admits(), 1u);
+
+    cache.get(cacheKey("w2"), [&] { return sampleTrace(900); });
+    EXPECT_EQ(cache.spills(), 0u); // k1 evicted, already durable
+    EXPECT_EQ(cache.spilledBytes(), 0u);
+
+    cache.get(k1, [&] { gen1++; return sampleTrace(400); });
+    EXPECT_EQ(gen1, 0);
+    EXPECT_EQ(cache.spills(), 1u); // w2 evicted, written once
+    EXPECT_EQ(cache.spillErrors(), 0u);
 }
 
 TEST(TraceCacheSpill, ClearLeavesDiskTierAdmittable)

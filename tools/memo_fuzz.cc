@@ -6,11 +6,10 @@
  *   memo_fuzz --seed 1 --iters 10000 --mutation
  *
  * Exit status 0 means the harness behaved as expected: no invariant
- * violations in a normal campaign, or (with --mutation) all three
- * injected bugs — the tag-comparison bug, the batched-replay
- * block-boundary off-by-one, and the memo-lint lexer
- * newline-accounting fault — were caught. Any other outcome exits 1,
- * printing a shrunk counterexample and a one-line repro.
+ * violations in a normal campaign, or (with --mutation) both injected
+ * bugs — the tag-comparison bug and the batched-replay block-boundary
+ * off-by-one — were caught. Any other outcome exits 1, printing a
+ * shrunk counterexample and a one-line repro.
  */
 
 #include <cstdint>
@@ -37,9 +36,8 @@ usage(const char *argv0)
                  "  --iters N    fuzz cases to run (default 1000)\n"
                  "  --stream L   accesses per case (default 256)\n"
                  "  --mutation   self-test: inject a tag-comparison\n"
-                 "               bug, a block-boundary off-by-one and\n"
-                 "               a lint-lexer fault; the harness must\n"
-                 "               catch all three\n"
+                 "               bug and a block-boundary off-by-one;\n"
+                 "               the harness must catch both\n"
                  "  --verbose    progress output every 1000 cases\n"
                  "  --progress   stderr heartbeat (rate/ETA); stdout\n"
                  "               stays byte-identical\n",
@@ -109,8 +107,8 @@ main(int argc, char **argv)
                          "detect its injected bug\n";
             return 1;
         }
-        std::cout << "ok: injected tag-comparison, block-boundary "
-                     "and lint-lexer bugs detected\n";
+        std::cout << "ok: injected tag-comparison and block-boundary "
+                     "bugs detected\n";
         return 0;
     }
 

@@ -16,7 +16,9 @@
  *       element counts and bytes on disk.
  *   memo-trace-dump --store DIR --verify
  *       Fully decode every trace in the store; exit 1 if any chunk or
- *       manifest fails verification.
+ *       manifest fails verification (a manifest file that does not
+ *       decode included), or if any chunk file is one that no
+ *       manifest references (an orphan, reported with its bytes).
  *
  * DIR must already hold a store: reading never creates one.
  */
@@ -181,10 +183,29 @@ verifyStore(const SpillStore &store)
             bad++;
         }
     }
+    // keys() lists only manifests that decode; count the others.
+    const size_t bad_manifests = store.scanManifests().corrupt;
+    if (bad_manifests)
+        std::printf("CORRUPT %zu manifest file(s) that do not decode\n",
+                    bad_manifests);
+    bad += static_cast<int>(bad_manifests);
     if (bad)
         std::fprintf(stderr, "memo-trace-dump: %d corrupt trace(s)\n",
                      bad);
-    return bad ? 1 : 0;
+
+    const std::vector<uint64_t> orphans = store.unreferencedChunks();
+    uint64_t orphan_bytes = 0;
+    for (uint64_t h : orphans)
+        orphan_bytes += store.chunkFileBytes(h);
+    if (!orphans.empty()) {
+        std::printf("ORPHAN  %zu chunk file(s), %llu B, referenced by "
+                    "no manifest\n",
+                    orphans.size(),
+                    static_cast<unsigned long long>(orphan_bytes));
+        std::fprintf(stderr, "memo-trace-dump: %zu orphaned chunk(s)\n",
+                     orphans.size());
+    }
+    return bad || !orphans.empty() ? 1 : 0;
 }
 
 int
