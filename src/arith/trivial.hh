@@ -49,12 +49,11 @@ struct Trivial
 
 // The detectors below run once per table access in the replay hot
 // loop; they are defined inline so the probe path pays a handful of
-// compares, not a function call. The exact == compares against
-// 1.0 / -1.0 are the mechanism, not an accident: the hardware
-// trivial-operand detector matches the operand's bit pattern against
-// a handful of constants (Citron et al., section 2). An epsilon here
-// would change which operations count as trivial. memo-FP-001 is
-// suppressed per site.
+// compares, not a function call. The exact compares against
+// 1.0 / -1.0 (fpExactEq) are the mechanism, not an accident: the
+// hardware trivial-operand detector matches the operand's bit pattern
+// against a handful of constants (Citron et al., section 2). An
+// epsilon here would change which operations count as trivial.
 
 /**
  * Classify a floating point multiplication.
@@ -71,14 +70,14 @@ trivialFpMul(double a, double b, bool extended = false)
         return std::nullopt;
     if (fpIsZero(a) || fpIsZero(b))
         return Trivial{TrivialKind::MulByZero, a * b};
-    if (a == 1.0) // NOLINT(memo-FP-001)
+    if (fpExactEq(a, 1.0))
         return Trivial{TrivialKind::MulByOne, b};
-    if (b == 1.0) // NOLINT(memo-FP-001)
+    if (fpExactEq(b, 1.0))
         return Trivial{TrivialKind::MulByOne, a};
     if (extended) {
-        if (a == -1.0) // NOLINT(memo-FP-001)
+        if (fpExactEq(a, -1.0))
             return Trivial{TrivialKind::MulByNegOne, -b};
-        if (b == -1.0) // NOLINT(memo-FP-001)
+        if (fpExactEq(b, -1.0))
             return Trivial{TrivialKind::MulByNegOne, -a};
     }
     return std::nullopt;
@@ -92,14 +91,14 @@ trivialFpDiv(double a, double b, bool extended = false)
         return std::nullopt;
     if (fpIsZero(b))
         return std::nullopt; // division by zero is exceptional, not trivial
-    if (b == 1.0) // NOLINT(memo-FP-001)
+    if (fpExactEq(b, 1.0))
         return Trivial{TrivialKind::DivByOne, a};
     if (fpIsZero(a))
         return Trivial{TrivialKind::ZeroDividend, a / b};
     if (extended) {
-        if (b == -1.0) // NOLINT(memo-FP-001)
+        if (fpExactEq(b, -1.0))
             return Trivial{TrivialKind::DivByNegOne, -a};
-        if (a == b) // NOLINT(memo-FP-001)
+        if (fpExactEq(a, b))
             return Trivial{TrivialKind::DivBySelf, 1.0};
     }
     return std::nullopt;
@@ -113,7 +112,7 @@ trivialFpSqrt(double a, bool extended = false)
         return std::nullopt;
     if (fpIsZero(a))
         return Trivial{TrivialKind::SqrtOfZero, a};
-    if (a == 1.0) // NOLINT(memo-FP-001)
+    if (fpExactEq(a, 1.0))
         return Trivial{TrivialKind::SqrtOfOne, 1.0};
     return std::nullopt;
 }

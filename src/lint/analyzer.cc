@@ -388,19 +388,6 @@ isSuppressed(const Finding &f,
 // ---------------------------------------------------------------------
 // Rule passes.
 
-bool
-isFloatLiteral(const Token &t)
-{
-    if (t.kind != TokKind::Number)
-        return false;
-    if (startsWith(t.text, "0x") || startsWith(t.text, "0X"))
-        return false;
-    if (t.text.find('.') != std::string::npos)
-        return true;
-    char last = t.text.back();
-    return last == 'f' || last == 'F';
-}
-
 struct Pass
 {
     const std::vector<Token> &toks;
@@ -523,32 +510,6 @@ struct Pass
                 report("memo-DET-002",
                        i, "call to '" + name + "()' reads wall time");
             }
-        }
-    }
-
-    void
-    floatEquality()
-    {
-        for (size_t i = 0; i < toks.size(); i++) {
-            if (toks[i].kind != TokKind::Punct ||
-                (text(i) != "==" && text(i) != "!="))
-                continue;
-            size_t r = i + 1;
-            if (r < toks.size() &&
-                (text(r) == "-" || text(r) == "+"))
-                r++;
-            auto floatish = [&](size_t j) {
-                if (j >= toks.size())
-                    return false;
-                if (isFloatLiteral(toks[j]))
-                    return true;
-                return toks[j].kind == TokKind::Ident &&
-                       decls.floats.count(toks[j].text) > 0;
-            };
-            if (floatish(i - 1) || floatish(r))
-                report("memo-FP-001", i,
-                       "floating-point '" + toks[i].text +
-                           "' comparison");
         }
     }
 
@@ -954,7 +915,6 @@ analyzeFile(std::string_view source, const AnalyzerOptions &opt)
     Pass pass{lr.tokens, scope, decls, opt, fs};
     auto spans = pass.unorderedIterationAndSpans();
     pass.wallClockAndRandomness();
-    pass.floatEquality();
     pass.floatAccumulation(std::move(spans));
     pass.rawThreads();
     pass.mutableGlobals();

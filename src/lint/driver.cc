@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "lint/baseline.hh"
 #include "lint/emit.hh"
 #include "lint/lexer.hh"
 
@@ -33,6 +32,21 @@ bool
 lintableExtension(const fs::path &p)
 {
     return p.extension() == ".cc" || p.extension() == ".hh";
+}
+
+void
+usage(std::ostream &os)
+{
+    os << "usage: memo-lint [options] <file-or-dir>...\n"
+          "\n"
+          "options:\n"
+          "  --root DIR             repo root for relative paths "
+          "(default .)\n"
+          "  --format FMT           text | sarif (default text)\n"
+          "  --self-test DIR        verify EXPECT annotations of "
+          "the lint fixtures\n"
+          "  --list-rules           print the rule catalog\n"
+          "  --help                 this text\n";
 }
 
 /** Repo-relative generic path, or the input when outside the root. */
@@ -201,8 +215,7 @@ runLint(const DriverConfig &cfg, std::ostream &out, std::ostream &err)
                 << r.family << "): " << r.summary << "\n";
         return 0;
     }
-    if (cfg.format != "text" && cfg.format != "json" &&
-        cfg.format != "sarif") {
+    if (cfg.format != "text" && cfg.format != "sarif") {
         err << "memo-lint: unknown format '" << cfg.format << "'\n";
         return 2;
     }
@@ -229,101 +242,54 @@ runLint(const DriverConfig &cfg, std::ostream &out, std::ostream &err)
     }
     std::sort(findings.begin(), findings.end());
 
-    if (!cfg.updateBaselinePath.empty()) {
-        // The ratchet-shrinking path: unlike --write-baseline it
-        // enforces the baseline policy, so it can never be used to
-        // absorb an error-severity regression.
-        std::vector<std::string> hard;
-        for (const Finding &f : findings)
-            if (f.rule->severity == Severity::Error) {
-                std::ostringstream os;
-                os << f.rule->id << " @ " << f.file << ":" << f.line;
-                hard.push_back(os.str());
-            }
-        if (!hard.empty()) {
-            err << "memo-lint: refusing to update baseline: "
-                   "error-severity findings must be fixed, not "
-                   "baselined:\n";
-            for (const std::string &e : hard)
-                err << "  " << e << "\n";
-            return 1;
-        }
-        Baseline b = Baseline::fromFindings(findings);
-        std::ofstream bf(cfg.updateBaselinePath, std::ios::binary);
-        if (!bf) {
-            err << "memo-lint: cannot write "
-                << cfg.updateBaselinePath << "\n";
-            return 2;
-        }
-        bf << b.serialize();
-        out << "memo-lint: updated baseline with " << b.size()
-            << " tolerated findings\n";
-        return self_failures ? 1 : 0;
-    }
-
-    if (!cfg.writeBaselinePath.empty()) {
-        Baseline b = Baseline::fromFindings(findings);
-        std::ofstream bf(cfg.writeBaselinePath, std::ios::binary);
-        if (!bf) {
-            err << "memo-lint: cannot write "
-                << cfg.writeBaselinePath << "\n";
-            return 2;
-        }
-        bf << b.serialize();
-        out << "memo-lint: wrote baseline with " << b.size()
-            << " tolerated findings\n";
-        return self_failures ? 1 : 0;
-    }
-
-    std::vector<Finding> fresh = findings;
-    if (!cfg.baselinePath.empty()) {
-        std::string text;
-        if (!readFile(cfg.baselinePath, text)) {
-            err << "memo-lint: cannot read baseline "
-                << cfg.baselinePath << "\n";
-            return 2;
-        }
-        Baseline b;
-        std::string perr;
-        if (!b.parse(text, perr)) {
-            err << "memo-lint: bad baseline " << cfg.baselinePath
-                << ": " << perr << "\n";
-            return 2;
-        }
-        std::vector<std::string> bad = b.errorSeverityEntries();
-        if (!bad.empty()) {
-            err << "memo-lint: baseline policy violation: "
-                   "error-severity (DET/CONC) findings must be "
-                   "fixed, not baselined:\n";
-            for (const std::string &e : bad)
-                err << "  " << e << "\n";
-            return 1;
-        }
-        std::vector<std::string> stale = b.staleEntries(findings);
-        if (!stale.empty()) {
-            err << "memo-lint: stale baseline: entries tolerate "
-                   "findings the code no longer produces; shrink the "
-                   "ratchet with --update-baseline "
-                << cfg.baselinePath << ":\n";
-            for (const std::string &e : stale)
-                err << "  " << e << "\n";
-            return 1;
-        }
-        fresh = b.filter(findings);
-    }
-
-    if (cfg.format == "text")
-        emitText(out, fresh);
-    else if (cfg.format == "json")
-        emitJson(out, fresh);
-    else
-        emitSarif(out, fresh);
-
-    if (cfg.format == "text")
+    if (cfg.format == "text") {
+        emitText(out, findings);
         out << "memo-lint: " << files.size() << " files, "
-            << findings.size() << " findings, " << fresh.size()
-            << " new\n";
-    return (fresh.empty() && !self_failures) ? 0 : 1;
+            << findings.size() << " findings\n";
+    } else {
+        emitSarif(out, findings);
+    }
+    return (findings.empty() && !self_failures) ? 0 : 1;
+}
+
+int
+lintMain(const std::vector<std::string> &args, std::ostream &out,
+         std::ostream &err)
+{
+    DriverConfig cfg;
+    for (size_t i = 0; i < args.size(); i++) {
+        const std::string &arg = args[i];
+        bool valued =
+            arg == "--root" || arg == "--format" || arg == "--self-test";
+        if (valued && i + 1 >= args.size()) {
+            err << "memo-lint: " << arg << " needs a value\n";
+            return 2;
+        }
+        if (arg == "--help" || arg == "-h") {
+            usage(out);
+            return 0;
+        } else if (arg == "--root") {
+            cfg.root = args[++i];
+        } else if (arg == "--format") {
+            cfg.format = args[++i];
+        } else if (arg == "--self-test") {
+            cfg.selfTestDir = args[++i];
+        } else if (arg == "--list-rules") {
+            cfg.listRules = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            err << "memo-lint: unknown option " << arg << "\n";
+            usage(err);
+            return 2;
+        } else {
+            cfg.paths.push_back(arg);
+        }
+    }
+    if (cfg.paths.empty() && !cfg.listRules &&
+        cfg.selfTestDir.empty()) {
+        usage(err);
+        return 2;
+    }
+    return runLint(cfg, out, err);
 }
 
 } // namespace memo::lint

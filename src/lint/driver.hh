@@ -1,8 +1,8 @@
 /**
  * @file
- * The memo-lint driver: file discovery, baseline ratcheting, output
- * formatting and the fixture self-test — everything the CLI does,
- * factored into the library so tests drive it in-process.
+ * The memo-lint driver: file discovery, output formatting and the
+ * fixture self-test — everything the CLI does, factored into the
+ * library so tests drive it in-process.
  *
  * The self-test mode is how the linter proves it bites: every
  * fixture under tests/lint_fixtures/ encodes its expected findings
@@ -30,17 +30,7 @@ struct DriverConfig
     std::vector<std::string> paths;
     /** Repo root; paths are reported relative to it. */
     std::string root = ".";
-    /** Baseline file to ratchet against ("" = none). */
-    std::string baselinePath;
-    /** Regenerate the baseline to this path instead of failing. */
-    std::string writeBaselinePath;
-    /**
-     * Ratchet the baseline: rewrite this path from the current
-     * findings, refusing (exit 1) if any error-severity finding
-     * exists. The sanctioned way to shrink a stale baseline.
-     */
-    std::string updateBaselinePath;
-    /** "text", "json" or "sarif". */
+    /** "text" or "sarif". */
     std::string format = "text";
     /** Fixture directory for the EXPECT self-test ("" = skip). */
     std::string selfTestDir;
@@ -50,11 +40,19 @@ struct DriverConfig
 
 /**
  * Run the linter.
- * @return 0 clean, 1 new findings / failed self-test / baseline
- *         policy or staleness violation, 2 bad config.
+ * @return 0 clean, 1 any finding or a failed self-test, 2 bad
+ *         config.
  */
 int runLint(const DriverConfig &cfg, std::ostream &out,
             std::ostream &err);
+
+/**
+ * The memo-lint command line: parse @p args (argv without the program
+ * name) and run. Exit status as runLint; an unknown option or a
+ * missing value exits 2 naming the option.
+ */
+int lintMain(const std::vector<std::string> &args, std::ostream &out,
+             std::ostream &err);
 
 /**
  * Analyze one file from disk the way the driver would: resolve the

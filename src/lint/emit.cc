@@ -52,23 +52,6 @@ emitText(std::ostream &os, const std::vector<Finding> &findings)
 }
 
 void
-emitJson(std::ostream &os, const std::vector<Finding> &findings)
-{
-    os << "[";
-    for (size_t i = 0; i < findings.size(); i++) {
-        const Finding &f = findings[i];
-        os << (i ? ",\n " : "\n ") << "{\"rule\": \"" << f.rule->id
-           << "\", \"severity\": \"" << severityName(f.rule->severity)
-           << "\", \"file\": \"" << jsonEscape(f.file)
-           << "\", \"line\": " << f.line << ", \"col\": " << f.col
-           << ", \"message\": \"" << jsonEscape(f.message)
-           << "\", \"hint\": \"" << jsonEscape(f.rule->hint)
-           << "\"}";
-    }
-    os << (findings.empty() ? "]\n" : "\n]\n");
-}
-
-void
 emitSarif(std::ostream &os, const std::vector<Finding> &findings)
 {
     os << "{\n"

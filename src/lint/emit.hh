@@ -1,6 +1,6 @@
 /**
  * @file
- * Finding emitters: human text, JSON, and SARIF 2.1.0.
+ * Finding emitters: human text and SARIF 2.1.0.
  *
  * The SARIF output is the minimal schema-valid subset GitHub code
  * scanning and IDE SARIF viewers consume: one run, the rule catalog
@@ -25,9 +25,6 @@ std::string jsonEscape(const std::string &s);
 
 /** `file:line:col: severity: message [rule]` with a hint line. */
 void emitText(std::ostream &os, const std::vector<Finding> &findings);
-
-/** A JSON array of finding objects. */
-void emitJson(std::ostream &os, const std::vector<Finding> &findings);
 
 /** SARIF 2.1.0 log with the full rule catalog. */
 void emitSarif(std::ostream &os, const std::vector<Finding> &findings);

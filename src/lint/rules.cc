@@ -25,13 +25,6 @@ ruleCatalog()
          "follow the allocator, not the data",
          "key on a stable value (index, id, operand bits) instead of "
          "an address"},
-        {"memo-FP-001", "FP", Severity::Warning,
-         "floating-point == or != comparison; equality on computed "
-         "floats is not bit-stable across optimization levels",
-         "compare raw bit patterns (std::bit_cast<uint64_t>) as the "
-         "core/ comparators do, or use an explicit tolerance; exact "
-         "compares against literal constants may be suppressed with a "
-         "justification"},
         {"memo-FP-002", "FP", Severity::Warning,
          "order-sensitive floating-point accumulation: the fold order "
          "follows an unordered container or worker scheduling",

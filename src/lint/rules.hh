@@ -3,7 +3,7 @@
  * The memo-lint rule catalog.
  *
  * Every rule has a stable ID (used by `// NOLINT(memo-XXX-NNN)`
- * suppressions, the baseline file and SARIF output), a family, a
+ * suppressions and SARIF output), a family, a
  * severity and a fix-it hint. The families encode this repository's
  * core contract — bit-identical results at any --jobs level:
  *
@@ -11,17 +11,18 @@
  *          nondeterminism (unordered iteration, wall clocks, pointer
  *          keys);
  *  - FP:   floating-point patterns that silently break bit-exactness
- *          (== on floats, order-sensitive accumulation);
+ *          (order-sensitive accumulation);
  *  - CONC: concurrency hazards outside the sanctioned executor
  *          (raw threads, mutable shared state, a mutex's sibling
  *          field without a capability annotation);
  *  - API:  bypasses of repo-internal observability contracts.
  *
- * Lock discipline and dropped I/O results are not lint rules: the
- * compiler checks them (Clang's -Wthread-safety over
- * core/annotations.hh, and the [[nodiscard]] IoStatus of
- * trace/file_io.hh under -Werror=unused-result). Clang checks only
- * annotated fields, which is why memo-CONC-004 stays.
+ * Lock discipline, dropped I/O results and exact float compares are
+ * not lint rules: the compiler checks them (Clang's -Wthread-safety
+ * over core/annotations.hh, the [[nodiscard]] IoStatus of
+ * trace/file_io.hh under -Werror=unused-result, and
+ * -Werror=float-equal on every target). Clang checks only annotated
+ * fields, which is why memo-CONC-004 stays.
  */
 
 #ifndef MEMO_LINT_RULES_HH

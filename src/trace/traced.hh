@@ -24,6 +24,7 @@
 
 #include <cassert>
 
+#include "arith/fp.hh"
 #include "trace/recorder.hh"
 
 namespace memo
@@ -95,7 +96,7 @@ class Traced
     friend bool operator>=(Traced a, Traced b) { return a.v >= b.v; }
     // Traced must mirror plain double semantics exactly so that the
     // traced and untraced kernel variants take identical branches.
-    friend bool operator==(Traced a, Traced b) { return a.v == b.v; } // NOLINT(memo-FP-001)
+    friend bool operator==(Traced a, Traced b) { return fpExactEq(a.v, b.v); }
 
   private:
     static Recorder &

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the tools' checked argument parsing (tools/cli_args.hh):
- * counts are positive decimals that fit their type, choices are exact
- * spellings, and every refusal names the flag and the value.
+ * counts are positive decimals that fit their type, unsigned numbers
+ * may also be zero, choices are exact spellings, and every refusal
+ * names the flag and the value.
  */
 
 #include <gtest/gtest.h>
@@ -92,6 +93,30 @@ TEST(CliArgs, CountErrorNamesTheFlagAndTheValue)
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "--entries: '32x' is not a positive count");
     }
+}
+
+TEST(CliArgs, UnsignedAcceptsZeroAndTheFullRange)
+{
+    EXPECT_EQ(parseUnsigned<uint64_t>("--seed", "0"), 0u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("--seed", "7"), 7u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("--seed", "18446744073709551615"),
+              std::numeric_limits<uint64_t>::max());
+}
+
+TEST(CliArgs, UnsignedRejectsSignsEmptyAndOverflow)
+{
+    for (const char *bad : {"", "-1", "+1", " 1", "1x", "0x10",
+                            "18446744073709551616"}) {
+        try {
+            parseUnsigned<uint64_t>("--seed", bad);
+            ADD_FAILURE() << "'" << bad << "' parsed as unsigned";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(e.what(), std::string("--seed: '") + bad +
+                                    "' is not an unsigned number");
+        }
+    }
+    EXPECT_THROW(parseUnsigned<uint16_t>("--n", "65536"),
+                 std::runtime_error);
 }
 
 TEST(CliArgs, ChoiceMapsExactSpellings)

@@ -83,6 +83,21 @@ TEST(Fp, IsZeroBothSigns)
     EXPECT_FALSE(fpIsZero(1e-320)); // subnormal, but not zero
 }
 
+TEST(Fp, ExactEqIsIeeeEqualityNotBitEquality)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(fpExactEq(1.0, 1.0));
+    EXPECT_TRUE(fpExactEq(-1.0, -1.0));
+    // The two zero encodings differ in bits but compare equal ...
+    EXPECT_NE(fpBits(0.0), fpBits(-0.0));
+    EXPECT_TRUE(fpExactEq(0.0, -0.0));
+    // ... and a NaN equals nothing, not even its own bit pattern.
+    EXPECT_FALSE(fpExactEq(nan, nan));
+    EXPECT_FALSE(fpExactEq(nan, 1.0));
+    // One ulp is a different value: there is no tolerance.
+    EXPECT_FALSE(fpExactEq(1.0, std::nextafter(1.0, 2.0)));
+}
+
 TEST(Fp, ComposeReconstructs)
 {
     for (double v : {1.0, -2.5, 255.0, 1e-12, -3.25e20}) {

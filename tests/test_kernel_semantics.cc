@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "arith/fp.hh"
 #include "img/generate.hh"
 #include "workloads/fft.hh"
 #include "workloads/mm_kernels.hh"
@@ -188,8 +189,7 @@ TEST(KernelSemantics, VgaussPeaksAtMean)
         for (int x = 0; x < 64; x++)
             // Argmax re-find: compares a value against itself read
             // back from the same buffer, exact by construction.
-            // NOLINTNEXTLINE(memo-FP-001)
-            if (out.at(x, y) == best) {
+            if (fpExactEq(out.at(x, y), best)) {
                 bx = x;
                 by = y;
                 break;

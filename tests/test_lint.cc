@@ -1,9 +1,9 @@
 /**
  * @file
- * memo-lint unit tests: lexer, suppressions, every rule family,
- * baseline ratchet + policy, emitters, the self-run that holds the
- * whole repository to the committed lint-baseline.json, and a seeded
- * fuzz of the lexer and analyzer over mutated sources.
+ * memo-lint unit tests: lexer, suppressions, every rule family, the
+ * driver and its command line, emitters, the self-run that holds the
+ * whole repository to zero findings, and a seeded fuzz of the lexer
+ * and analyzer over mutated sources.
  */
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 
 #include "check/fuzz.hh"
 #include "lint/analyzer.hh"
-#include "lint/baseline.hh"
 #include "lint/driver.hh"
 #include "lint/emit.hh"
 #include "lint/lexer.hh"
@@ -98,14 +97,14 @@ TEST(LintLexer, PreprocessorLinesAreOpaque)
 
 TEST(LintLexer, StringsAndRawStringsAreSingleTokens)
 {
-    LexResult lr = lex("auto s = R\"(a == 1.0)\"; auto t = \"x==y\";");
+    LexResult lr = lex("auto s = R\"(rand())\"; auto t = \"x==y\";");
     int strings = 0;
     for (const Token &t : lr.tokens)
         if (t.kind == TokKind::String)
             strings++;
     EXPECT_EQ(strings, 2);
-    // Float equality inside literals must not fire FP-001.
-    EXPECT_TRUE(ruleIdsOf("const char *s = \"x == 1.0\";").empty());
+    // A call inside a literal must not fire DET-002.
+    EXPECT_TRUE(ruleIdsOf("const char *s = \"x = rand();\";").empty());
 }
 
 TEST(LintLexer, TwoCharOperatorsStayWhole)
@@ -152,7 +151,7 @@ TEST(LintSuppress, RuleListIsSelective)
     std::string wrong = "void f() {\n"
                         "    std::unordered_map<int, int> m;\n"
                         "    for (auto &kv : m) { (void)kv; } "
-                        "// NOLINT(memo-FP-001)\n"
+                        "// NOLINT(memo-FP-002)\n"
                         "}\n";
     EXPECT_EQ(ruleIdsOf(wrong),
               (std::vector<std::string>{"memo-DET-001"}));
@@ -201,18 +200,6 @@ TEST(LintRules, Det003PointerKey)
             .empty());
 }
 
-TEST(LintRules, Fp001TracksDeclaredFloats)
-{
-    EXPECT_EQ(ruleIdsOf("bool f(double a, double b) "
-                        "{ return a == b; }"),
-              (std::vector<std::string>{"memo-FP-001"}));
-    // Integer re-declaration wins over a stale float of the same
-    // name from an earlier function.
-    EXPECT_TRUE(ruleIdsOf("bool f(double a) { return a < 0.0; }\n"
-                          "bool g(int64_t a) { return a == 1; }\n")
-                    .empty());
-}
-
 TEST(LintRules, Fp002AccumulationInParallelBody)
 {
     std::string src = "double f(const double *w, size_t n) {\n"
@@ -230,6 +217,14 @@ TEST(LintRules, Fp002AccumulationInParallelBody)
                      "{ out[i] = w[i]; });\n"
                      "}\n";
     EXPECT_TRUE(ruleIdsOf(ok).empty());
+    // An integer re-declaration wins over a stale float of the same
+    // name from an earlier function.
+    EXPECT_TRUE(ruleIdsOf("double f(double a) { return a; }\n"
+                          "void g(int64_t a, size_t n) {\n"
+                          "    parallelFor(0, n, [&](size_t i) "
+                          "{ a += i; });\n"
+                          "}\n")
+                    .empty());
 }
 
 TEST(LintRules, Conc001PathScoped)
@@ -337,166 +332,69 @@ TEST(LintRules, LintAsOverride)
     EXPECT_EQ(lintAsOverride("int a;\n"), "");
 }
 
-// ------------------------------------------------------------- baseline
+// --------------------------------------------------------------- driver
 
-TEST(LintBaseline, RoundTrip)
-{
-    Baseline b;
-    std::string err;
-    ASSERT_TRUE(b.parse("{\"version\": 1, \"findings\": ["
-                        "{\"rule\": \"memo-FP-001\", "
-                        "\"file\": \"src/a.cc\", \"count\": 2}]}",
-                        err))
-        << err;
-    EXPECT_EQ(b.size(), 2u);
-    EXPECT_EQ(b.count("memo-FP-001", "src/a.cc"), 2u);
-    EXPECT_EQ(b.count("memo-FP-001", "src/b.cc"), 0u);
-
-    Baseline b2;
-    ASSERT_TRUE(b2.parse(b.serialize(), err)) << err;
-    EXPECT_EQ(b2.serialize(), b.serialize());
-}
-
-TEST(LintBaseline, ParseRejectsGarbage)
-{
-    Baseline b;
-    std::string err;
-    EXPECT_FALSE(b.parse("not json", err));
-    EXPECT_FALSE(b.parse("{\"version\": 1", err));
-}
-
-TEST(LintBaseline, FilterAbsorbsUpToCount)
-{
-    const RuleInfo *fp = findRule("memo-FP-001");
-    std::vector<Finding> fs = {
-        {fp, "src/a.cc", 1, 1, "one"},
-        {fp, "src/a.cc", 9, 1, "two"},
-    };
-    Baseline b;
-    std::string err;
-    ASSERT_TRUE(b.parse("{\"version\": 1, \"findings\": ["
-                        "{\"rule\": \"memo-FP-001\", "
-                        "\"file\": \"src/a.cc\", \"count\": 1}]}",
-                        err));
-    std::vector<Finding> fresh = b.filter(fs);
-    ASSERT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(fresh[0].message, "two");
-}
-
-TEST(LintBaseline, PolicyRejectsErrorSeverityEntries)
-{
-    // The ratchet may tolerate FP/API debt, never the error-severity
-    // families (DET, CONC): those must be fixed or explicitly
-    // NOLINT-justified in the code. An id the catalog no longer
-    // knows (a retired rule) is rejected too, so it cannot linger.
-    Baseline b;
-    std::string err;
-    ASSERT_TRUE(b.parse("{\"version\": 1, \"findings\": ["
-                        "{\"rule\": \"memo-DET-001\", "
-                        "\"file\": \"src/a.cc\", \"count\": 1},"
-                        "{\"rule\": \"memo-CONC-002\", "
-                        "\"file\": \"src/c.cc\", \"count\": 1},"
-                        "{\"rule\": \"memo-IO-001\", "
-                        "\"file\": \"src/d.cc\", \"count\": 1},"
-                        "{\"rule\": \"memo-API-001\", "
-                        "\"file\": \"src/b.cc\", \"count\": 1}]}",
-                        err));
-    std::vector<std::string> bad = b.errorSeverityEntries();
-    ASSERT_EQ(bad.size(), 3u);
-    std::string joined;
-    for (const std::string &e : bad)
-        joined += e + "\n";
-    EXPECT_NE(joined.find("memo-DET-001"), std::string::npos);
-    EXPECT_NE(joined.find("memo-CONC-002"), std::string::npos);
-    EXPECT_NE(joined.find("memo-IO-001"), std::string::npos);
-}
-
-TEST(LintBaseline, StaleEntriesAreDetected)
-{
-    const RuleInfo *fp = findRule("memo-FP-001");
-    std::vector<Finding> fs = {{fp, "src/a.cc", 1, 1, "one"}};
-    Baseline b;
-    std::string err;
-    ASSERT_TRUE(b.parse("{\"version\": 1, \"findings\": ["
-                        "{\"rule\": \"memo-FP-001\", "
-                        "\"file\": \"src/a.cc\", \"count\": 3},"
-                        "{\"rule\": \"memo-API-001\", "
-                        "\"file\": \"src/b.cc\", \"count\": 1}]}",
-                        err));
-    // a.cc tolerates 3 but only 1 remains; b.cc's finding is gone
-    // entirely. Both are stale headroom.
-    std::vector<std::string> stale = b.staleEntries(fs);
-    ASSERT_EQ(stale.size(), 2u);
-    std::string joined = stale[0] + "\n" + stale[1];
-    EXPECT_NE(joined.find("tolerates 3, found 1"), std::string::npos);
-    EXPECT_NE(joined.find("tolerates 1, found 0"), std::string::npos);
-
-    // An exactly-spent baseline is not stale.
-    Baseline exact;
-    ASSERT_TRUE(exact.parse("{\"version\": 1, \"findings\": ["
-                            "{\"rule\": \"memo-FP-001\", "
-                            "\"file\": \"src/a.cc\", \"count\": 1}]}",
-                            err));
-    EXPECT_TRUE(exact.staleEntries(fs).empty());
-}
-
-// ------------------------------------------------------- driver ratchet
-
-TEST(LintDriver, StaleBaselineFailsUntilUpdated)
+TEST(LintDriver, AnyFindingFails)
 {
     namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "memo_lint_ratchet_test";
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("memo_lint_driver_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir / "src");
     {
         std::ofstream f(dir / "src" / "w.cc");
-        f << "bool eq(double a, double b) { return a == b; }\n";
-    }
-    {
-        std::ofstream f(dir / "bl.json");
-        f << "{\"version\": 1, \"findings\": ["
-             "{\"rule\": \"memo-FP-001\", "
-             "\"file\": \"src/w.cc\", \"count\": 5}]}";
-    }
-
-    DriverConfig cfg;
-    cfg.root = (dir).string();
-    cfg.paths = {(dir / "src").string()};
-    cfg.baselinePath = (dir / "bl.json").string();
-
-    // 5 tolerated but only 1 produced: the run must fail and point
-    // at --update-baseline.
-    std::ostringstream out1, err1;
-    EXPECT_EQ(runLint(cfg, out1, err1), 1);
-    EXPECT_NE(err1.str().find("stale baseline"), std::string::npos);
-    EXPECT_NE(err1.str().find("--update-baseline"),
-              std::string::npos);
-
-    // --update-baseline shrinks the ratchet (warnings only) ...
-    DriverConfig upd = cfg;
-    upd.baselinePath.clear();
-    upd.updateBaselinePath = (dir / "bl.json").string();
-    std::ostringstream out2, err2;
-    EXPECT_EQ(runLint(upd, out2, err2), 0) << err2.str();
-
-    // ... after which the ordinary baselined run is clean again.
-    std::ostringstream out3, err3;
-    EXPECT_EQ(runLint(cfg, out3, err3), 0) << err3.str();
-
-    // An error-severity finding can never be absorbed by the update
-    // path: it must be fixed in the code.
-    {
-        std::ofstream f(dir / "src" / "e.cc");
         f << "int f() { static int n = 0; return ++n; }\n";
     }
-    std::ostringstream out4, err4;
-    EXPECT_EQ(runLint(upd, out4, err4), 1);
-    EXPECT_NE(err4.str().find("refusing to update baseline"),
-              std::string::npos);
-    EXPECT_NE(err4.str().find("memo-CONC-003"), std::string::npos);
-
+    DriverConfig cfg;
+    cfg.root = dir.string();
+    cfg.paths = {(dir / "src").string()};
+    std::ostringstream out, err;
+    EXPECT_EQ(runLint(cfg, out, err), 1);
+    EXPECT_NE(out.str().find("memo-CONC-003"), std::string::npos);
+    EXPECT_NE(out.str().find("1 findings"), std::string::npos);
     fs::remove_all(dir);
+}
+
+TEST(LintDriver, RetiredOptionsAreUsageErrors)
+{
+    const std::string src = std::string(MEMO_SOURCE_DIR) + "/src/lint";
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"--baseline", "x", src},
+          std::vector<std::string>{"--update-baseline", "x", src},
+          std::vector<std::string>{"--format", "json", src}}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(lintMain(args, out, err), 2) << args[0];
+        const std::string &named = args[0] == "--format" ? args[1]
+                                                         : args[0];
+        EXPECT_NE(err.str().find(named), std::string::npos)
+            << err.str();
+    }
+}
+
+TEST(LintDriver, MissingValueNamesTheOption)
+{
+    for (const char *flag : {"--root", "--format", "--self-test"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(lintMain({flag}, out, err), 2) << flag;
+        EXPECT_NE(err.str().find(std::string(flag) + " needs a value"),
+                  std::string::npos)
+            << err.str();
+    }
+}
+
+TEST(LintDriver, HelpListsExactlyTheSupportedOptions)
+{
+    std::ostringstream out, err;
+    ASSERT_EQ(lintMain({"--help"}, out, err), 0);
+    std::set<std::string> options;
+    std::istringstream help(out.str());
+    for (std::string word; help >> word;)
+        if (word.rfind("--", 0) == 0)
+            options.insert(word);
+    EXPECT_EQ(options,
+              (std::set<std::string>{"--format", "--help", "--list-rules",
+                                     "--root", "--self-test"}));
 }
 
 // ------------------------------------------------------------- emitters
@@ -506,16 +404,10 @@ TEST(LintEmit, JsonEscaping)
     EXPECT_EQ(jsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
 }
 
-TEST(LintEmit, JsonAndSarifShape)
+TEST(LintEmit, SarifShape)
 {
     const RuleInfo *det = findRule("memo-DET-001");
     std::vector<Finding> fs = {{det, "src/a.cc", 3, 7, "msg"}};
-
-    std::ostringstream js;
-    emitJson(js, fs);
-    EXPECT_NE(js.str().find("\"rule\": \"memo-DET-001\""),
-              std::string::npos);
-    EXPECT_NE(js.str().find("\"line\": 3"), std::string::npos);
 
     std::ostringstream sf;
     emitSarif(sf, fs);
@@ -529,32 +421,17 @@ TEST(LintEmit, JsonAndSarifShape)
 
 // ------------------------------------------------------------- self-run
 
-TEST(LintSelfRun, RepoMatchesCommittedBaseline)
+TEST(LintSelfRun, RepoHasNoFindings)
 {
     DriverConfig cfg;
     cfg.root = MEMO_SOURCE_DIR;
     cfg.paths = {std::string(MEMO_SOURCE_DIR) + "/src",
                  std::string(MEMO_SOURCE_DIR) + "/tools",
                  std::string(MEMO_SOURCE_DIR) + "/tests"};
-    cfg.baselinePath =
-        std::string(MEMO_SOURCE_DIR) + "/lint-baseline.json";
     std::ostringstream out, err;
     EXPECT_EQ(runLint(cfg, out, err), 0)
-        << "new lint findings:\n"
+        << "lint findings:\n"
         << out.str() << err.str();
-}
-
-TEST(LintSelfRun, CommittedBaselineCarriesNoErrorSeverityDebt)
-{
-    std::ifstream in(std::string(MEMO_SOURCE_DIR) +
-                     "/lint-baseline.json");
-    ASSERT_TRUE(in.good());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    Baseline b;
-    std::string err;
-    ASSERT_TRUE(b.parse(ss.str(), err)) << err;
-    EXPECT_TRUE(b.errorSeverityEntries().empty());
 }
 
 TEST(LintSelfRun, FixturesSatisfyTheirExpectations)
@@ -649,8 +526,8 @@ constexpr const char *fuzz_frags[] = {
     "const char *s = \"/* not a comment */\";\nchar c = '\\n';\n",
     "/* block\n   comment */\n",
     "auto lam = [](int q) { return q ? 0x1p-3 : 2e+4; };\n",
-    "// NOLINTNEXTLINE(memo-FP-001)\nbool z(double d) "
-    "{ return d == 0.0; }\n",
+    "// NOLINTNEXTLINE(memo-DET-002)\nunsigned z() "
+    "{ return rand(); }\n",
 };
 
 /** Mutation dictionary biased toward lexer state machines. */

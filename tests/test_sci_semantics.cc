@@ -79,8 +79,8 @@ TEST(SciSemantics, TrackVariancesConverge)
     size_t scan = 96; // targets per scan
     size_t identical = 0;
     for (size_t i = 0; i < scan; i++)
-        identical += divisors[n - scan + i] ==
-                     divisors[n - 2 * scan + i];
+        identical += fpExactEq(divisors[n - scan + i],
+                               divisors[n - 2 * scan + i]);
     EXPECT_GT(identical, scan * 3 / 4);
 }
 
@@ -114,8 +114,7 @@ TEST(SciSemantics, TomcatvRelaxationReducesResidual)
             continue;
         // Exact compare against the 0.45 literal the workload
         // itself multiplies by.
-        // NOLINTNEXTLINE(memo-FP-001)
-        if (fpFromBits(inst.a) == 0.45) // the relaxation-weight muls
+        if (fpExactEq(fpFromBits(inst.a), 0.45)) // the relaxation-weight muls
             w_values.push_back(std::fabs(fpFromBits(inst.b)));
     }
     ASSERT_GT(w_values.size(), 1000u);

@@ -12,12 +12,32 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace memo::cli
 {
+
+namespace detail
+{
+
+/** @p value as a plain decimal that fits T, or nullopt. */
+template <typename T>
+std::optional<T>
+decimal(const std::string &value)
+{
+    uint64_t n = 0;
+    const char *end = value.data() + value.size();
+    auto [p, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc() || p != end ||
+        n > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+        return std::nullopt;
+    return static_cast<T>(n);
+}
+
+} // namespace detail
 
 /**
  * Parse @p value, the value of @p flag, as a positive count that fits
@@ -28,14 +48,27 @@ template <typename T>
 T
 parseCount(const std::string &flag, const std::string &value)
 {
-    uint64_t n = 0;
-    const char *end = value.data() + value.size();
-    auto [p, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc() || p != end || n == 0 ||
-        n > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+    std::optional<T> n = detail::decimal<T>(value);
+    if (!n || *n == 0)
         throw std::runtime_error(flag + ": '" + value +
                                  "' is not a positive count");
-    return static_cast<T>(n);
+    return *n;
+}
+
+/**
+ * Parse @p value, the value of @p flag, as an unsigned decimal that
+ * fits T; unlike parseCount it accepts zero. A sign, an empty value,
+ * trailing characters or overflow throws naming the flag.
+ */
+template <typename T>
+T
+parseUnsigned(const std::string &flag, const std::string &value)
+{
+    std::optional<T> n = detail::decimal<T>(value);
+    if (!n)
+        throw std::runtime_error(flag + ": '" + value +
+                                 "' is not an unsigned number");
+    return *n;
 }
 
 /**

@@ -14,13 +14,14 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "check/fuzz.hh"
+#include "cli_args.hh"
 #include "prof/heartbeat.hh"
 
 namespace
@@ -44,19 +45,6 @@ usage(const char *argv0)
                  argv0);
 }
 
-uint64_t
-parseU64(const char *flag, const char *val)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(val, &end, 0);
-    if (!end || *end != '\0') {
-        std::fprintf(stderr, "memo_fuzz: bad value for %s: %s\n", flag,
-                     val);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // anonymous namespace
 
 int
@@ -66,38 +54,43 @@ main(int argc, char **argv)
     bool mutation = false;
     bool progress = false;
 
-    for (int i = 1; i < argc; i++) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "memo_fuzz: %s needs a value\n",
-                             flag);
-                std::exit(2);
+    try {
+        for (int i = 1; i < argc; i++) {
+            auto need = [&](const char *flag) -> std::string {
+                if (i + 1 >= argc)
+                    throw std::runtime_error(std::string(flag) +
+                                             " needs a value");
+                return argv[++i];
+            };
+            if (!std::strcmp(argv[i], "--seed")) {
+                opts.seed = memo::cli::parseUnsigned<uint64_t>(
+                    "--seed", need("--seed"));
+            } else if (!std::strcmp(argv[i], "--iters")) {
+                opts.iters = memo::cli::parseCount<uint64_t>(
+                    "--iters", need("--iters"));
+            } else if (!std::strcmp(argv[i], "--stream")) {
+                opts.streamLen = memo::cli::parseCount<unsigned>(
+                    "--stream", need("--stream"));
+            } else if (!std::strcmp(argv[i], "--mutation")) {
+                mutation = true;
+            } else if (!std::strcmp(argv[i], "--verbose")) {
+                opts.verbose = true;
+            } else if (!std::strcmp(argv[i], "--progress")) {
+                progress = true;
+            } else if (!std::strcmp(argv[i], "--help") ||
+                       !std::strcmp(argv[i], "-h")) {
+                usage(argv[0]);
+                return 0;
+            } else {
+                std::fprintf(stderr, "memo_fuzz: unknown flag %s\n",
+                             argv[i]);
+                usage(argv[0]);
+                return 2;
             }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--seed")) {
-            opts.seed = parseU64("--seed", need("--seed"));
-        } else if (!std::strcmp(argv[i], "--iters")) {
-            opts.iters = parseU64("--iters", need("--iters"));
-        } else if (!std::strcmp(argv[i], "--stream")) {
-            opts.streamLen = static_cast<unsigned>(
-                parseU64("--stream", need("--stream")));
-        } else if (!std::strcmp(argv[i], "--mutation")) {
-            mutation = true;
-        } else if (!std::strcmp(argv[i], "--verbose")) {
-            opts.verbose = true;
-        } else if (!std::strcmp(argv[i], "--progress")) {
-            progress = true;
-        } else if (!std::strcmp(argv[i], "--help") ||
-                   !std::strcmp(argv[i], "-h")) {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "memo_fuzz: unknown flag %s\n",
-                         argv[i]);
-            usage(argv[0]);
-            return 2;
         }
+    } catch (const std::runtime_error &e) {
+        std::fprintf(stderr, "memo_fuzz: %s\n", e.what());
+        return 2;
     }
 
     if (mutation) {

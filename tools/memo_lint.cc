@@ -7,95 +7,24 @@
  *
  *     memo-lint src tools                      # lint, human output
  *     memo-lint --format sarif src > lint.sarif
- *     memo-lint --baseline lint-baseline.json src tools
- *     memo-lint --write-baseline lint-baseline.json src tools
- *     memo-lint --update-baseline lint-baseline.json src tools
- *     memo-lint --self-test tests/lint_fixtures \
- *               --baseline lint-baseline.json src tools
+ *     memo-lint --self-test tests/lint_fixtures src tools tests
  *     memo-lint --list-rules
  *
- * Exit status: 0 clean (no findings beyond the baseline and, when
- * requested, a passing fixture self-test), 1 findings, self-test
- * failure, or a baseline policy/staleness violation, 2
+ * Exit status: 0 clean (no findings and, when requested, a passing
+ * fixture self-test), 1 any finding or a self-test failure, 2
  * usage/configuration error.
  */
 
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "lint/driver.hh"
-
-namespace
-{
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: memo-lint [options] <file-or-dir>...\n"
-          "\n"
-          "options:\n"
-          "  --root DIR             repo root for relative paths "
-          "(default .)\n"
-          "  --baseline FILE        tolerate findings recorded in "
-          "FILE\n"
-          "  --write-baseline FILE  record current findings and "
-          "exit\n"
-          "  --update-baseline FILE shrink a stale baseline; "
-          "refuses error-severity findings\n"
-          "  --format FMT           text | json | sarif "
-          "(default text)\n"
-          "  --self-test DIR        verify EXPECT annotations of "
-          "the lint fixtures\n"
-          "  --list-rules           print the rule catalog\n"
-          "  --help                 this text\n";
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    memo::lint::DriverConfig cfg;
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << "memo-lint: " << flag
-                          << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else if (arg == "--root") {
-            cfg.root = value("--root");
-        } else if (arg == "--baseline") {
-            cfg.baselinePath = value("--baseline");
-        } else if (arg == "--write-baseline") {
-            cfg.writeBaselinePath = value("--write-baseline");
-        } else if (arg == "--update-baseline") {
-            cfg.updateBaselinePath = value("--update-baseline");
-        } else if (arg == "--format") {
-            cfg.format = value("--format");
-        } else if (arg == "--self-test") {
-            cfg.selfTestDir = value("--self-test");
-        } else if (arg == "--list-rules") {
-            cfg.listRules = true;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "memo-lint: unknown option " << arg << "\n";
-            usage(std::cerr);
-            return 2;
-        } else {
-            cfg.paths.push_back(arg);
-        }
-    }
-    if (cfg.paths.empty() && !cfg.listRules &&
-        cfg.selfTestDir.empty()) {
-        usage(std::cerr);
-        return 2;
-    }
-    return memo::lint::runLint(cfg, std::cout, std::cerr);
+    return memo::lint::lintMain(
+        std::vector<std::string>(argv + 1, argv + argc), std::cout,
+        std::cerr);
 }
