@@ -129,19 +129,27 @@ replayMemo(const Trace &trace, MemoBank &bank)
 
     // Accesses of one table keep their trace order and different
     // tables are independent state, so replaying class by class is
-    // exact; the kReplayBlock chunking only moves probeBlock call
-    // boundaries, which the batch-probe contract (probeBlock(n) == n
-    // scalar lookup/update calls) makes invisible. Classes without a
-    // table in this bank (or not memoizable at all) are skipped.
+    // exact. A table that can replay keyed does so over the store's
+    // shared key stream (built by the first replay that needs it);
+    // every other table takes probeBlock, where the kReplayBlock
+    // chunking only moves call boundaries, which the batch-probe
+    // contract (probeBlock(n) == n scalar lookup/update calls) makes
+    // invisible. Classes without a table in this bank (or not
+    // memoizable at all) are skipped.
     const TraceStore &store = trace.store();
     for (unsigned c = 0; c < numInstClasses; c++) {
-        auto op = memoOperation(static_cast<InstClass>(c));
+        const auto cls = static_cast<InstClass>(c);
+        auto op = memoOperation(cls);
         MemoTable *table = op ? bank.table(*op) : nullptr;
         if (!table)
             continue;
-        const TraceStore::ClassColumns &col =
-            store.classColumns(static_cast<InstClass>(c));
+        const TraceStore::ClassColumns &col = store.classColumns(cls);
         const size_t m = col.a.size();
+        if (m != 0 && table->keyedReplayable(m)) {
+            table->replayKeyed(store.accessKeys(cls).data(), col.a.data(),
+                               col.b.data(), col.r.data(), m);
+            continue;
+        }
         for (size_t base = 0; base < m; base += kReplayBlock)
             table->probeBlock(col.a.data() + base, col.b.data() + base,
                               col.r.data() + base,

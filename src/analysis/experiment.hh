@@ -57,14 +57,30 @@ constexpr size_t kReplayBlock = 4096;
 /**
  * Feed every memoizable instruction of a trace through the bank.
  *
- * The hot path: streams the TraceStore's operand columns in blocks of
- * kReplayBlock records, partitions each block by operation, and
- * presents each partition to its table through MemoTable::probeBlock.
- * Accesses reach each table in trace order, so the resulting table
- * states and statistics are bit-identical to a scalar lookup/update
- * per record; tests/test_replay_batched.cc (against its scalar
- * replayMemoReference) and the memo-fuzz batched-replay mode enforce
- * that equivalence.
+ * The hot path. Each table of the bank gets its class's operand
+ * column (TraceStore::classColumns) in trace order, by one of two
+ * paths chosen per table and per call:
+ *
+ *  - keyed, when MemoTable::keyedReplayable(n) holds for the
+ *    column's n accesses: full-value tags, the default trivial policy
+ *    (NonTrivialOnly, basic set), LRU or FIFO, a finite table of at
+ *    most 8 ways whose index bits the key fields hold, no hooks, phase
+ *    accumulator or parity, no valid entry (fresh or flushed), and n
+ *    below the 32-bit tick range. The table replays the store's key
+ *    stream (TraceStore::accessKeys, built by the first replay that
+ *    needs it and shared by every later one) through
+ *    MemoTable::replayKeyed;
+ *  - otherwise MemoTable::probeBlock, in blocks of kReplayBlock.
+ *
+ * No flag selects the path. Either way the table ends exactly as n
+ * scalar lookup/update calls leave it — statistics, entries, ticks
+ * and clock — so callers that keep a bank across calls, and the
+ * registry fold below, see no difference. The oracle chain is keyed
+ * → probeBlock → scalar lookup/update: tests/test_replay_keyed.cc
+ * and the memo-fuzz keyed-replay kind hold keyed replay to
+ * probeBlock, tests/test_replay_batched.cc (against its scalar
+ * replayMemoReference) and the batched-replay kind hold probeBlock
+ * to the scalar calls.
  */
 void replayMemo(const Trace &trace, MemoBank &bank);
 

@@ -317,6 +317,62 @@ tableCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
 }
 
 /**
+ * The state check of the replay differentials: @p want (the oracle,
+ * named @p want_name) and @p got must agree on every statistic and on
+ * the valid-entry count, and — now in supposedly identical states —
+ * answer a second pass over the stream (@p a, @p b, results @p r)
+ * with the same hit pattern and the same returned bits (the pass
+ * mutates both tables, but symmetrically).
+ * @return the first divergence, or nullopt
+ */
+std::optional<std::string>
+compareTables(MemoTable &want, const char *want_name, MemoTable &got,
+              const char *got_name, const std::vector<uint64_t> &a,
+              const std::vector<uint64_t> &b,
+              const std::vector<uint64_t> &r)
+{
+    const MemoStats &x = want.stats();
+    const MemoStats &y = got.stats();
+    const std::pair<const char *, std::pair<uint64_t, uint64_t>>
+        fields[] = {
+            {"lookups", {x.lookups, y.lookups}},
+            {"hits", {x.hits, y.hits}},
+            {"trivialHits", {x.trivialHits, y.trivialHits}},
+            {"misses", {x.misses, y.misses}},
+            {"insertions", {x.insertions, y.insertions}},
+            {"evictions", {x.evictions, y.evictions}},
+            {"trivialBypassed", {x.trivialBypassed, y.trivialBypassed}},
+            {"parityMisses", {x.parityMisses, y.parityMisses}},
+        };
+    const std::string w = want_name, g = got_name;
+    for (const auto &[name, v] : fields) {
+        if (v.first != v.second)
+            return std::string("stats diverge: ") + name + " " + w + "=" +
+                   std::to_string(v.first) + " " + g + "=" +
+                   std::to_string(v.second);
+    }
+    if (want.validEntries() != got.validEntries())
+        return "valid entry counts diverge: " + w + "=" +
+               std::to_string(want.validEntries()) + " " + g + "=" +
+               std::to_string(got.validEntries());
+
+    for (size_t i = 0; i < a.size(); i++) {
+        auto va = want.lookup(a[i], b[i]);
+        auto vb = got.lookup(a[i], b[i]);
+        if (va != vb)
+            return "stored contents diverge at readback " +
+                   std::to_string(i) + ": " + w + " " +
+                   (va ? hex(*va) : std::string("miss")) + ", " + g +
+                   " " + (vb ? hex(*vb) : std::string("miss"));
+        if (!va) {
+            want.update(a[i], b[i], r[i]);
+            got.update(a[i], b[i], r[i]);
+        }
+    }
+    return std::nullopt;
+}
+
+/**
  * Batched-vs-scalar differential: the same fuzzed access stream is
  * driven through MemoTable::probeBlock (in a fuzzed block size) and
  * through the scalar lookup()/update() pair on an identically
@@ -367,50 +423,8 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
                                r.data() + base, n);
         }
 
-        const MemoStats &x = scalar.stats();
-        const MemoStats &y = batched.stats();
-        const std::pair<const char *, std::pair<uint64_t, uint64_t>>
-            fields[] = {
-                {"lookups", {x.lookups, y.lookups}},
-                {"hits", {x.hits, y.hits}},
-                {"trivialHits", {x.trivialHits, y.trivialHits}},
-                {"misses", {x.misses, y.misses}},
-                {"insertions", {x.insertions, y.insertions}},
-                {"evictions", {x.evictions, y.evictions}},
-                {"trivialBypassed",
-                 {x.trivialBypassed, y.trivialBypassed}},
-                {"parityMisses", {x.parityMisses, y.parityMisses}},
-            };
-        for (const auto &[name, v] : fields) {
-            if (v.first != v.second)
-                return std::string("stats diverge: ") + name +
-                       " scalar=" + std::to_string(v.first) +
-                       " batched=" + std::to_string(v.second);
-        }
-        if (scalar.validEntries() != batched.validEntries())
-            return "valid entry counts diverge: scalar=" +
-                   std::to_string(scalar.validEntries()) + " batched=" +
-                   std::to_string(batched.validEntries());
-
-        // Contents check: both tables, now in supposedly identical
-        // states, must answer a second pass over the stream with the
-        // same hit pattern and the same returned bits (the pass
-        // mutates both tables, but symmetrically).
-        for (size_t i = 0; i < a.size(); i++) {
-            auto va = scalar.lookup(a[i], b[i]);
-            auto vb = batched.lookup(a[i], b[i]);
-            if (va != vb)
-                return "stored contents diverge at readback " +
-                       std::to_string(i) + ": scalar " +
-                       (va ? hex(*va) : std::string("miss")) +
-                       ", batched " +
-                       (vb ? hex(*vb) : std::string("miss"));
-            if (!va) {
-                scalar.update(a[i], b[i], r[i]);
-                batched.update(a[i], b[i], r[i]);
-            }
-        }
-        return std::nullopt;
+        return compareTables(scalar, "scalar", batched, "batched", a, b,
+                             r);
     };
 
     auto first = fails(stream);
@@ -432,6 +446,85 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
     f.detail = "op " + std::string(operationName(op)) + ", cfg " +
                cfg.describe() + ", block " + std::to_string(block) +
                "; " + dumpStream(op, stream);
+    return f;
+}
+
+/** A random table geometry and policy that keyed replay admits. */
+MemoConfig
+fuzzKeyedConfig(FuzzRng &rng)
+{
+    MemoConfig cfg;
+    unsigned entries_log = static_cast<unsigned>(rng.below(14));
+    cfg.entries = 1u << entries_log;
+    cfg.ways = 1u << rng.below(std::min(entries_log, 3u) + 1);
+    cfg.replacement =
+        rng.chance(1, 3) ? Replacement::Fifo : Replacement::Lru;
+    cfg.hashScheme = rng.chance(1, 3) ? HashScheme::PaperXor
+                                      : HashScheme::Additive;
+    return cfg;
+}
+
+/**
+ * Keyed-vs-probeBlock differential: a fuzzed IntMul, FpMul or FpDiv
+ * stream (repeats, commuted and both-NaN pairs, signed zeros, trivial
+ * operands) is keyed by MemoTable::keyAccesses and replayed through
+ * MemoTable::replayKeyed on a geometry keyed replay admits; an
+ * identically configured table takes the same stream through
+ * probeBlock, the keyed path's oracle, and compareTables() must find
+ * no difference. With inject_victim_fault the keyed side evicts the
+ * way after the policy's victim (setKeyedVictimFault), and the
+ * harness must catch the divergence.
+ */
+std::optional<FuzzFailure>
+keyedReplayCase(FuzzRng &rng, uint64_t case_index,
+                const FuzzOptions &opts, bool inject_victim_fault)
+{
+    static constexpr Operation ops[] = {Operation::IntMul,
+                                        Operation::FpMul,
+                                        Operation::FpDiv};
+    const Operation op = ops[rng.below(std::size(ops))];
+    const MemoConfig cfg = fuzzKeyedConfig(rng);
+    std::vector<Access> stream = fuzzStream(rng, op, opts.streamLen);
+
+    auto fails = [=](const std::vector<Access> &s)
+        -> std::optional<std::string> {
+        std::vector<uint64_t> a, b, r;
+        for (const Access &ac : s) {
+            a.push_back(ac.a);
+            b.push_back(ac.b);
+            r.push_back(computeResult(op, ac.a, ac.b));
+        }
+        MemoTable oracle(op, cfg);
+        MemoTable keyed(op, cfg);
+        oracle.probeBlock(a.data(), b.data(), r.data(), a.size());
+        const AccessKeys keys =
+            MemoTable::keyAccesses(op, a.data(), b.data(), a.size());
+        setKeyedVictimFault(inject_victim_fault);
+        keyed.replayKeyed(keys.data(), a.data(), b.data(), r.data(),
+                          a.size());
+        setKeyedVictimFault(false);
+        return compareTables(oracle, "probeBlock", keyed, "keyed", a, b,
+                             r);
+    };
+
+    auto first = fails(stream);
+    if (!first)
+        return std::nullopt;
+    stream = shrinkStream(std::move(stream),
+                          [&](const std::vector<Access> &s) {
+                              return fails(s).has_value();
+                          });
+    FuzzFailure f;
+    f.caseIndex = case_index;
+    f.kind = inject_victim_fault ? "keyed-replay(+injected-victim-bug)"
+                                 : "keyed-replay";
+    f.what = *fails(stream);
+    std::ostringstream repro;
+    repro << "memo_fuzz --seed " << opts.seed << " --iters "
+          << (case_index + 1) << " --stream " << opts.streamLen;
+    f.repro = repro.str();
+    f.detail = "op " + std::string(operationName(op)) + ", cfg " +
+               cfg.describe() + "; " + dumpStream(op, stream);
     return f;
 }
 
@@ -744,7 +837,7 @@ std::optional<FuzzFailure>
 runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
 {
     FuzzRng rng = caseRng(opts.seed, case_index);
-    switch (rng.below(6)) {
+    switch (rng.below(7)) {
       case 0:
       case 1:
       case 2:
@@ -752,6 +845,8 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
       case 3:
         return batchedReplayCase(rng, case_index, opts, false);
       case 4:
+        return keyedReplayCase(rng, case_index, opts, false);
+      case 5:
         return chunkCodecCase(rng, case_index, opts);
       default:
         return cpuCase(rng, case_index, opts);
@@ -817,7 +912,23 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
                 "survived "
              << opts.iters << " cases (seed " << opts.seed << ")\n";
 
-    return tag_caught && block_caught;
+    bool victim_caught = false;
+    for (uint64_t i = 0; i < opts.iters; i++) {
+        FuzzRng rng = caseRng(opts.seed, i);
+        if (auto f = keyedReplayCase(rng, i, opts, true)) {
+            if (log)
+                *log << "victim mutation caught at case " << i << ": "
+                     << f->what << "\n  " << f->detail << "\n";
+            victim_caught = true;
+            break;
+        }
+    }
+    if (!victim_caught && log)
+        *log << "MUTATION MISSED: injected keyed victim off-by-one "
+                "survived "
+             << opts.iters << " cases (seed " << opts.seed << ")\n";
+
+    return tag_caught && block_caught && victim_caught;
 }
 
 } // namespace memo::check

@@ -3,13 +3,15 @@
  * Seeded differential fuzzer for the MEMO-TABLE.
  *
  * Each fuzz case derives a private RNG from (seed, case index) and
- * draws one of four kinds. Half the cases draw a random table geometry
- * and policy and an adversarial operand stream (NaN payloads,
+ * draws one of five kinds. Three in seven cases draw a random table
+ * geometry and policy and an adversarial operand stream (NaN payloads,
  * denormals, signed zeros, trivial operands, tag-aliasing and
  * exponent-aliasing patterns, heavy value reuse) and replay it through
  * the MemoTable-vs-oracle checker of differ.hh. The others replay such
  * a stream through MemoTable::probeBlock against the scalar
- * lookup/update path; replay a random instruction trace through
+ * lookup/update path; key it (MemoTable::keyAccesses) and replay it
+ * through MemoTable::replayKeyed against probeBlock, on a geometry
+ * keyed replay admits; replay a random instruction trace through
  * memoized-vs-baseline CpuModel runs and check cycle/stats
  * conservation; or round-trip a random trace through the spill tier's
  * chunk codec (trace/chunk_codec.hh), where decode must be bit-exact
@@ -18,13 +20,14 @@
  * same verdicts on any platform, and a failing stream is shrunk
  * (greedy chunk removal) before being reported as a one-line repro.
  *
- * The mutation self-test (mutationSelfTest) deliberately injects two
- * bugs and requires both be caught: a tag-comparison bug — the real
- * table sees operand A with its top 16 bits forced to zero, the oracle
- * sees the true operand — producing false hits; and a block-boundary
- * off-by-one in the batched-replay differential — the probeBlock side
- * silently drops the last access of every full block. CI runs it to
- * prove the oracles have teeth (see docs/TESTING.md).
+ * The mutation self-test (mutationSelfTest) deliberately injects
+ * three bugs and requires all be caught: a tag-comparison bug — the
+ * real table sees operand A with its top 16 bits forced to zero, the
+ * oracle sees the true operand — producing false hits; a
+ * block-boundary off-by-one in the batched-replay differential — the
+ * probeBlock side silently drops the last access of every full block;
+ * and an off-by-one victim way in keyed replay (setKeyedVictimFault).
+ * CI runs it to prove the oracles have teeth (see docs/TESTING.md).
  */
 
 #ifndef MEMO_CHECK_FUZZ_HH
@@ -123,9 +126,10 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
 
 /**
  * Mutation smoke test: rerun the MemoTable differential with an
- * injected tag-comparison bug and the batched-replay differential with
- * an injected block-boundary off-by-one, requiring the harness to
- * catch both.
+ * injected tag-comparison bug, the batched-replay differential with
+ * an injected block-boundary off-by-one and the keyed-replay
+ * differential with an injected victim off-by-one, requiring the
+ * harness to catch all three.
  *
  * @return true when the oracles detected every injected bug
  */

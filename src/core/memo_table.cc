@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "arith/fp.hh"
 #include "arith/hash.hh"
@@ -26,31 +30,40 @@ MemoTable::MemoTable(Operation operation, const MemoConfig &config)
         index_bits = log2Exact(cfg.sets());
         entries.resize(cfg.entries);
     }
+    mode_ = modeOf(op, cfg, index_bits);
+}
+
+MemoTable::Mode
+MemoTable::modeOf(Operation operation, const MemoConfig &config,
+                  unsigned index_bits)
+{
     // The mantissa-only design covers the operations whose result
     // exponent is a simple function of the operand exponents:
     // multiply/divide (sum/difference) and square root (halving, with
     // the exponent's parity folded into the tag since sqrt(m) and
     // sqrt(2m) have different mantissas).
-    bool mantissa_op = op == Operation::FpMul ||
-                       op == Operation::FpDiv || op == Operation::FpSqrt;
-    mode_ = Mode{
-        .op = op,
-        .hash = index_bits == 0              ? IndexHash::None
-                : op == Operation::IntMul    ? IndexHash::Int
-                : isUnary(op)                ? IndexHash::FpUnary
-                : cfg.hashScheme == HashScheme::Additive ? IndexHash::FpSum
-                                                         : IndexHash::FpXor,
+    bool mantissa_op = operation == Operation::FpMul ||
+                       operation == Operation::FpDiv ||
+                       operation == Operation::FpSqrt;
+    return Mode{
+        .op = operation,
+        .hash = index_bits == 0                 ? IndexHash::None
+                : operation == Operation::IntMul ? IndexHash::Int
+                : isUnary(operation)             ? IndexHash::FpUnary
+                : config.hashScheme == HashScheme::Additive
+                    ? IndexHash::FpSum
+                    : IndexHash::FpXor,
         .indexBits = index_bits,
-        .ways = cfg.ways,
-        .filterTrivial = cfg.trivialMode != TrivialMode::CacheAll,
-        .bypassTrivial = cfg.trivialMode == TrivialMode::NonTrivialOnly,
-        .extTrivial = cfg.extendedTrivial,
-        .mantissa = cfg.tagMode == TagMode::MantissaOnly && mantissa_op,
-        .unary = isUnary(op),
-        .lru = cfg.replacement == Replacement::Lru,
-        .random = cfg.replacement == Replacement::Random,
-        .parity = cfg.parityProtected,
-        .infinite = cfg.infinite,
+        .ways = config.ways,
+        .filterTrivial = config.trivialMode != TrivialMode::CacheAll,
+        .bypassTrivial = config.trivialMode == TrivialMode::NonTrivialOnly,
+        .extTrivial = config.extendedTrivial,
+        .mantissa = config.tagMode == TagMode::MantissaOnly && mantissa_op,
+        .unary = isUnary(operation),
+        .lru = config.replacement == Replacement::Lru,
+        .random = config.replacement == Replacement::Random,
+        .parity = config.parityProtected,
+        .infinite = config.infinite,
     };
 }
 
@@ -68,6 +81,7 @@ MemoTable::flush()
     for (auto &e : entries)
         e.valid = false;
     infTable.clear();
+    empty_ = true;
 }
 
 namespace
@@ -86,7 +100,16 @@ entryParity(uint64_t tag_a, uint64_t tag_b, uint64_t value)
 /** setPhaseBoundaryFault() state; read once per boundary decision. */
 std::atomic<bool> phase_boundary_fault{false};
 
+/** setKeyedVictimFault() state; read once per replayKeyed() call. */
+std::atomic<bool> keyed_victim_fault{false};
+
 } // anonymous namespace
+
+void
+setKeyedVictimFault(bool enabled)
+{
+    keyed_victim_fault.store(enabled, std::memory_order_relaxed);
+}
 
 void
 setPhaseBoundaryFault(bool enabled)
@@ -153,8 +176,16 @@ MemoTable::finalizePhases()
 bool
 MemoTable::injectBitFlip(unsigned set, unsigned way, unsigned bit)
 {
-    assert(!cfg.infinite);
-    assert(set < cfg.sets() && way < cfg.ways && bit < 64);
+    // Checked in every build type, like an invalid MemoConfig: an
+    // out-of-range call would write past `entries`.
+    if (cfg.infinite)
+        throw std::out_of_range("injectBitFlip: infinite table");
+    if (set >= cfg.sets() || way >= cfg.ways || bit >= 64)
+        throw std::out_of_range(
+            "injectBitFlip: set " + std::to_string(set) + ", way " +
+            std::to_string(way) + ", bit " + std::to_string(bit) +
+            " outside " + std::to_string(cfg.sets()) + " sets x " +
+            std::to_string(cfg.ways) + " ways x 64 bits");
     Entry &e = entries[static_cast<size_t>(set) * cfg.ways + way];
     if (!e.valid)
         return false;
@@ -174,11 +205,11 @@ MemoTable::validEntries() const
 }
 
 bool
-MemoTable::checkTrivial(uint64_t a_bits, uint64_t b_bits,
-                        uint64_t &result) const
+MemoTable::checkTrivial(const Mode &m, uint64_t a_bits, uint64_t b_bits,
+                        uint64_t &result)
 {
-    bool ext = cfg.extendedTrivial;
-    switch (op) {
+    bool ext = m.extTrivial;
+    switch (m.op) {
       case Operation::IntMul: {
         auto t = trivialIntMul(static_cast<int64_t>(a_bits),
                                static_cast<int64_t>(b_bits), ext);
@@ -283,29 +314,10 @@ MemoTable::derivePayload(uint64_t a_bits, uint64_t b_bits,
 // forced inline so that probeBlock()'s loop keeps the mode and the
 // counters in registers.
 
-[[gnu::always_inline]] inline MemoTable::Access
-MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
+[[gnu::always_inline]] inline void
+MemoTable::classify(const Mode &m, Access &x)
 {
-    Access x{};
-    x.a = a;
-    x.b = b;
-    switch (m.hash) {
-      case IndexHash::None:
-        x.index = 0;
-        break;
-      case IndexHash::Int:
-        x.index = indexInt(a, b, m.indexBits);
-        break;
-      case IndexHash::FpUnary:
-        x.index = indexFpUnary(a, m.indexBits);
-        break;
-      case IndexHash::FpSum:
-        x.index = indexFpSum(a, b, m.indexBits);
-        break;
-      case IndexHash::FpXor:
-        x.index = indexFp(a, b, m.indexBits);
-        break;
-    }
+    const uint64_t a = x.a, b = x.b;
 
     // Branch-free trivial pre-filter: a few integer compares decide
     // whether the operands can possibly be trivial (a zero / one /
@@ -347,10 +359,10 @@ MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
         // A local out-parameter, not &x.trivialResult: once x's
         // address escapes, x lives in memory instead of registers.
         uint64_t trivial_result = 0;
-        if (rare && checkTrivial(a, b, trivial_result)) {
+        if (rare && checkTrivial(m, a, b, trivial_result)) {
             x.kind = Access::Trivial;
             x.trivialResult = trivial_result;
-            return x;
+            return;
         }
     }
 
@@ -360,7 +372,7 @@ MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
     if (m.mantissa && !(fpIsNormal(fpFromBits(a)) &&
                         (m.unary || fpIsNormal(fpFromBits(b))))) {
         x.kind = Access::Untaggable;
-        return x;
+        return;
     }
     x.kind = Access::Tagged;
 
@@ -384,6 +396,35 @@ MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
     // a*b and b*a share an entry (section 2.2).
     if (commutableBits(m.op, a, b) && x.tagB < x.tagA)
         std::swap(x.tagA, x.tagB);
+}
+
+[[gnu::always_inline]] inline MemoTable::Access
+MemoTable::locate(const Mode &m, uint64_t a, uint64_t b)
+{
+    Access x{};
+    x.a = a;
+    x.b = b;
+    switch (m.hash) {
+      case IndexHash::None:
+        x.index = 0;
+        break;
+      case IndexHash::Int:
+        x.index = indexInt(a, b, m.indexBits);
+        break;
+      case IndexHash::FpUnary:
+        x.index = indexFpUnary(a, m.indexBits);
+        break;
+      case IndexHash::FpSum:
+        x.index = indexFpSum(a, b, m.indexBits);
+        break;
+      case IndexHash::FpXor:
+        x.index = indexFp(a, b, m.indexBits);
+        break;
+    }
+
+    classify(m, x);
+    if (x.kind != Access::Tagged)
+        return x;
 
     if (m.infinite) {
         auto it = infTable.find(InfKey{x.tagA, x.tagB});
@@ -503,6 +544,7 @@ MemoTable::install(const Mode &m, const Access &x, uint64_t result_bits,
             return;
         }
         infTable.emplace(InfKey{x.tagA, x.tagB}, InfValue{value, delta});
+        empty_ = false;
         c.stats.insertions++;
         emit<Hooked>(TableEventKind::Insert, x.index, c);
         return;
@@ -532,6 +574,7 @@ MemoTable::install(const Mode &m, const Access &x, uint64_t result_bits,
     if (m.parity)
         victim.parity = entryParity(x.tagA, x.tagB, value);
     victim.tick = ++c.tick;
+    empty_ = false;
     c.stats.insertions++;
     emit<Hooked>(TableEventKind::Insert, x.index, c);
 }
@@ -610,6 +653,360 @@ MemoTable::probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
 {
     hooks_ ? probeLoop<true>(a_bits, b_bits, result_bits, n)
            : probeLoop<false>(a_bits, b_bits, result_bits, n);
+}
+
+// Keyed replay (core/access_key.hh). keyAccesses() runs classify(),
+// the access step's own trivial filter and canonical tag order, once
+// per operand column; replayKeyed() then runs only what depends on
+// the table's geometry — set index, way match, victim choice — over
+// the dense ids, and writes the final entries back.
+
+namespace
+{
+
+/** The id of an empty way in replayKeyed()'s sets. No access meets
+ *  it there: kTrivialKey accesses never reach a set, and ids stay
+ *  below it. */
+constexpr uint32_t kEmptyWay = kTrivialKey;
+
+/**
+ * Dense ids for canonical tag pairs, in order of first appearance:
+ * an open-addressing table that stores each pair inline with its id,
+ * so a probe touches one slot. Grown at half load. A std::unordered_map
+ * keyed like the infinite table made the key pass 1.6x slower, and a
+ * trace cache that readmits traces pays the key pass per admission.
+ */
+class PairIds
+{
+  public:
+    uint32_t
+    idOf(uint64_t a, uint64_t b)
+    {
+        const size_t mask = slots_.size() - 1;
+        for (size_t s = slotOf(a, b);; s = (s + 1) & mask) {
+            Slot &x = slots_[s];
+            if (x.id == kFree) {
+                x = Slot{a, b, count_++};
+                if (2 * size_t{count_} > slots_.size())
+                    grow();
+                return count_ - 1;
+            }
+            if (x.a == a && x.b == b)
+                return x.id;
+        }
+    }
+
+  private:
+    static constexpr uint32_t kFree = ~uint32_t{0};
+
+    struct Slot
+    {
+        uint64_t a, b;
+        uint32_t id;
+    };
+
+    size_t
+    slotOf(uint64_t a, uint64_t b) const
+    {
+        // InfKeyHash's mix and one more multiply: the slot is the
+        // top bits, and fp operands differ mostly in their high bits.
+        uint64_t h = a * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 32;
+        h += b * 0xc2b2ae3d27d4eb4fULL;
+        h ^= h >> 29;
+        h *= 0xff51afd7ed558ccdULL;
+        return static_cast<size_t>(h >> (64 - bits_));
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(size_t{1} << ++bits_, Slot{0, 0, kFree});
+        old.swap(slots_);
+        const size_t mask = slots_.size() - 1;
+        for (const Slot &x : old) {
+            if (x.id == kFree)
+                continue;
+            size_t s = slotOf(x.a, x.b);
+            while (slots_[s].id != kFree)
+                s = (s + 1) & mask;
+            slots_[s] = x;
+        }
+    }
+
+    unsigned bits_ = 10;
+    std::vector<Slot> slots_ =
+        std::vector<Slot>(size_t{1} << 10, Slot{0, 0, kFree});
+    uint32_t count_ = 0;
+};
+
+/** MemoTable::IndexHash of the keyed operations, as replayKeyed()'s
+ *  loop is instantiated over it. */
+enum class KeyHash
+{
+    None,
+    Int,
+    FpSum,
+    FpXor,
+};
+
+/** The set index of an access from its key fields: indexInt,
+ *  indexFpSum or indexFp of arith/hash.hh over the stored bits. */
+template <KeyHash H>
+inline size_t
+keyedSet(uint32_t fields, unsigned bits)
+{
+    if constexpr (H == KeyHash::None) {
+        return 0;
+    } else if constexpr (H == KeyHash::Int) {
+        return static_cast<size_t>(fields & detail::hashMask(bits));
+    } else {
+        const unsigned drop = kKeyFpIndexBits - bits;
+        const uint32_t hi = (fields >> kKeyFpIndexBits) >> drop;
+        const uint32_t lo = (fields & 0xffffu) >> drop;
+        const uint32_t idx = H == KeyHash::FpSum ? hi + lo : hi ^ lo;
+        return static_cast<size_t>(idx & detail::hashMask(bits));
+    }
+}
+
+/** Bit w is set when lane w of the 4 ids at @p ids equals @p id. */
+inline unsigned
+equalLanes4(const uint32_t *ids, uint32_t id)
+{
+#if defined(__SSE2__)
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(ids));
+    const __m128i eq =
+        _mm_cmpeq_epi32(v, _mm_set1_epi32(static_cast<int>(id)));
+    return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
+#else
+    unsigned mask = 0;
+    for (unsigned w = 0; w < 4; w++)
+        mask |= static_cast<unsigned>(ids[w] == id) << w;
+    return mask;
+#endif
+}
+
+/** equalLanes4 over a set of @p Lanes (4 or 8) ids. */
+template <unsigned Lanes>
+inline unsigned
+equalLanes(const uint32_t *ids, uint32_t id)
+{
+    if constexpr (Lanes == 4)
+        return equalLanes4(ids, id);
+    else
+        return equalLanes4(ids, id) | equalLanes4(ids + 4, id) << 4;
+}
+
+/**
+ * replayKeyed()'s sets: per set @p Lanes way ids (lanes past the
+ * table's ways are padding the way mask hides), then @p Lanes ticks;
+ * and per (set, way) the column position of the access that
+ * installed the way, from which the entry is written back.
+ */
+struct KeyedSets
+{
+    unsigned ways;
+    unsigned indexBits;
+    bool lru;
+    bool victimFault;
+    uint32_t *blocks;
+    uint32_t *source;
+};
+
+/**
+ * The keyed access loop: probeBlock()'s account and install steps
+ * for a FullValue, NonTrivialOnly, LRU/FIFO table, over ids. Counts
+ * into @p s; @p clock is the table-relative tick.
+ */
+template <KeyHash H, unsigned Lanes>
+void
+keyedLoop(const AccessKey *keys, size_t n, const KeyedSets &k,
+          MemoStats &s, uint32_t &clock)
+{
+    const unsigned way_mask = (1u << k.ways) - 1;
+    uint32_t t = clock;
+    uint64_t hits = 0, misses = 0, evictions = 0, bypassed = 0;
+    for (size_t i = 0; i < n; i++) {
+        const AccessKey key = keys[i];
+        if (key.id == kTrivialKey) {
+            bypassed++;
+            continue;
+        }
+        const size_t set = keyedSet<H>(key.fields, k.indexBits);
+        uint32_t *ids = k.blocks + set * 2 * Lanes;
+        uint32_t *ticks = ids + Lanes;
+        if (unsigned hit = equalLanes<Lanes>(ids, key.id) & way_mask) {
+            hits++;
+            if (k.lru)
+                ticks[std::countr_zero(hit)] = ++t;
+            continue;
+        }
+        misses++;
+        unsigned way;
+        if (unsigned free_ways =
+                equalLanes<Lanes>(ids, kEmptyWay) & way_mask) {
+            way = static_cast<unsigned>(std::countr_zero(free_ways));
+        } else {
+            // LRU and FIFO: the lowest tick, as victimEntry() picks.
+            way = 0;
+            for (unsigned w = 1; w < k.ways; w++)
+                if (ticks[w] < ticks[way])
+                    way = w;
+            if (k.victimFault)
+                way = (way + 1) % k.ways;
+            evictions++;
+        }
+        ids[way] = key.id;
+        ticks[way] = ++t;
+        k.source[set * k.ways + way] = static_cast<uint32_t>(i);
+    }
+    s.lookups += hits + misses;
+    s.hits += hits;
+    s.misses += misses;
+    s.insertions += misses;
+    s.evictions += evictions;
+    s.trivialBypassed += bypassed;
+    clock = t;
+}
+
+template <unsigned Lanes>
+void
+keyedDispatch(KeyHash h, const AccessKey *keys, size_t n,
+              const KeyedSets &k, MemoStats &s, uint32_t &clock)
+{
+    switch (h) {
+      case KeyHash::None:
+        return keyedLoop<KeyHash::None, Lanes>(keys, n, k, s, clock);
+      case KeyHash::Int:
+        return keyedLoop<KeyHash::Int, Lanes>(keys, n, k, s, clock);
+      case KeyHash::FpSum:
+        return keyedLoop<KeyHash::FpSum, Lanes>(keys, n, k, s, clock);
+      case KeyHash::FpXor:
+        return keyedLoop<KeyHash::FpXor, Lanes>(keys, n, k, s, clock);
+    }
+}
+
+bool
+keyedOperation(Operation op)
+{
+    return op == Operation::IntMul || op == Operation::FpMul ||
+           op == Operation::FpDiv;
+}
+
+} // anonymous namespace
+
+AccessKeys
+MemoTable::keyAccesses(Operation operation, const uint64_t *a_bits,
+                       const uint64_t *b_bits, size_t n)
+{
+    if (!keyedOperation(operation))
+        throw std::invalid_argument(
+            "keyAccesses: " + std::string(operationName(operation)) +
+            " has no key stream");
+    if (n >= kTrivialKey)
+        throw std::invalid_argument(
+            "keyAccesses: column too long for 32-bit ids");
+    const Mode m = modeOf(operation, MemoConfig{}, 0);
+    const bool fp = operation != Operation::IntMul;
+    AccessKeys keys(n);
+    PairIds ids;
+    for (size_t i = 0; i < n; i++) {
+        Access x{};
+        x.a = a_bits[i];
+        x.b = b_bits[i];
+        classify(m, x);
+        if (x.kind != Access::Tagged) {
+            keys[i] = AccessKey{kTrivialKey, 0};
+            continue;
+        }
+        const uint64_t fields =
+            fp ? detail::topMantissa(x.a, kKeyFpIndexBits)
+                         << kKeyFpIndexBits |
+                     detail::topMantissa(x.b, kKeyFpIndexBits)
+               : x.a ^ x.b;
+        keys[i] = AccessKey{ids.idOf(x.tagA, x.tagB),
+                            static_cast<uint32_t>(fields)};
+    }
+    return keys;
+}
+
+bool
+MemoTable::keyedReplayable(size_t n) const
+{
+    // The key pass classified every access as a table of this
+    // operation under the default config does; the table must agree.
+    const Mode key = modeOf(op, MemoConfig{}, 0);
+    const Mode &m = mode_;
+    const unsigned field_bits = op == Operation::IntMul
+                                    ? kKeyIntIndexBits
+                                    : kKeyFpIndexBits;
+    return keyedOperation(op) && m.filterTrivial == key.filterTrivial &&
+           m.bypassTrivial == key.bypassTrivial &&
+           m.extTrivial == key.extTrivial && m.mantissa == key.mantissa &&
+           !m.random && !m.parity && !m.infinite && m.ways <= 8 &&
+           m.indexBits <= field_bits && !hooks_ && !phase_ && empty_ &&
+           n < kEmptyWay;
+}
+
+void
+MemoTable::replayKeyed(const AccessKey *keys, const uint64_t *a_bits,
+                       const uint64_t *b_bits,
+                       const uint64_t *result_bits, size_t n)
+{
+    if (!keyedReplayable(n))
+        throw std::logic_error("replayKeyed: table " + cfg.describe() +
+                               " cannot replay keyed");
+    const Mode &m = mode_;
+    const unsigned sets = cfg.sets();
+    const unsigned lanes = m.ways > 4 ? 8 : 4;
+    std::vector<uint32_t> blocks(size_t{sets} * 2 * lanes, kEmptyWay);
+    std::vector<uint32_t> source(size_t{sets} * m.ways);
+    const KeyedSets k{
+        .ways = m.ways,
+        .indexBits = m.indexBits,
+        .lru = m.lru,
+        .victimFault = keyed_victim_fault.load(std::memory_order_relaxed),
+        .blocks = blocks.data(),
+        .source = source.data(),
+    };
+    const KeyHash h = m.hash == IndexHash::Int     ? KeyHash::Int
+                      : m.hash == IndexHash::FpSum ? KeyHash::FpSum
+                      : m.hash == IndexHash::FpXor ? KeyHash::FpXor
+                                                   : KeyHash::None;
+    MemoStats counts;
+    uint32_t t = 0;
+    if (lanes == 4)
+        keyedDispatch<4>(h, keys, n, k, counts, t);
+    else
+        keyedDispatch<8>(h, keys, n, k, counts, t);
+
+    // Write the final sets back as the entries probeBlock() leaves:
+    // the installing access's canonical tags and result, its tick on
+    // the table's clock. Ways never filled stay as they were (invalid).
+    for (size_t set = 0; set < sets; set++) {
+        const uint32_t *ids = &blocks[set * 2 * lanes];
+        for (unsigned w = 0; w < m.ways; w++) {
+            if (ids[w] == kEmptyWay)
+                continue;
+            const uint32_t i = source[set * m.ways + w];
+            Access x{};
+            x.a = a_bits[i];
+            x.b = b_bits[i];
+            classify(m, x);
+            Entry &e = entries[set * m.ways + w];
+            e.valid = true;
+            e.tagA = x.tagA;
+            e.tagB = x.tagB;
+            e.value = result_bits[i];
+            e.delta = 0;
+            e.tick = tick + ids[lanes + w];
+        }
+    }
+    if (counts.insertions)
+        empty_ = false;
+    tick += t;
+    stats_.merge(counts);
 }
 
 } // namespace memo

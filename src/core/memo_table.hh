@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/access_key.hh"
 #include "core/config.hh"
 #include "core/hooks.hh"
 #include "core/op.hh"
@@ -111,11 +112,50 @@ class MemoTable
                     const uint64_t *result_bits, size_t n);
 
     /**
+     * The key pass of keyed replay (core/access_key.hh): classify
+     * each of the @p n accesses of an @p op column as a table under
+     * the default trivial policy (NonTrivialOnly, basic set) and with
+     * full-value tags does, and key it. The classification is the
+     * access step's own (the helper locate() calls), so an access is
+     * trivial here exactly when such a table bypasses it, and two
+     * accesses share an id exactly when their canonical tags match.
+     * @throws std::invalid_argument unless @p op is IntMul, FpMul or
+     *         FpDiv, or when @p n does not fit a 32-bit id
+     */
+    static AccessKeys keyAccesses(Operation op, const uint64_t *a_bits,
+                                  const uint64_t *b_bits, size_t n);
+
+    /**
+     * Whether replayKeyed() can replay @p n accesses of this table's
+     * operation exactly: full-value tags, the default trivial policy,
+     * LRU or FIFO, a finite table of at most 8 ways whose index bits
+     * the key fields hold, no hooks, phase accumulator or parity, no
+     * valid entry (fresh or flushed), and @p n below the 32-bit tick
+     * range.
+     */
+    bool keyedReplayable(size_t n) const;
+
+    /**
+     * Keyed replay: the same n accesses probeBlock(a_bits, b_bits,
+     * result_bits, n) performs, driven by their keys from
+     * keyAccesses(). A set holds one 32-bit id and one 32-bit tick
+     * per way, and a 4-lane compare finds the hit way and the first
+     * free way (two compares for 8 ways). The call leaves the table
+     * exactly as probeBlock() would: statistics, valid entries, tags,
+     * values, ticks and the clock. Requires keyedReplayable(n).
+     */
+    void replayKeyed(const AccessKey *keys, const uint64_t *a_bits,
+                     const uint64_t *b_bits, const uint64_t *result_bits,
+                     size_t n);
+
+    /**
      * Fault-injection hook: flip bit @p bit of the stored value of
      * entry (@p set, @p way). With parityProtected the corruption is
      * detected on the next hit (a parity miss); without it the wrong
      * value is returned silently (Faults.UnprotectedFlipSilentlyCorrupts).
      * @return false when the entry is invalid.
+     * @throws std::out_of_range for an infinite table or when @p set,
+     *         @p way or @p bit is out of range, in every build type
      */
     bool injectBitFlip(unsigned set, unsigned way, unsigned bit);
 
@@ -293,13 +333,25 @@ class MemoTable
         uint64_t stampBase;
     };
 
+    /** Decode @p config's access-step decisions for @p operation. */
+    static Mode modeOf(Operation operation, const MemoConfig &config,
+                       unsigned index_bits);
+
     /** Trivial-op handling at lookup time; sets result on detection. */
-    bool checkTrivial(uint64_t a_bits, uint64_t b_bits, uint64_t &result)
-        const;
+    static bool checkTrivial(const Mode &m, uint64_t a_bits,
+                             uint64_t b_bits, uint64_t &result);
 
     /**
-     * The locate step: trivial pre-filter, taggability, tags, set
-     * index and way match. Counts nothing and changes no state.
+     * The classify step, shared by locate() and the key pass: trivial
+     * pre-filter, taggability, tags and canonical tag order of the
+     * access in @p x (operands x.a, x.b). Sets x.kind, and
+     * x.trivialResult or x.tagA/x.tagB.
+     */
+    static void classify(const Mode &m, Access &x);
+
+    /**
+     * The locate step: set index, classify, and the way match.
+     * Counts nothing and changes no state.
      */
     Access locate(const Mode &m, uint64_t a_bits, uint64_t b_bits);
 
@@ -382,7 +434,17 @@ class MemoTable
     PhaseAccum *phase_ = nullptr;
     uint64_t tick = 0;
     uint64_t rng = 0x2545f4914f6cdd1dULL;
+    /** No entry installed since construction, reset() or flush(). */
+    bool empty_ = true;
 };
+
+/**
+ * Test-only fault injection: when enabled, MemoTable::replayKeyed
+ * evicts the way after the policy's victim in a full set. The
+ * keyed-replay fuzz kind's mutation self-test turns this on to prove
+ * its probeBlock oracle has teeth. Never enable outside tests.
+ */
+void setKeyedVictimFault(bool enabled);
 
 } // namespace memo
 

@@ -1,13 +1,65 @@
 #include "trace_store.hh"
 
 #include <array>
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "core/memo_table.hh"
 #include "trace/chunk_codec.hh"
 
 namespace memo
 {
+
+namespace
+{
+
+std::atomic<uint64_t> key_builds{0};
+
+/** The keys_ slot of an operand class, or throws. */
+size_t
+keySlot(InstClass cls)
+{
+    switch (cls) {
+      case InstClass::IntMul:
+        return 0;
+      case InstClass::FpMul:
+        return 1;
+      case InstClass::FpDiv:
+        return 2;
+      default:
+        throw std::invalid_argument(
+            "TraceStore::accessKeys: class " +
+            std::to_string(static_cast<unsigned>(cls)) +
+            " has no key stream");
+    }
+}
+
+} // anonymous namespace
+
+const AccessKeys &
+TraceStore::accessKeys(InstClass cls) const
+{
+    return keys_[keySlot(cls)].get([&] {
+        key_builds.fetch_add(1, std::memory_order_relaxed);
+        const ClassColumns &c = classColumns(cls);
+        return MemoTable::keyAccesses(*memoOperation(cls), c.a.data(),
+                                      c.b.data(), c.a.size());
+    });
+}
+
+bool
+TraceStore::hasAccessKeys(InstClass cls) const
+{
+    return keys_[keySlot(cls)].built();
+}
+
+uint64_t
+TraceStore::accessKeyBuilds()
+{
+    return key_builds.load(std::memory_order_relaxed);
+}
 
 std::vector<uint64_t>
 TraceStore::classCounts() const

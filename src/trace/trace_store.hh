@@ -31,15 +31,81 @@
 #define MEMO_TRACE_TRACE_STORE_HH
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <vector>
 
+#include "core/access_key.hh"
+#include "core/annotations.hh"
 #include "trace/instruction.hh"
 
 namespace memo
 {
+
+/**
+ * A lazily built key stream (core/access_key.hh) that belongs to one
+ * store's current contents: built at most once, by the first reader,
+ * while concurrent readers wait for it. A copy or a moved-to store
+ * starts without one, so no stream outlives the columns it keys.
+ */
+class AccessKeySlot
+{
+  public:
+    AccessKeySlot() = default;
+    AccessKeySlot(const AccessKeySlot &) {}
+    AccessKeySlot &
+    operator=(const AccessKeySlot &)
+    {
+        drop();
+        return *this;
+    }
+
+    /** The stream, built by @p build() on the first call. */
+    template <typename Build>
+    const AccessKeys &
+    get(Build &&build) const MEMO_EXCLUDES(mu_)
+    {
+        if (const AccessKeys *k = ready_.load(std::memory_order_acquire))
+            return *k;
+        MutexLock lock(mu_);
+        if (!keys_) {
+            keys_ = std::make_unique<const AccessKeys>(build());
+            ready_.store(keys_.get(), std::memory_order_release);
+        }
+        return *keys_;
+    }
+
+    /** True once get() has built the stream. */
+    bool
+    built() const
+    {
+        return ready_.load(std::memory_order_acquire) != nullptr;
+    }
+
+    /**
+     * Drop the stream. Only the store's mutators call this, and a
+     * store being mutated has no concurrent readers, so the common
+     * case (nothing built) is one relaxed load.
+     */
+    void
+    drop() MEMO_EXCLUDES(mu_)
+    {
+        if (!ready_.load(std::memory_order_relaxed))
+            return;
+        MutexLock lock(mu_);
+        ready_.store(nullptr, std::memory_order_relaxed);
+        keys_.reset();
+    }
+
+  private:
+    mutable Mutex mu_;
+    mutable std::unique_ptr<const AccessKeys> keys_ MEMO_GUARDED_BY(mu_);
+    /** keys_.get() once built: the lock-free fast path of get(). */
+    mutable std::atomic<const AccessKeys *> ready_{nullptr};
+};
 
 /** Column-oriented trace storage; records are append-only. */
 class TraceStore
@@ -109,6 +175,7 @@ class TraceStore
     void
     push(const Instruction &inst)
     {
+        dropAccessKeys();
         cls_.push_back(static_cast<uint8_t>(inst.cls));
         pc_.push_back(inst.pc);
         if (hasOperands(inst.cls)) {
@@ -172,6 +239,25 @@ class TraceStore
     }
 
     /**
+     * The key stream of class @p cls (IntMul, FpMul or FpDiv) over
+     * classColumns(cls), from MemoTable::keyAccesses: built on the
+     * first call, at most once per store contents even when threads
+     * race to it, and then shared by every replay of this store. It
+     * is dropped by push(), clear() and adopt(), and a copy of the
+     * store starts without it. It is never spilled and not counted in
+     * memoryBytes() (8 bytes per access of the class), so a trace
+     * cache's budget does not see it.
+     * @throws std::invalid_argument for any other class
+     */
+    const AccessKeys &accessKeys(InstClass cls) const;
+
+    /** True once accessKeys(@p cls) has built its stream. */
+    bool hasAccessKeys(InstClass cls) const;
+
+    /** Key passes run by accessKeys() in this process, for tests. */
+    static uint64_t accessKeyBuilds();
+
+    /**
      * Raw per-record and address columns, for column-wise export (the
      * spill encoder in trace/chunk_codec.hh, which gathers the
      * operand columns back into trace order through get()). The
@@ -186,6 +272,7 @@ class TraceStore
     void
     clear()
     {
+        dropAccessKeys();
         cls_.clear();
         pc_.clear();
         payload_.clear();
@@ -275,6 +362,13 @@ class TraceStore
     const_iterator end() const { return {this, size()}; }
 
   private:
+    void
+    dropAccessKeys()
+    {
+        for (AccessKeySlot &k : keys_)
+            k.drop();
+    }
+
     // Per-record columns.
     std::vector<uint8_t> cls_;
     std::vector<uint32_t> pc_;
@@ -283,6 +377,9 @@ class TraceStore
     // Side columns, indexed by payload_.
     std::array<ClassColumns, numInstClasses> ops_;
     std::vector<uint64_t> addr_;
+
+    /** Key streams of the IntMul, FpMul and FpDiv columns. */
+    std::array<AccessKeySlot, 3> keys_;
 };
 
 } // namespace memo

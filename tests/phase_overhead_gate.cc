@@ -10,7 +10,11 @@
  * core/memo_table.cc, core/phase.hh). The gate times two 8-replay
  * bodies of the cached vcost/chroms/64 trace, one bare and one with
  * telemetry, in one warm-up pair and then kReps interleaved timed
- * pairs. Host drift lands on both halves of a pair, so the estimator
+ * pairs. The bare body drives MemoTable::probeBlock over the class
+ * columns itself, the loop the phase accumulator rides: replayMemo()
+ * replays a bare default table keyed (MemoTable::replayKeyed), which
+ * is about 2.5x faster and would measure the replay path, not the
+ * phase overhead. Host drift lands on both halves of a pair, so the estimator
  * is the median of the per-pair ratios bare / phase, and it must be
  * at least kMinRatio: the measured overhead plus the noise floor of
  * a shared runner, while per-access phase bookkeeping in the loop
@@ -29,6 +33,7 @@
  * Exit status 0 when both hold, 1 otherwise. Takes no arguments.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -50,13 +55,31 @@ namespace
 constexpr unsigned kReps = 101;
 constexpr double kMinRatio = 0.95;
 
-/** @p n batched replays of @p trace, each on a fresh standard bank. */
+/**
+ * @p n bare replays of @p trace, each on a fresh standard bank:
+ * probeBlock over every class column in replayMemo's blocks, as
+ * replayMemo() runs a table with a phase accumulator attached.
+ */
 void
 replayBare(const Trace &trace, int n)
 {
+    const TraceStore &store = trace.store();
     for (int i = 0; i < n; i++) {
         MemoBank bank = MemoBank::standard(MemoConfig{});
-        replayMemo(trace, bank);
+        for (unsigned c = 0; c < numInstClasses; c++) {
+            const auto cls = static_cast<InstClass>(c);
+            auto op = memoOperation(cls);
+            MemoTable *table = op ? bank.table(*op) : nullptr;
+            if (!table)
+                continue;
+            const TraceStore::ClassColumns &col = store.classColumns(cls);
+            const size_t m = col.a.size();
+            for (size_t base = 0; base < m; base += kReplayBlock)
+                table->probeBlock(col.a.data() + base,
+                                  col.b.data() + base,
+                                  col.r.data() + base,
+                                  std::min(m - base, kReplayBlock));
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <optional>
+#include <stdexcept>
 
 #include "arith/fp.hh"
 #include "core/memo_table.hh"
@@ -122,6 +123,23 @@ TEST(Faults, InjectIntoInvalidEntryFails)
     MemoConfig cfg;
     MemoTable t(Operation::FpDiv, cfg);
     EXPECT_FALSE(t.injectBitFlip(0, 0, 5));
+}
+
+TEST(Faults, BitFlipOutOfRangeThrows)
+{
+    // Checked in every build type: an out-of-range call would write
+    // past the entry array, and an infinite table has no (set, way).
+    MemoConfig cfg; // 32 entries, 4 ways: 8 sets
+    MemoTable t(Operation::FpMul, cfg);
+    EXPECT_THROW(t.injectBitFlip(8, 0, 0), std::out_of_range);
+    EXPECT_THROW(t.injectBitFlip(0, 4, 0), std::out_of_range);
+    EXPECT_THROW(t.injectBitFlip(0, 0, 64), std::out_of_range);
+    EXPECT_FALSE(t.injectBitFlip(7, 3, 63)); // the last valid position
+
+    MemoConfig inf = cfg;
+    inf.infinite = true;
+    MemoTable ti(Operation::FpMul, inf);
+    EXPECT_THROW(ti.injectBitFlip(0, 0, 0), std::out_of_range);
 }
 
 } // anonymous namespace
