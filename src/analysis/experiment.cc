@@ -127,35 +127,7 @@ replayMemo(const Trace &trace, MemoBank &bank)
     // folded into the registry below (tables accumulate across calls).
     auto before = snapshotStats(bank);
 
-    // Accesses of one table keep their trace order and different
-    // tables are independent state, so replaying class by class is
-    // exact. A table that can replay keyed does so over the store's
-    // shared key stream (built by the first replay that needs it);
-    // every other table takes probeBlock, where the kReplayBlock
-    // chunking only moves call boundaries, which the batch-probe
-    // contract (probeBlock(n) == n scalar lookup/update calls) makes
-    // invisible. Classes without a table in this bank (or not
-    // memoizable at all) are skipped.
-    const TraceStore &store = trace.store();
-    for (unsigned c = 0; c < numInstClasses; c++) {
-        const auto cls = static_cast<InstClass>(c);
-        auto op = memoOperation(cls);
-        MemoTable *table = op ? bank.table(*op) : nullptr;
-        if (!table)
-            continue;
-        const TraceStore::ClassColumns &col = store.classColumns(cls);
-        const size_t m = col.a.size();
-        if (m != 0 && table->keyedReplayable(m)) {
-            table->replayKeyed(store.accessKeys(cls).data(), col.a.data(),
-                               col.b.data(), col.r.data(), m);
-            continue;
-        }
-        for (size_t base = 0; base < m; base += kReplayBlock)
-            table->probeBlock(col.a.data() + base, col.b.data() + base,
-                              col.r.data() + base,
-                              std::min(m - base, kReplayBlock));
-    }
-
+    replayTables(trace.store(), bank);
     foldReplayStats(bank, before, trace.size());
 }
 
@@ -181,22 +153,6 @@ hitsOf(const MemoBank &bank)
     h.fpMul = ratioOrAbsent(bank, Operation::FpMul);
     h.fpDiv = ratioOrAbsent(bank, Operation::FpDiv);
     return h;
-}
-
-UnitHits
-measureMmKernel(const MmKernel &kernel, const MemoConfig &cfg,
-                int max_dim)
-{
-    MemoBank bank = MemoBank::standard(cfg);
-    for (const auto &named : standardImages()) {
-        auto trace = cachedMmKernelTrace(kernel, named, max_dim);
-        // Independent inputs: flush contents, pool the statistics.
-        bank.table(Operation::IntMul)->flush();
-        bank.table(Operation::FpMul)->flush();
-        bank.table(Operation::FpDiv)->flush();
-        replayMemo(*trace, bank);
-    }
-    return hitsOf(bank);
 }
 
 UnitHits

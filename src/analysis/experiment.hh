@@ -13,6 +13,7 @@
 #include "core/bank.hh"
 #include "img/generate.hh"
 #include "img/image.hh"
+#include "sim/cpu.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -48,39 +49,19 @@ std::shared_ptr<const Trace>
 cachedSciTrace(const SciWorkload &workload);
 
 /**
- * Accesses gathered per batch-probe call by the blocked replay loop.
- * Exposed so the differential tests can pin behaviour exactly at and
- * around block boundaries (lengths block-1, block, block+1).
- */
-constexpr size_t kReplayBlock = 4096;
-
-/**
- * Feed every memoizable instruction of a trace through the bank.
+ * Feed every memoizable instruction of a trace through the bank: the
+ * hot path of the sweeps.
  *
- * The hot path. Each table of the bank gets its class's operand
- * column (TraceStore::classColumns) in trace order, by one of two
- * paths chosen per table and per call:
- *
- *  - keyed, when MemoTable::keyedReplayable(n) holds for the
- *    column's n accesses: full-value tags, the default trivial policy
- *    (NonTrivialOnly, basic set), LRU or FIFO, a finite table of at
- *    most 8 ways whose index bits the key fields hold, no hooks, phase
- *    accumulator or parity, no valid entry (fresh or flushed), and n
- *    below the 32-bit tick range. The table replays the store's key
- *    stream (TraceStore::accessKeys, built by the first replay that
- *    needs it and shared by every later one) through
- *    MemoTable::replayKeyed;
- *  - otherwise MemoTable::probeBlock, in blocks of kReplayBlock.
- *
- * No flag selects the path. Either way the table ends exactly as n
- * scalar lookup/update calls leave it — statistics, entries, ticks
- * and clock — so callers that keep a bank across calls, and the
- * registry fold below, see no difference. The oracle chain is keyed
- * → probeBlock → scalar lookup/update: tests/test_replay_keyed.cc
- * and the memo-fuzz keyed-replay kind hold keyed replay to
- * probeBlock, tests/test_replay_batched.cc (against its scalar
- * replayMemoReference) and the batched-replay kind hold probeBlock
- * to the scalar calls.
+ * replayTables (sim/cpu.hh) does the replay, choosing keyed replay or
+ * probeBlock per table, and CpuModel::run shares it; replayMemo adds
+ * only the registry fold of this replay's table activity
+ * (analysis.replay.* and core.table.*). Either path leaves each table
+ * exactly as n scalar lookup/update calls do. The oracle chain is
+ * keyed → probeBlock → scalar lookup/update:
+ * tests/test_replay_keyed.cc and the memo-fuzz keyed-replay kind hold
+ * keyed replay to probeBlock, tests/test_replay_batched.cc (against
+ * its scalar replayMemoReference) and the batched-replay kind hold
+ * probeBlock to the scalar calls.
  */
 void replayMemo(const Trace &trace, MemoBank &bank);
 
@@ -95,14 +76,6 @@ struct UnitHits
 
 /** Extract per-unit hit ratios from a bank. */
 UnitHits hitsOf(const MemoBank &bank);
-
-/**
- * Hit ratios of an MM kernel aggregated over the standard image set
- * (tables flushed between inputs, hits/lookups pooled), mirroring the
- * paper's 8-14 inputs per application.
- */
-UnitHits measureMmKernel(const MmKernel &kernel, const MemoConfig &cfg,
-                         int max_dim = 128);
 
 /** Hit ratios of one (kernel, image) pair. */
 UnitHits measureMmKernelOnImage(const MmKernel &kernel,

@@ -1,10 +1,7 @@
 #include "reuse.hh"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "arith/trivial.hh"
-#include "arith/fp.hh"
+#include <utility>
 
 namespace memo
 {
@@ -39,35 +36,48 @@ class Fenwick
     std::vector<int64_t> bit;
 };
 
-/** Mirror of MemoTable's trivial filtering for profile parity. */
-bool
-isTrivial(Operation op, uint64_t a, uint64_t b)
+/** What stackDistances() reports for a trivial access and for a
+ *  first touch; every other distance is at least 1. */
+constexpr uint64_t kTrivialDistance = 0;
+constexpr uint64_t kColdDistance = ~uint64_t{0};
+
+/**
+ * The LRU stack distance of each access of @p keys, in order, passed
+ * to @p visit: the number of distinct ids touched since the id's
+ * previous touch, plus one (so 1 is an immediate repeat). A trivial
+ * access is reported as kTrivialDistance and a first touch as
+ * kColdDistance. Ids are dense in order of first appearance, so an id
+ * is new exactly when it equals the count of ids seen so far.
+ * O(n log n): last-touch positions and a Fenwick tree over the live
+ * positions of the non-trivial accesses.
+ */
+template <typename Visit>
+void
+stackDistances(const AccessKeys &keys, Visit &&visit)
 {
-    switch (op) {
-      case Operation::IntMul:
-        return trivialIntMul(static_cast<int64_t>(a),
-                             static_cast<int64_t>(b))
-            .has_value();
-      case Operation::FpMul:
-        return trivialFpMul(fpFromBits(a), fpFromBits(b)).has_value();
-      case Operation::FpDiv:
-        return trivialFpDiv(fpFromBits(a), fpFromBits(b)).has_value();
-      default:
-        return false;
+    Fenwick live(keys.size());
+    std::vector<uint32_t> last; // position of each id's latest touch
+    uint32_t t = 0;             // position among non-trivial accesses
+    for (const AccessKey &k : keys) {
+        if (k.id == kTrivialKey) {
+            visit(kTrivialDistance);
+            continue;
+        }
+        if (k.id == last.size()) {
+            visit(kColdDistance);
+            last.push_back(t);
+        } else {
+            uint32_t prev = last[k.id];
+            // Distinct ids touched strictly between the touches.
+            int64_t between = live.sum(t) - live.sum(prev);
+            visit(static_cast<uint64_t>(between) + 1);
+            live.add(prev, -1);
+            last[k.id] = t;
+        }
+        live.add(t, +1);
+        t++;
     }
 }
-
-struct PairHash
-{
-    size_t
-    operator()(const std::pair<uint64_t, uint64_t> &k) const
-    {
-        uint64_t h = k.first * 0x9e3779b97f4a7c15ULL;
-        h ^= h >> 32;
-        h += k.second * 0xc2b2ae3d27d4eb4fULL;
-        return static_cast<size_t>(h ^ (h >> 29));
-    }
-};
 
 } // anonymous namespace
 
@@ -108,47 +118,17 @@ ReuseProfile::entriesForHitRatio(double target) const
 ReuseProfile
 reuseProfile(const Trace &trace, Operation op, unsigned max_distance)
 {
-    InstClass want = instClassOf(op);
-    bool commutative = isCommutative(op);
-
-    // First pass: collect the access sequence.
-    std::vector<std::pair<uint64_t, uint64_t>> keys;
-    for (const Instruction &inst : trace) {
-        if (inst.cls != want)
-            continue;
-        if (isTrivial(op, inst.a, inst.b))
-            continue;
-        uint64_t a = inst.a, b = isUnary(op) ? 0 : inst.b;
-        if (commutative && b < a)
-            std::swap(a, b);
-        keys.emplace_back(a, b);
-    }
-
-    // Second pass: stack distances via last-access times and a
-    // Fenwick tree over live positions (O(n log n)).
+    // hist[d] counts stack distance d+1; the last bin takes the rest.
     std::vector<uint64_t> hist(static_cast<size_t>(max_distance) + 1,
                                0);
     uint64_t cold = 0;
-    Fenwick live(keys.size());
-    std::unordered_map<std::pair<uint64_t, uint64_t>, size_t, PairHash>
-        last;
-    last.reserve(keys.size() / 4 + 16);
-
-    for (size_t t = 0; t < keys.size(); t++) {
-        auto it = last.find(keys[t]);
-        if (it == last.end()) {
-            cold++;
-        } else {
-            size_t prev = it->second;
-            // Distinct keys touched strictly between prev and t.
-            int64_t between = live.sum(t) - live.sum(prev);
-            uint64_t d = static_cast<uint64_t>(between);
-            hist[std::min<uint64_t>(d, max_distance)]++;
-            live.add(prev, -1);
-        }
-        live.add(t, +1);
-        last[keys[t]] = t;
-    }
+    stackDistances(trace.store().accessKeys(instClassOf(op)),
+                   [&](uint64_t d) {
+                       if (d == kColdDistance)
+                           cold++;
+                       else if (d != kTrivialDistance)
+                           hist[std::min<uint64_t>(d - 1, max_distance)]++;
+                   });
     return ReuseProfile(std::move(hist), cold);
 }
 
@@ -158,97 +138,56 @@ windowedReuse(const Trace &trace, Operation op, uint64_t window,
 {
     if (window == 0)
         window = 1;
-    InstClass want = instClassOf(op);
-    bool commutative = isCommutative(op);
-
-    // Presented access stream: position advances for every operation
-    // of the class (trivial included), aligning window indices with
-    // the table's accessStamp-based PhaseWindows.
-    struct Access
-    {
-        uint64_t a, b;
-        bool trivial;
-    };
-    std::vector<Access> accesses;
-    for (const Instruction &inst : trace) {
-        if (inst.cls != want)
-            continue;
-        uint64_t a = inst.a, b = isUnary(op) ? 0 : inst.b;
-        bool triv = isTrivial(op, inst.a, inst.b);
-        if (!triv && commutative && b < a)
-            std::swap(a, b);
-        accesses.push_back({a, b, triv});
-    }
-
-    std::vector<ReuseWindow> out(accesses.empty()
+    // The key stream is the presented access stream: trivial accesses
+    // keep their positions, so window k covers the same accesses as
+    // the table's PhaseWindow k.
+    const AccessKeys &keys = trace.store().accessKeys(instClassOf(op));
+    std::vector<ReuseWindow> out(keys.empty()
                                      ? 0
-                                     : (accesses.size() - 1) / window +
-                                           1);
-    Fenwick live(accesses.size());
-    std::unordered_map<std::pair<uint64_t, uint64_t>, size_t, PairHash>
-        last;
-    last.reserve(accesses.size() / 4 + 16);
-
-    size_t nontrivial = 0; // Fenwick position of non-trivial accesses
-    for (size_t p = 0; p < accesses.size(); p++) {
-        ReuseWindow &w = out[p / window];
+                                     : (keys.size() - 1) / window + 1);
+    size_t p = 0;
+    stackDistances(keys, [&](uint64_t d) {
+        ReuseWindow &w = out[p++ / window];
         w.accesses++;
-        if (accesses[p].trivial) {
+        if (d == kTrivialDistance)
             w.trivial++;
-            continue;
-        }
-        std::pair<uint64_t, uint64_t> key{accesses[p].a,
-                                          accesses[p].b};
-        size_t t = nontrivial++;
-        auto it = last.find(key);
-        if (it == last.end()) {
+        else if (d == kColdDistance)
             w.cold++;
-        } else {
-            size_t prev = it->second;
-            // Stack distance is the distinct keys strictly between
-            // the touches, plus one — the reuseProfile() convention.
-            int64_t between = live.sum(t) - live.sum(prev);
-            if (static_cast<uint64_t>(between) + 1 <= short_distance)
-                w.shortReuse++;
-            else
-                w.longReuse++;
-            live.add(prev, -1);
-        }
-        live.add(t, +1);
-        last[key] = t;
-    }
+        else if (d <= short_distance)
+            w.shortReuse++;
+        else
+            w.longReuse++;
+    });
     return out;
 }
 
 std::vector<HotPair>
 hottestPairs(const Trace &trace, Operation op, size_t k)
 {
-    InstClass want = instClassOf(op);
-    bool commutative = isCommutative(op);
-    std::unordered_map<std::pair<uint64_t, uint64_t>, uint64_t,
-                       PairHash>
-        counts;
-    for (const Instruction &inst : trace) {
-        if (inst.cls != want)
+    const InstClass cls = instClassOf(op);
+    const AccessKeys &keys = trace.store().accessKeys(cls);
+    const TraceStore::ClassColumns &col = trace.store().classColumns(cls);
+
+    // One slot per id, in order of first appearance; each id's first
+    // access gives its operands.
+    std::vector<HotPair> pairs;
+    for (size_t i = 0; i < keys.size(); i++) {
+        const uint32_t id = keys[i].id;
+        if (id == kTrivialKey)
             continue;
-        if (isTrivial(op, inst.a, inst.b))
-            continue;
-        uint64_t a = inst.a, b = isUnary(op) ? 0 : inst.b;
-        if (commutative && b < a)
-            std::swap(a, b);
-        counts[{a, b}]++;
+        if (id == pairs.size()) {
+            // The table's canonical tag order (MemoTable::classify).
+            uint64_t a = col.a[i], b = col.b[i];
+            if (commutableBits(op, a, b) && b < a)
+                std::swap(a, b);
+            pairs.push_back({a, b, 0});
+        }
+        pairs[id].count++;
     }
 
-    std::vector<HotPair> pairs;
-    pairs.reserve(counts.size());
-    // Copy order is unspecified here, but the partial_sort below is a
-    // total order, so the selected top-k is independent of it.
-    for (const auto &[key, count] : counts) // NOLINT(memo-DET-001)
-        pairs.push_back({key.first, key.second, count});
     size_t top = std::min(k, pairs.size());
-    // Ties on count are broken by operand value: without that, which
-    // pair wins (and the order of the report) would follow the hash
-    // map's iteration order and differ across standard libraries.
+    // Ties on count are broken by operand value, so the report's order
+    // does not depend on the order ids were handed out.
     std::partial_sort(pairs.begin(), pairs.begin() +
                                          static_cast<long>(top),
                       pairs.end(),

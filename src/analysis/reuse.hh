@@ -10,6 +10,15 @@
  * the Perfect/SPEC pairs of Tables 5/6 recur at distances far beyond
  * any practical table). This is the quantitative form of the
  * Franklin/Sohi register-instance argument the paper cites.
+ *
+ * Every analysis here reads the op's key stream
+ * (TraceStore::accessKeys), built by the table's own classify step:
+ * an access is trivial exactly when a default table bypasses it, and
+ * two accesses share an id exactly when a full-value table's tags
+ * match in its canonical order (commutative operands in ascending bit
+ * order, except a both-NaN FpMul pair; commutableBits in core/op.hh).
+ * So an infinite full-value table misses exactly coldMisses() times.
+ * Only IntMul, FpMul and FpDiv have a key stream.
  */
 
 #ifndef MEMO_ANALYSIS_REUSE_HH
@@ -61,9 +70,10 @@ class ReuseProfile
 
 /**
  * Compute the reuse-distance profile of @p op's operand pairs in
- * @p trace. Commutative operand pairs are canonicalized; trivial
- * operations are excluded (matching TrivialMode::NonTrivialOnly
- * accounting). Distances above @p max_distance land in the last bin.
+ * @p trace, over its key stream: trivial operations are excluded, and
+ * pairs are identified as the table identifies them. Distances above
+ * @p max_distance land in the last bin.
+ * @throws std::invalid_argument unless @p op is IntMul, FpMul or FpDiv
  */
 ReuseProfile reuseProfile(const Trace &trace, Operation op,
                           unsigned max_distance = 8192);
@@ -79,7 +89,10 @@ struct HotPair
 /**
  * The @p k most frequent non-trivial operand pairs of @p op — the
  * diagnostic a workload author uses to see *what* a table would
- * memoize. Sorted by descending count.
+ * memoize. Counted per key-stream id, so a pair is what one table
+ * entry holds; each is printed as its first access in canonical
+ * order. Sorted by descending count, ties by operand value.
+ * @throws std::invalid_argument unless @p op is IntMul, FpMul or FpDiv
  */
 std::vector<HotPair> hottestPairs(const Trace &trace, Operation op,
                                   size_t k = 10);
@@ -104,9 +117,10 @@ struct ReuseWindow
  * operations included in position and in `accesses`, matching
  * MemoTable::accessStamp), so window k here covers the same accesses
  * as PhaseWindow k of a table replaying the same trace with the same
- * @p window. Distances use the same canonicalization as
- * reuseProfile(); a distance <= @p short_distance counts as
- * shortReuse (it would hit any LRU table with that many entries).
+ * @p window. Distances use the same key stream as reuseProfile();
+ * a distance <= @p short_distance counts as shortReuse (it would hit
+ * any LRU table with that many entries).
+ * @throws std::invalid_argument unless @p op is IntMul, FpMul or FpDiv
  */
 std::vector<ReuseWindow> windowedReuse(const Trace &trace, Operation op,
                                        uint64_t window,

@@ -530,10 +530,13 @@ keyedReplayCase(FuzzRng &rng, uint64_t case_index,
 
 /**
  * Whole-CPU differential: a random instruction trace replayed with
- * and without a random memo bank must retain instruction counts,
+ * and without a random memo bank must equal check::referenceCpuRun
+ * (the per-instruction loop) on an identically configured bank, field
+ * for field and in every table's contents; retain instruction counts,
  * never get slower, and keep every table's statistics conserved
  * against the per-class dynamic counts. With MEMO_VERIFY the replay
- * additionally asserts bit transparency on every hit (sim/cpu.cc).
+ * additionally asserts bit transparency on every hit (probeBlock and
+ * keyed replay in core/memo_table.cc).
  */
 std::optional<FuzzFailure>
 cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
@@ -571,14 +574,19 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
     SimResult base = cpu.run(trace);
     SimResult again = cpu.run(trace);
 
-    MemoBank bank;
+    MemoBank bank, ref_bank;
     Operation memo_ops[] = {Operation::IntMul, Operation::FpMul,
                             Operation::FpDiv, Operation::FpSqrt};
     for (Operation op : memo_ops) {
-        if (rng.chance(3, 4))
-            bank.addTable(op, fuzzConfig(rng));
+        if (rng.chance(3, 4)) {
+            const MemoConfig cfg = fuzzConfig(rng);
+            bank.addTable(op, cfg);
+            ref_bank.addTable(op, cfg);
+        }
     }
     SimResult memod = cpu.run(trace, &bank);
+    SimResult ref_base = referenceCpuRun(ccfg, trace);
+    SimResult ref_memod = referenceCpuRun(ccfg, trace, &ref_bank);
 
     auto fail = [&](const std::string &what) {
         FuzzFailure f;
@@ -597,6 +605,12 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
     if (base.totalCycles != again.totalCycles ||
         base.cycles != again.cycles)
         return fail("baseline replay is not deterministic");
+    if (auto d = simResultDiff(ref_base, base))
+        return fail("baseline run diverges from the reference loop: " +
+                    *d);
+    if (auto d = simResultDiff(ref_memod, memod))
+        return fail("memoized run diverges from the reference loop: " +
+                    *d);
     if (base.count != memod.count)
         return fail("memoization changed dynamic instruction counts");
     if (memod.totalCycles > base.totalCycles)
@@ -629,6 +643,17 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
                         " cycle accounting: got " +
                         std::to_string(memod.cyclesOf(cls)) +
                         ", expected " + std::to_string(expect));
+    }
+    // Last: the readback pass of compareTables() mutates both banks.
+    for (Operation op : memo_ops) {
+        MemoTable *t = bank.table(op);
+        if (!t)
+            continue;
+        const TraceStore::ClassColumns &col =
+            trace.store().classColumns(instClassOf(op));
+        if (auto d = compareTables(*ref_bank.table(op), "reference", *t,
+                                   "CpuModel", col.a, col.b, col.r))
+            return fail(std::string(operationName(op)) + ": " + *d);
     }
     return std::nullopt;
 }

@@ -2,6 +2,7 @@
 
 #include "arith/fp.hh"
 #include "arith/trivial.hh"
+#include "core/check.hh"
 
 namespace memo::check
 {
@@ -214,6 +215,131 @@ OracleTable::update(uint64_t a_bits, uint64_t b_bits,
     (void)it;
     if (inserted)
         stats_.insertions++;
+}
+
+SimResult
+referenceCpuRun(const CpuConfig &cfg, const Trace &trace, MemoBank *bank)
+{
+    SimResult res;
+    MemoryHierarchy hier(cfg.l1, cfg.l2, cfg.memoryLatency);
+
+    MemoTable *tables[numInstClasses] = {};
+    if (bank) {
+        for (unsigned c = 0; c < numInstClasses; c++)
+            if (auto op = memoOperation(static_cast<InstClass>(c)))
+                tables[c] = bank->table(*op);
+    }
+
+    for (const Instruction &inst : trace) {
+        const unsigned cls_idx = static_cast<unsigned>(inst.cls);
+        unsigned lat;
+        switch (inst.cls) {
+          case InstClass::Load:
+            lat = hier.load(inst.addr);
+            break;
+          case InstClass::Store:
+            lat = hier.store(inst.addr);
+            break;
+          default: {
+            lat = cfg.lat[inst.cls];
+            if (MemoTable *table = tables[cls_idx]) {
+                if (auto v = table->lookup(inst.a, inst.b)) {
+                    // A successful lookup gives the result of a
+                    // multi-cycle computation in a single cycle.
+                    MEMO_CHECK(*v == inst.result,
+                               "memoized value must match computation "
+                               "(MEMO-TABLE transparency, section 2)");
+                    res.memoSaved[cls_idx] += lat - 1;
+                    lat = 1;
+                } else {
+                    table->update(inst.a, inst.b, inst.result);
+                }
+            }
+            break;
+          }
+        }
+        res.cycles[cls_idx] += lat;
+        res.count[cls_idx]++;
+        res.occupancy[cls_idx].record(lat);
+        res.totalCycles += lat;
+    }
+
+    // Annulled delay slots: a deterministic fraction of branches
+    // wastes one issue cycle each.
+    uint64_t branches = res.count[static_cast<unsigned>(
+        InstClass::Branch)];
+    res.annulCycles = branches * cfg.annulPerMille / 1000;
+    res.cycles[static_cast<unsigned>(InstClass::Branch)] +=
+        res.annulCycles;
+    res.totalCycles += res.annulCycles;
+
+    if (bank) {
+        for (Operation op : {Operation::IntMul, Operation::FpMul,
+                             Operation::FpDiv, Operation::FpSqrt,
+                             Operation::FpLog, Operation::FpSin,
+                             Operation::FpCos, Operation::FpExp}) {
+            if (const MemoTable *t = bank->table(op))
+                res.memo[op] = t->stats();
+        }
+    }
+    res.l1 = hier.l1().stats();
+    res.l2 = hier.l2().stats();
+    return res;
+}
+
+std::optional<std::string>
+simResultDiff(const SimResult &want, const SimResult &got)
+{
+    auto differ = [](const std::string &what, uint64_t w, uint64_t g)
+        -> std::optional<std::string> {
+        if (w == g)
+            return std::nullopt;
+        return what + ": want " + std::to_string(w) + ", got " +
+               std::to_string(g);
+    };
+    std::optional<std::string> d;
+    if ((d = differ("totalCycles", want.totalCycles, got.totalCycles)) ||
+        (d = differ("annulCycles", want.annulCycles, got.annulCycles)))
+        return d;
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        const std::string cls(instClassName(static_cast<InstClass>(c)));
+        const obs::Histogram &hw = want.occupancy[c];
+        const obs::Histogram &hg = got.occupancy[c];
+        if ((d = differ("cycles." + cls, want.cycles[c], got.cycles[c])) ||
+            (d = differ("count." + cls, want.count[c], got.count[c])) ||
+            (d = differ("memoSaved." + cls, want.memoSaved[c],
+                        got.memoSaved[c])))
+            return d;
+        if (hw.counts() != hg.counts() || hw.sum() != hg.sum())
+            return "occupancy." + cls + ": want " + hw.serialize() +
+                   ", got " + hg.serialize();
+    }
+    if (want.memo.size() != got.memo.size())
+        return std::string("memo: tables differ");
+    for (const auto &[op, w] : want.memo) {
+        auto it = got.memo.find(op);
+        if (it == got.memo.end())
+            return "memo." + std::string(operationName(op)) + ": missing";
+        const MemoStats &g = it->second;
+        const std::string t = "memo." + std::string(operationName(op)) + ".";
+        if ((d = differ(t + "lookups", w.lookups, g.lookups)) ||
+            (d = differ(t + "hits", w.hits, g.hits)) ||
+            (d = differ(t + "trivialHits", w.trivialHits, g.trivialHits)) ||
+            (d = differ(t + "misses", w.misses, g.misses)) ||
+            (d = differ(t + "insertions", w.insertions, g.insertions)) ||
+            (d = differ(t + "evictions", w.evictions, g.evictions)) ||
+            (d = differ(t + "trivialBypassed", w.trivialBypassed,
+                        g.trivialBypassed)) ||
+            (d = differ(t + "parityMisses", w.parityMisses,
+                        g.parityMisses)))
+            return d;
+    }
+    if ((d = differ("l1.accesses", want.l1.accesses, got.l1.accesses)) ||
+        (d = differ("l1.hits", want.l1.hits, got.l1.hits)) ||
+        (d = differ("l2.accesses", want.l2.accesses, got.l2.accesses)) ||
+        (d = differ("l2.hits", want.l2.hits, got.l2.hits)))
+        return d;
+    return std::nullopt;
 }
 
 } // namespace memo::check

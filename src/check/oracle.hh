@@ -20,6 +20,9 @@
  *
  * See differ.hh for the comparison harness and fuzz.hh for the
  * adversarial stream generator that drives it.
+ *
+ * Next to it, referenceCpuRun() is the per-instruction cycle loop that
+ * CpuModel::run is held to.
  */
 
 #ifndef MEMO_CHECK_ORACLE_HH
@@ -27,11 +30,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "core/config.hh"
 #include "core/op.hh"
 #include "core/stats.hh"
+#include "sim/cpu.hh"
 
 namespace memo::check
 {
@@ -104,6 +109,31 @@ class OracleTable
     std::unordered_map<Key, Payload, KeyHash> table;
     MemoStats stats_;
 };
+
+/**
+ * The oracle of CpuModel::run: the per-instruction loop it replaced.
+ * Each record costs its unit latency, or what the cache model returns
+ * for a load or store; a memoizable record whose table's scalar
+ * lookup() returns a value costs one cycle (and that value must be the
+ * record's result, a MEMO_CHECK), and a miss calls update().
+ *
+ * Returns what CpuModel::run returns for the same config, trace and
+ * bank state, and leaves the bank as it does — statistics, entries,
+ * hook events and phase rows — but folds nothing into the stats
+ * registry and reports no progress. Kept deliberately simple; do not
+ * optimize it.
+ */
+SimResult referenceCpuRun(const CpuConfig &cfg, const Trace &trace,
+                          MemoBank *bank = nullptr);
+
+/**
+ * The first field in which two SimResults differ — total and annulled
+ * cycles, per-class cycles, counts, memo savings and occupancy
+ * histograms, each table's statistics, and both cache levels — named
+ * with both values, or nullopt when they are equal field for field.
+ */
+std::optional<std::string> simResultDiff(const SimResult &want,
+                                         const SimResult &got);
 
 } // namespace memo::check
 

@@ -14,6 +14,7 @@
 #include "arith/fp.hh"
 #include "arith/hash.hh"
 #include "arith/trivial.hh"
+#include "core/check.hh"
 
 namespace memo
 {
@@ -96,6 +97,10 @@ entryParity(uint64_t tag_a, uint64_t tag_b, uint64_t value)
 {
     return std::popcount(tag_a ^ tag_b ^ value) & 1;
 }
+
+[[maybe_unused]] constexpr const char *kTransparency =
+    "memoized value must match computation "
+    "(MEMO-TABLE transparency, section 2)";
 
 /** setPhaseBoundaryFault() state; read once per boundary decision. */
 std::atomic<bool> phase_boundary_fault{false};
@@ -639,8 +644,9 @@ MemoTable::probeLoop(const uint64_t *a_bits, const uint64_t *b_bits,
         for (; i < stop; i++) {
             Access x = locate(m, a_bits[i], b_bits[i]);
             uint64_t result = 0;
-            if (!account<Hooked>(m, x, c, result) &&
-                x.kind == Access::Tagged)
+            if (account<Hooked>(m, x, c, result))
+                MEMO_CHECK(result == result_bits[i], kTransparency);
+            else if (x.kind == Access::Tagged)
                 install<Hooked>(m, x, result_bits[i], c);
         }
     }
@@ -802,7 +808,8 @@ equalLanes(const uint32_t *ids, uint32_t id)
  * replayKeyed()'s sets: per set @p Lanes way ids (lanes past the
  * table's ways are padding the way mask hides), then @p Lanes ticks;
  * and per (set, way) the column position of the access that
- * installed the way, from which the entry is written back.
+ * installed the way, from which the entry is written back and a hit's
+ * result is checked.
  */
 struct KeyedSets
 {
@@ -812,6 +819,7 @@ struct KeyedSets
     bool victimFault;
     uint32_t *blocks;
     uint32_t *source;
+    const uint64_t *results;
 };
 
 /**
@@ -838,8 +846,13 @@ keyedLoop(const AccessKey *keys, size_t n, const KeyedSets &k,
         uint32_t *ticks = ids + Lanes;
         if (unsigned hit = equalLanes<Lanes>(ids, key.id) & way_mask) {
             hits++;
+            const unsigned way =
+                static_cast<unsigned>(std::countr_zero(hit));
+            MEMO_CHECK(k.results[i] ==
+                           k.results[k.source[set * k.ways + way]],
+                       kTransparency);
             if (k.lru)
-                ticks[std::countr_zero(hit)] = ++t;
+                ticks[way] = ++t;
             continue;
         }
         misses++;
@@ -969,6 +982,7 @@ MemoTable::replayKeyed(const AccessKey *keys, const uint64_t *a_bits,
         .victimFault = keyed_victim_fault.load(std::memory_order_relaxed),
         .blocks = blocks.data(),
         .source = source.data(),
+        .results = result_bits,
     };
     const KeyHash h = m.hash == IndexHash::Int     ? KeyHash::Int
                       : m.hash == IndexHash::FpSum ? KeyHash::FpSum

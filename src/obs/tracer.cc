@@ -7,10 +7,9 @@ namespace memo::obs
 {
 
 EventTracer::EventTracer(size_t capacity, uint64_t sample_period)
-    : period_(sample_period ? sample_period : 1)
+    : capacity_(capacity), period_(sample_period ? sample_period : 1)
 {
     assert(capacity > 0);
-    ring_.resize(capacity);
 }
 
 void
@@ -18,29 +17,44 @@ EventTracer::onTableEvent(Operation op, TableEventKind kind,
                           uint32_t set, uint64_t stamp)
 {
     kind_counts_[static_cast<unsigned>(kind)]++;
-    if (offered_++ % period_ != 0)
+    offered_++;
+    Ring &r = rings_[static_cast<unsigned>(op)];
+    if (r.offered++ % period_ != 0)
         return;
-    ring_[recorded_ % ring_.size()] = TraceRecord{stamp, set, op, kind};
+    if (r.records.empty())
+        r.records.resize(capacity_);
+    r.records[r.recorded++ % capacity_] = TraceRecord{stamp, set, op, kind};
     recorded_++;
+}
+
+size_t
+EventTracer::size() const
+{
+    size_t n = 0;
+    for (const Ring &r : rings_)
+        n += r.size(capacity_);
+    return n;
 }
 
 const TraceRecord &
 EventTracer::at(size_t i) const
 {
     assert(i < size());
+    const Ring *r = rings_;
+    for (; i >= r->size(capacity_); r++)
+        i -= r->size(capacity_);
     // Once wrapped, the oldest retained record sits right after the
     // write position.
-    size_t base = recorded_ > ring_.size()
-                      ? recorded_ % ring_.size()
-                      : 0;
-    return ring_[(base + i) % ring_.size()];
+    size_t base = r->recorded > capacity_ ? r->recorded % capacity_ : 0;
+    return r->records[(base + i) % capacity_];
 }
 
 void
 EventTracer::clear()
 {
-    offered_ = 0;
-    recorded_ = 0;
+    for (Ring &r : rings_)
+        r.offered = r.recorded = 0;
+    offered_ = recorded_ = 0;
     for (auto &c : kind_counts_)
         c = 0;
 }

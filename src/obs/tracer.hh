@@ -6,10 +6,13 @@
  * MemoTable::setHooks) and records their transactions — hit, miss,
  * insert, evict, trivial detections, parity aborts — as fixed-size
  * records carrying the operation class, the set index and the table's
- * access stamp. Memory is strictly bounded: records land in a ring
- * buffer of fixed capacity, and once it wraps the oldest records are
- * overwritten. A sampling period of N keeps every Nth offered event,
- * so multi-billion-event replays can be traced at bounded cost.
+ * access stamp. Memory is strictly bounded: each operation class has
+ * its own ring buffer of fixed capacity, and once a ring wraps its
+ * oldest records are overwritten. A sampling period of N keeps every
+ * Nth event a class offers, so multi-billion-event replays can be
+ * traced at bounded cost. Per-class rings keep each table's window
+ * independent of the order replayTables() (sim/cpu.hh) replays the
+ * tables in, one after another.
  *
  * The retained window exports as Chrome-trace JSON ("Trace Event
  * Format": one instant event per record, one track per operation
@@ -47,9 +50,11 @@ class EventTracer final : public TableHooks
 {
   public:
     /**
-     * @param capacity ring size in records (bounded memory:
-     *        capacity * sizeof(TraceRecord) bytes, ~16 B/record)
-     * @param sample_period keep every Nth offered event (1 = all)
+     * @param capacity ring size in records per operation class
+     *        (bounded memory: capacity * sizeof(TraceRecord) bytes,
+     *        ~16 B/record, for each class that offers an event)
+     * @param sample_period keep every Nth event each class offers
+     *        (1 = all)
      */
     explicit EventTracer(size_t capacity = 1 << 16,
                          uint64_t sample_period = 1);
@@ -58,11 +63,11 @@ class EventTracer final : public TableHooks
     void onTableEvent(Operation op, TableEventKind kind, uint32_t set,
                       uint64_t stamp) override;
 
-    /** Records currently retained (<= capacity()). */
-    size_t size() const { return std::min(recorded_, ring_.size()); }
+    /** Records currently retained, over all classes. */
+    size_t size() const;
 
-    /** Ring capacity in records. */
-    size_t capacity() const { return ring_.size(); }
+    /** Ring capacity in records, per operation class. */
+    size_t capacity() const { return capacity_; }
 
     /** Total events offered by the attached tables. */
     uint64_t offered() const { return offered_; }
@@ -79,7 +84,10 @@ class EventTracer final : public TableHooks
         return kind_counts_[static_cast<unsigned>(kind)];
     }
 
-    /** The @p i-th retained record, oldest first (0 <= i < size()). */
+    /**
+     * The @p i-th retained record (0 <= i < size()): the classes in
+     * Operation order, each class's records oldest first.
+     */
     const TraceRecord &at(size_t i) const;
 
     /** Forget all retained records and counts. */
@@ -100,8 +108,27 @@ class EventTracer final : public TableHooks
     void appendEventsJson(std::ostream &os, bool &first) const;
 
   private:
-    std::vector<TraceRecord> ring_;
+    /** One operation class's ring, allocated on its first record. */
+    struct Ring
+    {
+        std::vector<TraceRecord> records;
+        uint64_t offered = 0;
+        uint64_t recorded = 0;
+
+        size_t size(size_t capacity) const
+        {
+            return static_cast<size_t>(
+                std::min<uint64_t>(recorded, capacity));
+        }
+    };
+
+    /** Operation classes a table can report (core/op.hh). */
+    static constexpr unsigned numOps =
+        static_cast<unsigned>(Operation::FpExp) + 1;
+
+    size_t capacity_;
     uint64_t period_;
+    Ring rings_[numOps];
     uint64_t offered_ = 0;
     uint64_t recorded_ = 0;
     uint64_t kind_counts_[numTableEventKinds] = {};

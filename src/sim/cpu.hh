@@ -9,6 +9,11 @@
  * MEMO-TABLE lookup hits completes in a single cycle; on a miss it pays
  * its full unit latency (the lookup runs in parallel, so a miss adds no
  * penalty) and the result is installed in the table.
+ *
+ * A compute instruction's cost depends only on its class and on whether
+ * its table hit, so CpuModel::run charges each compute class from its
+ * table's hit count after replayTables(). Its oracle is
+ * check::referenceCpuRun (check/oracle.hh), the per-instruction loop.
  */
 
 #ifndef MEMO_SIM_CPU_HH
@@ -116,6 +121,25 @@ struct SimResult
     }
 };
 
+/**
+ * Accesses gathered per probeBlock call by replayTables()' blocked
+ * path. Exposed so the differential tests can pin behaviour exactly at
+ * and around block boundaries (lengths block-1, block, block+1).
+ */
+constexpr size_t kReplayBlock = 4096;
+
+/**
+ * Feed every operand column of @p store that has a table in @p bank
+ * through that table, in trace order: the one replay path. A table
+ * for which MemoTable::keyedReplayable(n) holds replays the store's
+ * shared key stream (TraceStore::accessKeys) through
+ * MemoTable::replayKeyed; any other takes MemoTable::probeBlock in
+ * blocks of kReplayBlock. No flag selects the path, and either way
+ * the table ends exactly as n scalar lookup/update calls leave it.
+ * Nothing is folded into the stats registry.
+ */
+void replayTables(const TraceStore &store, MemoBank &bank);
+
 /** The serial trace replayer. */
 class CpuModel
 {
@@ -127,7 +151,9 @@ class CpuModel
      *
      * @param bank MEMO-TABLEs to consult, or nullptr for the baseline
      *        machine. Tables retain their contents across calls; reset
-     *        the bank for independent runs.
+     *        the bank for independent runs. The run folds its
+     *        sim.cpu.* counters, and no core.table.* or
+     *        analysis.replay.* counter.
      */
     SimResult run(const Trace &trace, MemoBank *bank = nullptr);
 

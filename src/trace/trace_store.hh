@@ -17,9 +17,9 @@
  *   mul/div/...    33 bytes/record   (vs 40)
  *
  * The per-class operand columns are the only copy of the operands:
- * batched replay streams them as they are (classColumns()), and
- * iteration materializes lightweight Instruction values through a
- * forward iterator, so CpuModel code is written exactly as before.
+ * replay streams them as they are (classColumns()), and iteration
+ * materializes lightweight Instruction values through a forward
+ * iterator for the code that wants whole records.
  *
  * push() keeps only the fields meaningful for the instruction's
  * class: operand/result words of non-computational classes and
@@ -227,7 +227,7 @@ class TraceStore
     /**
      * The a/b/result words of every record of class @p cls, contiguous
      * and in trace order: the store's own operand columns, which
-     * replayMemo() streams into the class's table. Empty for classes
+     * replayTables() (sim/cpu.hh) streams into the class's table. Empty for classes
      * without operands. The reference stays valid, and the columns
      * unchanged, until the store is next mutated; a recorded trace is
      * frozen, so any number of threads may read it at once.

@@ -88,7 +88,7 @@ TEST(Registry, PaperRatiosAreRatios)
 TEST(Experiment, ConfigSweepMatchesSingleMeasurements)
 {
     // measureMmKernelConfigs shares traces; the results must equal
-    // independent measureMmKernel calls exactly (determinism).
+    // independent one-config sweeps exactly (determinism).
     const MmKernel &k = mmKernelByName("vgpwl");
     MemoConfig a; // 32/4
     MemoConfig b;
@@ -96,8 +96,8 @@ TEST(Experiment, ConfigSweepMatchesSingleMeasurements)
     b.ways = 2;
 
     auto both = measureMmKernelConfigs(k, {a, b}, 64);
-    UnitHits ha = measureMmKernel(k, a, 64);
-    UnitHits hb = measureMmKernel(k, b, 64);
+    UnitHits ha = measureMmKernelConfigs(k, {a}, 64)[0];
+    UnitHits hb = measureMmKernelConfigs(k, {b}, 64)[0];
     EXPECT_DOUBLE_EQ(both[0].fpDiv, ha.fpDiv);
     EXPECT_DOUBLE_EQ(both[0].fpMul, ha.fpMul);
     EXPECT_DOUBLE_EQ(both[1].fpDiv, hb.fpDiv);

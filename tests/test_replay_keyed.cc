@@ -27,6 +27,7 @@
 #include "arith/hash.hh"
 #include "check/golden.hh"
 #include "core/bank.hh"
+#include "core/check.hh"
 #include "core/hooks.hh"
 #include "core/phase.hh"
 #include "exec/thread_pool.hh"
@@ -217,8 +218,9 @@ TEST(ReplayKeyed, MatchesProbeBlockOnSweepKernels)
 
 TEST(ReplayKeyed, KeyedReplayAccumulatesLikeProbeBlock)
 {
-    // measureMmKernel's pattern: one bank, flushed between inputs, so
-    // the clock and the statistics carry over from call to call.
+    // One bank, flushed between inputs (as measureAppCycles keeps its
+    // bank), so the clock and the statistics carry over from call to
+    // call.
     MemoBank keyed = MemoBank::standard(MemoConfig{});
     MemoBank oracle = MemoBank::standard(MemoConfig{});
     for (size_t img = 0; img < 4; img++) {
@@ -495,6 +497,35 @@ TEST(ReplayKeyed, ConcurrentFirstUseBuildsKeysOnce)
     for (unsigned t = 0; t < kThreads; t++)
         expectSameTables(shared, got[t], serial[t],
                          "worker " + std::to_string(t));
+}
+
+TEST(ReplayTransparencyDeathTest, HitWithAnotherResultAborts)
+{
+#if MEMO_CHECK_ACTIVE
+    // The second access repeats the first pair with another result: a
+    // hit would hand back a value the unit did not compute.
+    const uint64_t a[] = {fpBits(3.0), fpBits(3.0)};
+    const uint64_t b[] = {fpBits(7.0), fpBits(7.0)};
+    const uint64_t good[] = {fpBits(21.0), fpBits(21.0)};
+    const uint64_t bad[] = {fpBits(21.0), fpBits(22.0)};
+    auto probe = [&](const uint64_t *r) {
+        MemoTable t(Operation::FpMul, MemoConfig{});
+        t.probeBlock(a, b, r, 2);
+    };
+    auto keyed = [&](const uint64_t *r) {
+        MemoTable t(Operation::FpMul, MemoConfig{});
+        const AccessKeys keys =
+            MemoTable::keyAccesses(Operation::FpMul, a, b, 2);
+        t.replayKeyed(keys.data(), a, b, r, 2);
+    };
+    probe(good);
+    keyed(good);
+    EXPECT_DEATH(probe(bad), "MEMO-TABLE transparency");
+    EXPECT_DEATH(keyed(bad), "MEMO-TABLE transparency");
+#else
+    GTEST_SKIP() << "MEMO_CHECK is compiled out of this build "
+                    "(configure with -DMEMO_VERIFY=ON)";
+#endif
 }
 
 } // anonymous namespace

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "analysis/experiment.hh"
 #include "analysis/reuse.hh"
 #include "arith/fp.hh"
+#include "check/golden.hh"
 #include "core/memo_table.hh"
+#include "img/generate.hh"
 #include "trace/recorder.hh"
+#include "workloads/workload.hh"
 
 namespace memo
 {
@@ -189,6 +196,88 @@ TEST(Reuse, MonotoneInEntries)
         EXPECT_GE(hr, prev);
         prev = hr;
     }
+}
+
+TEST(Reuse, BothNaNFpMulPairsKeepOperandOrder)
+{
+    // The unit returns the first NaN's payload, so the table matches a
+    // both-NaN pair in operand order only: (n1, n2) and (n2, n1) are
+    // two entries, each reused at stack distance 2.
+    const uint64_t n1 = 0x7ff8000000000001ULL;
+    const uint64_t n2 = 0x7ff8000000000002ULL;
+    Trace trace;
+    for (int i = 0; i < 8; i++) {
+        Instruction inst;
+        inst.cls = InstClass::FpMul;
+        inst.a = i % 2 ? n2 : n1;
+        inst.b = i % 2 ? n1 : n2;
+        inst.result = fpBits(fpFromBits(inst.a) * fpFromBits(inst.b));
+        trace.push(inst);
+    }
+    MemoConfig cfg;
+    cfg.entries = 4;
+    cfg.ways = 4;
+    MemoTable table(Operation::FpMul, cfg);
+    for (const Instruction &inst : trace)
+        if (!table.lookup(inst.a, inst.b))
+            table.update(inst.a, inst.b, inst.result);
+    EXPECT_EQ(table.stats().hits, 6u);
+    EXPECT_DOUBLE_EQ(
+        reuseProfile(trace, Operation::FpMul).predictedHitRatio(4),
+        table.stats().hitRatio());
+
+    auto hot = hottestPairs(trace, Operation::FpMul, 5);
+    ASSERT_EQ(hot.size(), 2u);
+    EXPECT_EQ(hot[0].aBits, n1);
+    EXPECT_EQ(hot[0].bBits, n2);
+    EXPECT_EQ(hot[0].count, 4u);
+    EXPECT_EQ(hot[1].aBits, n2);
+    EXPECT_EQ(hot[1].bBits, n1);
+    EXPECT_EQ(hot[1].count, 4u);
+
+    // Only the three paper units have a key stream.
+    EXPECT_THROW(reuseProfile(trace, Operation::FpSqrt),
+                 std::invalid_argument);
+}
+
+/**
+ * With full-value tags an infinite table misses exactly on each pair's
+ * first touch, so its misses are coldMisses() and its hits accesses()
+ * minus coldMisses() (ROADMAP item 3). Checked against the table
+ * itself on every Table 5/6 workload and on every Table 7 kernel over
+ * two images.
+ */
+void
+expectInfiniteTableMatchesProfile(const Trace &trace,
+                                  const std::string &what)
+{
+    MemoConfig inf;
+    inf.infinite = true;
+    MemoBank bank = MemoBank::standard(inf);
+    replayMemo(trace, bank);
+    for (Operation op :
+         {Operation::IntMul, Operation::FpMul, Operation::FpDiv}) {
+        const MemoStats &s = bank.table(op)->stats();
+        ReuseProfile prof = reuseProfile(trace, op);
+        const std::string where =
+            what + " " + std::string(operationName(op));
+        EXPECT_EQ(s.lookups, prof.accesses()) << where;
+        EXPECT_EQ(s.misses, prof.coldMisses()) << where;
+        EXPECT_EQ(s.hits, prof.accesses() - prof.coldMisses()) << where;
+    }
+}
+
+TEST(Reuse, InfiniteTableMissesAreColdMisses)
+{
+    for (const auto *suite : {&perfectWorkloads(), &specWorkloads()})
+        for (const SciWorkload &w : *suite)
+            expectInfiniteTableMatchesProfile(*cachedSciTrace(w), w.name);
+    for (const MmKernel &k : mmKernels())
+        for (size_t img : {size_t{0}, size_t{5}})
+            expectInfiniteTableMatchesProfile(
+                *cachedMmKernelTrace(k, standardImages()[img],
+                                     check::goldenCrop),
+                k.name + "/" + standardImages()[img].name);
 }
 
 } // anonymous namespace

@@ -6,14 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/experiment.hh"
 #include "arith/fp.hh"
+#include "check/measure.hh"
+#include "check/oracle.hh"
+#include "core/hooks.hh"
+#include "core/phase.hh"
+#include "img/generate.hh"
 #include "sim/amdahl.hh"
 #include "sim/cpu.hh"
 #include "trace/recorder.hh"
+#include "workloads/workload.hh"
 
 namespace memo
 {
@@ -312,6 +324,177 @@ TEST(Amdahl, MoreHitsNeverHurt)
     for (double hr = 0.0; hr <= 1.0; hr += 0.1) {
         EXPECT_GE(speedupEnhanced(13, hr + 1e-9),
                   speedupEnhanced(13, hr));
+    }
+}
+
+// --- CpuModel against its oracle, check::referenceCpuRun -----------
+
+/**
+ * Require equal statistics and valid-entry counts in every table of
+ * @p got and @p want, then one scalar lookup/update pass over
+ * @p trace's columns on both: the same hits and the same values.
+ */
+void
+expectSameBanks(const Trace &trace, MemoBank &got, MemoBank &want,
+                const std::string &what)
+{
+    for (Operation op : {Operation::IntMul, Operation::FpMul,
+                         Operation::FpDiv, Operation::FpSqrt}) {
+        MemoTable *tg = got.table(op);
+        MemoTable *tw = want.table(op);
+        ASSERT_EQ(tg == nullptr, tw == nullptr) << what;
+        if (!tg)
+            continue;
+        const std::string where =
+            what + " " + std::string(operationName(op));
+        EXPECT_EQ(tg->validEntries(), tw->validEntries()) << where;
+        const TraceStore::ClassColumns &col =
+            trace.store().classColumns(instClassOf(op));
+        for (size_t i = 0; i < col.a.size(); i++) {
+            auto g = tg->lookup(col.a[i], col.b[i]);
+            if (g != tw->lookup(col.a[i], col.b[i])) {
+                ADD_FAILURE() << where << ": contents diverge at " << i;
+                return;
+            }
+            if (!g) {
+                tg->update(col.a[i], col.b[i], col.r[i]);
+                tw->update(col.a[i], col.b[i], col.r[i]);
+            }
+        }
+    }
+}
+
+TEST(CpuModel, MatchesReferenceLoopOnSpeedupApps)
+{
+    // Every Tables 11-13 application over three images, under both
+    // multiplier and both divider latencies, baseline and with the
+    // mul, div and both banks. Each bank carries over from image to
+    // image: the second image replays a warm table (probeBlock), and
+    // the third a flushed one (keyed again, statistics carried).
+    const std::pair<unsigned, unsigned> lats[] = {
+        {3, 13}, {3, 39}, {5, 13}, {5, 39}};
+    const size_t images[] = {0, 4, 9};
+    for (const std::string &app : check::speedupApps()) {
+        const MmKernel &kernel = mmKernelByName(app);
+        for (const auto &[mul, div] : lats) {
+            CpuConfig cfg;
+            cfg.lat = LatencyConfig::custom(mul, div);
+            CpuModel cpu(cfg);
+            for (int kind = 0; kind < 3; kind++) {
+                MemoBank got, want;
+                for (MemoBank *b : {&got, &want}) {
+                    if (kind != 1)
+                        b->addTable(Operation::FpMul, MemoConfig{});
+                    if (kind != 0)
+                        b->addTable(Operation::FpDiv, MemoConfig{});
+                }
+                for (size_t img : images) {
+                    const NamedImage &named = standardImages()[img];
+                    auto trace = cachedMmKernelTrace(kernel, named, 48);
+                    const std::string what =
+                        app + "/" + named.name + " (" +
+                        std::to_string(mul) + ", " +
+                        std::to_string(div) + ") bank " +
+                        std::to_string(kind);
+                    if (kind == 0) {
+                        auto d = check::simResultDiff(
+                            check::referenceCpuRun(cfg, *trace),
+                            cpu.run(*trace));
+                        EXPECT_FALSE(d) << what << " baseline: " << *d;
+                    }
+                    if (img == images[2])
+                        for (MemoBank *b : {&got, &want})
+                            for (Operation op :
+                                 {Operation::FpMul, Operation::FpDiv})
+                                if (MemoTable *t = b->table(op))
+                                    t->flush();
+                    auto d = check::simResultDiff(
+                        check::referenceCpuRun(cfg, *trace, &want),
+                        cpu.run(*trace, &got));
+                    EXPECT_FALSE(d) << what << ": " << *d;
+                }
+                expectSameBanks(
+                    *cachedMmKernelTrace(kernel, standardImages()[0], 48),
+                    got, want, app);
+            }
+        }
+    }
+}
+
+/** A TableHooks observer that keeps every event, per operation. */
+struct RecordingHooks : TableHooks
+{
+    std::map<Operation, std::vector<std::array<uint64_t, 3>>> events;
+
+    void
+    onTableEvent(Operation op, TableEventKind kind, uint32_t set,
+                 uint64_t stamp) override
+    {
+        events[op].push_back(
+            {static_cast<uint64_t>(kind), set, stamp});
+    }
+};
+
+TEST(CpuModel, MatchesReferenceLoopWithHooksAndPhases)
+{
+    // An observed bank replays through probeBlock one table after
+    // another; the reference interleaves the tables in trace order.
+    // Each table's event sequence and phase rows must still agree.
+    // Integrated trivial detection makes trivial operations hits too.
+    constexpr Operation ops[] = {Operation::IntMul, Operation::FpMul,
+                                 Operation::FpDiv};
+    auto trace = cachedMmKernelTrace(mmKernelByName("vcost"),
+                                     standardImages()[2], 48);
+    MemoConfig integrated;
+    integrated.trivialMode = TrivialMode::Integrated;
+    MemoBank got = MemoBank::standard(integrated);
+    MemoBank want = MemoBank::standard(integrated);
+    RecordingHooks hg, hw;
+    std::vector<PhaseAccum> pg, pw;
+    pg.reserve(std::size(ops));
+    pw.reserve(std::size(ops));
+    for (Operation op : ops) {
+        got.table(op)->setHooks(&hg);
+        want.table(op)->setHooks(&hw);
+        got.table(op)->setPhaseAccum(&pg.emplace_back(512, true));
+        want.table(op)->setPhaseAccum(&pw.emplace_back(512, true));
+    }
+    CpuConfig cfg;
+    auto d = check::simResultDiff(
+        check::referenceCpuRun(cfg, *trace, &want),
+        CpuModel(cfg).run(*trace, &got));
+    EXPECT_FALSE(d) << *d;
+    EXPECT_GT(want.table(Operation::FpMul)->stats().trivialHits, 0u);
+    for (size_t i = 0; i < std::size(ops); i++) {
+        const std::string name(operationName(ops[i]));
+        EXPECT_FALSE(hw.events[ops[i]].empty()) << name;
+        EXPECT_EQ(hg.events[ops[i]], hw.events[ops[i]]) << name;
+        got.table(ops[i])->finalizePhases();
+        want.table(ops[i])->finalizePhases();
+        const auto &rg = pg[i].rows();
+        const auto &rw = pw[i].rows();
+        ASSERT_EQ(rg.size(), rw.size()) << name;
+        ASSERT_FALSE(rw.empty()) << name;
+        for (size_t r = 0; r < rw.size(); r++) {
+            EXPECT_EQ(rg[r].start, rw[r].start) << name << " row " << r;
+            EXPECT_EQ(rg[r].length, rw[r].length) << name << " row " << r;
+            EXPECT_EQ(rg[r].occupancy, rw[r].occupancy)
+                << name << " row " << r;
+            EXPECT_EQ(rg[r].stats.hits, rw[r].stats.hits)
+                << name << " row " << r;
+            EXPECT_EQ(rg[r].stats.misses, rw[r].stats.misses)
+                << name << " row " << r;
+            EXPECT_EQ(rg[r].stats.evictions, rw[r].stats.evictions)
+                << name << " row " << r;
+            EXPECT_EQ(rg[r].stats.trivialBypassed,
+                      rw[r].stats.trivialBypassed)
+                << name << " row " << r;
+        }
+        EXPECT_EQ(pg[i].setOccupancy(), pw[i].setOccupancy()) << name;
+        got.table(ops[i])->setHooks(nullptr);
+        want.table(ops[i])->setHooks(nullptr);
+        got.table(ops[i])->setPhaseAccum(nullptr);
+        want.table(ops[i])->setPhaseAccum(nullptr);
     }
 }
 

@@ -464,8 +464,8 @@ main(int argc, char **argv)
         }
 
         // Optional phase collection: one accumulator per table; the
-        // replay below calls lookup()/update(), which apply the same
-        // lazy boundary rule as probeBlock.
+        // memoized replay takes probeBlock for an observed table, and
+        // lookup()/update() apply the same lazy boundary rule.
         std::optional<obs::PhaseScope> phases;
         if (opt.phaseWindow > 0 && !opt.noMemo)
             phases.emplace(bank, opt.phaseWindow, opt.phasePerSet);
