@@ -529,17 +529,96 @@ keyedReplayCase(FuzzRng &rng, uint64_t case_index,
 }
 
 /**
+ * A random but valid memory hierarchy: power-of-two line sizes and
+ * set counts, 1-8 ways, and in one case in three a memory latency
+ * past MemoryPass::kCountedLatency, so the walk's list of long
+ * latencies is exercised.
+ */
+void
+fuzzHierarchy(FuzzRng &rng, CpuConfig &cfg)
+{
+    auto level = [&](unsigned line_log2, unsigned sets_log2,
+                     unsigned lat_lo, unsigned lat_n) {
+        CacheConfig c;
+        c.lineSize = 1u << (line_log2 + rng.below(3));
+        c.ways = 1u << rng.below(4);
+        c.size = uint64_t{c.lineSize} * c.ways
+                 << rng.below(sets_log2 + 1);
+        c.hitLatency = static_cast<unsigned>(lat_lo + rng.below(lat_n));
+        return c;
+    };
+    cfg.l1 = level(4, 6, 1, 3);  // 16-64 B lines, 1-64 sets
+    cfg.l2 = level(5, 9, 3, 12); // 32-128 B lines, 1-512 sets
+    cfg.memoryLatency = static_cast<unsigned>(
+        rng.chance(1, 3) ? 65 + rng.below(200) : 20 + rng.below(40));
+}
+
+/**
+ * @p cfg with one field of its hierarchy's geometry key changed: a
+ * level's size, line size (size kept per set), ways (sets kept) or
+ * hit latency, or the memory latency.
+ */
+CpuConfig
+perturbHierarchy(FuzzRng &rng, CpuConfig cfg)
+{
+    const uint64_t field = rng.below(9);
+    if (field == 8) {
+        cfg.memoryLatency += static_cast<unsigned>(1 + rng.below(100));
+        return cfg;
+    }
+    CacheConfig &c = field < 4 ? cfg.l1 : cfg.l2;
+    switch (field % 4) {
+      case 0:
+        c.size *= 2;
+        break;
+      case 1:
+        c.lineSize *= 2;
+        c.size *= 2;
+        break;
+      case 2:
+        c.ways *= 2;
+        c.size *= 2;
+        break;
+      default:
+        c.hitLatency += static_cast<unsigned>(1 + rng.below(4));
+        break;
+    }
+    return cfg;
+}
+
+/** One line naming every field of @p cfg's hierarchy. */
+std::string
+describeHierarchy(const CpuConfig &cfg)
+{
+    std::ostringstream os;
+    for (const CacheConfig *c : {&cfg.l1, &cfg.l2})
+        os << (c == &cfg.l1 ? "L1 " : ", L2 ") << c->size << " B/"
+           << c->lineSize << " B lines/" << c->ways << "-way/"
+           << c->hitLatency << " cyc";
+    os << ", memory " << cfg.memoryLatency << " cyc";
+    return os.str();
+}
+
+/**
  * Whole-CPU differential: a random instruction trace replayed with
- * and without a random memo bank must equal check::referenceCpuRun
- * (the per-instruction loop) on an identically configured bank, field
- * for field and in every table's contents; retain instruction counts,
- * never get slower, and keep every table's statistics conserved
- * against the per-class dynamic counts. With MEMO_VERIFY the replay
+ * and without a random memo bank under a random memory hierarchy must
+ * equal check::referenceCpuRun (the per-instruction loop) on an
+ * identically configured bank, field for field and in every table's
+ * contents; retain instruction counts, never get slower, and keep
+ * every table's statistics conserved against the per-class dynamic
+ * counts. The memoized run is made twice, so the second reads the
+ * memory pass the first left on the store; the baseline is made on
+ * the store and on a copy of it, which walks afresh; and one more
+ * run under a second geometry on the same store must walk for itself.
+ * With inject_key_fault the pass's geometry key ignores the L2 hit
+ * latency (setMemoryPassKeyFault), and the harness must catch the run
+ * that reads a pass of another geometry. With MEMO_VERIFY the replay
  * additionally asserts bit transparency on every hit (probeBlock and
  * keyed replay in core/memo_table.cc).
  */
 std::optional<FuzzFailure>
-cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
+cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
+        bool inject_key_fault)
 {
     static constexpr InstClass classes[] = {
         InstClass::IntAlu, InstClass::IntAlu, InstClass::Load,
@@ -547,6 +626,9 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
         InstClass::IntMul, InstClass::FpMul,  InstClass::FpMul,
         InstClass::FpDiv,  InstClass::FpSqrt};
 
+    // Addresses fall in a span of 64 B to 512 KiB, so small spans hit
+    // in L1 and larger ones in L2 or memory.
+    const uint64_t span = uint64_t{8} << rng.below(17);
     ValuePool ipool, fpool_a, fpool_b;
     Trace trace;
     for (unsigned i = 0; i < opts.streamLen; i++) {
@@ -563,30 +645,37 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
             inst.result = computeResult(*op, inst.a, inst.b);
         } else if (inst.cls == InstClass::Load ||
                    inst.cls == InstClass::Store) {
-            inst.addr = rng.below(1 << 20) * 8;
+            inst.addr = rng.below(span) * 8;
         }
         trace.push(inst);
     }
 
     CpuConfig ccfg;
+    fuzzHierarchy(rng, ccfg);
+    const CpuConfig other_cfg = perturbHierarchy(rng, ccfg);
     CpuModel cpu(ccfg);
 
-    SimResult base = cpu.run(trace);
-    SimResult again = cpu.run(trace);
-
-    MemoBank bank, ref_bank;
+    MemoBank bank, bank_again, ref_bank;
     Operation memo_ops[] = {Operation::IntMul, Operation::FpMul,
                             Operation::FpDiv, Operation::FpSqrt};
     for (Operation op : memo_ops) {
         if (rng.chance(3, 4)) {
             const MemoConfig cfg = fuzzConfig(rng);
-            bank.addTable(op, cfg);
-            ref_bank.addTable(op, cfg);
+            for (MemoBank *b : {&bank, &bank_again, &ref_bank})
+                b->addTable(op, cfg);
         }
     }
+
+    setMemoryPassKeyFault(inject_key_fault);
     SimResult memod = cpu.run(trace, &bank);
+    SimResult memod_again = cpu.run(trace, &bank_again);
+    SimResult base = cpu.run(trace);
+    SimResult again = cpu.run(Trace(trace));
+    SimResult other = CpuModel(other_cfg).run(trace);
+    setMemoryPassKeyFault(false);
     SimResult ref_base = referenceCpuRun(ccfg, trace);
     SimResult ref_memod = referenceCpuRun(ccfg, trace, &ref_bank);
+    SimResult ref_other = referenceCpuRun(other_cfg, trace);
 
     auto fail = [&](const std::string &what) {
         FuzzFailure f;
@@ -598,19 +687,30 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
               << (case_index + 1) << " --stream " << opts.streamLen;
         f.repro = repro.str();
         f.detail = "trace of " + std::to_string(trace.size()) +
-                   " instructions";
+                   " instructions; hierarchy " + describeHierarchy(ccfg) +
+                   "; second " + describeHierarchy(other_cfg);
         return f;
     };
 
     if (base.totalCycles != again.totalCycles ||
         base.cycles != again.cycles)
         return fail("baseline replay is not deterministic");
-    if (auto d = simResultDiff(ref_base, base))
-        return fail("baseline run diverges from the reference loop: " +
-                    *d);
-    if (auto d = simResultDiff(ref_memod, memod))
-        return fail("memoized run diverges from the reference loop: " +
-                    *d);
+    struct Run
+    {
+        const SimResult &got, &want;
+        const char *what;
+    };
+    for (const Run &r :
+         {Run{base, ref_base, "baseline run"},
+          Run{again, ref_base, "baseline run on a copy of the trace"},
+          Run{memod, ref_memod, "memoized run"},
+          Run{memod_again, ref_memod, "second memoized run"},
+          Run{other, ref_other,
+              "baseline run under the second geometry"}}) {
+        if (auto d = simResultDiff(r.want, r.got))
+            return fail(std::string(r.what) +
+                        " diverges from the reference loop: " + *d);
+    }
     if (base.count != memod.count)
         return fail("memoization changed dynamic instruction counts");
     if (memod.totalCycles > base.totalCycles)
@@ -874,7 +974,7 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
       case 5:
         return chunkCodecCase(rng, case_index, opts);
       default:
-        return cpuCase(rng, case_index, opts);
+        return cpuCase(rng, case_index, opts, false);
     }
 }
 
@@ -953,7 +1053,23 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
                 "survived "
              << opts.iters << " cases (seed " << opts.seed << ")\n";
 
-    return tag_caught && block_caught && victim_caught;
+    bool key_caught = false;
+    for (uint64_t i = 0; i < opts.iters; i++) {
+        FuzzRng rng = caseRng(opts.seed, i);
+        if (auto f = cpuCase(rng, i, opts, true)) {
+            if (log)
+                *log << "memory-pass key mutation caught at case " << i
+                     << ": " << f->what << "\n  " << f->detail << "\n";
+            key_caught = true;
+            break;
+        }
+    }
+    if (!key_caught && log)
+        *log << "MUTATION MISSED: injected memory-pass key ignoring "
+                "the L2 hit latency survived "
+             << opts.iters << " cases (seed " << opts.seed << ")\n";
+
+    return tag_caught && block_caught && victim_caught && key_caught;
 }
 
 } // namespace memo::check

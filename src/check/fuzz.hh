@@ -11,9 +11,12 @@
  * a stream through MemoTable::probeBlock against the scalar
  * lookup/update path; key it (MemoTable::keyAccesses) and replay it
  * through MemoTable::replayKeyed against probeBlock, on a geometry
- * keyed replay admits; replay a random instruction trace through
- * memoized-vs-baseline CpuModel runs and check cycle/stats
- * conservation; or round-trip a random trace through the spill tier's
+ * keyed replay admits; replay a random instruction trace under a
+ * random memory hierarchy through memoized and baseline CpuModel runs
+ * — a run that walks the hierarchy, runs that read the memory pass it
+ * left on the store, and a run under a second geometry — against
+ * check::referenceCpuRun, and check cycle/stats conservation; or
+ * round-trip a random trace through the spill tier's
  * chunk codec (trace/chunk_codec.hh), where decode must be bit-exact
  * and any single-bit corruption must be rejected with SpillError.
  * Everything is deterministic: the same --seed/--iters reproduce the
@@ -21,12 +24,14 @@
  * (greedy chunk removal) before being reported as a one-line repro.
  *
  * The mutation self-test (mutationSelfTest) deliberately injects
- * three bugs and requires all be caught: a tag-comparison bug — the
+ * four bugs and requires all be caught: a tag-comparison bug — the
  * real table sees operand A with its top 16 bits forced to zero, the
  * oracle sees the true operand — producing false hits; a
  * block-boundary off-by-one in the batched-replay differential — the
  * probeBlock side silently drops the last access of every full block;
- * and an off-by-one victim way in keyed replay (setKeyedVictimFault).
+ * an off-by-one victim way in keyed replay (setKeyedVictimFault); and
+ * a memory-pass geometry key that ignores the L2 hit latency
+ * (setMemoryPassKeyFault), so a run reads another geometry's pass.
  * CI runs it to prove the oracles have teeth (see docs/TESTING.md).
  */
 
@@ -127,9 +132,10 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
 /**
  * Mutation smoke test: rerun the MemoTable differential with an
  * injected tag-comparison bug, the batched-replay differential with
- * an injected block-boundary off-by-one and the keyed-replay
- * differential with an injected victim off-by-one, requiring the
- * harness to catch all three.
+ * an injected block-boundary off-by-one, the keyed-replay
+ * differential with an injected victim off-by-one and the
+ * cpu-differential with a memory-pass key that ignores the L2 hit
+ * latency, requiring the harness to catch all four.
  *
  * @return true when the oracles detected every injected bug
  */

@@ -253,7 +253,9 @@ measureTrivialModes(const MmKernel &kernel, Operation op)
     for (int m = 0; m < 3; m++) {
         MemoConfig cfg;
         cfg.trivialMode = modes[m];
-        MemoBank bank = MemoBank::standard(cfg);
+        // Only op's table is read, so it is the only one replayed.
+        MemoBank bank;
+        bank.addTable(op, cfg);
         for (const auto &ni : standardImages()) {
             auto trace = cachedMmKernelTrace(kernel, ni, goldenCrop);
             bank.table(op)->flush();

@@ -243,8 +243,11 @@ measureEntropy()
             s.point.entropyWin16 = windowEntropy(ni.image, 16);
 
             // Pool both fp units' hits over every MM kernel (tables
-            // flushed between kernels, statistics accumulated).
-            MemoBank bank = MemoBank::standard(MemoConfig{});
+            // flushed between kernels, statistics accumulated). Only
+            // the fp units are read, so only they have tables.
+            MemoBank bank;
+            bank.addTable(Operation::FpMul, MemoConfig{});
+            bank.addTable(Operation::FpDiv, MemoConfig{});
             for (const auto &k : mmKernels()) {
                 if (k.name == "vsqrt")
                     continue;

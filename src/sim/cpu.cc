@@ -1,6 +1,7 @@
 #include "cpu.hh"
 
 #include <algorithm>
+#include <optional>
 
 namespace memo
 {
@@ -37,15 +38,36 @@ replayTables(const TraceStore &store, MemoBank &bank)
     }
 }
 
-CpuModel::CpuModel(const CpuConfig &cfg)
-    : cfg(cfg)
+namespace
 {
+
+/** Hierarchy walks run by CpuModel::run (CpuModel::memoryWalks()). */
+std::atomic<uint64_t> memory_walks{0};
+
+/** setMemoryPassKeyFault() state; read once per CpuModel::run(). */
+std::atomic<bool> pass_key_fault{false};
+
+/** Every field of @p cfg that the hierarchy walk reads. */
+MemoryGeometry
+geometryOf(const CpuConfig &cfg)
+{
+    const bool fault = pass_key_fault.load(std::memory_order_relaxed);
+    return {cfg.l1.size,        cfg.l1.lineSize, cfg.l1.ways,
+            cfg.l1.hitLatency,  cfg.l2.size,     cfg.l2.lineSize,
+            cfg.l2.ways,        fault ? 0 : cfg.l2.hitLatency,
+            cfg.memoryLatency};
 }
 
-SimResult
-CpuModel::run(const Trace &trace, MemoBank *bank)
+/**
+ * Walk @p store's loads and stores through a fresh hierarchy of
+ * @p cfg's geometry, counting every record's class on the way, and
+ * add the records walked to cfg.progress in batches.
+ */
+MemoryPass
+walkMemory(const TraceStore &store, const CpuConfig &cfg)
 {
-    SimResult res;
+    memory_walks.fetch_add(1, std::memory_order_relaxed);
+    MemoryPass pass;
     MemoryHierarchy hier(cfg.l1, cfg.l2, cfg.memoryLatency);
 
     // Progress batching: one relaxed add per 64 Ki instructions keeps
@@ -53,32 +75,30 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
     constexpr uint64_t progressBatch = 64 * 1024;
     uint64_t sinceProgress = 0;
 
-    // Memory occupancy is counted per (class, latency) and folded into
-    // the histograms once after the loop; latencies past the array are
-    // recorded directly.
-    constexpr unsigned maxCountedLat = 64;
-    uint64_t latCount[numInstClasses][maxCountedLat + 1] = {};
-
-    // Only loads and stores take a latency that depends on the record:
-    // walk the class column, and the address column in step with it.
-    // Every other class costs its unit latency, or one cycle on a
-    // table hit, so it is counted here and charged after the replay.
-    const TraceStore &store = trace.store();
+    // Walk the class column, and the address column in step with it.
     const uint8_t *classes = store.clsData();
     const uint64_t *addrs = store.addrData();
-    const size_t n = trace.size();
+    const size_t n = store.size();
     for (size_t i = 0; i < n; i++) {
         const auto cls = static_cast<InstClass>(classes[i]);
-        const unsigned cls_idx = classes[i];
-        res.count[cls_idx]++;
+        pass.count[classes[i]]++;
         if (TraceStore::hasAddress(cls)) {
-            unsigned lat = cls == InstClass::Load ? hier.load(*addrs++)
-                                                  : hier.store(*addrs++);
-            res.cycles[cls_idx] += lat;
-            if (lat <= maxCountedLat)
-                latCount[cls_idx][lat]++;
-            else
-                res.occupancy[cls_idx].record(lat);
+            const bool load = cls == InstClass::Load;
+            const unsigned lat =
+                load ? hier.load(*addrs++) : hier.store(*addrs++);
+            MemoryPass::Latencies &l = load ? pass.load : pass.store;
+            l.cycles += lat;
+            if (lat <= MemoryPass::kCountedLatency) {
+                l.counted[lat]++;
+            } else {
+                auto it = std::find_if(
+                    l.over.begin(), l.over.end(),
+                    [&](const auto &o) { return o.first == lat; });
+                if (it == l.over.end())
+                    l.over.emplace_back(lat, 1);
+                else
+                    it->second++;
+            }
         }
         if (cfg.progress && ++sinceProgress == progressBatch) {
             cfg.progress->fetch_add(sinceProgress,
@@ -89,6 +109,55 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
     if (cfg.progress && sinceProgress)
         cfg.progress->fetch_add(sinceProgress,
                                 std::memory_order_relaxed);
+
+    pass.l1Accesses = hier.l1().stats().accesses;
+    pass.l1Hits = hier.l1().stats().hits;
+    pass.l2Accesses = hier.l2().stats().accesses;
+    pass.l2Hits = hier.l2().stats().hits;
+    return pass;
+}
+
+} // anonymous namespace
+
+void
+setMemoryPassKeyFault(bool enabled)
+{
+    pass_key_fault.store(enabled, std::memory_order_relaxed);
+}
+
+CpuModel::CpuModel(const CpuConfig &cfg)
+    : cfg(cfg)
+{
+}
+
+uint64_t
+CpuModel::memoryWalks()
+{
+    return memory_walks.load(std::memory_order_relaxed);
+}
+
+SimResult
+CpuModel::run(const Trace &trace, MemoBank *bank)
+{
+    // The hierarchy walk depends only on the trace and the geometry,
+    // so the store keeps it: the first run under a geometry walks and
+    // every later one reads the pass. A run under another geometry
+    // than the store's walks for itself.
+    const TraceStore &store = trace.store();
+    bool walked = false;
+    auto walk = [&] {
+        walked = true;
+        return walkMemory(store, cfg);
+    };
+    std::optional<MemoryPass> own;
+    const MemoryPass *pass = store.memoryPass(geometryOf(cfg), walk);
+    if (!pass)
+        pass = &own.emplace(walk());
+    if (cfg.progress && !walked)
+        cfg.progress->fetch_add(store.size(), std::memory_order_relaxed);
+
+    SimResult res;
+    res.count = pass->count;
 
     // Each table sees its class column in trace order, so it hits as
     // in the per-instruction loop; this run's hits cost one cycle each.
@@ -110,12 +179,20 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
         }
     }
 
+    // Loads and stores cost what the walk found; every other class
+    // costs its unit latency, or one cycle on a table hit.
     for (unsigned c = 0; c < numInstClasses; c++) {
         const auto cls = static_cast<InstClass>(c);
         if (TraceStore::hasAddress(cls)) {
-            for (unsigned lat = 0; lat <= maxCountedLat; lat++)
-                if (latCount[c][lat])
-                    res.occupancy[c].record(lat, latCount[c][lat]);
+            const MemoryPass::Latencies &l =
+                cls == InstClass::Load ? pass->load : pass->store;
+            res.cycles[c] = l.cycles;
+            for (unsigned lat = 0; lat <= MemoryPass::kCountedLatency;
+                 lat++)
+                if (l.counted[lat])
+                    res.occupancy[c].record(lat, l.counted[lat]);
+            for (const auto &[lat, k] : l.over)
+                res.occupancy[c].record(lat, k);
         } else if (res.count[c]) {
             const unsigned lat = cfg.lat[cls];
             const uint64_t h = hits[c], miss = res.count[c] - h;
@@ -138,8 +215,8 @@ CpuModel::run(const Trace &trace, MemoBank *bank)
         res.annulCycles;
     res.totalCycles += res.annulCycles;
 
-    res.l1 = hier.l1().stats();
-    res.l2 = hier.l2().stats();
+    res.l1 = CacheStats{pass->l1Accesses, pass->l1Hits};
+    res.l2 = CacheStats{pass->l2Accesses, pass->l2Hits};
 
     // Fold per-run breakdowns into the process-wide registry. Every
     // quantity is an exact integer derived from this one trace, so

@@ -12,8 +12,14 @@
  *
  * A compute instruction's cost depends only on its class and on whether
  * its table hit, so CpuModel::run charges each compute class from its
- * table's hit count after replayTables(). Its oracle is
- * check::referenceCpuRun (check/oracle.hh), the per-instruction loop.
+ * table's hit count after replayTables(). A load or store's cost
+ * depends only on the trace and the hierarchy's geometry, so the walk
+ * of the hierarchy is made once per trace store and geometry: the
+ * store keeps the memory pass (TraceStore::memoryPass: per-class
+ * counts, load/store cycles and latency counts, L1/L2 statistics),
+ * and every later run under that geometry reads it. Its oracle is
+ * check::referenceCpuRun (check/oracle.hh), the per-instruction loop,
+ * which walks the hierarchy itself on every call.
  */
 
 #ifndef MEMO_SIM_CPU_HH
@@ -46,8 +52,10 @@ struct CpuConfig
     unsigned annulPerMille = 100;
     /**
      * Optional progress sink: when non-null, run() adds the number of
-     * instructions replayed to this counter in coarse batches (every
-     * 64 Ki instructions plus once at the end). Display-only — the
+     * instructions replayed to this counter: in coarse batches (every
+     * 64 Ki instructions plus once at the end) while it walks the
+     * hierarchy, or all at once when it reads the trace store's cached
+     * memory pass. Display-only — the
      * model reads no clocks and its results do not depend on the
      * pointer — and null by default, so replays stay entirely free of
      * shared-state traffic unless a caller (memo-sim --progress)
@@ -157,9 +165,26 @@ class CpuModel
      */
     SimResult run(const Trace &trace, MemoBank *bank = nullptr);
 
+    /**
+     * Hierarchy walks run() made in this process, for tests: one per
+     * run that found no memory pass of its geometry on the store. Not
+     * in the stats registry, so report bytes do not depend on which
+     * traces a cache budget kept resident.
+     */
+    static uint64_t memoryWalks();
+
   private:
     CpuConfig cfg;
 };
+
+/**
+ * Test-only fault injection: when enabled, the geometry key of
+ * CpuModel::run's memory pass ignores the L2 hit latency, so a run
+ * reads a pass walked under another L2 latency. The cpu-differential
+ * fuzz kind's mutation self-test turns this on to prove its
+ * check::referenceCpuRun oracle has teeth. Never enable outside tests.
+ */
+void setMemoryPassKeyFault(bool enabled);
 
 } // namespace memo
 

@@ -25,6 +25,13 @@
  * class: operand/result words of non-computational classes and
  * addresses of non-memory classes are dropped (the Recorder never
  * sets them).
+ *
+ * Besides the records, a store caches two things derived from them,
+ * each built on first use and dropped with the contents they were
+ * derived from: the key stream of each keyed class (accessKeys(), 8
+ * bytes per access of the class) and one memory pass (memoryPass(),
+ * about 1.3 KB). Neither is spilled or counted in memoryBytes(), so a
+ * trace cache's budget sees only the records.
  */
 
 #ifndef MEMO_TRACE_TRACE_STORE_HH
@@ -36,6 +43,7 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/access_key.hh"
@@ -46,39 +54,41 @@ namespace memo
 {
 
 /**
- * A lazily built key stream (core/access_key.hh) that belongs to one
- * store's current contents: built at most once, by the first reader,
- * while concurrent readers wait for it. A copy or a moved-to store
- * starts without one, so no stream outlives the columns it keys.
+ * A lazily built value derived from one store's current contents (a
+ * key stream, the memory pass): built at most once, by the first
+ * reader, while concurrent readers wait for it. A copy or a moved-to
+ * store starts without one, so no value outlives the columns it was
+ * derived from.
  */
-class AccessKeySlot
+template <typename T>
+class LazySlot
 {
   public:
-    AccessKeySlot() = default;
-    AccessKeySlot(const AccessKeySlot &) {}
-    AccessKeySlot &
-    operator=(const AccessKeySlot &)
+    LazySlot() = default;
+    LazySlot(const LazySlot &) {}
+    LazySlot &
+    operator=(const LazySlot &)
     {
         drop();
         return *this;
     }
 
-    /** The stream, built by @p build() on the first call. */
+    /** The value, built by @p build() on the first call. */
     template <typename Build>
-    const AccessKeys &
+    const T &
     get(Build &&build) const MEMO_EXCLUDES(mu_)
     {
-        if (const AccessKeys *k = ready_.load(std::memory_order_acquire))
-            return *k;
+        if (const T *v = ready_.load(std::memory_order_acquire))
+            return *v;
         MutexLock lock(mu_);
-        if (!keys_) {
-            keys_ = std::make_unique<const AccessKeys>(build());
-            ready_.store(keys_.get(), std::memory_order_release);
+        if (!value_) {
+            value_ = std::make_unique<const T>(build());
+            ready_.store(value_.get(), std::memory_order_release);
         }
-        return *keys_;
+        return *value_;
     }
 
-    /** True once get() has built the stream. */
+    /** True once get() has built the value. */
     bool
     built() const
     {
@@ -86,7 +96,7 @@ class AccessKeySlot
     }
 
     /**
-     * Drop the stream. Only the store's mutators call this, and a
+     * Drop the value. Only the store's mutators call this, and a
      * store being mutated has no concurrent readers, so the common
      * case (nothing built) is one relaxed load.
      */
@@ -97,14 +107,50 @@ class AccessKeySlot
             return;
         MutexLock lock(mu_);
         ready_.store(nullptr, std::memory_order_relaxed);
-        keys_.reset();
+        value_.reset();
     }
 
   private:
     mutable Mutex mu_;
-    mutable std::unique_ptr<const AccessKeys> keys_ MEMO_GUARDED_BY(mu_);
-    /** keys_.get() once built: the lock-free fast path of get(). */
-    mutable std::atomic<const AccessKeys *> ready_{nullptr};
+    mutable std::unique_ptr<const T> value_ MEMO_GUARDED_BY(mu_);
+    /** value_.get() once built: the lock-free fast path of get(). */
+    mutable std::atomic<const T *> ready_{nullptr};
+};
+
+/**
+ * The fields of a memory hierarchy that decide what it makes of a
+ * trace's loads and stores, as integers: L1 size, line size, ways and
+ * hit latency, the same four of L2, then the memory latency.
+ */
+using MemoryGeometry = std::array<uint64_t, 9>;
+
+/**
+ * What one memory hierarchy made of one trace, in plain integers: the
+ * per-class record counts, and per address class (Load, Store) the
+ * cycles and the number of records at each latency, with the L1 and
+ * L2 hit counters. CpuModel::run (sim/cpu.hh) walks it once per store
+ * and geometry (TraceStore::memoryPass) and charges everything else
+ * per run. About 1.3 KB.
+ */
+struct MemoryPass
+{
+    /** Latencies up to this are counted in an array, longer ones listed. */
+    static constexpr unsigned kCountedLatency = 64;
+
+    /** The latencies of one address class. */
+    struct Latencies
+    {
+        uint64_t cycles = 0; //!< sum of the latencies
+        std::array<uint64_t, kCountedLatency + 1> counted{};
+        /** (latency, records) past kCountedLatency, first seen first. */
+        std::vector<std::pair<uint64_t, uint64_t>> over;
+    };
+
+    MemoryGeometry geometry{}; //!< set by TraceStore::memoryPass
+    std::array<uint64_t, numInstClasses> count{};
+    Latencies load, store;
+    uint64_t l1Accesses = 0, l1Hits = 0;
+    uint64_t l2Accesses = 0, l2Hits = 0;
 };
 
 /** Column-oriented trace storage; records are append-only. */
@@ -175,7 +221,7 @@ class TraceStore
     void
     push(const Instruction &inst)
     {
-        dropAccessKeys();
+        dropDerived();
         cls_.push_back(static_cast<uint8_t>(inst.cls));
         pc_.push_back(inst.pc);
         if (hasOperands(inst.cls)) {
@@ -258,6 +304,32 @@ class TraceStore
     static uint64_t accessKeyBuilds();
 
     /**
+     * The memory pass of this store under @p geometry: built by
+     * @p walk() on the first call, at most once per store contents
+     * even when threads race to it, and then shared by every caller
+     * that asks under the same geometry. The first call's geometry
+     * keeps the slot: a caller under any other geometry gets nullptr
+     * and walks for itself, and the slot is left alone. Like the key
+     * streams, the pass is dropped by push(), clear() and adopt(), a
+     * copy of the store starts without it, it is never spilled, and
+     * it is not counted in memoryBytes() (about 1.3 KB per store).
+     */
+    template <typename Walk>
+    const MemoryPass *
+    memoryPass(const MemoryGeometry &geometry, Walk &&walk) const
+    {
+        const MemoryPass &p = pass_.get([&] {
+            MemoryPass built = walk();
+            built.geometry = geometry;
+            return built;
+        });
+        return p.geometry == geometry ? &p : nullptr;
+    }
+
+    /** True once memoryPass() has built a pass. */
+    bool hasMemoryPass() const { return pass_.built(); }
+
+    /**
      * Raw per-record and address columns, for column-wise export (the
      * spill encoder in trace/chunk_codec.hh, which gathers the
      * operand columns back into trace order through get()). The
@@ -272,7 +344,7 @@ class TraceStore
     void
     clear()
     {
-        dropAccessKeys();
+        dropDerived();
         cls_.clear();
         pc_.clear();
         payload_.clear();
@@ -296,7 +368,10 @@ class TraceStore
         payload_.reserve(n);
     }
 
-    /** Bytes held by the record data (excluding slack capacity). */
+    /**
+     * Bytes held by the record data (excluding slack capacity, the key
+     * streams and the memory pass).
+     */
     size_t
     memoryBytes() const
     {
@@ -362,11 +437,13 @@ class TraceStore
     const_iterator end() const { return {this, size()}; }
 
   private:
+    /** Drop everything derived from the columns. */
     void
-    dropAccessKeys()
+    dropDerived()
     {
-        for (AccessKeySlot &k : keys_)
+        for (LazySlot<AccessKeys> &k : keys_)
             k.drop();
+        pass_.drop();
     }
 
     // Per-record columns.
@@ -379,7 +456,9 @@ class TraceStore
     std::vector<uint64_t> addr_;
 
     /** Key streams of the IntMul, FpMul and FpDiv columns. */
-    std::array<AccessKeySlot, 3> keys_;
+    std::array<LazySlot<AccessKeys>, 3> keys_;
+    /** The memory pass under the first geometry asked for. */
+    LazySlot<MemoryPass> pass_;
 };
 
 } // namespace memo

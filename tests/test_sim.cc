@@ -12,6 +12,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "check/oracle.hh"
 #include "core/hooks.hh"
 #include "core/phase.hh"
+#include "exec/thread_pool.hh"
 #include "img/generate.hh"
 #include "sim/amdahl.hh"
 #include "sim/cpu.hh"
@@ -281,6 +283,9 @@ TEST(CpuModel, ProgressCounterSeesEveryInstructionOnce)
     EXPECT_EQ(progress.load(), trace.size());
     // A display-only sink: the cycle counts are those without it.
     EXPECT_EQ(with.totalCycles, CpuModel().run(trace).totalCycles);
+    // A run that reads the cached memory pass adds the count at once.
+    cpu.run(trace);
+    EXPECT_EQ(progress.load(), 2 * trace.size());
 }
 
 TEST(Amdahl, SpeedupEnhancedFormula)
@@ -496,6 +501,182 @@ TEST(CpuModel, MatchesReferenceLoopWithHooksAndPhases)
         got.table(ops[i])->setPhaseAccum(nullptr);
         want.table(ops[i])->setPhaseAccum(nullptr);
     }
+}
+
+// --- The memory pass: one hierarchy walk per store and geometry -----
+
+/** A copy of a recorded kernel trace: a store without a memory pass. */
+Trace
+freshTrace(const std::string &app, size_t img)
+{
+    return *cachedMmKernelTrace(mmKernelByName(app), standardImages()[img],
+                                48);
+}
+
+/**
+ * A hierarchy unlike the default: a 16 KiB L2 and a memory latency
+ * past the 64 cycles the pass counts in its array.
+ */
+CpuConfig
+otherGeometry()
+{
+    CpuConfig cfg;
+    cfg.l2.size = 16 * 1024;
+    cfg.memoryLatency = 100;
+    return cfg;
+}
+
+TEST(CpuModel, WalksTheHierarchyOncePerStoreAndGeometry)
+{
+    Trace t = freshTrace("vcost", 1);
+    ASSERT_FALSE(t.store().hasMemoryPass());
+    const uint64_t walks = CpuModel::memoryWalks();
+    const SimResult first = CpuModel().run(t);
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + 1);
+    EXPECT_TRUE(t.store().hasMemoryPass());
+
+    // Other latencies and banks keep the geometry, so they read the
+    // pass; every run still equals the reference loop.
+    for (const auto &[mul, div] :
+         {std::pair{3u, 13u}, std::pair{5u, 39u}}) {
+        CpuConfig cfg;
+        cfg.lat = LatencyConfig::custom(mul, div);
+        MemoBank bank = MemoBank::standard(MemoConfig{});
+        MemoBank ref = MemoBank::standard(MemoConfig{});
+        auto d = check::simResultDiff(check::referenceCpuRun(cfg, t, &ref),
+                                      CpuModel(cfg).run(t, &bank));
+        EXPECT_FALSE(d) << mul << "/" << div << ": " << *d;
+    }
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + 1);
+
+    // A second geometry walks for itself on every run and leaves the
+    // slot alone; its result is a fresh store's.
+    const CpuConfig other = otherGeometry();
+    const SimResult fresh = CpuModel(other).run(Trace(t));
+    EXPECT_NE(fresh.totalCycles, first.totalCycles);
+    for (int r = 0; r < 2; r++) {
+        const SimResult got = CpuModel(other).run(t);
+        auto d = check::simResultDiff(fresh, got);
+        EXPECT_FALSE(d) << "run " << r << ": " << *d;
+        d = check::simResultDiff(check::referenceCpuRun(other, t), got);
+        EXPECT_FALSE(d) << "run " << r << ": " << *d;
+    }
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + 4);
+    auto d = check::simResultDiff(first, CpuModel().run(t));
+    EXPECT_FALSE(d) << *d;
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + 4);
+}
+
+TEST(CpuModel, MemoryPassFollowsTheStoreContents)
+{
+    Trace t = freshTrace("vgauss", 2);
+    const CpuConfig cfg;
+    CpuModel cpu(cfg);
+    cpu.run(t);
+    uint64_t walks = CpuModel::memoryWalks();
+    auto expectReference = [&](const Trace &trace, const char *what) {
+        auto d = check::simResultDiff(check::referenceCpuRun(cfg, trace),
+                                      cpu.run(trace));
+        EXPECT_FALSE(d) << what << ": " << *d;
+    };
+
+    // push() drops the pass: the next run walks the new contents.
+    Instruction load;
+    load.cls = InstClass::Load;
+    load.addr = uint64_t{1} << 30;
+    t.push(load);
+    EXPECT_FALSE(t.store().hasMemoryPass());
+    expectReference(t, "after push");
+    EXPECT_EQ(CpuModel::memoryWalks(), ++walks);
+
+    // clear() drops it too.
+    t.clear();
+    EXPECT_FALSE(t.store().hasMemoryPass());
+    expectReference(t, "after clear");
+    EXPECT_EQ(CpuModel::memoryWalks(), ++walks);
+    EXPECT_EQ(cpu.run(t).totalCycles, 0u);
+    EXPECT_EQ(CpuModel::memoryWalks(), walks);
+}
+
+TEST(CpuModel, ConcurrentFirstUseWalksOnce)
+{
+    // 8 pool workers run one shared frozen trace at once, each under
+    // its own latencies and bank; every worker waits at the gate, so
+    // the first uses of the memory pass overlap.
+    constexpr unsigned kThreads = 8;
+    const Trace shared = freshTrace("vspatial", 3);
+    std::vector<CpuConfig> cfgs(kThreads);
+    std::vector<MemoBank> banks(kThreads), serial_banks(kThreads);
+    std::vector<SimResult> serial(kThreads), got(kThreads);
+    for (unsigned t = 0; t < kThreads; t++) {
+        cfgs[t].lat = LatencyConfig::custom(3 + t % 3, 13 + 2 * t);
+        if (t % 2)
+            for (MemoBank *b : {&banks[t], &serial_banks[t]}) {
+                b->addTable(Operation::FpMul, MemoConfig{});
+                b->addTable(Operation::FpDiv, MemoConfig{});
+            }
+        serial[t] = CpuModel(cfgs[t]).run(Trace(shared), &serial_banks[t]);
+    }
+
+    const uint64_t walks = CpuModel::memoryWalks();
+    {
+        exec::ThreadPool pool(kThreads);
+        std::atomic<unsigned> arrived{0};
+        for (unsigned t = 0; t < kThreads; t++)
+            pool.submit([&, t] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kThreads)
+                    std::this_thread::yield();
+                got[t] = CpuModel(cfgs[t]).run(shared, &banks[t]);
+            });
+        pool.wait();
+    }
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + 1);
+    for (unsigned t = 0; t < kThreads; t++) {
+        auto d = check::simResultDiff(serial[t], got[t]);
+        EXPECT_FALSE(d) << "worker " << t << ": " << *d;
+    }
+}
+
+TEST(CpuModel, SpeedupLoopWalksOncePerTrace)
+{
+    // The speedup stages' shape: per trace, the six fast/slow latency
+    // scenarios of the div, mul and both rows, each a baseline and a
+    // memoized run. Twelve runs make one walk.
+    struct Scenario
+    {
+        unsigned mul, div;
+        bool memoMul, memoDiv;
+    };
+    const Scenario scenarios[] = {
+        {3, 13, false, true}, {3, 39, false, true}, {3, 13, true, false},
+        {5, 13, true, false}, {3, 13, true, true},  {5, 39, true, true}};
+    std::vector<Trace> traces;
+    for (const char *app : {"vgauss", "vcost", "venhance"})
+        traces.push_back(freshTrace(app, 5));
+
+    const uint64_t walks = CpuModel::memoryWalks();
+    for (const Trace &t : traces) {
+        for (const Scenario &sc : scenarios) {
+            CpuConfig cfg;
+            cfg.lat = LatencyConfig::custom(sc.mul, sc.div);
+            MemoBank bank, ref;
+            for (MemoBank *b : {&bank, &ref}) {
+                if (sc.memoMul)
+                    b->addTable(Operation::FpMul, MemoConfig{});
+                if (sc.memoDiv)
+                    b->addTable(Operation::FpDiv, MemoConfig{});
+            }
+            CpuModel cpu(cfg);
+            auto d = check::simResultDiff(check::referenceCpuRun(cfg, t),
+                                          cpu.run(t));
+            EXPECT_FALSE(d) << *d;
+            d = check::simResultDiff(check::referenceCpuRun(cfg, t, &ref),
+                                     cpu.run(t, &bank));
+            EXPECT_FALSE(d) << *d;
+        }
+    }
+    EXPECT_EQ(CpuModel::memoryWalks(), walks + traces.size());
 }
 
 } // anonymous namespace

@@ -394,5 +394,58 @@ TEST(TraceStore, ClassColumnsRebuildAfterGrowth)
     EXPECT_TRUE(noFpMul.store().classColumns(InstClass::FpMul).a.empty());
 }
 
+TEST(TraceStore, MemoryPassBelongsToTheStoreContents)
+{
+    // The slot under a stand-in walk: the trace layer caches whatever
+    // its caller walked, keyed by the geometry of the first call.
+    Trace t = mixedTrace(6, 1000);
+    const TraceStore &s = t.store();
+    const MemoryGeometry g1{8192, 32, 2, 1, 262144, 64, 4, 6, 30};
+    MemoryGeometry g2 = g1;
+    g2[6] = 8; // L2 ways
+    unsigned walks = 0;
+    auto walk = [&] {
+        MemoryPass p;
+        p.count[0] = ++walks;
+        return p;
+    };
+    const size_t bytes = t.memoryBytes();
+    EXPECT_FALSE(s.hasMemoryPass());
+    const MemoryPass *p = s.memoryPass(g1, walk);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->geometry, g1);
+    EXPECT_EQ(p->count[0], 1u);
+    EXPECT_EQ(s.memoryPass(g1, walk), p); // built once
+    EXPECT_EQ(walks, 1u);
+    EXPECT_TRUE(s.hasMemoryPass());
+    EXPECT_EQ(t.memoryBytes(), bytes); // not counted
+
+    // Another geometry gets no pass and leaves the slot alone.
+    EXPECT_EQ(s.memoryPass(g2, walk), nullptr);
+    EXPECT_EQ(walks, 1u);
+    EXPECT_EQ(s.memoryPass(g1, walk), p);
+
+    // A copy never carries the pass, and a spill round trip adopts
+    // fresh columns without one.
+    Trace copy = t;
+    EXPECT_FALSE(copy.store().hasMemoryPass());
+    copy = t;
+    EXPECT_FALSE(copy.store().hasMemoryPass());
+    const Trace back = decodeTraceChunked(encodeTraceChunked(t, 4096));
+    EXPECT_FALSE(back.store().hasMemoryPass());
+
+    // push() and clear() drop it; the next call walks the new
+    // contents, under whichever geometry asks first.
+    t.push(t[0]);
+    EXPECT_FALSE(s.hasMemoryPass());
+    p = s.memoryPass(g2, walk);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->count[0], 2u);
+    EXPECT_EQ(s.memoryPass(g1, walk), nullptr);
+    t.clear();
+    EXPECT_FALSE(s.hasMemoryPass());
+    EXPECT_EQ(s.memoryPass(g1, walk)->count[0], 3u);
+}
+
 } // anonymous namespace
 } // namespace memo

@@ -6,10 +6,10 @@
  *   memo_fuzz --seed 1 --iters 10000 --mutation
  *
  * Exit status 0 means the harness behaved as expected: no invariant
- * violations in a normal campaign, or (with --mutation) all three
+ * violations in a normal campaign, or (with --mutation) all four
  * injected bugs — the tag-comparison bug, the batched-replay
- * block-boundary off-by-one and the keyed-replay victim off-by-one —
- * were caught. Any other outcome exits 1, printing a
+ * block-boundary off-by-one, the keyed-replay victim off-by-one and
+ * the memory-pass key that ignores the L2 hit latency — were caught. Any other outcome exits 1, printing a
  * shrunk counterexample and a one-line repro.
  */
 
@@ -38,9 +38,10 @@ usage(const char *argv0)
                  "  --iters N    fuzz cases to run (default 1000)\n"
                  "  --stream L   accesses per case (default 256)\n"
                  "  --mutation   self-test: inject a tag-comparison\n"
-                 "               bug, a block-boundary off-by-one and\n"
-                 "               a keyed victim off-by-one; the\n"
-                 "               harness must catch all three\n"
+                 "               bug, a block-boundary off-by-one, a\n"
+                 "               keyed victim off-by-one and a memory-\n"
+                 "               pass key ignoring the L2 hit latency;\n"
+                 "               the harness must catch all four\n"
                  "  --verbose    progress output every 1000 cases\n"
                  "  --progress   stderr heartbeat (rate/ETA); stdout\n"
                  "               stays byte-identical\n",
@@ -102,8 +103,8 @@ main(int argc, char **argv)
                          "detect its injected bug\n";
             return 1;
         }
-        std::cout << "ok: injected tag-comparison, block-boundary and "
-                     "keyed-victim bugs detected\n";
+        std::cout << "ok: injected tag-comparison, block-boundary, "
+                     "keyed-victim and memory-pass-key bugs detected\n";
         return 0;
     }
 
