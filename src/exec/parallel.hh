@@ -29,8 +29,13 @@ namespace memo::exec
  *
  * @param jobs maximum concurrent workers; 0 = ThreadPool::defaultJobs().
  *        With jobs == 1 (or n <= 1, or when called from inside a pool
- *        worker) the loop runs inline, in index order, on the calling
- *        thread — the serial baseline path.
+ *        worker or from another parallelFor's caller leg) the loop
+ *        runs inline, in index order, on the calling thread — the
+ *        serial baseline path. Otherwise pool workers run the loop; if
+ *        none of them starts within a millisecond, the caller runs
+ *        one of the legs itself. The caller never waits for a pool
+ *        worker that has not started, so the loop finishes even when
+ *        every pool worker is blocked.
  * @param grain indices claimed per atomic work grab. Workers take
  *        contiguous [i, i+grain) blocks, so cheap items amortize the
  *        claim and items sharing per-block state (e.g. one kernel's

@@ -1,10 +1,13 @@
 #include "generate.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "arith/fp.hh"
+#include "exec/parallel.hh"
+#include "prof/prof.hh"
 
 namespace memo
 {
@@ -45,90 +48,132 @@ smoothstep(double t)
     return t * t * (3.0 - 2.0 * t);
 }
 
-/** Bilinearly interpolated value noise. */
-double
-valueNoise(double x, double y, uint64_t seed)
-{
-    int xi = static_cast<int>(std::floor(x));
-    int yi = static_cast<int>(std::floor(y));
-    double tx = smoothstep(x - xi);
-    double ty = smoothstep(y - yi);
-    double v00 = lattice(xi, yi, seed);
-    double v10 = lattice(xi + 1, yi, seed);
-    double v01 = lattice(xi, yi + 1, seed);
-    double v11 = lattice(xi + 1, yi + 1, seed);
-    double a = v00 + (v10 - v00) * tx;
-    double b = v01 + (v11 - v01) * tx;
-    return a + (b - a) * ty;
-}
+/** Rows per work item of the row-parallel passes. */
+constexpr int kBlockRows = 8;
 
-/** Fractional Brownian motion over value noise. */
-double
-fbm(double x, double y, uint64_t seed, int octaves, double persistence)
+/** Number of kBlockRows-row blocks covering @p h rows. */
+size_t
+rowBlocks(int h)
 {
-    double sum = 0.0;
-    double amp = 1.0;
-    double norm = 0.0;
-    double freq = 1.0;
-    for (int o = 0; o < octaves; o++) {
-        sum += amp * valueNoise(x * freq, y * freq, seed + o * 1013);
-        norm += amp;
-        amp *= persistence;
-        freq *= 2.0;
-    }
-    return sum / norm;
-}
-
-/** Per-band min-max normalization to [0,1]. */
-void
-normalizeBand(Image &img, int band)
-{
-    float lo = std::numeric_limits<float>::max();
-    float hi = std::numeric_limits<float>::lowest();
-    for (int y = 0; y < img.height(); y++) {
-        for (int x = 0; x < img.width(); x++) {
-            lo = std::min(lo, img.at(x, y, band));
-            hi = std::max(hi, img.at(x, y, band));
-        }
-    }
-    float range = hi - lo;
-    if (range <= 0)
-        return;
-    for (int y = 0; y < img.height(); y++)
-        for (int x = 0; x < img.width(); x++)
-            img.at(x, y, band) = (img.at(x, y, band) - lo) / range;
+    return static_cast<size_t>((h + kBlockRows - 1) / kBlockRows);
 }
 
 /**
- * Histogram-equalize one band of [0,1] samples: remap through the CDF
- * of the 256-bin histogram so the grey alphabet is near uniform.
+ * Run @p fn(y0, y1) over row block [y0, y1) for every block of an
+ * @p h-row image, on the shared pool. Blocks write disjoint rows.
+ */
+template <typename Fn>
+void
+forRowBlocks(int h, Fn &&fn)
+{
+    exec::parallelFor(rowBlocks(h), [&](size_t i) {
+        int y0 = static_cast<int>(i) * kBlockRows;
+        fn(y0, std::min(h, y0 + kBlockRows));
+    });
+}
+
+/** Like forRowBlocks, collecting fn's results in block order. */
+template <typename Fn>
+auto
+sweepRowBlocks(int h, Fn &&fn)
+{
+    return exec::sweep(rowBlocks(h), [&](size_t i) {
+        int y0 = static_cast<int>(i) * kBlockRows;
+        return fn(y0, std::min(h, y0 + kBlockRows));
+    });
+}
+
+/**
+ * One row of one band of fractional Brownian motion over bilinear
+ * value noise, before normalization: sum[x] accumulates, in octave
+ * order, amp[o] times the noise at (fx[x], fy) * freq[o]. Coordinates
+ * are >= 0, so truncation is floor. Consecutive pixels in one lattice
+ * cell reuse its four corner values, and a step to the next cell
+ * reuses the shared edge.
  */
 void
-equalizeBand(Image &img, int band)
+fbmRow(const std::vector<double> &fx, double fy, uint64_t seed,
+       const std::vector<double> &amp, const std::vector<double> &freq,
+       std::vector<double> &sum)
 {
-    std::array<uint64_t, 256> hist{};
-    uint64_t n = 0;
-    for (int y = 0; y < img.height(); y++) {
-        for (int x = 0; x < img.width(); x++) {
-            int q = std::clamp(
-                static_cast<int>(img.at(x, y, band) * 255.0f), 0, 255);
-            hist[q]++;
-            n++;
+    std::fill(sum.begin(), sum.end(), 0.0);
+    for (size_t o = 0; o < amp.size(); o++) {
+        uint64_t oseed = seed + static_cast<uint64_t>(o) * 1013;
+        double py = fy * freq[o];
+        int yi = static_cast<int>(py);
+        double ty = smoothstep(py - yi);
+        int cx = -2; // no cell yet: xi >= 0 is neither cx nor cx + 1
+        double v00 = 0, v10 = 0, v01 = 0, v11 = 0;
+        for (size_t x = 0; x < fx.size(); x++) {
+            double px = fx[x] * freq[o];
+            int xi = static_cast<int>(px);
+            if (xi != cx) {
+                if (xi == cx + 1) {
+                    v00 = v10;
+                    v01 = v11;
+                } else {
+                    v00 = lattice(xi, yi, oseed);
+                    v01 = lattice(xi, yi + 1, oseed);
+                }
+                v10 = lattice(xi + 1, yi, oseed);
+                v11 = lattice(xi + 1, yi + 1, oseed);
+                cx = xi;
+            }
+            double tx = smoothstep(px - xi);
+            double a = v00 + (v10 - v00) * tx;
+            double b = v01 + (v11 - v01) * tx;
+            sum[x] += amp[o] * (a + (b - a) * ty);
         }
     }
-    std::array<double, 256> cdf{};
-    uint64_t run = 0;
-    for (int i = 0; i < 256; i++) {
-        run += hist[i];
-        cdf[i] = static_cast<double>(run) / n;
+}
+
+/** Per-band sample range. */
+struct BandRange
+{
+    std::vector<float> lo, hi;
+
+    explicit BandRange(int bands = 0)
+        : lo(bands, std::numeric_limits<float>::max()),
+          hi(bands, std::numeric_limits<float>::lowest())
+    {
     }
-    for (int y = 0; y < img.height(); y++) {
-        for (int x = 0; x < img.width(); x++) {
-            int q = std::clamp(
-                static_cast<int>(img.at(x, y, band) * 255.0f), 0, 255);
-            img.at(x, y, band) = static_cast<float>(cdf[q]);
+};
+
+/**
+ * Per-band min and max of @p img, reduced over row blocks. Min and max
+ * are exact, so the result does not depend on the block order.
+ */
+BandRange
+bandRange(const Image &img)
+{
+    int nb = img.bands();
+    auto parts = sweepRowBlocks(img.height(), [&](int y0, int y1) {
+        BandRange r(nb);
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < img.width(); x++) {
+                for (int b = 0; b < nb; b++) {
+                    r.lo[b] = std::min(r.lo[b], img.at(x, y, b));
+                    r.hi[b] = std::max(r.hi[b], img.at(x, y, b));
+                }
+            }
+        }
+        return r;
+    });
+    BandRange all(nb);
+    for (const BandRange &r : parts) {
+        for (int b = 0; b < nb; b++) {
+            all.lo[b] = std::min(all.lo[b], r.lo[b]);
+            all.hi[b] = std::max(all.hi[b], r.hi[b]);
         }
     }
+    return all;
+}
+
+/** The 256-bin histogram bin of a [0,1] sample. */
+int
+equalizeBin(float v)
+{
+    return std::clamp(static_cast<int>(v * 255.0f), 0, 255);
 }
 
 } // anonymous namespace
@@ -138,27 +183,99 @@ genNatural(int w, int h, int bands, uint64_t seed, double base_scale,
            int octaves, double persistence, int levels, double gamma,
            bool equalize)
 {
+    if (!(base_scale > 0.0))
+        throw std::invalid_argument("genNatural: base_scale must be > 0");
+    if (octaves < 1)
+        throw std::invalid_argument("genNatural: octaves must be >= 1");
+    // Octave weights with fBm's running products: amplitude falls by
+    // persistence and frequency doubles per octave.
+    std::vector<double> amp(octaves), freq(octaves);
+    double norm = 0.0;
+    double a = 1.0, f = 1.0;
+    for (int o = 0; o < octaves; o++) {
+        amp[o] = a;
+        freq[o] = f;
+        norm += a;
+        a *= persistence;
+        f *= 2.0;
+    }
+    std::vector<double> fx(w);
+    for (int x = 0; x < w; x++)
+        fx[x] = x / base_scale;
+
     Image img(w, h, bands, PixelType::Byte);
-    for (int b = 0; b < bands; b++) {
-        uint64_t band_seed = seed + static_cast<uint64_t>(b) * 7919;
-        for (int y = 0; y < h; y++) {
-            for (int x = 0; x < w; x++) {
-                img.at(x, y, b) = static_cast<float>(
-                    fbm(x / base_scale, y / base_scale, band_seed,
-                        octaves, persistence));
+    forRowBlocks(h, [&](int y0, int y1) {
+        std::vector<double> sum(w);
+        for (int y = y0; y < y1; y++) {
+            for (int b = 0; b < bands; b++) {
+                fbmRow(fx, y / base_scale,
+                       seed + static_cast<uint64_t>(b) * 7919, amp, freq,
+                       sum);
+                for (int x = 0; x < w; x++)
+                    img.at(x, y, b) = static_cast<float>(sum[x] / norm);
             }
         }
-        normalizeBand(img, b);
-        if (equalize)
-            equalizeBand(img, b);
+    });
+
+    // Per-band min-max normalization to [0,1], counting the 256-bin
+    // histogram of the result when equalizing.
+    BandRange r = bandRange(img);
+    std::vector<float> range(bands);
+    for (int b = 0; b < bands; b++)
+        range[b] = r.hi[b] - r.lo[b];
+    auto hists = sweepRowBlocks(h, [&](int y0, int y1) {
+        std::vector<uint64_t> hist(equalize ? 256 * bands : 0);
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < w; x++) {
+                for (int b = 0; b < bands; b++) {
+                    float &v = img.at(x, y, b);
+                    if (range[b] > 0)
+                        v = (v - r.lo[b]) / range[b];
+                    if (equalize)
+                        hist[256 * b + equalizeBin(v)]++;
+                }
+            }
+        }
+        return hist;
+    });
+
+    // Histogram equalization remaps each band through the CDF of its
+    // histogram so the grey alphabet is near uniform. Then gamma skew,
+    // posterize to the requested alphabet, spread to 0..255.
+    std::vector<double> cdf(equalize ? 256 * bands : 0);
+    if (equalize) {
+        std::vector<uint64_t> hist(256 * bands);
+        for (const auto &part : hists)
+            for (size_t i = 0; i < hist.size(); i++)
+                hist[i] += part[i];
+        uint64_t n = static_cast<uint64_t>(w) * h;
+        for (int b = 0; b < bands; b++) {
+            uint64_t run = 0;
+            for (int i = 0; i < 256; i++) {
+                run += hist[256 * b + i];
+                cdf[256 * b + i] = static_cast<double>(run) / n;
+            }
+        }
     }
-    // Gamma skew, posterize to the requested alphabet, spread to 0..255.
+    bool skew = !fpExactEq(gamma, 1.0);
     double step = levels > 1 ? 255.0 / (levels - 1) : 0.0;
-    for (float &v : img.raw()) {
-        double u = std::pow(static_cast<double>(v), gamma);
-        int q = static_cast<int>(std::lround(u * (levels - 1)));
-        v = static_cast<float>(std::lround(q * step));
-    }
+    forRowBlocks(h, [&](int y0, int y1) {
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < w; x++) {
+                for (int b = 0; b < bands; b++) {
+                    float &v = img.at(x, y, b);
+                    if (equalize)
+                        v = static_cast<float>(
+                            cdf[256 * b + equalizeBin(v)]);
+                    double u = static_cast<double>(v);
+                    if (skew)
+                        u = std::pow(u, gamma);
+                    int q = static_cast<int>(std::lround(u * (levels - 1)));
+                    v = static_cast<float>(std::lround(q * step));
+                }
+            }
+        }
+    });
     img.quantize();
     return img;
 }
@@ -166,6 +283,8 @@ genNatural(int w, int h, int bands, uint64_t seed, double base_scale,
 Image
 genLabels(int w, int h, int num_labels, uint64_t seed)
 {
+    if (num_labels < 1)
+        throw std::invalid_argument("genLabels: num_labels must be >= 1");
     // Many small Voronoi fragments, each carrying one of num_labels
     // label values: the label alphabet stays small (full entropy ~
     // log2(num_labels)) while boundaries are frequent enough that small
@@ -189,28 +308,34 @@ genLabels(int w, int h, int num_labels, uint64_t seed)
                          label});
     }
     Image img(w, h, 1, PixelType::Integer);
-    for (int y = 0; y < h; y++) {
-        for (int x = 0; x < w; x++) {
-            int best = 0;
-            double best_d = std::numeric_limits<double>::max();
-            for (int i = 0; i < num_sites; i++) {
-                double dx = x - sites[i].x;
-                double dy = y - sites[i].y;
-                double d = dx * dx + dy * dy;
-                if (d < best_d) {
-                    best_d = d;
-                    best = i;
+    forRowBlocks(h, [&](int y0, int y1) {
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < w; x++) {
+                int best = 0;
+                double best_d = std::numeric_limits<double>::max();
+                for (int i = 0; i < num_sites; i++) {
+                    double dx = x - sites[i].x;
+                    double dy = y - sites[i].y;
+                    double d = dx * dx + dy * dy;
+                    if (d < best_d) {
+                        best_d = d;
+                        best = i;
+                    }
                 }
+                img.at(x, y) = static_cast<float>(sites[best].label);
             }
-            img.at(x, y) = static_cast<float>(sites[best].label);
         }
-    }
+    });
     return img;
 }
 
 Image
 genFractal(int w, int h, int max_iter, uint64_t seed)
 {
+    if (w < 2)
+        throw std::invalid_argument("genFractal: w must be >= 2");
+    if (h < 2)
+        throw std::invalid_argument("genFractal: h must be >= 2");
     // A viewport dominated by the main cardioid of the Mandelbrot set:
     // most pixels saturate at max_iter (one value), the rest fall in a
     // few thin posterized escape bands.
@@ -220,22 +345,24 @@ genFractal(int w, int h, int max_iter, uint64_t seed)
     double cy0 = -0.54;
     double cy1 = 0.54;
     Image img(w, h, 1, PixelType::Byte);
-    for (int y = 0; y < h; y++) {
-        for (int x = 0; x < w; x++) {
-            double cr = cx0 + (cx1 - cx0) * x / (w - 1);
-            double ci = cy0 + (cy1 - cy0) * y / (h - 1);
-            double zr = 0.0, zi = 0.0;
-            int it = 0;
-            while (it < max_iter && zr * zr + zi * zi < 4.0) {
-                double t = zr * zr - zi * zi + cr;
-                zi = 2.0 * zr * zi + ci;
-                zr = t;
-                it++;
+    forRowBlocks(h, [&](int y0, int y1) {
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < w; x++) {
+                double cr = cx0 + (cx1 - cx0) * x / (w - 1);
+                double ci = cy0 + (cy1 - cy0) * y / (h - 1);
+                double zr = 0.0, zi = 0.0;
+                int it = 0;
+                while (it < max_iter && zr * zr + zi * zi < 4.0) {
+                    double t = zr * zr - zi * zi + cr;
+                    zi = 2.0 * zr * zi + ci;
+                    zr = t;
+                    it++;
+                }
+                int v = it == max_iter ? 0 : 32 + 8 * (it % 24);
+                img.at(x, y) = static_cast<float>(v);
             }
-            int v = it == max_iter ? 0 : 32 + 8 * (it % 24);
-            img.at(x, y) = static_cast<float>(v);
         }
-    }
+    });
     img.quantize();
     return img;
 }
@@ -261,19 +388,21 @@ genSmoothFloat(int w, int h, uint64_t seed)
         blobs.push_back({bx, by, s, a});
     }
     Image img(w, h, 1, PixelType::Float);
-    for (int y = 0; y < h; y++) {
-        for (int x = 0; x < w; x++) {
-            double v = 0.0;
-            for (const auto &blob : blobs) {
-                double dx = x - blob.x;
-                double dy = y - blob.y;
-                v += blob.amp *
-                     std::exp(-(dx * dx + dy * dy) /
-                              (2.0 * blob.sigma * blob.sigma));
+    forRowBlocks(h, [&](int y0, int y1) {
+        for (int y = y0; y < y1; y++) {
+            for (int x = 0; x < w; x++) {
+                double v = 0.0;
+                for (const auto &blob : blobs) {
+                    double dx = x - blob.x;
+                    double dy = y - blob.y;
+                    v += blob.amp *
+                         std::exp(-(dx * dx + dy * dy) /
+                                  (2.0 * blob.sigma * blob.sigma));
+                }
+                img.at(x, y) = static_cast<float>(v);
             }
-            img.at(x, y) = static_cast<float>(v);
         }
-    }
+    });
     return img;
 }
 
@@ -296,6 +425,8 @@ genStarfield(int w, int h, uint64_t seed)
 Image
 genGradient(int w, int h)
 {
+    if (w < 2)
+        throw std::invalid_argument("genGradient: w must be >= 2");
     Image img(w, h, 1, PixelType::Byte);
     for (int y = 0; y < h; y++)
         for (int x = 0; x < w; x++)
@@ -308,6 +439,7 @@ const std::vector<NamedImage> &
 standardImages()
 {
     static const std::vector<NamedImage> images = [] {
+        prof::ProfSpan span("img.generate");
         constexpr double nan = std::numeric_limits<double>::quiet_NaN();
         std::vector<NamedImage> v;
         v.push_back({"mandrill",

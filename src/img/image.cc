@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/parallel.hh"
+
 namespace memo
 {
 
@@ -23,18 +25,22 @@ pixelTypeName(PixelType t)
 void
 Image::quantize()
 {
-    switch (ty) {
-      case PixelType::Byte:
-        for (float &v : data)
-            v = std::clamp(std::round(v), 0.0f, 255.0f);
-        break;
-      case PixelType::Integer:
-        for (float &v : data)
-            v = std::round(v);
-        break;
-      case PixelType::Float:
-        break;
-    }
+    if (ty == PixelType::Float || data.empty())
+        return;
+    // Each sample maps on its own, so rows go to the shared pool in
+    // work items of at least 16 Ki samples; a smaller image is one
+    // item, which parallelFor runs inline.
+    bool byte = ty == PixelType::Byte;
+    size_t row = static_cast<size_t>(w) * nb;
+    exec::parallelFor(
+        static_cast<size_t>(h),
+        [&](size_t y) {
+            float *v = data.data() + y * row;
+            for (size_t i = 0; i < row; i++)
+                v[i] = byte ? std::clamp(std::round(v[i]), 0.0f, 255.0f)
+                            : std::round(v[i]);
+        },
+        0, std::max<size_t>(1, (size_t{16} << 10) / row));
 }
 
 float

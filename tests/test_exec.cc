@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -133,6 +135,63 @@ TEST(ParallelFor, NestedCallsRunInline)
         },
         4);
     EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ParallelFor, FinishesWhileEveryWorkerIsBlocked)
+{
+    // Occupy every pool worker until released. No worker takes a leg,
+    // so the caller runs one itself and never waits for a queued leg:
+    // the loop completes on the calling thread alone.
+    exec::ThreadPool &pool = exec::ThreadPool::shared();
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    for (unsigned i = 0; i < pool.size(); i++)
+        pool.submit([released] { released.wait(); });
+    std::atomic<int> count{0};
+    // A plain thread runs the loop so a stall can be observed.
+    // NOLINTNEXTLINE(memo-CONC-001)
+    auto loop = std::async(std::launch::async, [&] {
+        exec::parallelFor(
+            100, [&](size_t) { count.fetch_add(1); }, 4);
+    });
+    bool finished = loop.wait_for(std::chrono::seconds(20)) ==
+                    std::future_status::ready;
+    release.set_value();
+    loop.get();
+    pool.wait();
+    EXPECT_TRUE(finished);
+    EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ParallelFor, CallerLegCountsAgainstJobs)
+{
+    // Every pool worker is busy when the loop starts, so the caller
+    // takes a leg. Its first iteration frees the workers; of the two
+    // queued legs only one may still join, so no more than jobs = 2
+    // threads ever run the body at once.
+    exec::ThreadPool &pool = exec::ThreadPool::shared();
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    for (unsigned i = 0; i < pool.size(); i++)
+        pool.submit([released] { released.wait(); });
+    std::atomic<bool> freed{false};
+    std::atomic<int> inside{0}, most{0};
+    exec::parallelFor(
+        200,
+        [&](size_t) {
+            if (!freed.exchange(true))
+                release.set_value();
+            int now = inside.fetch_add(1) + 1;
+            int seen = most.load();
+            while (now > seen && !most.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+            inside.fetch_sub(1);
+        },
+        2);
+    pool.wait();
+    EXPECT_GE(most.load(), 1);
+    EXPECT_LE(most.load(), 2);
 }
 
 TEST(Sweep, ResultsAreIndexAligned)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -64,6 +65,28 @@ TEST(Image, QuantizeIntegerRounds)
     img.quantize();
     EXPECT_EQ(img.at(0, 0), 1235.0f);
     EXPECT_EQ(img.at(1, 0), -7.0f);
+}
+
+TEST(Image, QuantizeSpansWorkItems)
+{
+    // 96 Ki samples: several row items, run on the pool.
+    Image img(512, 64, 3, PixelType::Byte);
+    for (size_t i = 0; i < img.samples(); i++)
+        img.raw()[i] = static_cast<float>(i % 600) * 0.5f - 20.25f;
+    img.quantize();
+    for (size_t i = 0; i < img.samples(); i++) {
+        float want = std::clamp(
+            std::round(static_cast<float>(i % 600) * 0.5f - 20.25f),
+            0.0f, 255.0f);
+        ASSERT_EQ(img.raw()[i], want) << i;
+    }
+}
+
+TEST(Image, QuantizeEmptyIsNoOp)
+{
+    Image img;
+    img.quantize();
+    EXPECT_EQ(img.samples(), 0u);
 }
 
 TEST(Image, MinMax)
