@@ -634,7 +634,6 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
     for (unsigned i = 0; i < opts.streamLen; i++) {
         Instruction inst;
         inst.cls = classes[rng.below(std::size(classes))];
-        inst.pc = static_cast<uint32_t>(rng.below(64)) * 4;
         if (auto op = memoOperation(inst.cls)) {
             bool fp = isFloat(*op);
             inst.a = fp ? fuzzDoubleBits(rng, fpool_a)
@@ -763,7 +762,8 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
  * trace/chunk_codec.hh): a random trace must survive
  * encode -> decode bit-exactly at an arbitrary chunk width — including
  * widths that do not divide the column lengths — and flipping any
- * single bit of any encoded chunk or of the manifest must be rejected
+ * single bit of any encoded chunk or of the manifest, or naming fp add
+ * (a class without operands) in the opCls column, must be rejected
  * with SpillError, never silently decoded.
  */
 std::optional<FuzzFailure>
@@ -785,7 +785,6 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
     for (unsigned i = 0; i < len; i++) {
         Instruction inst;
         inst.cls = classes[rng.below(std::size(classes))];
-        inst.pc = static_cast<uint32_t>(rng.below(64)) * 4;
         if (auto op = memoOperation(inst.cls)) {
             bool fp = isFloat(*op);
             inst.a = fp ? fuzzDoubleBits(rng, fpool_a)
@@ -830,12 +829,44 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
         return fail("decode changed record count: " +
                     std::to_string(trace.size()) + " -> " +
                     std::to_string(back.size()));
-    for (size_t i = 0; i < trace.size(); i++) {
-        Instruction x = trace[i], y = back[i];
-        if (x.cls != y.cls || x.pc != y.pc || x.a != y.a ||
-            x.b != y.b || x.result != y.result || x.addr != y.addr)
+    size_t i = 0;
+    for (auto x = trace.begin(), y = back.begin(); x != trace.end();
+         ++x, ++y, ++i) {
+        const Instruction a = *x, b = *y;
+        if (a.cls != b.cls || a.a != b.a || a.b != b.b ||
+            a.result != b.result || a.addr != b.addr)
             return fail("decode not bit-exact at record " +
                         std::to_string(i));
+    }
+
+    // An fp-add record carries only its class, so an opCls entry
+    // naming fp add must be rejected: rewrite one entry of the opCls
+    // column, re-chunked at the same width, and decode.
+    if (trace.store().opCount() > 0) {
+        EncodedTrace bad = encodeTraceChunked(trace, chunk_elems);
+        std::vector<uint8_t> op_cls;
+        for (const Instruction inst : trace)
+            if (TraceStore::hasOperands(inst.cls))
+                op_cls.push_back(static_cast<uint8_t>(inst.cls));
+        const size_t at = rng.below(op_cls.size());
+        op_cls[at] = static_cast<uint8_t>(InstClass::FpAdd);
+        const auto col = static_cast<size_t>(TraceColumn::OpCls);
+        bad.cols[col].clear();
+        bad.manifest.cols[col].clear();
+        for (size_t base = 0; base < op_cls.size(); base += chunk_elems) {
+            const auto n = static_cast<uint32_t>(
+                std::min<size_t>(chunk_elems, op_cls.size() - base));
+            bad.cols[col].push_back(encodeChunk(op_cls.data() + base, n));
+            bad.manifest.cols[col].push_back(
+                {bad.cols[col].back().hash, n});
+        }
+        try {
+            decodeTraceChunked(bad);
+            return fail("an opCls entry for fp add (operand record " +
+                        std::to_string(at) + ") decoded without error");
+        } catch (const SpillError &) {
+            // expected
+        }
     }
 
     // Manifest round-trip.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/stats.hh"
+#include "prof/prof.hh"
 
 namespace memo::exec
 {
@@ -99,6 +100,7 @@ TraceCache::get(const TraceKey &key, const Generator &gen)
             // a corrupt manifest included, is survivable — count it
             // and fall back.
             if (spill) {
+                prof::ProfSpan span("cache.admit");
                 try {
                     std::optional<Trace> t =
                         spill->readIfPresent(spillKeyOf(key));
@@ -115,6 +117,7 @@ TraceCache::get(const TraceKey &key, const Generator &gen)
                 }
             }
             if (!slot->trace) {
+                prof::ProfSpan span("cache.generate");
                 slot->trace = std::make_shared<const Trace>(gen());
                 generated_.fetch_add(1, std::memory_order_relaxed);
             }
@@ -167,8 +170,9 @@ void
 TraceCache::spillVictims(const std::shared_ptr<SpillStore> &spill,
                          const Victims &victims)
 {
-    if (!spill)
+    if (!spill || victims.empty())
         return;
+    prof::ProfSpan span("cache.spill");
     for (const auto &[key, slot] : victims) {
         std::string skey = spillKeyOf(key);
         // Victims are unreachable from the map, but a requester that

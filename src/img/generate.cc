@@ -307,20 +307,79 @@ genLabels(int w, int h, int num_labels, uint64_t seed)
                          static_cast<double>(hy % 10000) / 10000.0 * h,
                          label});
     }
+    // Nearest site per pixel (the first such site on a tie), found
+    // through a grid of square cells holding about two sites each:
+    // the search visits rings of cells around the pixel's cell until
+    // no unvisited cell can hold a site as near as the best so far.
+    // A site k rings out is more than (k - 1) * cell away on one
+    // axis; the bound gives up a little to the rounding of the cell
+    // indices and of the distances, so a site it skips is strictly
+    // farther than the best and could not have won.
+    const double cell =
+        std::max(1.0, std::sqrt(2.0 * w * h / num_sites));
+    const int gw = static_cast<int>(w / cell) + 1;
+    const int gh = static_cast<int>(h / cell) + 1;
+    auto cellOf = [&](double v, int n) {
+        return std::clamp(static_cast<int>(v / cell), 0, n - 1);
+    };
+    // Sites by cell, ascending index within each: bucket c holds
+    // order[start[c] .. start[c + 1]).
+    std::vector<int> start(static_cast<size_t>(gw) * gh + 1, 0);
+    std::vector<int> cell_of(num_sites);
+    for (int i = 0; i < num_sites; i++) {
+        cell_of[i] = cellOf(sites[i].y, gh) * gw + cellOf(sites[i].x, gw);
+        start[cell_of[i] + 1]++;
+    }
+    for (size_t c = 1; c < start.size(); c++)
+        start[c] += start[c - 1];
+    std::vector<int> order(num_sites);
+    {
+        std::vector<int> fill(start.begin(), start.end() - 1);
+        for (int i = 0; i < num_sites; i++)
+            order[fill[cell_of[i]]++] = i;
+    }
+    const int rings = std::max(gw, gh);
+
     Image img(w, h, 1, PixelType::Integer);
     forRowBlocks(h, [&](int y0, int y1) {
         for (int y = y0; y < y1; y++) {
+            const int cy = cellOf(y, gh);
             for (int x = 0; x < w; x++) {
-                int best = 0;
+                const int cx = cellOf(x, gw);
+                int best = num_sites;
                 double best_d = std::numeric_limits<double>::max();
-                for (int i = 0; i < num_sites; i++) {
-                    double dx = x - sites[i].x;
-                    double dy = y - sites[i].y;
-                    double d = dx * dx + dy * dy;
-                    if (d < best_d) {
-                        best_d = d;
-                        best = i;
+                auto visit = [&](int gx, int gy) {
+                    if (gx < 0 || gx >= gw || gy < 0 || gy >= gh)
+                        return;
+                    const int c = gy * gw + gx;
+                    for (int k = start[c]; k < start[c + 1]; k++) {
+                        const int i = order[k];
+                        double dx = x - sites[i].x;
+                        double dy = y - sites[i].y;
+                        double d = dx * dx + dy * dy;
+                        if (d < best_d ||
+                            (fpExactEq(d, best_d) && i < best)) {
+                            best_d = d;
+                            best = i;
+                        }
                     }
+                };
+                for (int r = 0; r <= rings; r++) {
+                    if (r == 0) {
+                        visit(cx, cy);
+                    } else {
+                        for (int gx = cx - r; gx <= cx + r; gx++) {
+                            visit(gx, cy - r);
+                            visit(gx, cy + r);
+                        }
+                        for (int gy = cy - r + 1; gy < cy + r; gy++) {
+                            visit(cx - r, gy);
+                            visit(cx + r, gy);
+                        }
+                    }
+                    const double reach = r * cell - 1e-6;
+                    if (reach > 0 && reach * reach * (1 - 1e-12) > best_d)
+                        break;
                 }
                 img.at(x, y) = static_cast<float>(sites[best].label);
             }

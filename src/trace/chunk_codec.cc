@@ -134,7 +134,7 @@ readChunkHeader(std::string_view chunk)
                          std::to_string(encoding));
     ChunkHeader h;
     h.width = r.u8();
-    if (h.width != 1 && h.width != 4 && h.width != 8)
+    if (h.width != 1 && h.width != 8)
         throw SpillError("chunk header: invalid element width " +
                          std::to_string(h.width));
     h.elems = r.u32();
@@ -203,9 +203,10 @@ scatterOperands(const TraceManifest &m, const ChunkSource &chunk,
     const std::vector<uint8_t> &opCls = cols.opCls;
     std::array<size_t, numInstClasses> count{};
     for (uint8_t c : opCls) {
-        if (c >= numInstClasses)
+        if (c >= numInstClasses ||
+            !TraceStore::hasOperands(static_cast<InstClass>(c)))
             throw SpillError("opCls: value " + std::to_string(c) +
-                             " is not an InstClass");
+                             " is not a class with operands");
         count[c]++;
     }
     for (unsigned c = 0; c < numInstClasses; c++) {
@@ -282,8 +283,6 @@ traceColumnName(TraceColumn col)
     switch (col) {
       case TraceColumn::Cls:
         return "cls";
-      case TraceColumn::Pc:
-        return "pc";
       case TraceColumn::OpCls:
         return "opCls";
       case TraceColumn::OpA:
@@ -305,8 +304,6 @@ traceColumnWidth(TraceColumn col)
       case TraceColumn::Cls:
       case TraceColumn::OpCls:
         return 1;
-      case TraceColumn::Pc:
-        return 4;
       default:
         return 8;
     }
@@ -322,7 +319,6 @@ encodeChunk(const T *v, uint32_t n)
 }
 
 template EncodedChunk encodeChunk(const uint8_t *, uint32_t);
-template EncodedChunk encodeChunk(const uint32_t *, uint32_t);
 template EncodedChunk encodeChunk(const uint64_t *, uint32_t);
 
 template <typename T>
@@ -359,8 +355,6 @@ decodeChunkInto(std::string_view chunk, std::vector<T> &out,
 
 template void decodeChunkInto(std::string_view, std::vector<uint8_t> &,
                               const char *, const ChunkRef *);
-template void decodeChunkInto(std::string_view, std::vector<uint32_t> &,
-                              const char *, const ChunkRef *);
 template void decodeChunkInto(std::string_view, std::vector<uint64_t> &,
                               const char *, const ChunkRef *);
 
@@ -390,11 +384,12 @@ encodeTrace(const std::string &key, const Trace &trace,
     };
 
     column(TraceColumn::Cls, s.clsData(), s.size());
-    column(TraceColumn::Pc, s.pcData(), s.size());
 
     // The store keeps operands per class, so each operand chunk's
-    // words are gathered by walking the class column; chunk
-    // boundaries fall exactly where column() would put them.
+    // words are gathered by walking the class column with one cursor
+    // per class; chunk boundaries fall exactly where column() would
+    // put them.
+    std::array<size_t, numInstClasses> at{};
     std::vector<uint8_t> cls;
     std::vector<uint64_t> a, b, r;
     auto flush = [&] {
@@ -408,14 +403,16 @@ encodeTrace(const std::string &key, const Trace &trace,
         r.clear();
     };
     for (size_t i = 0; i < s.size(); i++) {
-        const auto c = static_cast<InstClass>(s.clsData()[i]);
-        if (!TraceStore::hasOperands(c))
+        const uint8_t c = s.clsData()[i];
+        if (!TraceStore::hasOperands(static_cast<InstClass>(c)))
             continue;
-        const Instruction inst = s.get(i);
-        cls.push_back(static_cast<uint8_t>(inst.cls));
-        a.push_back(inst.a);
-        b.push_back(inst.b);
-        r.push_back(inst.result);
+        const TraceStore::ClassColumns &words =
+            s.classColumns(static_cast<InstClass>(c));
+        const size_t k = at[c]++;
+        cls.push_back(c);
+        a.push_back(words.a[k]);
+        b.push_back(words.b[k]);
+        r.push_back(words.r[k]);
         if (cls.size() == chunk_elems)
             flush();
     }
@@ -430,7 +427,7 @@ Trace
 decodeTrace(const TraceManifest &m, const ChunkSource &chunk)
 {
     const uint64_t implied[kNumTraceColumns] = {
-        m.records, m.records, m.ops, m.ops, m.ops, m.ops, m.addrs};
+        m.records, m.ops, m.ops, m.ops, m.ops, m.addrs};
     for (size_t c = 0; c < kNumTraceColumns; c++) {
         uint64_t declared = 0;
         for (const ChunkRef &ref : m.cols[c])
@@ -450,7 +447,6 @@ decodeTrace(const TraceManifest &m, const ChunkSource &chunk)
     decodeColumn(m, TraceColumn::Cls, 0, chunk, cols.cls);
     cols.cls.shrink_to_fit();
     const uint64_t cap = cols.cls.size();
-    decodeColumn(m, TraceColumn::Pc, cap, chunk, cols.pc);
     decodeColumn(m, TraceColumn::OpCls, cap, chunk, cols.opCls);
     scatterOperands(m, chunk, cols);
     decodeColumn(m, TraceColumn::Addr, cap, chunk, cols.addr);

@@ -63,7 +63,7 @@ inline constexpr char kChunkMagic[4] = {'M', 'T', 'C', 'K'};
 inline constexpr char kManifestMagic[4] = {'M', 'T', 'R', 'M'};
 
 /** Schema version shared by chunk and manifest headers. */
-inline constexpr uint16_t kSpillFormatVersion = 2;
+inline constexpr uint16_t kSpillFormatVersion = 3;
 
 /** Encoding id 2: raw little-endian words of the header's width. */
 inline constexpr uint8_t kEncodingRaw = 2;
@@ -80,28 +80,23 @@ inline constexpr uint32_t kDefaultChunkElems = 1u << 16;
 /** Largest chunk element count whose u64 payload fits payloadBytes. */
 inline constexpr uint32_t kMaxChunkElems = UINT32_MAX / 8;
 
-/**
- * The seven TraceStore columns a manifest indexes, in on-disk order.
- * The payload_ column is not stored: it is an index derived from the
- * class sequence and is rebuilt exactly during decode.
- */
+/** The six TraceStore columns a manifest indexes, in on-disk order. */
 enum class TraceColumn : uint8_t
 {
     Cls = 0,   //!< per-record InstClass (u8)
-    Pc = 1,    //!< per-record synthetic PC (u32)
-    OpCls = 2, //!< class of each operand-carrying record (u8)
-    OpA = 3,   //!< operand A words (u64)
-    OpB = 4,   //!< operand B words (u64)
-    OpRes = 5, //!< result words (u64)
-    Addr = 6,  //!< effective addresses of Load/Store (u64)
+    OpCls = 1, //!< class of each operand-carrying record (u8)
+    OpA = 2,   //!< operand A words (u64)
+    OpB = 3,   //!< operand B words (u64)
+    OpRes = 4, //!< result words (u64)
+    Addr = 5,  //!< effective addresses of Load/Store (u64)
 };
 
-inline constexpr size_t kNumTraceColumns = 7;
+inline constexpr size_t kNumTraceColumns = 6;
 
-/** Human-readable column name ("cls", "pc", ...). */
+/** Human-readable column name ("cls", "opCls", ...). */
 const char *traceColumnName(TraceColumn col);
 
-/** Element width in bytes (1, 4 or 8) of the column's chunks. */
+/** Element width in bytes (1 or 8) of the column's chunks. */
 unsigned traceColumnWidth(TraceColumn col);
 
 /** XXH64 with seed 0 over @p n bytes: the format's one hash. */
@@ -127,7 +122,7 @@ struct ChunkRef
 };
 
 /**
- * Encode @p n elements of @p v (uint8_t, uint32_t or uint64_t) as one
+ * Encode @p n elements of @p v (uint8_t or uint64_t) as one
  * chunk of element width sizeof(T). @p n is at most kMaxChunkElems.
  */
 template <typename T>
@@ -183,7 +178,7 @@ TraceManifest decodeManifest(std::string_view bytes);
 using ChunkSink = std::function<void(TraceColumn, const EncodedChunk &)>;
 
 /**
- * Slice the seven trace-order columns of @p trace into chunks of
+ * Slice the six trace-order columns of @p trace into chunks of
  * @p chunk_elems elements (the last chunk of a column is short), hand
  * each chunk to @p sink as soon as it is encoded, and return the
  * manifest naming them under @p key. One chunk's bytes exist at a
@@ -207,11 +202,11 @@ using ChunkSource = std::function<std::string_view(TraceColumn c,
  * at a time: each is checked against its manifest entry and decodes
  * straight into its typed column (operand chunks into the class
  * columns their opCls elements name), and TraceStore::adopt() takes
- * the columns, rebuilding the derived payload index. Verifies first
- * that each column's chunk counts sum to the count the manifest header
- * implies, then every chunk, then the cross-column rules (every class
- * value is an InstClass; opCls agrees with the class sequence; the
- * operand and address columns hold exactly the records the class
+ * the columns. Verifies first that each column's chunk counts sum to
+ * the count the manifest header implies, then every chunk, then the
+ * cross-column rules (every class value is an InstClass; every opCls
+ * value is a class with operands and agrees with the class sequence;
+ * the operand and address columns hold exactly the records the class
  * column implies). Throws SpillError.
  */
 Trace decodeTrace(const TraceManifest &m, const ChunkSource &chunk);

@@ -41,6 +41,20 @@ readWholeFile(const std::string &path, std::string &out)
 }
 
 IoStatus
+readFileHead(const std::string &path, size_t n, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return {"cannot open " + path};
+    out.resize(n);
+    in.read(out.data(), static_cast<std::streamsize>(n));
+    if (in.bad())
+        return {"read error on " + path};
+    out.resize(static_cast<size_t>(in.gcount()));
+    return {};
+}
+
+IoStatus
 writeWholeFile(const std::string &path, std::string_view bytes)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

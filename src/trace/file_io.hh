@@ -32,6 +32,9 @@ struct [[nodiscard]] IoStatus
 /** Read the whole of @p path into @p out. */
 IoStatus readWholeFile(const std::string &path, std::string &out);
 
+/** Read the first @p n bytes of @p path (fewer if it is shorter). */
+IoStatus readFileHead(const std::string &path, size_t n, std::string &out);
+
 /** Create or truncate @p path and write @p bytes to it, closed. */
 IoStatus writeWholeFile(const std::string &path, std::string_view bytes);
 

@@ -58,7 +58,6 @@ InstClass instClassOf(Operation op);
 struct Instruction
 {
     InstClass cls = InstClass::IntAlu;
-    uint32_t pc = 0;     //!< static instruction identity (Reuse Buffer)
     uint64_t a = 0;      //!< first operand bits (memoizable ops)
     uint64_t b = 0;      //!< second operand bits
     uint64_t result = 0; //!< result bits

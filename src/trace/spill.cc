@@ -76,6 +76,22 @@ lockStore(FileLock &lock, const std::string &root, bool exclusive)
         throw SpillError("spill lock: " + st.error);
 }
 
+/**
+ * True when @p path holds a chunk whose header is @p chunk's. Chunk
+ * files are named by a hash of the payload alone, so a chunk of an
+ * older format version can sit at the name of a current chunk with
+ * the same payload; it has another header and must be replaced, not
+ * shared.
+ */
+bool
+holdsChunk(const fs::path &path, const std::string &chunk)
+{
+    std::string head;
+    if (!readFileHead(path.string(), kChunkHeaderBytes, head).ok())
+        return false;
+    return chunk.compare(0, kChunkHeaderBytes, head) == 0;
+}
+
 /** Add the hash of every chunk @p m references to @p out. */
 void
 addChunkHashes(const TraceManifest &m, std::unordered_set<uint64_t> &out)
@@ -145,8 +161,7 @@ SpillStore::write(const std::string &key, const Trace &trace,
             key, trace, chunk_elems,
             [&](TraceColumn, const EncodedChunk &ch) {
                 fs::path path = chunkPath(ch.hash);
-                std::error_code ec;
-                if (fs::exists(path, ec)) {
+                if (holdsChunk(path, ch.bytes)) {
                     ws.chunksShared++;
                     ws.bytesShared += ch.bytes.size();
                     return;

@@ -11,9 +11,10 @@
  *   <root>/manifests/<keyhash16>.mtm  one manifest per trace key
  *
  * Chunks are shared: a chunk is written only if no file with its hash
- * exists, so traces that contain identical column slices (sweep
- * points differing only in table configuration, reruns of the same
- * workload) deduplicate to one copy. Writes are atomic
+ * holds its header (one of another format version is replaced), so
+ * traces that contain identical column slices (sweep points differing
+ * only in table configuration, reruns of the same workload)
+ * deduplicate to one copy. Writes are atomic
  * (temp file + rename) and the manifest is written last, so a reader
  * never observes a manifest whose chunks are missing or partial.
  * A write that replaces a key's manifest deletes the old manifest's

@@ -3,9 +3,9 @@
  * Dynamic instruction trace container and summary statistics.
  *
  * The trace is backed by a compact structure-of-arrays TraceStore
- * (see trace_store.hh); iteration and indexing materialize
- * Instruction values on the fly, so replay loops stream far less
- * memory than an array-of-structs layout would.
+ * (see trace_store.hh); iteration materializes Instruction values on
+ * the fly, so replay loops stream far less memory than an
+ * array-of-structs layout would.
  */
 
 #ifndef MEMO_TRACE_TRACE_HH
@@ -58,10 +58,8 @@ class Trace
 
     void reserve(size_t n) { store_.reserve(n); }
 
+    /** Append @p inst, keeping only the fields its class stores. */
     void push(const Instruction &inst) { store_.push(inst); }
-
-    /** Materialize record @p i (fields unused by its class are 0). */
-    Instruction operator[](size_t i) const { return store_.get(i); }
 
     const_iterator begin() const { return store_.begin(); }
     const_iterator end() const { return store_.end(); }

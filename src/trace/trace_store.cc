@@ -76,16 +76,14 @@ TraceStore::adopt(Columns &&cols)
     const size_t n = cols.cls.size();
     const size_t nOps = cols.opCls.size();
     const size_t nAddrs = cols.addr.size();
-    if (cols.pc.size() != n)
-        throw SpillError("pc: column has " +
-                         std::to_string(cols.pc.size()) +
-                         " elements, cls has " + std::to_string(n));
-    // Out-of-range opCls values name no class column; the pass below
-    // rejects them.
     std::array<size_t, numInstClasses> named{};
-    for (uint8_t c : cols.opCls)
-        if (c < numInstClasses)
-            named[c]++;
+    for (uint8_t c : cols.opCls) {
+        if (c >= numInstClasses ||
+            !hasOperands(static_cast<InstClass>(c)))
+            throw SpillError("opCls: value " + std::to_string(c) +
+                             " is not a class with operands");
+        named[c]++;
+    }
     for (unsigned c = 0; c < numInstClasses; c++) {
         const ClassColumns &cc = cols.ops[c];
         if (cc.a.size() != named[c] || cc.b.size() != named[c] ||
@@ -95,8 +93,6 @@ TraceStore::adopt(Columns &&cols)
                              "from opCls");
     }
 
-    std::vector<uint32_t> payload(n);
-    std::array<uint32_t, numInstClasses> rank{};
     size_t ops = 0, addrs = 0;
     for (size_t i = 0; i < n; i++) {
         const uint8_t c = cols.cls[i];
@@ -111,12 +107,11 @@ TraceStore::adopt(Columns &&cols)
                 throw SpillError("opCls: disagrees with cls column at "
                                  "operand record " +
                                  std::to_string(ops));
-            payload[i] = rank[c]++;
             ops++;
         } else if (hasAddress(cls)) {
             if (addrs == nAddrs)
                 throw SpillError("addr: column exhausted early");
-            payload[i] = static_cast<uint32_t>(addrs++);
+            addrs++;
         }
     }
     if (ops != nOps)
@@ -130,8 +125,6 @@ TraceStore::adopt(Columns &&cols)
 
     TraceStore s;
     s.cls_ = std::move(cols.cls);
-    s.pc_ = std::move(cols.pc);
-    s.payload_ = std::move(payload);
     s.ops_ = std::move(cols.ops);
     s.addr_ = std::move(cols.addr);
     return s;

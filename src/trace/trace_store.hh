@@ -4,27 +4,30 @@
  *
  * The AoS layout (vector<Instruction>, 40 bytes per record after
  * padding) stores four 64-bit payload words for every instruction,
- * but most of a trace is IntAlu/Branch (no payload at all) and
- * Load/Store (address only). The store keeps per-instruction columns
- * for the fields every record has — class, synthetic PC, and a payload
- * index — and appends addresses to one side column and operand/result
- * words to the side columns of the record's own class, so each
- * record's payload index is its rank within its class (or among the
- * address records). Every stored byte is one of these:
+ * but the pipeline reads far less: the cycle model charges IntAlu,
+ * Branch and FpAdd records by count, Load/Store by address, and only
+ * the memoizable classes (those with a MEMO-TABLE, as in the paper,
+ * where Shade stops on mult/div alone) by their operand values. The
+ * store keeps one per-record column, the class byte, and appends
+ * addresses to one side column and operand/result words to the side
+ * columns of the record's own class. Every stored byte is one of
+ * these:
  *
- *   IntAlu/Branch   9 bytes/record   (vs 40)
- *   Load/Store     17 bytes/record   (vs 40)
- *   mul/div/...    33 bytes/record   (vs 40)
+ *   IntAlu/Branch/FpAdd   1 byte/record    (vs 40)
+ *   Load/Store            9 bytes/record   (vs 40)
+ *   mul/div/sqrt/...     25 bytes/record   (vs 40)
  *
+ * No per-record index into the side columns is kept: a record's
+ * position in its side column is the number of earlier records of its
+ * class (or of address records), which iteration counts as it walks.
  * The per-class operand columns are the only copy of the operands:
  * replay streams them as they are (classColumns()), and iteration
  * materializes lightweight Instruction values through a forward
  * iterator for the code that wants whole records.
  *
  * push() keeps only the fields meaningful for the instruction's
- * class: operand/result words of non-computational classes and
- * addresses of non-memory classes are dropped (the Recorder never
- * sets them).
+ * class: operand/result words of classes without operands and
+ * addresses of non-memory classes are dropped.
  *
  * Besides the records, a store caches two things derived from them,
  * each built on first use and dropped with the contents they were
@@ -165,39 +168,41 @@ class TraceStore
 
     /**
      * A store's columns as the spill codec decodes them and adopt()
-     * takes them: the per-record, operand-class and address columns in
+     * takes them: the class, operand-class and address columns in
      * trace order, and the operand words already in their classes'
      * columns (the decoder scatters each chunk by opCls as it goes).
      */
     struct Columns
     {
         std::vector<uint8_t> cls;
-        std::vector<uint32_t> pc;
         std::vector<uint8_t> opCls;
         std::array<ClassColumns, numInstClasses> ops;
         std::vector<uint64_t> addr;
     };
 
     /**
-     * Build a store that takes over @p cols, rebuilding the payload
-     * index in one pass over the class column. The checks: every
-     * class column holds as many a, b and result words as opCls names
-     * records of that class; every class value is an InstClass; opCls
-     * agrees with the class of every operand-carrying record; and the
-     * operand and address columns hold exactly the records the class
-     * column implies, neither running out early nor leaving elements
-     * over. Throws SpillError (trace/chunk_codec.hh): its one caller
-     * decodes spilled traces.
+     * Build a store that takes over @p cols, checking them in one pass
+     * over the class column. The checks: every opCls value is a class
+     * with operands; every class column holds as many a, b and result
+     * words as opCls names records of that class; every class value is
+     * an InstClass; opCls agrees with the class of every
+     * operand-carrying record; and the operand and address columns
+     * hold exactly the records the class column implies, neither
+     * running out early nor leaving elements over. Throws SpillError
+     * (trace/chunk_codec.hh): its one caller decodes spilled traces.
      */
     static TraceStore adopt(Columns &&cols);
 
-    /** True for classes carrying operand/result payload words. */
+    /**
+     * True for classes carrying operand/result payload words: the
+     * memoizable ones (memoOperation()). FpAdd records carry none; the
+     * cycle model charges them by count.
+     */
     static constexpr bool
     hasOperands(InstClass cls)
     {
         switch (cls) {
           case InstClass::IntMul:
-          case InstClass::FpAdd:
           case InstClass::FpMul:
           case InstClass::FpDiv:
           case InstClass::FpSqrt:
@@ -223,38 +228,14 @@ class TraceStore
     {
         dropDerived();
         cls_.push_back(static_cast<uint8_t>(inst.cls));
-        pc_.push_back(inst.pc);
         if (hasOperands(inst.cls)) {
             ClassColumns &c = ops_[static_cast<unsigned>(inst.cls)];
-            payload_.push_back(static_cast<uint32_t>(c.a.size()));
             c.a.push_back(inst.a);
             c.b.push_back(inst.b);
             c.r.push_back(inst.result);
         } else if (hasAddress(inst.cls)) {
-            payload_.push_back(static_cast<uint32_t>(addr_.size()));
             addr_.push_back(inst.addr);
-        } else {
-            payload_.push_back(0);
         }
-    }
-
-    /** Materialize record @p i. */
-    Instruction
-    get(size_t i) const
-    {
-        Instruction inst;
-        inst.cls = static_cast<InstClass>(cls_[i]);
-        inst.pc = pc_[i];
-        if (hasOperands(inst.cls)) {
-            const ClassColumns &c = ops_[cls_[i]];
-            uint32_t p = payload_[i];
-            inst.a = c.a[p];
-            inst.b = c.b[p];
-            inst.result = c.r[p];
-        } else if (hasAddress(inst.cls)) {
-            inst.addr = addr_[payload_[i]];
-        }
-        return inst;
     }
 
     size_t size() const { return cls_.size(); }
@@ -330,14 +311,12 @@ class TraceStore
     bool hasMemoryPass() const { return pass_.built(); }
 
     /**
-     * Raw per-record and address columns, for column-wise export (the
+     * Raw class and address columns, for column-wise export (the
      * spill encoder in trace/chunk_codec.hh, which gathers the
-     * operand columns back into trace order through get()). The
-     * derived payload index is deliberately not exposed: it is
-     * reconstructed exactly from the class sequence on import.
+     * operand columns back into trace order by walking the class
+     * column).
      */
     const uint8_t *clsData() const { return cls_.data(); }
-    const uint32_t *pcData() const { return pc_.data(); }
     size_t addrCount() const { return addr_.size(); }
     const uint64_t *addrData() const { return addr_.data(); }
 
@@ -346,8 +325,6 @@ class TraceStore
     {
         dropDerived();
         cls_.clear();
-        pc_.clear();
-        payload_.clear();
         for (ClassColumns &c : ops_) {
             c.a.clear();
             c.b.clear();
@@ -357,16 +334,10 @@ class TraceStore
     }
 
     /**
-     * Reserve the per-record columns for @p n records. The side
-     * columns grow with the records of their class.
+     * Reserve the class column for @p n records. The side columns
+     * grow with the records of their class.
      */
-    void
-    reserve(size_t n)
-    {
-        cls_.reserve(n);
-        pc_.reserve(n);
-        payload_.reserve(n);
-    }
+    void reserve(size_t n) { cls_.reserve(n); }
 
     /**
      * Bytes held by the record data (excluding slack capacity, the key
@@ -375,7 +346,7 @@ class TraceStore
     size_t
     memoryBytes() const
     {
-        return cls_.size() * (sizeof(uint8_t) + sizeof(uint32_t) * 2) +
+        return cls_.size() * sizeof(uint8_t) +
                opCount() * sizeof(uint64_t) * 3 +
                addr_.size() * sizeof(uint64_t);
     }
@@ -383,7 +354,12 @@ class TraceStore
     /** Per-class record counts, computed from the class column. */
     std::vector<uint64_t> classCounts() const;
 
-    /** Forward iterator materializing Instruction values. */
+    /**
+     * Forward iterator materializing Instruction values. It keeps one
+     * cursor per operand class and one into the address column, each
+     * advanced past the record it leaves, so the walk reads every
+     * column front to back.
+     */
     class const_iterator
     {
       public:
@@ -399,12 +375,33 @@ class TraceStore
         {
         }
 
-        Instruction operator*() const { return store->get(idx); }
+        Instruction
+        operator*() const
+        {
+            Instruction inst;
+            const uint8_t c = store->cls_[idx];
+            inst.cls = static_cast<InstClass>(c);
+            if (hasOperands(inst.cls)) {
+                const ClassColumns &col = store->ops_[c];
+                const size_t k = op[c];
+                inst.a = col.a[k];
+                inst.b = col.b[k];
+                inst.result = col.r[k];
+            } else if (hasAddress(inst.cls)) {
+                inst.addr = store->addr_[addr];
+            }
+            return inst;
+        }
 
         const_iterator &
         operator++()
         {
-            idx++;
+            const uint8_t c = store->cls_[idx++];
+            const auto cls = static_cast<InstClass>(c);
+            if (hasOperands(cls))
+                op[c]++;
+            else if (hasAddress(cls))
+                addr++;
             return *this;
         }
 
@@ -412,7 +409,7 @@ class TraceStore
         operator++(int)
         {
             const_iterator tmp = *this;
-            idx++;
+            ++*this;
             return tmp;
         }
 
@@ -431,6 +428,9 @@ class TraceStore
       private:
         const TraceStore *store = nullptr;
         size_t idx = 0;
+        /** Next word of each class's operand columns. */
+        std::array<size_t, numInstClasses> op{};
+        size_t addr = 0; //!< next element of the address column
     };
 
     const_iterator begin() const { return {this, 0}; }
@@ -446,12 +446,11 @@ class TraceStore
         pass_.drop();
     }
 
-    // Per-record columns.
+    /** The one per-record column. */
     std::vector<uint8_t> cls_;
-    std::vector<uint32_t> pc_;
-    std::vector<uint32_t> payload_; //!< rank in ops_[cls] or in addr_
 
-    // Side columns, indexed by payload_.
+    // Side columns: the records of each operand class, and the
+    // addresses of Load/Store, in trace order.
     std::array<ClassColumns, numInstClasses> ops_;
     std::vector<uint64_t> addr_;
 

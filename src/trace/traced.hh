@@ -10,13 +10,11 @@
  *   Recorder rec(trace);
  *   TracedScope scope(rec);
  *   Traced a = 3.0, b = 4.0;
- *   Traced c = memo::sqrt(a * a + b * b); // records 2 muls, 1 sqrt
+ *   Traced c = memo::sqrt(a * a + b * b); // records 2 muls, 1 add, 1 sqrt
  * @endcode
  *
- * Because C++ operator functions cannot take defaulted source_location
- * parameters, Traced operations carry a synthetic per-operation-kind PC
- * rather than a call-site PC; Reuse-Buffer experiments should use the
- * Recorder API directly.
+ * A Traced operation records exactly what the matching Recorder call
+ * does.
  */
 
 #ifndef MEMO_TRACE_TRACED_HH

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -270,6 +272,46 @@ TEST(Prof, TraceCacheCountsEvictions)
     cache.get(exec::TraceKey{"a", "", 0}, [&] { return t; });
     cache.get(exec::TraceKey{"b", "", 0}, [&] { return t; });
     EXPECT_GE(cache.evictions(), 1u);
+}
+
+TEST(Prof, TraceCacheMissesOpenSpans)
+{
+    // A miss through a disk tier: the admit, the generator and the
+    // spill of the evicted entry each get a span; a hit gets none,
+    // and with the profiler off nothing is recorded.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "prof_cache_spans";
+    std::filesystem::remove_all(dir);
+    Trace t = tinyTrace();
+    exec::TraceCache cache(1);
+    cache.setSpillDir(dir.string());
+    const exec::TraceKey a{"a", "", 0}, b{"b", "", 0};
+    auto run = [&] {
+        cache.get(a, [&] { return t; }); // admit (a miss), generate
+        cache.get(b, [&] { return t; }); // admit, generate, spill a
+        cache.get(b, [&] { return t; }); // hit
+    };
+
+    prof::Profiler &profiler = prof::Profiler::global();
+    profiler.clear();
+    run();
+    EXPECT_EQ(profiler.size(), 0u);
+
+    cache.clear();
+    std::filesystem::remove_all(dir);
+    cache.setSpillDir(dir.string());
+    profiler.setEnabled(true);
+    run();
+    profiler.setEnabled(false);
+    std::map<std::string, int> count;
+    for (const prof::Span &s : profiler.snapshot())
+        count[s.name]++;
+    profiler.clear();
+    EXPECT_EQ(count["cache.admit"], 2);
+    EXPECT_EQ(count["cache.generate"], 2);
+    EXPECT_EQ(count["cache.spill"], 1);
+    EXPECT_EQ(cache.spills(), 2u); // one per run
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Prof, RegistryDeterministicAcrossJobsWithProfilingOff)

@@ -50,14 +50,12 @@ void
 expectIdenticalTraces(const Trace &x, const Trace &y, size_t pad)
 {
     ASSERT_EQ(x.size(), y.size()) << "pad " << pad;
-    const TraceStore &xs = x.store();
-    const TraceStore &ys = y.store();
-    for (size_t i = 0; i < xs.size(); i++) {
-        Instruction a = xs.get(i);
-        Instruction b = ys.get(i);
-        ASSERT_TRUE(a.cls == b.cls && a.pc == b.pc && a.a == b.a &&
-                    a.b == b.b && a.result == b.result &&
-                    a.addr == b.addr)
+    size_t i = 0;
+    for (auto xi = x.begin(), yi = y.begin(); xi != x.end();
+         ++xi, ++yi, ++i) {
+        const Instruction a = *xi, b = *yi;
+        ASSERT_TRUE(a.cls == b.cls && a.a == b.a && a.b == b.b &&
+                    a.result == b.result && a.addr == b.addr)
             << "pad " << pad << ": record " << i << " diverged (addr "
             << a.addr << " vs " << b.addr << ")";
     }

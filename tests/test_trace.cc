@@ -9,23 +9,34 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <source_location>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "analysis/experiment.hh"
 #include "arith/fp.hh"
+#include "check/oracle.hh"
 #include "core/aligned.hh"
+#include "core/bank.hh"
 #include "exec/thread_pool.hh"
+#include "img/generate.hh"
+#include "sim/cpu.hh"
 #include "trace/chunk_codec.hh"
 #include "trace/recorder.hh"
 #include "trace/traced.hh"
+#include "workloads/workload.hh"
 
 namespace memo
 {
 namespace
 {
+
+/** Every record of @p t, materialized in trace order. */
+std::vector<Instruction>
+records(const Trace &t)
+{
+    return {t.begin(), t.end()};
+}
 
 TEST(Trace, OpMixCountsClasses)
 {
@@ -69,11 +80,27 @@ TEST(Recorder, OperandsAndResultsRecorded)
     rec.div(10.0, 4.0);
 
     ASSERT_EQ(trace.size(), 1u);
-    const Instruction &inst = trace[0];
+    const Instruction inst = records(trace)[0];
     EXPECT_EQ(inst.cls, InstClass::FpDiv);
     EXPECT_EQ(inst.a, fpBits(10.0));
     EXPECT_EQ(inst.b, fpBits(4.0));
     EXPECT_EQ(inst.result, fpBits(2.5));
+}
+
+TEST(Recorder, FpAddRecordsOnlyItsClass)
+{
+    Trace trace;
+    Recorder rec(trace);
+    EXPECT_EQ(rec.fadd(1.0, 2.0), 3.0);
+    EXPECT_EQ(rec.fsub(1.0, 2.0), -1.0);
+
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.store().opCount(), 0u);
+    EXPECT_EQ(trace.memoryBytes(), 2u);
+    for (const Instruction inst : trace) {
+        EXPECT_EQ(inst.cls, InstClass::FpAdd);
+        EXPECT_EQ(inst.a | inst.b | inst.result, 0u);
+    }
 }
 
 TEST(Recorder, LoadStoreRecordAddresses)
@@ -89,14 +116,15 @@ TEST(Recorder, LoadStoreRecordAddresses)
     EXPECT_EQ(data[3], 9.0);
 
     ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace[0].cls, InstClass::Load);
-    EXPECT_EQ(trace[1].cls, InstClass::Store);
+    const std::vector<Instruction> r = records(trace);
+    EXPECT_EQ(r[0].cls, InstClass::Load);
+    EXPECT_EQ(r[1].cls, InstClass::Store);
     // data[2] and data[3] share one 32-byte modeled line (bytes
     // 16..31 of the aligned buffer): remapped line must agree, and
     // the intra-line offsets must survive the remap.
-    EXPECT_EQ(trace[0].addr >> 5, trace[1].addr >> 5);
-    EXPECT_EQ(trace[0].addr & 31u, 16u);
-    EXPECT_EQ(trace[1].addr & 31u, 24u);
+    EXPECT_EQ(r[0].addr >> 5, r[1].addr >> 5);
+    EXPECT_EQ(r[0].addr & 31u, 16u);
+    EXPECT_EQ(r[1].addr & 31u, 24u);
 }
 
 TEST(Recorder, AddressRemappingIsFirstTouchOrdered)
@@ -110,7 +138,7 @@ TEST(Recorder, AddressRemappingIsFirstTouchOrdered)
     rec.load(data[32]); // line B (256 bytes away)
     rec.load(data[0]);  // line A again
 
-    auto line = [&](int i) { return trace[i].addr >> 5; };
+    auto line = [&](int i) { return records(trace)[i].addr >> 5; };
     EXPECT_EQ(line(0), 0u);
     EXPECT_EQ(line(1), 1u);
     EXPECT_EQ(line(2), line(0));
@@ -124,7 +152,7 @@ TEST(Recorder, FreedLineGetsFreshNumber)
     Trace trace;
     Recorder rec(trace);
     AlignedVec<double> data(64, 0.0); // 16 lines of 32 bytes
-    auto line = [&](size_t i) { return trace[i].addr >> 5; };
+    auto line = [&](size_t i) { return records(trace)[i].addr >> 5; };
     auto freeLine = [&](size_t elem) {
         LiveRecorders::instance().onFree(&data[elem], kRecordedLineBytes);
     };
@@ -150,43 +178,6 @@ TEST(Recorder, FreedLineGetsFreshNumber)
     EXPECT_EQ(line(6), 3u);
 }
 
-TEST(Recorder, PcHashesPathRelativeToRoot)
-{
-    // The PC of a call site hashes its file name relative to the
-    // repository root, so it is the same in any checkout.
-    auto fnv1a = [](std::string_view s) {
-        uint32_t h = 0x811c9dc5u;
-        for (char c : s) {
-            h ^= static_cast<uint8_t>(c);
-            h *= 0x01000193u;
-        }
-        return h;
-    };
-    Trace trace;
-    Recorder rec(trace);
-    const auto loc = std::source_location::current();
-    rec.mul(2.0, 3.0, loc);
-
-    ASSERT_EQ(trace.size(), 1u);
-    EXPECT_EQ(trace[0].pc, fnv1a("tests/test_trace.cc") ^
-                               (loc.line() * 0x9e3779b1u) ^
-                               (loc.column() * 0x85ebca77u));
-}
-
-TEST(Recorder, PcStablePerCallSite)
-{
-    Trace trace;
-    Recorder rec(trace);
-    for (int i = 0; i < 3; i++)
-        rec.mul(1.5 + i, 2.0); // one call site
-    rec.mul(9.0, 2.0);         // a different call site
-
-    uint32_t pc0 = trace[0].pc;
-    EXPECT_EQ(trace[1].pc, pc0);
-    EXPECT_EQ(trace[2].pc, pc0);
-    EXPECT_NE(trace[3].pc, pc0);
-}
-
 TEST(Recorder, DeterministicAcrossRuns)
 {
     auto make = [] {
@@ -201,11 +192,13 @@ TEST(Recorder, DeterministicAcrossRuns)
     };
     Trace t1 = make();
     Trace t2 = make();
-    ASSERT_EQ(t1.size(), t2.size());
-    for (size_t i = 0; i < t1.size(); i++) {
-        EXPECT_EQ(t1[i].addr, t2[i].addr);
-        EXPECT_EQ(t1[i].a, t2[i].a);
-        EXPECT_EQ(t1[i].pc, t2[i].pc);
+    const std::vector<Instruction> r1 = records(t1);
+    const std::vector<Instruction> r2 = records(t2);
+    ASSERT_EQ(r1.size(), r2.size());
+    for (size_t i = 0; i < r1.size(); i++) {
+        EXPECT_EQ(r1[i].cls, r2[i].cls);
+        EXPECT_EQ(r1[i].addr, r2[i].addr);
+        EXPECT_EQ(r1[i].a, r2[i].a);
     }
 }
 
@@ -272,7 +265,6 @@ mixedTrace(unsigned seed, size_t n)
         x ^= x << 17;
         Instruction inst;
         inst.cls = static_cast<InstClass>(x % numInstClasses);
-        inst.pc = static_cast<uint32_t>(i);
         inst.a = x;
         inst.b = x >> 3;
         inst.result = x * 3;
@@ -325,11 +317,13 @@ void
 expectSameRecords(const std::vector<Instruction> &got, const Trace &want)
 {
     ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); i++) {
-        const Instruction &g = got[i], w = want[i];
-        ASSERT_TRUE(g.cls == w.cls && g.pc == w.pc && g.a == w.a &&
-                    g.b == w.b && g.result == w.result && g.addr == w.addr)
+    size_t i = 0;
+    for (const Instruction w : want) {
+        const Instruction &g = got[i];
+        ASSERT_TRUE(g.cls == w.cls && g.a == w.a && g.b == w.b &&
+                    g.result == w.result && g.addr == w.addr)
             << "record " << i;
+        i++;
     }
 }
 
@@ -354,8 +348,7 @@ TEST(TraceStore, ConcurrentReadersSeeFrozenStore)
             while (arrived.load() < kThreads)
                 std::this_thread::yield();
             got[t] = copyPartition(shared.store());
-            for (size_t i = 0; i < shared.size(); i++)
-                walked[t].push_back(shared.store().get(i));
+            walked[t] = records(shared);
         });
     pool.wait();
 
@@ -436,7 +429,7 @@ TEST(TraceStore, MemoryPassBelongsToTheStoreContents)
 
     // push() and clear() drop it; the next call walks the new
     // contents, under whichever geometry asks first.
-    t.push(t[0]);
+    t.push(*t.begin());
     EXPECT_FALSE(s.hasMemoryPass());
     p = s.memoryPass(g2, walk);
     ASSERT_NE(p, nullptr);
@@ -445,6 +438,92 @@ TEST(TraceStore, MemoryPassBelongsToTheStoreContents)
     t.clear();
     EXPECT_FALSE(s.hasMemoryPass());
     EXPECT_EQ(s.memoryPass(g1, walk)->count[0], 3u);
+}
+
+/** One recorded trace of every sweep kernel, on one input. */
+const std::vector<Trace> &
+sweepTraces()
+{
+    static const std::vector<Trace> traces = [] {
+        std::vector<Trace> v;
+        for (const std::string &name : sweepKernelNames())
+            v.push_back(traceMmKernel(mmKernelByName(name),
+                                      standardImages()[0].image, 48));
+        return v;
+    }();
+    return traces;
+}
+
+TEST(TraceStore, StoresOnlyWhatThePipelineReads)
+{
+    // One class byte per record, the a/b/result words of each
+    // memoizable record and the address of each load and store:
+    // fp-add, int-alu and branch records carry nothing else.
+    uint64_t fp_adds = 0;
+    for (size_t k = 0; k < sweepTraces().size(); k++) {
+        SCOPED_TRACE(sweepKernelNames()[k]);
+        const Trace &t = sweepTraces()[k];
+        const TraceStore &s = t.store();
+        const OpMix mix = t.mix();
+        uint64_t memoizable = 0;
+        for (unsigned c = 0; c < numInstClasses; c++) {
+            const auto cls = static_cast<InstClass>(c);
+            const TraceStore::ClassColumns &col = s.classColumns(cls);
+            const uint64_t want = memoOperation(cls) ? mix[cls] : 0;
+            EXPECT_EQ(TraceStore::hasOperands(cls),
+                      memoOperation(cls).has_value());
+            EXPECT_EQ(col.a.size(), want) << instClassName(cls);
+            EXPECT_EQ(col.b.size(), want) << instClassName(cls);
+            EXPECT_EQ(col.r.size(), want) << instClassName(cls);
+            memoizable += want;
+        }
+        const uint64_t addrs = mix[InstClass::Load] + mix[InstClass::Store];
+        EXPECT_EQ(s.opCount(), memoizable);
+        EXPECT_EQ(s.addrCount(), addrs);
+        EXPECT_EQ(t.memoryBytes(), t.size() + 24 * memoizable + 8 * addrs);
+
+        uint64_t carrying = 0;
+        for (const Instruction inst : t) {
+            if (TraceStore::hasOperands(inst.cls) ||
+                TraceStore::hasAddress(inst.cls))
+                continue;
+            if (inst.a || inst.b || inst.result || inst.addr)
+                carrying++;
+        }
+        EXPECT_EQ(carrying, 0u);
+        fp_adds += mix[InstClass::FpAdd];
+    }
+    EXPECT_GT(fp_adds, 0u); // the sweep does record fp adds
+}
+
+TEST(TraceStore, IterationYieldsEveryOperandTripleInClassOrder)
+{
+    for (size_t k = 0; k < sweepTraces().size(); k++) {
+        SCOPED_TRACE(sweepKernelNames()[k]);
+        const Trace &t = sweepTraces()[k];
+        expectSamePartition(serialPartition(t), copyPartition(t.store()));
+    }
+}
+
+TEST(TraceStore, CpuModelMatchesTheReferenceLoopOnLeanTraces)
+{
+    // The cycle model charges fp add by count; with no operands left
+    // on those records it must still agree with the per-instruction
+    // loop, with and without memo tables.
+    CpuConfig cfg;
+    CpuModel cpu(cfg);
+    for (size_t k = 0; k < sweepTraces().size(); k++) {
+        SCOPED_TRACE(sweepKernelNames()[k]);
+        const Trace &t = sweepTraces()[k];
+        auto d = check::simResultDiff(check::referenceCpuRun(cfg, t),
+                                      cpu.run(t));
+        EXPECT_FALSE(d) << "baseline: " << *d;
+        MemoBank got = MemoBank::standard(MemoConfig{});
+        MemoBank want = MemoBank::standard(MemoConfig{});
+        d = check::simResultDiff(check::referenceCpuRun(cfg, t, &want),
+                                 cpu.run(t, &got));
+        EXPECT_FALSE(d) << "memoized: " << *d;
+    }
 }
 
 } // anonymous namespace

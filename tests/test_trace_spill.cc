@@ -112,7 +112,6 @@ sampleTrace(size_t n)
     for (size_t i = 0; i < n; i++) {
         Instruction inst;
         inst.cls = static_cast<InstClass>(i % numInstClasses);
-        inst.pc = static_cast<uint32_t>(i * 4 + (i % 7) * 1000);
         if (TraceStore::hasOperands(inst.cls)) {
             inst.a = edges[i % n_edges];
             inst.b = edges[(i + 3) % n_edges];
@@ -132,19 +131,16 @@ handTrace()
     Trace t;
     Instruction mul;
     mul.cls = InstClass::IntMul;
-    mul.pc = 4;
     mul.a = 2;
     mul.b = 3;
     mul.result = 6;
     t.push(mul);
     Instruction ld;
     ld.cls = InstClass::Load;
-    ld.pc = 8;
     ld.addr = 0x1000;
     t.push(ld);
     Instruction alu;
     alu.cls = InstClass::IntAlu;
-    alu.pc = 12;
     t.push(alu);
     return t;
 }
@@ -162,11 +158,11 @@ void
 expectTracesEqual(const Trace &a, const Trace &b)
 {
     ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); i++) {
-        Instruction x = a[i];
-        Instruction y = b[i];
+    size_t i = 0;
+    for (auto xi = a.begin(), yi = b.begin(); xi != a.end();
+         ++xi, ++yi, ++i) {
+        const Instruction x = *xi, y = *yi;
         ASSERT_EQ(x.cls, y.cls) << "record " << i;
-        ASSERT_EQ(x.pc, y.pc) << "record " << i;
         ASSERT_EQ(x.a, y.a) << "record " << i;
         ASSERT_EQ(x.b, y.b) << "record " << i;
         ASSERT_EQ(x.result, y.result) << "record " << i;
@@ -261,12 +257,74 @@ writeV1Store(const std::string &root)
     }
 }
 
-/** kV1Store's manifest, copied to where a v2 reader looks for it. */
+/** kV1Store's manifest, copied to where a current reader looks for it. */
 void
-placeV1ManifestAtV2Name(const std::string &root)
+placeV1ManifestAtCurrentName(const std::string &root)
 {
     writeFileBytes(SpillStore(root).manifestPath(kV1Key),
                    std::string(kV1Store[0].bytes));
+}
+
+/**
+ * A spill store as the version-2 encoder (seven raw columns, a u32 pc
+ * column among them, and operand words for fp add) wrote handTrace()
+ * with PCs 4, 8 and 12 under key "w2|img|16": one manifest and seven
+ * one-chunk columns, byte for byte. Version 3 names manifests the
+ * same way, and its cls chunk has this store's cls payload and so its
+ * file name (chunks/e9f08f410c8b6dc8.mtc).
+ */
+const struct
+{
+    const char *path;
+    std::string_view bytes;
+} kV2Store[] = {
+    {"manifests/00ab847904d971fc.mtm",
+     "\x4d\x54\x52\x4d\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00"
+     "\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+     "\x09\x00\x00\x00\x77\x32\x7c\x69\x6d\x67\x7c\x31\x36\x01\x00\x00"
+     "\x00\xc8\x6d\x8b\x0c\x41\x8f\xf0\xe9\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x26\xcb\xad\x0b\xa6\x0e\xcf\xb8\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x30\xe7\x21\x1b\x81\x27\x41\x8a\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\xb0\x2d\xe8\x44\x40\x3e\xc7\xea\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\x41\x48\xec\xa7\x6d\x16\xb8\x87\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\x03\x49\xa0\x11\x34\x1e\xed\x9a\x01\x00\x00\x00\x01\x00\x00"
+     "\x00\x6f\xc1\x65\xf7\xd9\x8a\x0b\xce\x01\x00\x00\x00\x70\xec\x82"
+     "\x05\xe4\x3d\x08\xee"sv},
+    {"chunks/eac73e4044e82db0.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x08\x01\x00\x00\x00\x08\x00\x00\x00"
+     "\xb0\x2d\xe8\x44\x40\x3e\xc7\xea\x02\x00\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/e9f08f410c8b6dc8.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x01\x03\x00\x00\x00\x03\x00\x00\x00"
+     "\xc8\x6d\x8b\x0c\x41\x8f\xf0\xe9\x01\x0a\x00"sv},
+    {"chunks/9aed1e3411a04903.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x08\x01\x00\x00\x00\x08\x00\x00\x00"
+     "\x03\x49\xa0\x11\x34\x1e\xed\x9a\x06\x00\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/8a4127811b21e730.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x01\x01\x00\x00\x00\x01\x00\x00\x00"
+     "\x30\xe7\x21\x1b\x81\x27\x41\x8a\x01"sv},
+    {"chunks/ce0b8ad9f765c16f.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x08\x01\x00\x00\x00\x08\x00\x00\x00"
+     "\x6f\xc1\x65\xf7\xd9\x8a\x0b\xce\x00\x10\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/87b8166da7ec4841.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x08\x01\x00\x00\x00\x08\x00\x00\x00"
+     "\x41\x48\xec\xa7\x6d\x16\xb8\x87\x03\x00\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/b8cf0ea60badcb26.mtc",
+     "\x4d\x54\x43\x4b\x02\x00\x02\x04\x03\x00\x00\x00\x0c\x00\x00\x00"
+     "\x26\xcb\xad\x0b\xa6\x0e\xcf\xb8\x04\x00\x00\x00\x08\x00\x00\x00"
+     "\x0c\x00\x00\x00"sv},
+};
+
+const std::string kV2Key = "w2|img|16";
+
+/** Write kV2Store's files under @p root. */
+void
+writeV2Store(const std::string &root)
+{
+    for (const auto &f : kV2Store) {
+        fs::path path = fs::path(root) / f.path;
+        fs::create_directories(path.parent_path());
+        writeFileBytes(path.string(), std::string(f.bytes));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +336,7 @@ placeV1ManifestAtV2Name(const std::string &root)
 TEST(TraceSpillFormat, NormativeConstants)
 {
     // §2: version and identification.
-    EXPECT_EQ(kSpillFormatVersion, 2u);
+    EXPECT_EQ(kSpillFormatVersion, 3u);
     EXPECT_EQ(std::string(kChunkMagic, 4), "MTCK");
     EXPECT_EQ(std::string(kManifestMagic, 4), "MTRM");
     EXPECT_EQ(kEncodingRaw, 2u);
@@ -297,18 +355,17 @@ TEST(TraceSpillFormat, NormativeConstants)
         ramp[i] = static_cast<unsigned char>(i);
     EXPECT_EQ(xxh64(ramp, sizeof(ramp)), 0x6AC1E58032166597ull);
 
-    // §3: the seven stored columns, their order and element widths.
-    ASSERT_EQ(kNumTraceColumns, 7u);
+    // §3: the six stored columns, their order and element widths.
+    ASSERT_EQ(kNumTraceColumns, 6u);
     const struct
     {
         TraceColumn col;
         const char *name;
         unsigned width;
     } table[] = {
-        {TraceColumn::Cls, "cls", 1},   {TraceColumn::Pc, "pc", 4},
-        {TraceColumn::OpCls, "opCls", 1}, {TraceColumn::OpA, "opA", 8},
-        {TraceColumn::OpB, "opB", 8},   {TraceColumn::OpRes, "opRes", 8},
-        {TraceColumn::Addr, "addr", 8},
+        {TraceColumn::Cls, "cls", 1},   {TraceColumn::OpCls, "opCls", 1},
+        {TraceColumn::OpA, "opA", 8},   {TraceColumn::OpB, "opB", 8},
+        {TraceColumn::OpRes, "opRes", 8}, {TraceColumn::Addr, "addr", 8},
     };
     for (size_t i = 0; i < kNumTraceColumns; i++) {
         EXPECT_EQ(static_cast<size_t>(table[i].col), i);
@@ -349,16 +406,12 @@ TEST(TraceSpillFormat, PayloadIsLittleEndianWordsOfTheColumnWidth)
     // §4: each element is one little-endian word of the header's
     // width, and §3: each column's chunks carry that column's width.
     const uint8_t narrow[] = {0x01, 0xff};
-    const uint32_t mid[] = {0x01020304u};
     const uint64_t wide[] = {0x0102030405060708ull};
     const EncodedChunk c1 = encodeChunk(narrow, 2);
-    const EncodedChunk c4 = encodeChunk(mid, 1);
     const EncodedChunk c8 = encodeChunk(wide, 1);
     EXPECT_EQ(static_cast<uint8_t>(c1.bytes[7]), 1u);
-    EXPECT_EQ(static_cast<uint8_t>(c4.bytes[7]), 4u);
     EXPECT_EQ(static_cast<uint8_t>(c8.bytes[7]), 8u);
     EXPECT_EQ(c1.bytes.substr(kChunkHeaderBytes), "\x01\xff");
-    EXPECT_EQ(c4.bytes.substr(kChunkHeaderBytes), "\x04\x03\x02\x01");
     EXPECT_EQ(c8.bytes.substr(kChunkHeaderBytes),
               "\x08\x07\x06\x05\x04\x03\x02\x01");
 
@@ -379,23 +432,21 @@ TEST(TraceSpillFormat, ChunkHashesArePinned)
     // The store is content-addressed: an encoder whose bytes drift
     // would orphan every spill directory already on disk. These are
     // the chunk hashes of sampleTrace(300) at chunk_elems 64 as the
-    // first version-2 encoder wrote them.
+    // first version-3 encoder wrote them. The cls and addr hashes are
+    // version 2's: those columns kept their contents.
     const std::vector<std::vector<uint64_t>> pinned = {
         {0x041323bf48217167ull, 0x06eefa06bccc2b81ull,
          0xbe465289613b09c9ull, 0x7a6c69a22629a7a5ull,
          0x7e53984b811bc12cull}, // cls
-        {0xe65ec5062432da2aull, 0xe50bbb6a3dcd1e79ull,
-         0xbccadf06c00d8b78ull, 0xb60106d033f1f8fbull,
-         0x2d0060624ecd5861ull}, // pc
-        {0x2f6f3c6f999d9db9ull, 0x058b59f67c2c1a36ull,
-         0x5b717a6e9a42f1a6ull, 0xba0be800970d7e04ull}, // opCls
-        {0x5756750b955e1f0dull, 0x3832d23411342842ull,
-         0x125ecd7e1e30f548ull, 0x89be10281d8e1f0dull}, // opA
-        {0xc1f9a0c5e54aef54ull, 0x1a2ebd4e5c488e90ull,
-         0x9ff41ee3dd264a93ull, 0xb20c7d8f80eea31dull}, // opB
-        {0xd58274fc9964ecfbull, 0x3877191938cf638cull,
-         0xfb75d31a7c5139fcull, 0x07aadd2cd0af379eull}, // opRes
-        {0xe0e1efe78b83c1f2ull},                        // addr
+        {0x2144aad915542639ull, 0x2144aad915542639ull,
+         0x51148ebc02990b30ull}, // opCls
+        {0x69810001172f9782ull, 0x69810001172f9782ull,
+         0xad8640d1d80581d7ull}, // opA
+        {0x667270afc3162503ull, 0x667270afc3162503ull,
+         0x9f93bbe527b0f16eull}, // opB
+        {0xc492a02e63754b79ull, 0xc492a02e63754b79ull,
+         0xcf1b6e4e6571db78ull}, // opRes
+        {0xe0e1efe78b83c1f2ull}, // addr
     };
     EncodedTrace enc = encodeTraceChunked(sampleTrace(300), 64);
     for (size_t c = 0; c < kNumTraceColumns; c++) {
@@ -498,10 +549,12 @@ TEST(TraceSpillCodec, ChunkRejectsEveryHeaderDefect)
     };
     EXPECT_THROW(decode64(mutate(0, 'X')), SpillError);  // magic
     EXPECT_THROW(decode64(mutate(4, 1)), SpillError);    // version 1
-    EXPECT_THROW(decode64(mutate(4, 3)), SpillError);    // version 3
+    EXPECT_THROW(decode64(mutate(4, 2)), SpillError);    // version 2
+    EXPECT_THROW(decode64(mutate(4, 4)), SpillError);    // version 4
     EXPECT_THROW(decode64(mutate(6, 1)), SpillError);    // encoding 1
     EXPECT_THROW(decode64(mutate(7, 3)), SpillError);    // width
-    EXPECT_THROW(decode64(mutate(7, 4)), SpillError);    // width vs count
+    EXPECT_THROW(decode64(mutate(7, 4)), SpillError);    // width 4 (v2's pc)
+    EXPECT_THROW(decode64(mutate(7, 1)), SpillError);    // width vs count
     EXPECT_THROW(decode64(mutate(8, 3)), SpillError);    // elemCount
     EXPECT_THROW(decode64(mutate(12, 9)), SpillError);   // payloadBytes
     EXPECT_THROW(decode64(mutate(16, 0)), SpillError);   // contentHash
@@ -567,7 +620,7 @@ TEST(TraceSpillCodec, ChunkReportsFailuresInSpecOrder)
     EXPECT_EQ(chunkError<uint8_t>(bad, &wrongHash),
               "chunk header: bad magic");
     EXPECT_EQ(chunkError<uint8_t>(repair(0), &wrongHash),
-              "chunk header: unsupported version 1 (expected 2)");
+              "chunk header: unsupported version 1 (expected 3)");
     EXPECT_EQ(chunkError<uint8_t>(repair(4), &wrongHash),
               "chunk header: unknown encoding id 1");
     EXPECT_EQ(chunkError<uint8_t>(repair(6), &wrongHash),
@@ -626,13 +679,13 @@ TEST(TraceSpillCodec, TypedDecodeAppendsAndChecksWidth)
 
     // A chunk decodes only into a column of exactly its width, wider
     // or narrower, and a refused chunk leaves the column untouched.
-    const uint32_t wide[] = {1, 256};
+    const uint64_t wide[] = {1, 256};
     std::vector<uint8_t> keep = {9};
     try {
         decodeChunkInto(encodeChunk(wide, 2).bytes, keep, "cls");
-        FAIL() << "a 4-byte chunk decoded into a u8 column";
+        FAIL() << "an 8-byte chunk decoded into a u8 column";
     } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(), "cls: chunk width 4, column width 1");
+        EXPECT_STREQ(e.what(), "cls: chunk width 8, column width 1");
     }
     EXPECT_EQ(keep, (std::vector<uint8_t>{9}));
     std::vector<uint64_t> keep64 = {9};
@@ -651,11 +704,10 @@ clsOf(InstClass c)
     return static_cast<uint8_t>(c);
 }
 
-/** The seven stored columns of a hand-built trace, in trace order. */
+/** The six stored columns of a hand-built trace, in trace order. */
 struct HandColumns
 {
     std::vector<uint8_t> cls;
-    std::vector<uint32_t> pc;
     std::vector<uint8_t> opCls;
     std::vector<uint64_t> opA, opB, opRes, addr;
 };
@@ -667,7 +719,6 @@ validHand()
     HandColumns h;
     h.cls = {clsOf(InstClass::IntMul), clsOf(InstClass::Load),
              clsOf(InstClass::IntAlu)};
-    h.pc = {4, 8, 12};
     h.opCls = {clsOf(InstClass::IntMul)};
     h.opA = {2};
     h.opB = {3};
@@ -695,7 +746,6 @@ encodeHand(const HandColumns &h)
         }
     };
     column(TraceColumn::Cls, h.cls);
-    column(TraceColumn::Pc, h.pc);
     column(TraceColumn::OpCls, h.opCls);
     column(TraceColumn::OpA, h.opA);
     column(TraceColumn::OpB, h.opB);
@@ -742,12 +792,10 @@ TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
 
     h = good; // a second IntMul with no operand words behind it
     h.cls.insert(h.cls.begin(), clsOf(InstClass::IntMul));
-    h.pc.push_back(16);
     EXPECT_EQ(traceError(h), "opCls: column exhausted early");
 
     h = good; // a second Load with no address behind it
     h.cls.insert(h.cls.begin(), clsOf(InstClass::Load));
-    h.pc.push_back(16);
     EXPECT_EQ(traceError(h), "addr: column exhausted early");
 
     h = good;
@@ -762,12 +810,37 @@ TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
     h.addr.push_back(0x2000);
     EXPECT_EQ(traceError(h), "trace: class column implies 1 address "
                              "records, addr column holds 2");
+
+    // An fp add stored as an operand record, as version 2 did: fp-add
+    // records carry only their class.
+    h = good;
+    h.cls[2] = clsOf(InstClass::FpAdd);
+    h.opCls.push_back(clsOf(InstClass::FpAdd));
+    h.opA.push_back(1);
+    h.opB.push_back(2);
+    h.opRes.push_back(3);
+    EXPECT_EQ(traceError(h), "opCls: value 2 is not a class with operands");
+
+    // adopt() holds the same rule on columns that bypass the decoder.
+    TraceStore::Columns cols;
+    cols.cls = {clsOf(InstClass::FpAdd)};
+    cols.opCls = {clsOf(InstClass::FpAdd)};
+    TraceStore::ClassColumns &fp_add =
+        cols.ops[static_cast<unsigned>(InstClass::FpAdd)];
+    fp_add.a = {1};
+    fp_add.b = {2};
+    fp_add.r = {3};
+    try {
+        TraceStore::adopt(std::move(cols));
+        FAIL() << "an fp-add operand record was adopted";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(), "opCls: value 2 is not a class with operands");
+    }
 }
 
 TEST(TraceSpillCodec, DecodeChecksChunksAgainstTheManifest)
 {
     const EncodedTrace good = encodeHand(validHand());
-    const auto pc = static_cast<size_t>(TraceColumn::Pc);
     const auto cls = static_cast<size_t>(TraceColumn::Cls);
 
     EncodedTrace enc = good;
@@ -777,15 +850,15 @@ TEST(TraceSpillCodec, DecodeChecksChunksAgainstTheManifest)
 
     // A valid chunk of the wrong width, named by the manifest.
     enc = good;
-    const uint64_t wide[] = {4, 8};
-    enc.cols[pc][0] = encodeChunk(wide, 2);
-    enc.manifest.cols[pc][0] = {enc.cols[pc][0].hash, 2};
-    EXPECT_EQ(traceError(enc), "pc: chunk width 8, column width 4");
+    const uint64_t wide[] = {1, 10};
+    enc.cols[cls][0] = encodeChunk(wide, 2);
+    enc.manifest.cols[cls][0] = {enc.cols[cls][0].hash, 2};
+    EXPECT_EQ(traceError(enc), "cls: chunk width 8, column width 1");
 
     // A valid chunk in the place of another.
     enc = good;
-    std::swap(enc.cols[pc][0], enc.cols[pc][1]);
-    EXPECT_EQ(traceError(enc), "pc: chunk hash differs from the manifest's");
+    std::swap(enc.cols[cls][0], enc.cols[cls][1]);
+    EXPECT_EQ(traceError(enc), "cls: chunk hash differs from the manifest's");
 
     // The manifest's counts move between chunks but keep their sum.
     enc = good;
@@ -861,11 +934,13 @@ TEST(TraceSpillStore, RewriteSharesEveryChunk)
 {
     SpillStore store(tempRoot("dedup"));
     Trace t = sampleTrace(300);
-    SpillStore::WriteStats first = store.write("k|i|1", t, 32);
+    // 31-element chunks: no two chunks of this trace are equal, so the
+    // first write shares none (its operand columns repeat every 32).
+    SpillStore::WriteStats first = store.write("k|i|1", t, 31);
     EXPECT_GT(first.chunksWritten, 0u);
     EXPECT_EQ(first.chunksShared, 0u);
 
-    SpillStore::WriteStats second = store.write("k|i|1", t, 32);
+    SpillStore::WriteStats second = store.write("k|i|1", t, 31);
     EXPECT_EQ(second.chunksWritten, 0u);
     EXPECT_EQ(second.chunksShared, first.chunksWritten);
     EXPECT_EQ(second.bytesShared,
@@ -920,7 +995,7 @@ TEST(TraceSpillStore, DetectsVersionSkew)
     TraceManifest m = store.manifest("k|i|1");
     std::string path = store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
     std::string bytes = readFileBytes(path);
-    bytes[4] = 3; // future format version
+    bytes[4] = 4; // future format version
     writeFileBytes(path, bytes);
     EXPECT_THROW(store.read("k|i|1"), SpillError);
 }
@@ -931,18 +1006,20 @@ TEST(TraceSpillStore, V1FilesAreNeverDecoded)
     SpillStore store(root);
     writeV1Store(root);
 
-    // Version 1 named manifests by FNV-1a of the key, so a v2 reader
-    // finds none: a clean miss, and the listing skips the v1 file.
+    // Version 1 named manifests by FNV-1a of the key, so a current
+    // reader finds none: a clean miss, and the listing skips the v1
+    // file.
     EXPECT_FALSE(store.readIfPresent(kV1Key).has_value());
     EXPECT_FALSE(store.contains(kV1Key));
     EXPECT_TRUE(store.keys().empty());
 
-    // A v1 manifest where a v2 one belongs fails its trailing hash.
-    placeV1ManifestAtV2Name(root);
+    // A v1 manifest where a current one belongs fails its trailing
+    // hash.
+    placeV1ManifestAtCurrentName(root);
     EXPECT_FALSE(store.contains(kV1Key));
     EXPECT_THROW(store.readIfPresent(kV1Key), SpillError);
 
-    // A v2 manifest whose chunk file holds a v1 chunk.
+    // A current manifest whose chunk file holds a v1 chunk.
     store.write(kV1Key, handTrace());
     const TraceManifest m = store.manifest(kV1Key);
     writeFileBytes(store.chunkPath(m.col(TraceColumn::Cls)[0].hash),
@@ -952,7 +1029,46 @@ TEST(TraceSpillStore, V1FilesAreNeverDecoded)
         FAIL() << "a v1 chunk decoded";
     } catch (const SpillError &e) {
         EXPECT_STREQ(e.what(),
-                     "chunk header: unsupported version 1 (expected 2)");
+                     "chunk header: unsupported version 1 (expected 3)");
+    }
+}
+
+TEST(TraceSpillStore, V2FilesAreNeverDecoded)
+{
+    const std::string root = tempRoot("v2");
+    SpillStore store(root);
+    writeV2Store(root);
+
+    // Version 3 names manifests as version 2 did: the v2 manifest is
+    // found and fails its version check, so the key is not listed and
+    // a read names the version.
+    EXPECT_FALSE(store.contains(kV2Key));
+    EXPECT_TRUE(store.keys().empty());
+    try {
+        store.readIfPresent(kV2Key);
+        FAIL() << "a v2 manifest decoded";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(),
+                     "manifest: unsupported version 2 (expected 3)");
+    }
+
+    // A write over the v2 store finds the v2 cls chunk at the name of
+    // its own cls chunk, and replaces it instead of sharing it.
+    store.write(kV2Key, handTrace());
+    const TraceManifest m = store.manifest(kV2Key);
+    const std::string cls_path =
+        store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
+    ASSERT_EQ(fs::path(cls_path).filename(), "e9f08f410c8b6dc8.mtc");
+    expectTracesEqual(store.read(kV2Key), handTrace());
+
+    // A current manifest whose chunk file holds a v2 chunk.
+    writeFileBytes(cls_path, std::string(kV2Store[2].bytes)); // v2 cls
+    try {
+        store.readIfPresent(kV2Key);
+        FAIL() << "a v2 chunk decoded";
+    } catch (const SpillError &e) {
+        EXPECT_STREQ(e.what(),
+                     "chunk header: unsupported version 2 (expected 3)");
     }
 }
 
@@ -1035,8 +1151,8 @@ TEST(TraceSpillStore, FailedWriteThrowsAndLeavesNoTempFile)
 TEST(TraceSpillStore, RecordedTraceRoundTrips)
 {
     // Every kind of record a Recorder emits — operand records with
-    // their results, remapped addresses, source-location PCs and the
-    // bookkeeping classes — comes back from the store unchanged.
+    // their results, remapped addresses and the bookkeeping classes —
+    // comes back from the store unchanged.
     Trace t;
     Recorder rec(t);
     double buf[4] = {1.0, 2.0, 3.0, 4.0};
@@ -1344,7 +1460,7 @@ TEST(TraceCacheSpill, SpillErrorFallsBackToGenerator)
     // Corrupt the spilled copy on disk, then miss on k1 again.
     SpillStore store(cache.spillDir());
     TraceManifest m = store.manifest(exec::spillKeyOf(k1));
-    std::string path = store.chunkPath(m.col(TraceColumn::Pc)[0].hash);
+    std::string path = store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
     std::string bytes = readFileBytes(path);
     bytes[bytes.size() - 1] =
         static_cast<char>(bytes[bytes.size() - 1] ^ 1);
@@ -1447,13 +1563,43 @@ TEST(TraceCacheSpill, V1StoreRegeneratesTheGeneratorsTrace)
     EXPECT_EQ(cache.spillErrors(), 0u);
     expectTracesEqual(*t1, handTrace());
 
-    // A v1 manifest at the v2 name: a counted disk defect.
+    // A v1 manifest at the current name: a counted disk defect.
     cache.clear();
-    placeV1ManifestAtV2Name(root);
+    placeV1ManifestAtCurrentName(root);
     auto t2 = cache.get(cacheKey("w1"), generate);
     EXPECT_EQ(gen, 2);
     EXPECT_EQ(cache.spillErrors(), 1u);
     EXPECT_EQ(cache.admits(), 0u);
+    expectTracesEqual(*t2, handTrace());
+}
+
+TEST(TraceCacheSpill, V2StoreRegeneratesTheGeneratorsTrace)
+{
+    exec::TraceCache cache(1u << 30);
+    const std::string root = tempRoot("cachev2");
+    writeV2Store(root);
+    cache.setSpillDir(root);
+    ASSERT_EQ(exec::spillKeyOf(cacheKey("w2")), kV2Key);
+
+    int gen = 0;
+    auto generate = [&] { gen++; return handTrace(); };
+
+    // The v2 manifest at the key's name: a counted disk defect.
+    auto t1 = cache.get(cacheKey("w2"), generate);
+    EXPECT_EQ(gen, 1);
+    EXPECT_EQ(cache.spillErrors(), 1u);
+    EXPECT_EQ(cache.admits(), 0u);
+    expectTracesEqual(*t1, handTrace());
+
+    // Evicted, the trace is spilled over the v2 files, and the next
+    // miss admits it from disk.
+    cache.setBudgetBytes(1);
+    cache.get(cacheKey("w3"), [] { return sampleTrace(100); });
+    EXPECT_EQ(cache.spills(), 1u);
+    auto t2 = cache.get(cacheKey("w2"), generate);
+    EXPECT_EQ(gen, 1);
+    EXPECT_EQ(cache.admits(), 1u);
+    EXPECT_EQ(cache.spillErrors(), 1u);
     expectTracesEqual(*t2, handTrace());
 }
 

@@ -42,8 +42,13 @@ namespace
 void
 printRecord(size_t index, const Instruction &inst)
 {
-    std::printf("%8zu  %-9s pc=%08x", index,
-                std::string(instClassName(inst.cls)).c_str(), inst.pc);
+    const std::string name(instClassName(inst.cls));
+    if (!TraceStore::hasOperands(inst.cls) &&
+        !TraceStore::hasAddress(inst.cls)) {
+        std::printf("%8zu  %s\n", index, name.c_str());
+        return; // the record is its class alone
+    }
+    std::printf("%8zu  %-9s", index, name.c_str());
     switch (inst.cls) {
       case InstClass::Load:
       case InstClass::Store:
@@ -58,11 +63,8 @@ printRecord(size_t index, const Instruction &inst)
         break;
       case InstClass::FpMul:
       case InstClass::FpDiv:
-      case InstClass::FpAdd:
         std::printf("  %g %c %g = %g", fpFromBits(inst.a),
-                    inst.cls == InstClass::FpDiv   ? '/'
-                    : inst.cls == InstClass::FpMul ? '*'
-                                                   : '+',
+                    inst.cls == InstClass::FpDiv ? '/' : '*',
                     fpFromBits(inst.b), fpFromBits(inst.result));
         break;
       case InstClass::FpSqrt:
@@ -98,8 +100,9 @@ printTrace(const std::string &name, const Trace &trace, size_t count)
 
     std::printf("\nfirst %zu records:\n",
                 std::min(count, trace.size()));
-    for (size_t i = 0; i < trace.size() && i < count; i++)
-        printRecord(i, trace[i]);
+    size_t i = 0;
+    for (auto it = trace.begin(); it != trace.end() && i < count; ++it)
+        printRecord(i++, *it);
 }
 
 int
