@@ -5,6 +5,7 @@
 #include <iterator>
 #include <ostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "arith/fp.hh"
@@ -225,14 +226,17 @@ fuzzStream(FuzzRng &rng, Operation op, unsigned len)
 }
 
 /**
- * Greedy chunk-removal shrink (ddmin-lite): repeatedly drop chunks
- * whose removal keeps the stream failing. The checkers are
- * deterministic, so any candidate replay is exact.
+ * Greedy chunk-removal shrink (ddmin-lite): nullopt when @p stream
+ * passes @p fails; otherwise repeatedly drop chunks whose removal
+ * keeps it failing, and return the shrunk stream's failure. The
+ * checkers are deterministic, so any candidate replay is exact.
  */
 template <typename Fails>
-std::vector<Access>
-shrinkStream(std::vector<Access> stream, Fails &&fails)
+std::optional<std::string>
+shrinkStream(std::vector<Access> &stream, Fails &&fails)
 {
+    if (!fails(stream))
+        return std::nullopt;
     size_t chunk = stream.size() / 2;
     while (chunk > 0) {
         bool removed = false;
@@ -255,7 +259,7 @@ shrinkStream(std::vector<Access> stream, Fails &&fails)
         if (!removed)
             chunk /= 2;
     }
-    return stream;
+    return fails(stream);
 }
 
 std::string
@@ -271,6 +275,18 @@ dumpStream(Operation op, const std::vector<Access> &stream)
     if (shown < stream.size())
         os << "\n    ... (" << (stream.size() - shown) << " more)";
     return os.str();
+}
+
+/** Case @p case_index's failure, with the one-line repro of its campaign. */
+FuzzFailure
+caseFailure(const FuzzOptions &opts, uint64_t case_index, std::string kind,
+            std::string what, std::string detail)
+{
+    return {case_index, std::move(kind), std::move(what),
+            "memo_fuzz --seed " + std::to_string(opts.seed) + " --iters " +
+                std::to_string(case_index + 1) + " --stream " +
+                std::to_string(opts.streamLen),
+            std::move(detail)};
 }
 
 /**
@@ -295,25 +311,15 @@ tableCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
                 return e;
         return std::nullopt;
     };
-    auto first = fails(stream);
-    if (!first)
+    const std::optional<std::string> what = shrinkStream(stream, fails);
+    if (!what)
         return std::nullopt;
-
-    stream = shrinkStream(std::move(stream),
-                          [&](const std::vector<Access> &s) {
-                              return fails(s).has_value();
-                          });
-    FuzzFailure f;
-    f.caseIndex = case_index;
-    f.kind = inject_bug ? "memo-table(+injected-tag-bug)" : "memo-table";
-    f.what = *fails(stream);
-    std::ostringstream repro;
-    repro << "memo_fuzz --seed " << opts.seed << " --iters "
-          << (case_index + 1) << " --stream " << opts.streamLen;
-    f.repro = repro.str();
-    f.detail = "op " + std::string(operationName(op)) + ", cfg " +
-               cfg.describe() + "; " + dumpStream(op, stream);
-    return f;
+    return caseFailure(
+        opts, case_index,
+        inject_bug ? "memo-table(+injected-tag-bug)" : "memo-table",
+        *what,
+        "op " + std::string(operationName(op)) + ", cfg " +
+            cfg.describe() + "; " + dumpStream(op, stream));
 }
 
 /**
@@ -427,26 +433,18 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
                              r);
     };
 
-    auto first = fails(stream);
-    if (!first)
+    const std::optional<std::string> what = shrinkStream(stream, fails);
+    if (!what)
         return std::nullopt;
-    stream = shrinkStream(std::move(stream),
-                          [&](const std::vector<Access> &s) {
-                              return fails(s).has_value();
-                          });
-    FuzzFailure f;
-    f.caseIndex = case_index;
-    f.kind = inject_block_bug ? "batched-replay(+injected-block-bug)"
-                              : "batched-replay";
-    f.what = *fails(stream);
-    std::ostringstream repro;
-    repro << "memo_fuzz --seed " << opts.seed << " --iters "
-          << (case_index + 1) << " --stream " << opts.streamLen;
-    f.repro = repro.str();
-    f.detail = "op " + std::string(operationName(op)) + ", cfg " +
-               cfg.describe() + ", block " + std::to_string(block) +
-               "; " + dumpStream(op, stream);
-    return f;
+    return caseFailure(opts, case_index,
+                       inject_block_bug
+                           ? "batched-replay(+injected-block-bug)"
+                           : "batched-replay",
+                       *what,
+                       "op " + std::string(operationName(op)) + ", cfg " +
+                           cfg.describe() + ", block " +
+                           std::to_string(block) + "; " +
+                           dumpStream(op, stream));
 }
 
 /** A random table geometry and policy that keyed replay admits. */
@@ -507,25 +505,16 @@ keyedReplayCase(FuzzRng &rng, uint64_t case_index,
                              r);
     };
 
-    auto first = fails(stream);
-    if (!first)
+    const std::optional<std::string> what = shrinkStream(stream, fails);
+    if (!what)
         return std::nullopt;
-    stream = shrinkStream(std::move(stream),
-                          [&](const std::vector<Access> &s) {
-                              return fails(s).has_value();
-                          });
-    FuzzFailure f;
-    f.caseIndex = case_index;
-    f.kind = inject_victim_fault ? "keyed-replay(+injected-victim-bug)"
-                                 : "keyed-replay";
-    f.what = *fails(stream);
-    std::ostringstream repro;
-    repro << "memo_fuzz --seed " << opts.seed << " --iters "
-          << (case_index + 1) << " --stream " << opts.streamLen;
-    f.repro = repro.str();
-    f.detail = "op " + std::string(operationName(op)) + ", cfg " +
-               cfg.describe() + "; " + dumpStream(op, stream);
-    return f;
+    return caseFailure(opts, case_index,
+                       inject_victim_fault
+                           ? "keyed-replay(+injected-victim-bug)"
+                           : "keyed-replay",
+                       *what,
+                       "op " + std::string(operationName(op)) + ", cfg " +
+                           cfg.describe() + "; " + dumpStream(op, stream));
 }
 
 /**
@@ -677,18 +666,11 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
     SimResult ref_other = referenceCpuRun(other_cfg, trace);
 
     auto fail = [&](const std::string &what) {
-        FuzzFailure f;
-        f.caseIndex = case_index;
-        f.kind = "cpu-differential";
-        f.what = what;
-        std::ostringstream repro;
-        repro << "memo_fuzz --seed " << opts.seed << " --iters "
-              << (case_index + 1) << " --stream " << opts.streamLen;
-        f.repro = repro.str();
-        f.detail = "trace of " + std::to_string(trace.size()) +
-                   " instructions; hierarchy " + describeHierarchy(ccfg) +
-                   "; second " + describeHierarchy(other_cfg);
-        return f;
+        return caseFailure(opts, case_index, "cpu-differential", what,
+                           "trace of " + std::to_string(trace.size()) +
+                               " instructions; hierarchy " +
+                               describeHierarchy(ccfg) + "; second " +
+                               describeHierarchy(other_cfg));
     };
 
     if (base.totalCycles != again.totalCycles ||
@@ -762,13 +744,16 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts,
  * trace/chunk_codec.hh): a random trace must survive
  * encode -> decode bit-exactly at an arbitrary chunk width — including
  * widths that do not divide the column lengths — and flipping any
- * single bit of any encoded chunk or of the manifest, or naming fp add
- * (a class without operands) in the opCls column, must be rejected
- * with SpillError, never silently decoded.
+ * single bit of any encoded chunk or of the manifest, or rewriting one
+ * class byte so the class column implies one operand record more or
+ * fewer than the operand columns hold, must be rejected with
+ * SpillError, never silently decoded. With inject_split_fault the
+ * clean decode ends the first class one word late
+ * (setChunkSplitFault), and the harness must catch it.
  */
 std::optional<FuzzFailure>
 chunkCodecCase(FuzzRng &rng, uint64_t case_index,
-               const FuzzOptions &opts)
+               const FuzzOptions &opts, bool inject_split_fault)
 {
     static constexpr InstClass classes[] = {
         InstClass::IntAlu, InstClass::IntAlu, InstClass::Load,
@@ -804,27 +789,26 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
     const uint32_t chunk_elems = widths[rng.below(std::size(widths))];
 
     auto fail = [&](const std::string &what) {
-        FuzzFailure f;
-        f.caseIndex = case_index;
-        f.kind = "chunk-codec";
-        f.what = what;
-        std::ostringstream repro;
-        repro << "memo_fuzz --seed " << opts.seed << " --iters "
-              << (case_index + 1) << " --stream " << opts.streamLen;
-        f.repro = repro.str();
-        f.detail = "trace of " + std::to_string(trace.size()) +
-                   " instructions, chunk width " +
-                   std::to_string(chunk_elems);
-        return f;
+        return caseFailure(opts, case_index,
+                           inject_split_fault
+                               ? "chunk-codec(+injected-split-bug)"
+                               : "chunk-codec",
+                           what,
+                           "trace of " + std::to_string(trace.size()) +
+                               " instructions, chunk width " +
+                               std::to_string(chunk_elems));
     };
 
     EncodedTrace enc = encodeTraceChunked(trace, chunk_elems);
     Trace back;
+    setChunkSplitFault(inject_split_fault);
     try {
         back = decodeTraceChunked(enc);
     } catch (const SpillError &e) {
+        setChunkSplitFault(false);
         return fail(std::string("clean decode rejected: ") + e.what());
     }
+    setChunkSplitFault(false);
     if (back.size() != trace.size())
         return fail("decode changed record count: " +
                     std::to_string(trace.size()) + " -> " +
@@ -839,31 +823,35 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
                         std::to_string(i));
     }
 
-    // An fp-add record carries only its class, so an opCls entry
-    // naming fp add must be rejected: rewrite one entry of the opCls
-    // column, re-chunked at the same width, and decode.
-    if (trace.store().opCount() > 0) {
-        EncodedTrace bad = encodeTraceChunked(trace, chunk_elems);
-        std::vector<uint8_t> op_cls;
-        for (const Instruction inst : trace)
-            if (TraceStore::hasOperands(inst.cls))
-                op_cls.push_back(static_cast<uint8_t>(inst.cls));
-        const size_t at = rng.below(op_cls.size());
-        op_cls[at] = static_cast<uint8_t>(InstClass::FpAdd);
-        const auto col = static_cast<size_t>(TraceColumn::OpCls);
-        bad.cols[col].clear();
-        bad.manifest.cols[col].clear();
-        for (size_t base = 0; base < op_cls.size(); base += chunk_elems) {
-            const auto n = static_cast<uint32_t>(
-                std::min<size_t>(chunk_elems, op_cls.size() - base));
-            bad.cols[col].push_back(encodeChunk(op_cls.data() + base, n));
-            bad.manifest.cols[col].push_back(
-                {bad.cols[col].back().hash, n});
-        }
+    // The class column decides how many words of each operand column
+    // every class owns: rewrite one class byte between a class with
+    // operands and one without (neither an address class, so only the
+    // operand count moves), re-encode its cls chunk, and decode.
+    const size_t at = rng.below(trace.size() + 1);
+    if (at < trace.size() &&
+        !TraceStore::hasAddress(
+            static_cast<InstClass>(trace.store().clsData()[at]))) {
+        const bool had = TraceStore::hasOperands(
+            static_cast<InstClass>(trace.store().clsData()[at]));
+        InstClass to;
+        do
+            to = classes[rng.below(std::size(classes))];
+        while (TraceStore::hasOperands(to) == had ||
+               TraceStore::hasAddress(to));
+        EncodedTrace bad = enc;
+        const auto col = static_cast<size_t>(TraceColumn::Cls);
+        EncodedChunk &ch = bad.cols[col][at / chunk_elems];
+        std::vector<uint8_t> cls(ch.bytes.begin() + kChunkHeaderBytes,
+                                 ch.bytes.end());
+        cls[at % chunk_elems] = static_cast<uint8_t>(to);
+        ch = encodeChunk(cls.data(), ch.elems);
+        bad.manifest.cols[col][at / chunk_elems].hash = ch.hash;
         try {
             decodeTraceChunked(bad);
-            return fail("an opCls entry for fp add (operand record " +
-                        std::to_string(at) + ") decoded without error");
+            return fail("record " + std::to_string(at) +
+                        " rewritten to class " +
+                        std::to_string(static_cast<unsigned>(to)) +
+                        " decoded without error");
         } catch (const SpillError &) {
             // expected
         }
@@ -874,19 +862,10 @@ chunkCodecCase(FuzzRng &rng, uint64_t case_index,
     m.key = "fuzz|case";
     std::string mbytes = encodeManifest(m);
     try {
-        TraceManifest m2 = decodeManifest(mbytes);
-        if (m2.key != m.key || m2.records != m.records ||
-            m2.ops != m.ops || m2.addrs != m.addrs)
-            return fail("manifest round-trip changed header fields");
-        for (size_t c = 0; c < kNumTraceColumns; c++) {
-            if (m2.cols[c].size() != m.cols[c].size())
-                return fail("manifest round-trip changed chunk lists");
-            for (size_t i = 0; i < m.cols[c].size(); i++)
-                if (m2.cols[c][i].hash != m.cols[c][i].hash ||
-                    m2.cols[c][i].elems != m.cols[c][i].elems)
-                    return fail("manifest round-trip changed chunk " +
-                                std::to_string(i));
-        }
+        // Every field is encoded, so a decode that dropped or changed
+        // one re-encodes to other bytes.
+        if (encodeManifest(decodeManifest(mbytes)) != mbytes)
+            return fail("manifest round-trip changed its bytes");
     } catch (const SpillError &e) {
         return fail(std::string("clean manifest rejected: ") +
                     e.what());
@@ -1003,7 +982,7 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
       case 4:
         return keyedReplayCase(rng, case_index, opts, false);
       case 5:
-        return chunkCodecCase(rng, case_index, opts);
+        return chunkCodecCase(rng, case_index, opts, false);
       default:
         return cpuCase(rng, case_index, opts, false);
     }
@@ -1036,71 +1015,52 @@ fuzz(const FuzzOptions &opts, std::ostream *log)
 bool
 mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
 {
-    bool tag_caught = false;
-    for (uint64_t i = 0; i < opts.iters; i++) {
-        FuzzRng rng = caseRng(opts.seed, i);
-        if (auto f = tableCase(rng, i, opts, true)) {
-            if (log)
-                *log << "tag mutation caught at case " << i << ": "
-                     << f->what << "\n  " << f->detail << "\n";
-            tag_caught = true;
-            break;
+    // Runs @p run_case over the campaign until it reports the
+    // injected @p bug; every harness runs, caught or not.
+    auto caught = [&](const char *bug, const char *missed,
+                      const auto &run_case) {
+        for (uint64_t i = 0; i < opts.iters; i++) {
+            FuzzRng rng = caseRng(opts.seed, i);
+            if (auto f = run_case(rng, i)) {
+                if (log)
+                    *log << bug << " mutation caught at case " << i
+                         << ": " << f->what << "\n  " << f->detail
+                         << "\n";
+                return true;
+            }
         }
-    }
-    if (!tag_caught && log)
-        *log << "MUTATION MISSED: injected tag-comparison bug "
-                "survived "
-             << opts.iters << " cases (seed " << opts.seed << ")\n";
-
-    bool block_caught = false;
-    for (uint64_t i = 0; i < opts.iters; i++) {
-        FuzzRng rng = caseRng(opts.seed, i);
-        if (auto f = batchedReplayCase(rng, i, opts, true)) {
-            if (log)
-                *log << "block mutation caught at case " << i << ": "
-                     << f->what << "\n  " << f->detail << "\n";
-            block_caught = true;
-            break;
-        }
-    }
-    if (!block_caught && log)
-        *log << "MUTATION MISSED: injected block-boundary off-by-one "
-                "survived "
-             << opts.iters << " cases (seed " << opts.seed << ")\n";
-
-    bool victim_caught = false;
-    for (uint64_t i = 0; i < opts.iters; i++) {
-        FuzzRng rng = caseRng(opts.seed, i);
-        if (auto f = keyedReplayCase(rng, i, opts, true)) {
-            if (log)
-                *log << "victim mutation caught at case " << i << ": "
-                     << f->what << "\n  " << f->detail << "\n";
-            victim_caught = true;
-            break;
-        }
-    }
-    if (!victim_caught && log)
-        *log << "MUTATION MISSED: injected keyed victim off-by-one "
-                "survived "
-             << opts.iters << " cases (seed " << opts.seed << ")\n";
-
-    bool key_caught = false;
-    for (uint64_t i = 0; i < opts.iters; i++) {
-        FuzzRng rng = caseRng(opts.seed, i);
-        if (auto f = cpuCase(rng, i, opts, true)) {
-            if (log)
-                *log << "memory-pass key mutation caught at case " << i
-                     << ": " << f->what << "\n  " << f->detail << "\n";
-            key_caught = true;
-            break;
-        }
-    }
-    if (!key_caught && log)
-        *log << "MUTATION MISSED: injected memory-pass key ignoring "
-                "the L2 hit latency survived "
-             << opts.iters << " cases (seed " << opts.seed << ")\n";
-
-    return tag_caught && block_caught && victim_caught && key_caught;
+        if (log)
+            *log << "MUTATION MISSED: injected " << missed
+                 << " survived " << opts.iters << " cases (seed "
+                 << opts.seed << ")\n";
+        return false;
+    };
+    const bool tag = caught(
+        "tag", "tag-comparison bug", [&](FuzzRng &rng, uint64_t i) {
+            return tableCase(rng, i, opts, true);
+        });
+    const bool block = caught(
+        "block", "block-boundary off-by-one",
+        [&](FuzzRng &rng, uint64_t i) {
+            return batchedReplayCase(rng, i, opts, true);
+        });
+    const bool victim = caught(
+        "victim", "keyed victim off-by-one",
+        [&](FuzzRng &rng, uint64_t i) {
+            return keyedReplayCase(rng, i, opts, true);
+        });
+    const bool key = caught(
+        "memory-pass key",
+        "memory-pass key ignoring the L2 hit latency",
+        [&](FuzzRng &rng, uint64_t i) {
+            return cpuCase(rng, i, opts, true);
+        });
+    const bool split = caught(
+        "chunk-codec split", "chunk-codec class split one word late",
+        [&](FuzzRng &rng, uint64_t i) {
+            return chunkCodecCase(rng, i, opts, true);
+        });
+    return tag && block && victim && key && split;
 }
 
 } // namespace memo::check

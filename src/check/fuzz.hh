@@ -18,20 +18,24 @@
  * check::referenceCpuRun, and check cycle/stats conservation; or
  * round-trip a random trace through the spill tier's
  * chunk codec (trace/chunk_codec.hh), where decode must be bit-exact
- * and any single-bit corruption must be rejected with SpillError.
+ * and any single-bit corruption, or a class byte rewritten so the
+ * class column disagrees with the operand columns, must be rejected
+ * with SpillError.
  * Everything is deterministic: the same --seed/--iters reproduce the
  * same verdicts on any platform, and a failing stream is shrunk
  * (greedy chunk removal) before being reported as a one-line repro.
  *
  * The mutation self-test (mutationSelfTest) deliberately injects
- * four bugs and requires all be caught: a tag-comparison bug — the
+ * five bugs and requires all be caught: a tag-comparison bug — the
  * real table sees operand A with its top 16 bits forced to zero, the
  * oracle sees the true operand — producing false hits; a
  * block-boundary off-by-one in the batched-replay differential — the
  * probeBlock side silently drops the last access of every full block;
- * an off-by-one victim way in keyed replay (setKeyedVictimFault); and
- * a memory-pass geometry key that ignores the L2 hit latency
- * (setMemoryPassKeyFault), so a run reads another geometry's pass.
+ * an off-by-one victim way in keyed replay (setKeyedVictimFault); a
+ * memory-pass geometry key that ignores the L2 hit latency
+ * (setMemoryPassKeyFault), so a run reads another geometry's pass;
+ * and a chunk decoder that ends the first class of the operand
+ * columns one word late (setChunkSplitFault).
  * CI runs it to prove the oracles have teeth (see docs/TESTING.md).
  */
 
@@ -133,9 +137,10 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
  * Mutation smoke test: rerun the MemoTable differential with an
  * injected tag-comparison bug, the batched-replay differential with
  * an injected block-boundary off-by-one, the keyed-replay
- * differential with an injected victim off-by-one and the
+ * differential with an injected victim off-by-one, the
  * cpu-differential with a memory-pass key that ignores the L2 hit
- * latency, requiring the harness to catch all four.
+ * latency and the chunk-codec case with a class split one word late,
+ * requiring the harness to catch all five.
  *
  * @return true when the oracles detected every injected bug
  */

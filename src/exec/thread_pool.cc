@@ -1,9 +1,10 @@
 #include "thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "core/cli_args.hh"
 #include "obs/stats.hh"
 #include "prof/prof.hh"
 
@@ -129,11 +130,8 @@ ThreadPool::publishUtilization(obs::StatsRegistry &reg) const
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("MEMO_JOBS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
+    if (std::optional<unsigned> n = cli::envCount<unsigned>("MEMO_JOBS"))
+        return *n;
     return std::max(1u, std::thread::hardware_concurrency());
 }
 

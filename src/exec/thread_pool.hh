@@ -52,8 +52,9 @@ class ThreadPool
 
     /**
      * The default parallelism: the MEMO_JOBS environment variable when
-     * set to a positive integer, otherwise hardware_concurrency()
-     * (minimum 1).
+     * set, otherwise hardware_concurrency() (minimum 1). MEMO_JOBS is
+     * parsed as --jobs is (cli::envCount): anything but a positive
+     * count throws std::runtime_error naming the variable.
      */
     static unsigned defaultJobs();
 

@@ -1,9 +1,11 @@
 #include "trace_cache.hh"
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <utility>
 
+#include "core/cli_args.hh"
 #include "obs/stats.hh"
 #include "prof/prof.hh"
 
@@ -16,11 +18,11 @@ namespace
 size_t
 defaultBudget()
 {
-    if (const char *env = std::getenv("MEMO_TRACE_CACHE_MB")) {
-        long mb = std::atol(env);
-        if (mb > 0)
-            return static_cast<size_t>(mb) * 1024 * 1024;
-    }
+    // MB as u32 keeps the byte count within 64 bits, as for
+    // --trace-cache-budget.
+    if (std::optional<uint32_t> mb =
+            cli::envCount<uint32_t>("MEMO_TRACE_CACHE_MB"))
+        return size_t{*mb} * 1024 * 1024;
     return size_t{768} * 1024 * 1024;
 }
 

@@ -14,7 +14,9 @@
  *
  * Entries are evicted least-recently-used once the cached bytes
  * exceed a budget (default 768 MiB, override with the
- * MEMO_TRACE_CACHE_MB environment variable); outstanding shared_ptr
+ * MEMO_TRACE_CACHE_MB environment variable, parsed as
+ * --trace-cache-budget is: anything but a positive count that fits
+ * 32 bits throws naming the variable); outstanding shared_ptr
  * holders keep evicted traces alive, so eviction only ever costs a
  * regeneration.
  *

@@ -1,6 +1,7 @@
 #include "chunk_codec.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -168,70 +169,75 @@ encodeChunkInto(const T *v, uint32_t n, EncodedChunk &c)
     c.bytes.append(reinterpret_cast<const char *>(v), payloadBytes);
 }
 
-/**
- * Decode every chunk of column @p which into @p out. Its count was
- * checked against the manifest header, but the reservation is also
- * capped at @p cap, a count backed by bytes already decoded, so a
- * manifest claiming more elements than any file holds allocates
- * nothing for them.
- */
+/** Decode every chunk of column @p which onto the end of @p out. */
 template <typename T>
 void
-decodeColumn(const TraceManifest &m, TraceColumn which, uint64_t cap,
+decodeColumn(const TraceManifest &m, TraceColumn which,
              const ChunkSource &chunk, std::vector<T> &out)
 {
     const std::vector<ChunkRef> &refs = m.col(which);
-    uint64_t declared = 0;
-    for (const ChunkRef &ref : refs)
-        declared += ref.elems;
-    out.reserve(static_cast<size_t>(std::min(declared, cap)));
     const char *name = traceColumnName(which);
     for (size_t i = 0; i < refs.size(); i++)
         decodeChunkInto(chunk(which, i), out, name, &refs[i]);
 }
 
+/** Each operand column and the ClassColumns member it holds. */
+using Words = std::vector<uint64_t> TraceStore::ClassColumns::*;
+constexpr std::pair<TraceColumn, Words> kOperandColumns[] = {
+    {TraceColumn::OpA, &TraceStore::ClassColumns::a},
+    {TraceColumn::OpB, &TraceStore::ClassColumns::b},
+    {TraceColumn::OpRes, &TraceStore::ClassColumns::r},
+};
+
+/** setChunkSplitFault() state; read once per operand column. */
+std::atomic<bool> split_fault{false};
+
 /**
- * Decode the opA, opB and opRes chunks one at a time and append each
- * word to the column of its record's class, as @p cols.opCls names it,
- * so the operands never exist in trace order. The class columns are
- * reserved exactly from opCls first.
+ * Decode every chunk of operand column @p which into the class
+ * columns of @p cols, each reserved exactly: class c takes the next
+ * @p owned[c] words. A chunk within one class decodes straight into
+ * its column; a chunk that spans the end of a class is split there.
+ * Words past the last owned one have no class to go to and throw; a
+ * class left short is adopt()'s to reject.
  */
 void
-scatterOperands(const TraceManifest &m, const ChunkSource &chunk,
-                TraceStore::Columns &cols)
+decodeOperands(const TraceManifest &m, TraceColumn which, Words words,
+               const std::array<size_t, numInstClasses> &owned,
+               const ChunkSource &chunk, TraceStore::Columns &cols)
 {
-    const std::vector<uint8_t> &opCls = cols.opCls;
-    std::array<size_t, numInstClasses> count{};
-    for (uint8_t c : opCls) {
-        if (c >= numInstClasses ||
-            !TraceStore::hasOperands(static_cast<InstClass>(c)))
-            throw SpillError("opCls: value " + std::to_string(c) +
-                             " is not a class with operands");
-        count[c]++;
-    }
-    for (unsigned c = 0; c < numInstClasses; c++) {
-        cols.ops[c].a.reserve(count[c]);
-        cols.ops[c].b.reserve(count[c]);
-        cols.ops[c].r.reserve(count[c]);
-    }
-    using Words = std::vector<uint64_t> TraceStore::ClassColumns::*;
-    const std::pair<TraceColumn, Words> targets[] = {
-        {TraceColumn::OpA, &TraceStore::ClassColumns::a},
-        {TraceColumn::OpB, &TraceStore::ClassColumns::b},
-        {TraceColumn::OpRes, &TraceStore::ClassColumns::r},
-    };
-    std::vector<uint64_t> words; // one chunk in flight
-    for (const auto &[which, dst] : targets) {
-        const std::vector<ChunkRef> &refs = m.col(which);
-        // decodeTrace checked these counts sum to opCls.size().
-        size_t base = 0;
-        for (size_t i = 0; i < refs.size(); i++) {
-            words.clear();
-            decodeChunkInto(chunk(which, i), words, traceColumnName(which),
+    const std::vector<ChunkRef> &refs = m.col(which);
+    const char *name = traceColumnName(which);
+    for (unsigned c = 0; c < numInstClasses; c++)
+        (cols.ops[c].*words).reserve(owned[c]);
+    unsigned c = 0; // the class taking words
+    // Words class c still takes; the injected fault ends class 0
+    // (IntAlu, which owns none) one word late.
+    size_t left = owned[0] + split_fault.load(std::memory_order_relaxed);
+    std::vector<uint64_t> part; // a chunk that spans a class end
+    for (size_t i = 0; i < refs.size(); i++) {
+        while (left == 0 && c + 1 < numInstClasses)
+            left = owned[++c];
+        if (refs[i].elems <= left) {
+            decodeChunkInto(chunk(which, i), cols.ops[c].*words, name,
                             &refs[i]);
-            for (size_t j = 0; j < words.size(); j++)
-                (cols.ops[opCls[base + j]].*dst).push_back(words[j]);
-            base += words.size();
+            left -= refs[i].elems;
+            continue;
+        }
+        part.clear();
+        decodeChunkInto(chunk(which, i), part, name, &refs[i]);
+        for (size_t j = 0; j < part.size();) {
+            while (left == 0) {
+                if (++c == numInstClasses)
+                    throw SpillError(std::string(name) +
+                                     ": holds more words than the class "
+                                     "column implies");
+                left = owned[c];
+            }
+            const size_t n = std::min(left, part.size() - j);
+            std::vector<uint64_t> &dst = cols.ops[c].*words;
+            dst.insert(dst.end(), part.begin() + j, part.begin() + j + n);
+            j += n;
+            left -= n;
         }
     }
 }
@@ -283,8 +289,6 @@ traceColumnName(TraceColumn col)
     switch (col) {
       case TraceColumn::Cls:
         return "cls";
-      case TraceColumn::OpCls:
-        return "opCls";
       case TraceColumn::OpA:
         return "opA";
       case TraceColumn::OpB:
@@ -302,7 +306,6 @@ traceColumnWidth(TraceColumn col)
 {
     switch (col) {
       case TraceColumn::Cls:
-      case TraceColumn::OpCls:
         return 1;
       default:
         return 8;
@@ -384,41 +387,32 @@ encodeTrace(const std::string &key, const Trace &trace,
     };
 
     column(TraceColumn::Cls, s.clsData(), s.size());
-
-    // The store keeps operands per class, so each operand chunk's
-    // words are gathered by walking the class column with one cursor
-    // per class; chunk boundaries fall exactly where column() would
-    // put them.
-    std::array<size_t, numInstClasses> at{};
-    std::vector<uint8_t> cls;
-    std::vector<uint64_t> a, b, r;
-    auto flush = [&] {
-        emit(TraceColumn::OpCls, cls.data(), cls.size());
-        emit(TraceColumn::OpA, a.data(), a.size());
-        emit(TraceColumn::OpB, b.data(), b.size());
-        emit(TraceColumn::OpRes, r.data(), r.size());
-        cls.clear();
-        a.clear();
-        b.clear();
-        r.clear();
-    };
-    for (size_t i = 0; i < s.size(); i++) {
-        const uint8_t c = s.clsData()[i];
-        if (!TraceStore::hasOperands(static_cast<InstClass>(c)))
-            continue;
-        const TraceStore::ClassColumns &words =
-            s.classColumns(static_cast<InstClass>(c));
-        const size_t k = at[c]++;
-        cls.push_back(c);
-        a.push_back(words.a[k]);
-        b.push_back(words.b[k]);
-        r.push_back(words.r[k]);
-        if (cls.size() == chunk_elems)
-            flush();
+    // Each operand column is the class columns back to back, sliced
+    // like any other: a chunk within one class is encoded where it
+    // lies, and only a chunk spanning a class end is gathered in part.
+    std::vector<uint64_t> part;
+    for (const auto &[which, words] : kOperandColumns) {
+        for (unsigned c = 0; c < numInstClasses; c++) {
+            const std::vector<uint64_t> &v =
+                s.classColumns(static_cast<InstClass>(c)).*words;
+            size_t p = 0;
+            if (!part.empty()) { // top up the chunk a class began
+                p = std::min<size_t>(chunk_elems - part.size(), v.size());
+                part.insert(part.end(), v.begin(), v.begin() + p);
+                if (part.size() == chunk_elems) {
+                    emit(which, part.data(), part.size());
+                    part.clear();
+                }
+            }
+            for (; v.size() - p >= chunk_elems; p += chunk_elems)
+                emit(which, v.data() + p, chunk_elems);
+            part.insert(part.end(), v.begin() + p, v.end());
+        }
+        if (!part.empty()) {
+            emit(which, part.data(), part.size());
+            part.clear();
+        }
     }
-    if (!cls.empty())
-        flush();
-
     column(TraceColumn::Addr, s.addrData(), s.addrCount());
     return m;
 }
@@ -426,8 +420,8 @@ encodeTrace(const std::string &key, const Trace &trace,
 Trace
 decodeTrace(const TraceManifest &m, const ChunkSource &chunk)
 {
-    const uint64_t implied[kNumTraceColumns] = {
-        m.records, m.ops, m.ops, m.ops, m.ops, m.addrs};
+    const uint64_t implied[kNumTraceColumns] = {m.records, m.ops, m.ops,
+                                                 m.ops, m.addrs};
     for (size_t c = 0; c < kNumTraceColumns; c++) {
         uint64_t declared = 0;
         for (const ChunkRef &ref : m.cols[c])
@@ -440,16 +434,28 @@ decodeTrace(const TraceManifest &m, const ChunkSource &chunk)
                 std::to_string(implied[c]));
     }
 
-    // cls grows with the chunks actually decoded; no other column
-    // holds more than one element per record, so cls.size() caps
-    // their reservations.
+    // cls grows with the chunks actually decoded, and only its
+    // records size the other columns, so a manifest claiming more
+    // elements than any file holds allocates nothing for them. Class c
+    // owns as many words of each operand column as cls has class-c
+    // records (none for a class without operands) and addr one word
+    // per Load and Store; values that name no class are adopt()'s to
+    // reject.
     TraceStore::Columns cols;
-    decodeColumn(m, TraceColumn::Cls, 0, chunk, cols.cls);
+    decodeColumn(m, TraceColumn::Cls, chunk, cols.cls);
     cols.cls.shrink_to_fit();
-    const uint64_t cap = cols.cls.size();
-    decodeColumn(m, TraceColumn::OpCls, cap, chunk, cols.opCls);
-    scatterOperands(m, chunk, cols);
-    decodeColumn(m, TraceColumn::Addr, cap, chunk, cols.addr);
+    std::array<size_t, 256> records{};
+    for (uint8_t c : cols.cls)
+        records[c]++;
+    std::array<size_t, numInstClasses> owned{};
+    for (unsigned c = 0; c < numInstClasses; c++)
+        if (TraceStore::hasOperands(static_cast<InstClass>(c)))
+            owned[c] = records[c];
+    for (const auto &[which, words] : kOperandColumns)
+        decodeOperands(m, which, words, owned, chunk, cols);
+    cols.addr.reserve(records[static_cast<unsigned>(InstClass::Load)] +
+                      records[static_cast<unsigned>(InstClass::Store)]);
+    decodeColumn(m, TraceColumn::Addr, chunk, cols.addr);
     return Trace(TraceStore::adopt(std::move(cols)));
 }
 
@@ -463,6 +469,12 @@ encodeTraceChunked(const Trace &trace, uint32_t chunk_elems)
             enc.cols[static_cast<size_t>(c)].push_back(ch);
         });
     return enc;
+}
+
+void
+setChunkSplitFault(bool enabled)
+{
+    split_fault.store(enabled, std::memory_order_relaxed);
 }
 
 Trace

@@ -63,7 +63,7 @@ inline constexpr char kChunkMagic[4] = {'M', 'T', 'C', 'K'};
 inline constexpr char kManifestMagic[4] = {'M', 'T', 'R', 'M'};
 
 /** Schema version shared by chunk and manifest headers. */
-inline constexpr uint16_t kSpillFormatVersion = 3;
+inline constexpr uint16_t kSpillFormatVersion = 4;
 
 /** Encoding id 2: raw little-endian words of the header's width. */
 inline constexpr uint8_t kEncodingRaw = 2;
@@ -80,20 +80,23 @@ inline constexpr uint32_t kDefaultChunkElems = 1u << 16;
 /** Largest chunk element count whose u64 payload fits payloadBytes. */
 inline constexpr uint32_t kMaxChunkElems = UINT32_MAX / 8;
 
-/** The six TraceStore columns a manifest indexes, in on-disk order. */
+/**
+ * The five TraceStore columns a manifest indexes, in on-disk order.
+ * The operand columns are the store's per-class columns back to back
+ * in InstClass order.
+ */
 enum class TraceColumn : uint8_t
 {
     Cls = 0,   //!< per-record InstClass (u8)
-    OpCls = 1, //!< class of each operand-carrying record (u8)
-    OpA = 2,   //!< operand A words (u64)
-    OpB = 3,   //!< operand B words (u64)
-    OpRes = 4, //!< result words (u64)
-    Addr = 5,  //!< effective addresses of Load/Store (u64)
+    OpA = 1,   //!< operand A words (u64)
+    OpB = 2,   //!< operand B words (u64)
+    OpRes = 3, //!< result words (u64)
+    Addr = 4,  //!< effective addresses of Load/Store (u64)
 };
 
-inline constexpr size_t kNumTraceColumns = 6;
+inline constexpr size_t kNumTraceColumns = 5;
 
-/** Human-readable column name ("cls", "opCls", ...). */
+/** Human-readable column name ("cls", "opA", ...). */
 const char *traceColumnName(TraceColumn col);
 
 /** Element width in bytes (1 or 8) of the column's chunks. */
@@ -178,14 +181,13 @@ TraceManifest decodeManifest(std::string_view bytes);
 using ChunkSink = std::function<void(TraceColumn, const EncodedChunk &)>;
 
 /**
- * Slice the six trace-order columns of @p trace into chunks of
- * @p chunk_elems elements (the last chunk of a column is short), hand
- * each chunk to @p sink as soon as it is encoded, and return the
- * manifest naming them under @p key. One chunk's bytes exist at a
- * time. The operand columns are gathered back into trace order from
- * the store's per-class columns. All columns share the same slice
- * width, so chunk i of the four operand columns covers the same
- * records.
+ * Slice the five columns of @p trace into chunks of @p chunk_elems
+ * elements (the last chunk of a column is short), hand each chunk to
+ * @p sink as soon as it is encoded, and return the manifest naming
+ * them under @p key. One chunk's bytes exist at a time. Each operand
+ * column is the store's class columns back to back in InstClass
+ * order, so a chunk may span the end of one class; only such a chunk
+ * is copied before it is encoded.
  */
 TraceManifest encodeTrace(const std::string &key, const Trace &trace,
                           uint32_t chunk_elems, const ChunkSink &sink);
@@ -200,14 +202,15 @@ using ChunkSource = std::function<std::string_view(TraceColumn c,
 /**
  * Reassemble the trace @p m describes, asking @p chunk for one chunk
  * at a time: each is checked against its manifest entry and decodes
- * straight into its typed column (operand chunks into the class
- * columns their opCls elements name), and TraceStore::adopt() takes
- * the columns. Verifies first that each column's chunk counts sum to
- * the count the manifest header implies, then every chunk, then the
- * cross-column rules (every class value is an InstClass; every opCls
- * value is a class with operands and agrees with the class sequence;
- * the operand and address columns hold exactly the records the class
- * column implies). Throws SpillError.
+ * straight into its typed column, and TraceStore::adopt() takes the
+ * columns. Class c owns the next count_c words of each operand
+ * column, count_c being the number of class-c records in cls, so an
+ * operand chunk is split only where a class ends. Verifies first that
+ * each column's chunk counts sum to the count the manifest header
+ * implies, then every chunk, then the cross-column rules (every class
+ * value is an InstClass; each class column and the address column
+ * hold exactly the records the class column implies). Throws
+ * SpillError.
  */
 Trace decodeTrace(const TraceManifest &m, const ChunkSource &chunk);
 
@@ -226,6 +229,14 @@ EncodedTrace encodeTraceChunked(const Trace &trace,
 
 /** decodeTrace() from memory. Throws SpillError. */
 Trace decodeTraceChunked(const EncodedTrace &enc);
+
+/**
+ * Test-only fault injection: when enabled, decodeTrace() moves the
+ * first class split of each operand column one word late. The
+ * chunk-codec fuzz kind's mutation self-test turns it on; never
+ * outside tests.
+ */
+void setChunkSplitFault(bool enabled);
 
 } // namespace memo
 

@@ -73,55 +73,33 @@ TraceStore::classCounts() const
 TraceStore
 TraceStore::adopt(Columns &&cols)
 {
-    const size_t n = cols.cls.size();
-    const size_t nOps = cols.opCls.size();
-    const size_t nAddrs = cols.addr.size();
-    std::array<size_t, numInstClasses> named{};
-    for (uint8_t c : cols.opCls) {
-        if (c >= numInstClasses ||
-            !hasOperands(static_cast<InstClass>(c)))
-            throw SpillError("opCls: value " + std::to_string(c) +
-                             " is not a class with operands");
-        named[c]++;
-    }
-    for (unsigned c = 0; c < numInstClasses; c++) {
-        const ClassColumns &cc = cols.ops[c];
-        if (cc.a.size() != named[c] || cc.b.size() != named[c] ||
-            cc.r.size() != named[c])
-            throw SpillError("trace: operand columns of class " +
-                             std::to_string(c) + " differ in length "
-                             "from opCls");
-    }
-
-    size_t ops = 0, addrs = 0;
-    for (size_t i = 0; i < n; i++) {
-        const uint8_t c = cols.cls[i];
+    std::array<size_t, numInstClasses> records{};
+    for (uint8_t c : cols.cls) {
         if (c >= numInstClasses)
             throw SpillError("cls: value " + std::to_string(c) +
                              " is not an InstClass");
-        const auto cls = static_cast<InstClass>(c);
-        if (hasOperands(cls)) {
-            if (ops == nOps)
-                throw SpillError("opCls: column exhausted early");
-            if (cols.opCls[ops] != c)
-                throw SpillError("opCls: disagrees with cls column at "
-                                 "operand record " +
-                                 std::to_string(ops));
-            ops++;
-        } else if (hasAddress(cls)) {
-            if (addrs == nAddrs)
-                throw SpillError("addr: column exhausted early");
-            addrs++;
-        }
+        records[c]++;
     }
-    if (ops != nOps)
-        throw SpillError("trace: class column implies " +
-                         std::to_string(ops) + " operand records, " +
-                         "operand columns hold " + std::to_string(nOps));
-    if (addrs != nAddrs)
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        const ClassColumns &cc = cols.ops[c];
+        const size_t n =
+            hasOperands(static_cast<InstClass>(c)) ? records[c] : 0;
+        if (cc.a.size() != n || cc.b.size() != n || cc.r.size() != n)
+            throw SpillError(
+                "trace: class column implies " + std::to_string(n) +
+                " operand records of class " + std::to_string(c) +
+                ", its columns hold " + std::to_string(cc.a.size()) +
+                ", " + std::to_string(cc.b.size()) + " and " +
+                std::to_string(cc.r.size()) + " words");
+    }
+    const size_t addrs =
+        records[static_cast<unsigned>(InstClass::Load)] +
+        records[static_cast<unsigned>(InstClass::Store)];
+    if (cols.addr.size() != addrs)
         throw SpillError("trace: class column implies " +
                          std::to_string(addrs) + " address records, " +
-                         "addr column holds " + std::to_string(nAddrs));
+                         "addr column holds " +
+                         std::to_string(cols.addr.size()));
 
     TraceStore s;
     s.cls_ = std::move(cols.cls);

@@ -168,28 +168,25 @@ class TraceStore
 
     /**
      * A store's columns as the spill codec decodes them and adopt()
-     * takes them: the class, operand-class and address columns in
-     * trace order, and the operand words already in their classes'
-     * columns (the decoder scatters each chunk by opCls as it goes).
+     * takes them: the class and address columns in trace order and
+     * the operand words of each class, the store's own layout.
      */
     struct Columns
     {
         std::vector<uint8_t> cls;
-        std::vector<uint8_t> opCls;
         std::array<ClassColumns, numInstClasses> ops;
         std::vector<uint64_t> addr;
     };
 
     /**
      * Build a store that takes over @p cols, checking them in one pass
-     * over the class column. The checks: every opCls value is a class
-     * with operands; every class column holds as many a, b and result
-     * words as opCls names records of that class; every class value is
-     * an InstClass; opCls agrees with the class of every
-     * operand-carrying record; and the operand and address columns
-     * hold exactly the records the class column implies, neither
-     * running out early nor leaving elements over. Throws SpillError
-     * (trace/chunk_codec.hh): its one caller decodes spilled traces.
+     * over the class column. The checks: every class value is an
+     * InstClass; each class's a, b and result columns hold exactly as
+     * many words as the class column has records of that class (none
+     * for a class without operands); and the address column holds
+     * exactly as many addresses as it has Load and Store records.
+     * Throws SpillError (trace/chunk_codec.hh): its one caller decodes
+     * spilled traces.
      */
     static TraceStore adopt(Columns &&cols);
 
@@ -312,9 +309,8 @@ class TraceStore
 
     /**
      * Raw class and address columns, for column-wise export (the
-     * spill encoder in trace/chunk_codec.hh, which gathers the
-     * operand columns back into trace order by walking the class
-     * column).
+     * spill encoder in trace/chunk_codec.hh, which takes the operand
+     * columns from classColumns()).
      */
     const uint8_t *clsData() const { return cls_.data(); }
     size_t addrCount() const { return addr_.size(); }

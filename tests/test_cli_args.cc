@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the tools' checked argument parsing (tools/cli_args.hh):
+ * Tests for the tools' checked argument parsing (core/cli_args.hh):
  * counts are positive decimals that fit their type, unsigned numbers
  * may also be zero, choices are exact spellings, and every refusal
  * names the flag and the value.
@@ -13,7 +13,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "cli_args.hh"
+#include "core/cli_args.hh"
 
 namespace memo::cli
 {

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -199,16 +200,30 @@ countChunkFiles(const std::string &root)
     return n;
 }
 
+/** One file of a spill store, under the store's root. */
+struct StoreFile
+{
+    const char *path;
+    std::string_view bytes;
+};
+
+/** Write @p files under @p root. */
+void
+writeStoreFiles(const std::string &root, std::span<const StoreFile> files)
+{
+    for (const StoreFile &f : files) {
+        fs::path path = fs::path(root) / f.path;
+        fs::create_directories(path.parent_path());
+        writeFileBytes(path.string(), std::string(f.bytes));
+    }
+}
+
 /**
  * A spill store as the version-1 encoder (delta + zigzag + LEB128
  * payloads, FNV-1a hashes and file names) wrote handTrace() under key
  * "w1|img|16": one manifest and seven one-chunk columns, byte for byte.
  */
-const struct
-{
-    const char *path;
-    std::string_view bytes;
-} kV1Store[] = {
+const StoreFile kV1Store[] = {
     {"manifests/d1cd259997043cf5.mtm",
      "\x4d\x54\x52\x4d\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00"
      "\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
@@ -246,16 +261,6 @@ const struct
 
 const std::string kV1Key = "w1|img|16";
 
-/** Write kV1Store's files under @p root. */
-void
-writeV1Store(const std::string &root)
-{
-    for (const auto &f : kV1Store) {
-        fs::path path = fs::path(root) / f.path;
-        fs::create_directories(path.parent_path());
-        writeFileBytes(path.string(), std::string(f.bytes));
-    }
-}
 
 /** kV1Store's manifest, copied to where a current reader looks for it. */
 void
@@ -269,15 +274,11 @@ placeV1ManifestAtCurrentName(const std::string &root)
  * A spill store as the version-2 encoder (seven raw columns, a u32 pc
  * column among them, and operand words for fp add) wrote handTrace()
  * with PCs 4, 8 and 12 under key "w2|img|16": one manifest and seven
- * one-chunk columns, byte for byte. Version 3 names manifests the
- * same way, and its cls chunk has this store's cls payload and so its
- * file name (chunks/e9f08f410c8b6dc8.mtc).
+ * one-chunk columns, byte for byte. Later versions name manifests the
+ * same way, and their cls chunk has this store's cls payload and so
+ * its file name (chunks/e9f08f410c8b6dc8.mtc, kV2Store[2]).
  */
-const struct
-{
-    const char *path;
-    std::string_view bytes;
-} kV2Store[] = {
+const StoreFile kV2Store[] = {
     {"manifests/00ab847904d971fc.mtm",
      "\x4d\x54\x52\x4d\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00"
      "\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
@@ -314,18 +315,92 @@ const struct
      "\x0c\x00\x00\x00"sv},
 };
 
-const std::string kV2Key = "w2|img|16";
-
-/** Write kV2Store's files under @p root. */
-void
-writeV2Store(const std::string &root)
+/**
+ * IntMul, Load, FpMul, IntAlu, IntMul: two operand classes, so the
+ * trace order of the operand records is not their class order.
+ */
+Trace
+twoClassTrace()
 {
-    for (const auto &f : kV2Store) {
-        fs::path path = fs::path(root) / f.path;
-        fs::create_directories(path.parent_path());
-        writeFileBytes(path.string(), std::string(f.bytes));
-    }
+    Trace t;
+    auto op = [&](InstClass cls, uint64_t a, uint64_t b, uint64_t r) {
+        Instruction inst;
+        inst.cls = cls;
+        inst.a = a;
+        inst.b = b;
+        inst.result = r;
+        t.push(inst);
+    };
+    op(InstClass::IntMul, 2, 3, 6);
+    Instruction ld;
+    ld.cls = InstClass::Load;
+    ld.addr = 0x1000;
+    t.push(ld);
+    op(InstClass::FpMul, 0x3ff8000000000000ull, 0x4000000000000000ull,
+       0x4008000000000000ull); // 1.5 * 2.0 = 3.0
+    Instruction alu;
+    alu.cls = InstClass::IntAlu;
+    t.push(alu);
+    op(InstClass::IntMul, 4, 5, 20);
+    return t;
 }
+
+/**
+ * A spill store as the version-3 encoder (six raw columns: the
+ * operand words in trace order, behind a u8 column naming each one's
+ * class) wrote twoClassTrace() under key "w3|img|16": one
+ * manifest and six one-chunk columns, byte for byte. Its cls chunk
+ * (kV3Store[1]) is the current one's, name included.
+ */
+const StoreFile kV3Store[] = {
+    {"manifests/817ccaf12e4f6b28.mtm",
+     "\x4d\x54\x52\x4d\x03\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00"
+     "\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+     "\x09\x00\x00\x00\x77\x33\x7c\x69\x6d\x67\x7c\x31\x36\x01\x00\x00"
+     "\x00\xaf\xd5\x30\xd6\xd0\xc9\x1d\xae\x05\x00\x00\x00\x01\x00\x00"
+     "\x00\x0c\x02\x7e\xd5\x4c\x3c\x54\x74\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x85\x2f\x65\x27\xc5\x53\xb1\x56\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x94\xba\x10\x24\xcc\x2e\x17\x9d\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x82\x90\x72\x94\x59\x61\xf3\x3d\x03\x00\x00\x00\x01\x00\x00"
+     "\x00\x6f\xc1\x65\xf7\xd9\x8a\x0b\xce\x01\x00\x00\x00\x87\xbd\x74"
+     "\x6d\xe4\xba\x81\x68"sv},
+    {"chunks/ae1dc9d0d630d5af.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x01\x05\x00\x00\x00\x05\x00\x00\x00"
+     "\xaf\xd5\x30\xd6\xd0\xc9\x1d\xae\x01\x0a\x03\x00\x01"sv},
+    {"chunks/3df3615994729082.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x08\x03\x00\x00\x00\x18\x00\x00\x00"
+     "\x82\x90\x72\x94\x59\x61\xf3\x3d\x06\x00\x00\x00\x00\x00\x00\x00"
+     "\x00\x00\x00\x00\x00\x00\x08\x40\x14\x00\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/56b153c527652f85.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x08\x03\x00\x00\x00\x18\x00\x00\x00"
+     "\x85\x2f\x65\x27\xc5\x53\xb1\x56\x02\x00\x00\x00\x00\x00\x00\x00"
+     "\x00\x00\x00\x00\x00\x00\xf8\x3f\x04\x00\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/74543c4cd57e020c.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x01\x03\x00\x00\x00\x03\x00\x00\x00"
+     "\x0c\x02\x7e\xd5\x4c\x3c\x54\x74\x01\x03\x01"sv},
+    {"chunks/ce0b8ad9f765c16f.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x08\x01\x00\x00\x00\x08\x00\x00\x00"
+     "\x6f\xc1\x65\xf7\xd9\x8a\x0b\xce\x00\x10\x00\x00\x00\x00\x00\x00"sv},
+    {"chunks/9d172ecc2410ba94.mtc",
+     "\x4d\x54\x43\x4b\x03\x00\x02\x08\x03\x00\x00\x00\x18\x00\x00\x00"
+     "\x94\xba\x10\x24\xcc\x2e\x17\x9d\x03\x00\x00\x00\x00\x00\x00\x00"
+     "\x00\x00\x00\x00\x00\x00\x00\x40\x05\x00\x00\x00\x00\x00\x00\x00"sv},
+};
+
+/** A store an earlier format version wrote, and the trace it holds. */
+struct OldStore
+{
+    unsigned version;
+    std::span<const StoreFile> files;
+    const char *key;
+    Trace (*trace)();
+    size_t clsChunk; //!< index in files of the cls chunk
+};
+
+const OldStore kOldStores[] = {
+    {2, kV2Store, "w2|img|16", handTrace, 2},
+    {3, kV3Store, "w3|img|16", twoClassTrace, 1},
+};
 
 // ---------------------------------------------------------------------------
 // Format pinning: these tests ARE docs/TRACE_FORMAT.md. Any change
@@ -336,7 +411,7 @@ writeV2Store(const std::string &root)
 TEST(TraceSpillFormat, NormativeConstants)
 {
     // §2: version and identification.
-    EXPECT_EQ(kSpillFormatVersion, 3u);
+    EXPECT_EQ(kSpillFormatVersion, 4u);
     EXPECT_EQ(std::string(kChunkMagic, 4), "MTCK");
     EXPECT_EQ(std::string(kManifestMagic, 4), "MTRM");
     EXPECT_EQ(kEncodingRaw, 2u);
@@ -355,17 +430,17 @@ TEST(TraceSpillFormat, NormativeConstants)
         ramp[i] = static_cast<unsigned char>(i);
     EXPECT_EQ(xxh64(ramp, sizeof(ramp)), 0x6AC1E58032166597ull);
 
-    // §3: the six stored columns, their order and element widths.
-    ASSERT_EQ(kNumTraceColumns, 6u);
+    // §3: the five stored columns, their order and element widths.
+    ASSERT_EQ(kNumTraceColumns, 5u);
     const struct
     {
         TraceColumn col;
         const char *name;
         unsigned width;
     } table[] = {
-        {TraceColumn::Cls, "cls", 1},   {TraceColumn::OpCls, "opCls", 1},
-        {TraceColumn::OpA, "opA", 8},   {TraceColumn::OpB, "opB", 8},
-        {TraceColumn::OpRes, "opRes", 8}, {TraceColumn::Addr, "addr", 8},
+        {TraceColumn::Cls, "cls", 1},     {TraceColumn::OpA, "opA", 8},
+        {TraceColumn::OpB, "opB", 8},     {TraceColumn::OpRes, "opRes", 8},
+        {TraceColumn::Addr, "addr", 8},
     };
     for (size_t i = 0; i < kNumTraceColumns; i++) {
         EXPECT_EQ(static_cast<size_t>(table[i].col), i);
@@ -431,21 +506,21 @@ TEST(TraceSpillFormat, ChunkHashesArePinned)
 {
     // The store is content-addressed: an encoder whose bytes drift
     // would orphan every spill directory already on disk. These are
-    // the chunk hashes of sampleTrace(300) at chunk_elems 64 as the
-    // first version-3 encoder wrote them. The cls and addr hashes are
+    // the chunk hashes of sampleTrace(300) at chunk_elems 64. The
+    // operand rows are the first version-4 encoder's (class-major
+    // words, checked against the class-major concatenation of the
+    // records hashed slice by slice); the cls and addr rows are
     // version 2's: those columns kept their contents.
     const std::vector<std::vector<uint64_t>> pinned = {
         {0x041323bf48217167ull, 0x06eefa06bccc2b81ull,
          0xbe465289613b09c9ull, 0x7a6c69a22629a7a5ull,
          0x7e53984b811bc12cull}, // cls
-        {0x2144aad915542639ull, 0x2144aad915542639ull,
-         0x51148ebc02990b30ull}, // opCls
-        {0x69810001172f9782ull, 0x69810001172f9782ull,
-         0xad8640d1d80581d7ull}, // opA
-        {0x667270afc3162503ull, 0x667270afc3162503ull,
-         0x9f93bbe527b0f16eull}, // opB
-        {0xc492a02e63754b79ull, 0xc492a02e63754b79ull,
-         0xcf1b6e4e6571db78ull}, // opRes
+        {0x2c86b3b4c8b32317ull, 0x3a83fa2ed249d774ull,
+         0x4bde6d0e6b1bd2aeull}, // opA
+        {0xd8f61314f6619df4ull, 0xf2d69e1d08fa2221ull,
+         0x5befee36fc50f5a8ull}, // opB
+        {0x4ce4e61721b53e09ull, 0x0c775de6538a0ba6ull,
+         0xb4340f11fb093292ull}, // opRes
         {0xe0e1efe78b83c1f2ull}, // addr
     };
     EncodedTrace enc = encodeTraceChunked(sampleTrace(300), 64);
@@ -550,7 +625,8 @@ TEST(TraceSpillCodec, ChunkRejectsEveryHeaderDefect)
     EXPECT_THROW(decode64(mutate(0, 'X')), SpillError);  // magic
     EXPECT_THROW(decode64(mutate(4, 1)), SpillError);    // version 1
     EXPECT_THROW(decode64(mutate(4, 2)), SpillError);    // version 2
-    EXPECT_THROW(decode64(mutate(4, 4)), SpillError);    // version 4
+    EXPECT_THROW(decode64(mutate(4, 3)), SpillError);    // version 3
+    EXPECT_THROW(decode64(mutate(4, 5)), SpillError);    // version 5
     EXPECT_THROW(decode64(mutate(6, 1)), SpillError);    // encoding 1
     EXPECT_THROW(decode64(mutate(7, 3)), SpillError);    // width
     EXPECT_THROW(decode64(mutate(7, 4)), SpillError);    // width 4 (v2's pc)
@@ -620,7 +696,7 @@ TEST(TraceSpillCodec, ChunkReportsFailuresInSpecOrder)
     EXPECT_EQ(chunkError<uint8_t>(bad, &wrongHash),
               "chunk header: bad magic");
     EXPECT_EQ(chunkError<uint8_t>(repair(0), &wrongHash),
-              "chunk header: unsupported version 1 (expected 3)");
+              "chunk header: unsupported version 1 (expected 4)");
     EXPECT_EQ(chunkError<uint8_t>(repair(4), &wrongHash),
               "chunk header: unknown encoding id 1");
     EXPECT_EQ(chunkError<uint8_t>(repair(6), &wrongHash),
@@ -704,11 +780,13 @@ clsOf(InstClass c)
     return static_cast<uint8_t>(c);
 }
 
-/** The six stored columns of a hand-built trace, in trace order. */
+/**
+ * The five stored columns of a hand-built trace: cls and addr in
+ * trace order, the operand columns class by class.
+ */
 struct HandColumns
 {
     std::vector<uint8_t> cls;
-    std::vector<uint8_t> opCls;
     std::vector<uint64_t> opA, opB, opRes, addr;
 };
 
@@ -719,7 +797,6 @@ validHand()
     HandColumns h;
     h.cls = {clsOf(InstClass::IntMul), clsOf(InstClass::Load),
              clsOf(InstClass::IntAlu)};
-    h.opCls = {clsOf(InstClass::IntMul)};
     h.opA = {2};
     h.opB = {3};
     h.opRes = {6};
@@ -734,7 +811,7 @@ encodeHand(const HandColumns &h)
     EncodedTrace enc;
     TraceManifest &m = enc.manifest;
     m.records = h.cls.size();
-    m.ops = h.opCls.size();
+    m.ops = h.opA.size();
     m.addrs = h.addr.size();
     auto column = [&](TraceColumn c, const auto &v) {
         for (size_t base = 0; base < v.size(); base += 2) {
@@ -746,7 +823,6 @@ encodeHand(const HandColumns &h)
         }
     };
     column(TraceColumn::Cls, h.cls);
-    column(TraceColumn::OpCls, h.opCls);
     column(TraceColumn::OpA, h.opA);
     column(TraceColumn::OpB, h.opB);
     column(TraceColumn::OpRes, h.opRes);
@@ -772,6 +848,18 @@ traceError(const HandColumns &h)
     return traceError(encodeHand(h));
 }
 
+/** What TraceStore::adopt throws for @p cols, or "" when it adopts. */
+std::string
+adoptError(TraceStore::Columns cols)
+{
+    try {
+        TraceStore::adopt(std::move(cols));
+    } catch (const SpillError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
 {
     const HandColumns good = validHand();
@@ -779,63 +867,73 @@ TEST(TraceSpillCodec, AdoptChecksEveryCrossColumnRule)
     Trace back = decodeTraceChunked(encodeHand(good));
     expectTracesEqual(back, handTrace());
 
+    // Every class value is an InstClass.
     HandColumns h = good;
     h.cls[2] = numInstClasses; // fits a u8, names no class
     EXPECT_EQ(traceError(h), "cls: value " +
                                  std::to_string(numInstClasses) +
                                  " is not an InstClass");
 
+    // Each class column holds exactly the records cls implies: a
+    // second IntMul with no operand words behind it leaves its class
+    // short, and a word that no record owns has no class to go to.
     h = good;
-    h.opCls = {clsOf(InstClass::FpMul)};
-    EXPECT_EQ(traceError(h),
-              "opCls: disagrees with cls column at operand record 0");
-
-    h = good; // a second IntMul with no operand words behind it
     h.cls.insert(h.cls.begin(), clsOf(InstClass::IntMul));
-    EXPECT_EQ(traceError(h), "opCls: column exhausted early");
-
-    h = good; // a second Load with no address behind it
-    h.cls.insert(h.cls.begin(), clsOf(InstClass::Load));
-    EXPECT_EQ(traceError(h), "addr: column exhausted early");
-
+    EXPECT_EQ(traceError(h), "trace: class column implies 2 operand "
+                             "records of class 1, its columns hold 1, 1 "
+                             "and 1 words");
     h = good;
-    h.opCls.push_back(clsOf(InstClass::IntMul));
     h.opA.push_back(1);
     h.opB.push_back(1);
     h.opRes.push_back(1);
-    EXPECT_EQ(traceError(h), "trace: class column implies 1 operand "
-                             "records, operand columns hold 2");
+    EXPECT_EQ(traceError(h),
+              "opA: holds more words than the class column implies");
 
+    // An fp add stored as an operand record, as version 2 did: fp-add
+    // records own no operand words.
+    h = good;
+    h.cls[2] = clsOf(InstClass::FpAdd);
+    h.opA.push_back(1);
+    h.opB.push_back(2);
+    h.opRes.push_back(3);
+    EXPECT_EQ(traceError(h),
+              "opA: holds more words than the class column implies");
+
+    // addr holds exactly the Load/Store count.
+    h = good; // a second Load with no address behind it
+    h.cls.insert(h.cls.begin(), clsOf(InstClass::Load));
+    EXPECT_EQ(traceError(h), "trace: class column implies 2 address "
+                             "records, addr column holds 1");
     h = good;
     h.addr.push_back(0x2000);
     EXPECT_EQ(traceError(h), "trace: class column implies 1 address "
                              "records, addr column holds 2");
 
-    // An fp add stored as an operand record, as version 2 did: fp-add
-    // records carry only their class.
-    h = good;
-    h.cls[2] = clsOf(InstClass::FpAdd);
-    h.opCls.push_back(clsOf(InstClass::FpAdd));
-    h.opA.push_back(1);
-    h.opB.push_back(2);
-    h.opRes.push_back(3);
-    EXPECT_EQ(traceError(h), "opCls: value 2 is not a class with operands");
-
-    // adopt() holds the same rule on columns that bypass the decoder.
+    // adopt() holds the same rules on columns that bypass the decoder,
+    // which can also hand it an fp-add class column or a class whose
+    // a, b and result columns differ in length.
     TraceStore::Columns cols;
     cols.cls = {clsOf(InstClass::FpAdd)};
-    cols.opCls = {clsOf(InstClass::FpAdd)};
     TraceStore::ClassColumns &fp_add =
         cols.ops[static_cast<unsigned>(InstClass::FpAdd)];
     fp_add.a = {1};
     fp_add.b = {2};
     fp_add.r = {3};
-    try {
-        TraceStore::adopt(std::move(cols));
-        FAIL() << "an fp-add operand record was adopted";
-    } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(), "opCls: value 2 is not a class with operands");
-    }
+    EXPECT_EQ(adoptError(cols), "trace: class column implies 0 operand "
+                                "records of class 2, its columns hold 1, "
+                                "1 and 1 words");
+    cols = {};
+    cols.cls = {clsOf(InstClass::IntMul)};
+    TraceStore::ClassColumns &mul =
+        cols.ops[static_cast<unsigned>(InstClass::IntMul)];
+    mul.a = {2};
+    mul.b = {3, 4};
+    mul.r = {6};
+    EXPECT_EQ(adoptError(cols), "trace: class column implies 1 operand "
+                                "records of class 1, its columns hold 1, "
+                                "2 and 1 words");
+    mul.b = {3};
+    EXPECT_EQ(adoptError(cols), "");
 }
 
 TEST(TraceSpillCodec, DecodeChecksChunksAgainstTheManifest)
@@ -995,7 +1093,7 @@ TEST(TraceSpillStore, DetectsVersionSkew)
     TraceManifest m = store.manifest("k|i|1");
     std::string path = store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
     std::string bytes = readFileBytes(path);
-    bytes[4] = 4; // future format version
+    bytes[4] = 5; // future format version
     writeFileBytes(path, bytes);
     EXPECT_THROW(store.read("k|i|1"), SpillError);
 }
@@ -1004,7 +1102,7 @@ TEST(TraceSpillStore, V1FilesAreNeverDecoded)
 {
     const std::string root = tempRoot("v1");
     SpillStore store(root);
-    writeV1Store(root);
+    writeStoreFiles(root, kV1Store);
 
     // Version 1 named manifests by FNV-1a of the key, so a current
     // reader finds none: a clean miss, and the listing skips the v1
@@ -1029,46 +1127,53 @@ TEST(TraceSpillStore, V1FilesAreNeverDecoded)
         FAIL() << "a v1 chunk decoded";
     } catch (const SpillError &e) {
         EXPECT_STREQ(e.what(),
-                     "chunk header: unsupported version 1 (expected 3)");
+                     "chunk header: unsupported version 1 (expected 4)");
     }
 }
 
 TEST(TraceSpillStore, V2FilesAreNeverDecoded)
 {
-    const std::string root = tempRoot("v2");
-    SpillStore store(root);
-    writeV2Store(root);
+    for (const OldStore &old : kOldStores) {
+        const std::string v = std::to_string(old.version);
+        SCOPED_TRACE("version " + v);
+        const std::string root = tempRoot("v" + v);
+        SpillStore store(root);
+        writeStoreFiles(root, old.files);
+        const std::string skew =
+            "unsupported version " + v + " (expected 4)";
 
-    // Version 3 names manifests as version 2 did: the v2 manifest is
-    // found and fails its version check, so the key is not listed and
-    // a read names the version.
-    EXPECT_FALSE(store.contains(kV2Key));
-    EXPECT_TRUE(store.keys().empty());
-    try {
-        store.readIfPresent(kV2Key);
-        FAIL() << "a v2 manifest decoded";
-    } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(),
-                     "manifest: unsupported version 2 (expected 3)");
-    }
+        // Every version from 2 on names manifests alike: the old
+        // manifest is found and fails its version check, so the key
+        // is not listed and a read names the version.
+        EXPECT_FALSE(store.contains(old.key));
+        EXPECT_TRUE(store.keys().empty());
+        try {
+            store.readIfPresent(old.key);
+            FAIL() << "an old manifest decoded";
+        } catch (const SpillError &e) {
+            EXPECT_EQ(std::string(e.what()), "manifest: " + skew);
+        }
 
-    // A write over the v2 store finds the v2 cls chunk at the name of
-    // its own cls chunk, and replaces it instead of sharing it.
-    store.write(kV2Key, handTrace());
-    const TraceManifest m = store.manifest(kV2Key);
-    const std::string cls_path =
-        store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
-    ASSERT_EQ(fs::path(cls_path).filename(), "e9f08f410c8b6dc8.mtc");
-    expectTracesEqual(store.read(kV2Key), handTrace());
+        // A write over the old store finds the old cls chunk at the
+        // name of its own cls chunk, and replaces it instead of
+        // sharing it.
+        store.write(old.key, old.trace());
+        const TraceManifest m = store.manifest(old.key);
+        const std::string cls_path =
+            store.chunkPath(m.col(TraceColumn::Cls)[0].hash);
+        ASSERT_EQ(fs::path(cls_path).filename(),
+                  fs::path(old.files[old.clsChunk].path).filename());
+        expectTracesEqual(store.read(old.key), old.trace());
 
-    // A current manifest whose chunk file holds a v2 chunk.
-    writeFileBytes(cls_path, std::string(kV2Store[2].bytes)); // v2 cls
-    try {
-        store.readIfPresent(kV2Key);
-        FAIL() << "a v2 chunk decoded";
-    } catch (const SpillError &e) {
-        EXPECT_STREQ(e.what(),
-                     "chunk header: unsupported version 2 (expected 3)");
+        // A current manifest whose chunk file holds an old chunk.
+        writeFileBytes(cls_path,
+                       std::string(old.files[old.clsChunk].bytes));
+        try {
+            store.readIfPresent(old.key);
+            FAIL() << "an old chunk decoded";
+        } catch (const SpillError &e) {
+            EXPECT_EQ(std::string(e.what()), "chunk header: " + skew);
+        }
     }
 }
 
@@ -1550,7 +1655,7 @@ TEST(TraceCacheSpill, V1StoreRegeneratesTheGeneratorsTrace)
 {
     exec::TraceCache cache(1u << 30);
     const std::string root = tempRoot("cachev1");
-    writeV1Store(root);
+    writeStoreFiles(root, kV1Store);
     cache.setSpillDir(root);
     ASSERT_EQ(exec::spillKeyOf(cacheKey("w1")), kV1Key);
 
@@ -1575,32 +1680,37 @@ TEST(TraceCacheSpill, V1StoreRegeneratesTheGeneratorsTrace)
 
 TEST(TraceCacheSpill, V2StoreRegeneratesTheGeneratorsTrace)
 {
-    exec::TraceCache cache(1u << 30);
-    const std::string root = tempRoot("cachev2");
-    writeV2Store(root);
-    cache.setSpillDir(root);
-    ASSERT_EQ(exec::spillKeyOf(cacheKey("w2")), kV2Key);
+    for (const OldStore &old : kOldStores) {
+        const std::string v = std::to_string(old.version);
+        SCOPED_TRACE("version " + v);
+        exec::TraceCache cache(1u << 30);
+        const std::string root = tempRoot("cachev" + v);
+        writeStoreFiles(root, old.files);
+        cache.setSpillDir(root);
+        const exec::TraceKey key = cacheKey("w" + v);
+        ASSERT_EQ(exec::spillKeyOf(key), old.key);
 
-    int gen = 0;
-    auto generate = [&] { gen++; return handTrace(); };
+        int gen = 0;
+        auto generate = [&] { gen++; return old.trace(); };
 
-    // The v2 manifest at the key's name: a counted disk defect.
-    auto t1 = cache.get(cacheKey("w2"), generate);
-    EXPECT_EQ(gen, 1);
-    EXPECT_EQ(cache.spillErrors(), 1u);
-    EXPECT_EQ(cache.admits(), 0u);
-    expectTracesEqual(*t1, handTrace());
+        // The old manifest at the key's name: a counted disk defect.
+        auto t1 = cache.get(key, generate);
+        EXPECT_EQ(gen, 1);
+        EXPECT_EQ(cache.spillErrors(), 1u);
+        EXPECT_EQ(cache.admits(), 0u);
+        expectTracesEqual(*t1, old.trace());
 
-    // Evicted, the trace is spilled over the v2 files, and the next
-    // miss admits it from disk.
-    cache.setBudgetBytes(1);
-    cache.get(cacheKey("w3"), [] { return sampleTrace(100); });
-    EXPECT_EQ(cache.spills(), 1u);
-    auto t2 = cache.get(cacheKey("w2"), generate);
-    EXPECT_EQ(gen, 1);
-    EXPECT_EQ(cache.admits(), 1u);
-    EXPECT_EQ(cache.spillErrors(), 1u);
-    expectTracesEqual(*t2, handTrace());
+        // Evicted, the trace is spilled over the old files, and the
+        // next miss admits it from disk.
+        cache.setBudgetBytes(1);
+        cache.get(cacheKey("other"), [] { return sampleTrace(100); });
+        EXPECT_EQ(cache.spills(), 1u);
+        auto t2 = cache.get(key, generate);
+        EXPECT_EQ(gen, 1);
+        EXPECT_EQ(cache.admits(), 1u);
+        EXPECT_EQ(cache.spillErrors(), 1u);
+        expectTracesEqual(*t2, old.trace());
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/cli_args.hh"
 #include "img/entropy.hh"
 #include "img/generate.hh"
 #include "img/pnm.hh"
 #include "trace/file_io.hh"
-
-#include "cli_args.hh"
 
 using namespace memo;
 

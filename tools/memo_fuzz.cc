@@ -6,11 +6,13 @@
  *   memo_fuzz --seed 1 --iters 10000 --mutation
  *
  * Exit status 0 means the harness behaved as expected: no invariant
- * violations in a normal campaign, or (with --mutation) all four
+ * violations in a normal campaign, or (with --mutation) all five
  * injected bugs — the tag-comparison bug, the batched-replay
- * block-boundary off-by-one, the keyed-replay victim off-by-one and
- * the memory-pass key that ignores the L2 hit latency — were caught. Any other outcome exits 1, printing a
- * shrunk counterexample and a one-line repro.
+ * block-boundary off-by-one, the keyed-replay victim off-by-one, the
+ * memory-pass key that ignores the L2 hit latency and the chunk
+ * decoder's class split one word late — were caught. Any other
+ * outcome exits 1, printing a shrunk counterexample and a one-line
+ * repro.
  */
 
 #include <cstdint>
@@ -22,7 +24,7 @@
 #include <string>
 
 #include "check/fuzz.hh"
-#include "cli_args.hh"
+#include "core/cli_args.hh"
 #include "prof/heartbeat.hh"
 
 namespace
@@ -39,9 +41,11 @@ usage(const char *argv0)
                  "  --stream L   accesses per case (default 256)\n"
                  "  --mutation   self-test: inject a tag-comparison\n"
                  "               bug, a block-boundary off-by-one, a\n"
-                 "               keyed victim off-by-one and a memory-\n"
-                 "               pass key ignoring the L2 hit latency;\n"
-                 "               the harness must catch all four\n"
+                 "               keyed victim off-by-one, a memory-\n"
+                 "               pass key ignoring the L2 hit latency\n"
+                 "               and a chunk-codec class split one\n"
+                 "               word late; the harness must catch\n"
+                 "               all five\n"
                  "  --verbose    progress output every 1000 cases\n"
                  "  --progress   stderr heartbeat (rate/ETA); stdout\n"
                  "               stays byte-identical\n",
@@ -104,7 +108,8 @@ main(int argc, char **argv)
             return 1;
         }
         std::cout << "ok: injected tag-comparison, block-boundary, "
-                     "keyed-victim and memory-pass-key bugs detected\n";
+                     "keyed-victim, memory-pass-key and chunk-split "
+                     "bugs detected\n";
         return 0;
     }
 

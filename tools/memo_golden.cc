@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <exception>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -64,10 +65,8 @@ printDiff(const std::string &name, const std::string &want,
         std::cout << "  ... (more differences suppressed)\n";
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string mode, dir;
     for (int i = 1; i < argc; i++) {
@@ -141,4 +140,19 @@ main(int argc, char **argv)
                      "regenerate with\n  memo-golden --regen "
                   << dir << "\n";
     return ok ? 0 : 1;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // An outside input the library refuses (a malformed MEMO_JOBS or
+    // MEMO_TRACE_CACHE_MB) is an error naming it, not an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "memo-golden: " << e.what() << "\n";
+        return 1;
+    }
 }

@@ -22,6 +22,7 @@
  */
 
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -93,10 +94,8 @@ usage(int code)
     return code;
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string mode, dir;
     for (int i = 1; i < argc; i++) {
@@ -188,4 +187,19 @@ main(int argc, char **argv)
                      "regenerate with\n  memo-report --write "
                   << (dir.empty() ? "." : dir) << "\n";
     return ok ? 0 : 1;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // An outside input the library refuses (a malformed MEMO_JOBS or
+    // MEMO_TRACE_CACHE_MB) is an error naming it, not an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "memo-report: " << e.what() << "\n";
+        return 1;
+    }
 }

@@ -30,6 +30,7 @@
 #include "analysis/reuse.hh"
 #include "arith/fp.hh"
 #include "analysis/table.hh"
+#include "core/cli_args.hh"
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 #include "exec/trace_cache.hh"
@@ -44,8 +45,6 @@
 #include "trace/file_io.hh"
 #include "trace/spill.hh"
 #include "workloads/workload.hh"
-
-#include "cli_args.hh"
 
 using namespace memo;
 using memo::cli::parseChoice;
